@@ -4,7 +4,9 @@ One uniform grid on [0, R] carries everything: the flux-form operator, the
 auxiliary solves (constant load, singular constant load), the four
 sub/supersolution constructors, the shifted solve map T-hat, and the Amann
 iteration between ordered endpoints.  All nonlinear systems go through one
-damped-Newton core with a lagged-Picard fallback for the singular term.
+damped-Newton core.  The constant-load problems behind both pairs (w_eta,
+u_alpha, u_beta*) are seeded at their exact discrete solution, which the flux
+form yields by two cumulative sums (_load_solution), so Newton only checks it.
 
 Scheme: interior node i differences the half-node fluxes,
 
@@ -68,7 +70,6 @@ _JAC_FLOOR = 1e-9       # |gradient| clip inside the Jacobian only
 _POS_FLOOR = 1e-12      # positivity safeguard for singular solves
 _NEWTON_BUDGET = 60
 _HALVINGS = 50
-_PICARD_BUDGET = 200
 _GEOM_BUDGET = 60       # eta halvings / alpha_* doublings
 _BISECT_BUDGET = 80     # m_lambda bracketing + bisection
 
@@ -156,6 +157,11 @@ _RND_SLACK = 8.0  # multiples of the flux-cancellation rounding floor
 
 
 def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
+    """(residual, scale, rounding floor, (g, F'(g))) of the system at u.
+
+    The gradients and flux derivatives are handed back so that the Jacobian
+    at an accepted iterate does not evaluate them a second time.
+    """
     p = op.params
     ui = u[:-1]
     g = np.diff(u) / op._h
@@ -195,18 +201,26 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
         sing = mu_arr * ui ** (-p.gamma)
         res = res - sing
         scale = scale + np.abs(sing)
-    return res, scale, rnd
+    return res, scale, rnd, (g, Fp)
 
 
 def _scaled_err(res, scale, rnd):
     return float(np.max((np.abs(res) - rnd) / scale))
 
 
-def _jac_bands(op, u, theta, khat, mu_arr, singular):
+def _jac_bands(op, u, theta, khat, mu_arr, singular, kept):
+    """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept.
+
+    F' is re-evaluated only where |g| < _JAC_FLOOR, at the clipped point;
+    elsewhere the clip is inactive, so the bands equal a fresh evaluation.
+    """
     p = op.params
     h = op._h
-    g = np.diff(u) / h
-    Fp = lpq_derivative(g, p, op.alpha, op.beta, floor=_JAC_FLOOR)
+    g, Fp = kept
+    small = np.abs(g) < _JAC_FLOOR
+    if np.any(small):
+        Fp = Fp.copy()
+        Fp[small] = lpq_derivative(g[small], p, op.alpha, op.beta, floor=_JAC_FLOOR)
     n = u.size - 1
     sub = np.zeros(n)
     sup = np.zeros(n)
@@ -232,14 +246,14 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
     u[-1] = 0.0
     if singular:
         u[:-1] = np.maximum(u[:-1], _POS_FLOOR)
-    res, scale, rnd = _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor)
+    res, scale, rnd, kept = _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor)
     err = _scaled_err(res, scale, rnd)
     n = u.size - 1
     ab = np.zeros((3, n))
     for _ in range(budget):
         if err <= tol:
             return u
-        sub, diag, sup = _jac_bands(op, u, theta, khat, mu_arr, singular)
+        sub, diag, sup = _jac_bands(op, u, theta, khat, mu_arr, singular, kept)
         ab[0, 1:] = sup[:-1]
         ab[1, :] = diag
         ab[2, :-1] = sub[1:]
@@ -250,10 +264,11 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
             trial[:-1] = u[:-1] + step * d
             if singular:
                 trial[:-1] = np.maximum(trial[:-1], _POS_FLOOR)
-            tres, tscale, trnd = _residual_scale(op, trial, theta, khat, mu_arr, rhs, singular, anchor)
+            tres, tscale, trnd, tkept = _residual_scale(op, trial, theta, khat, mu_arr, rhs,
+                                                        singular, anchor)
             terr = _scaled_err(tres, tscale, trnd)
             if np.isfinite(terr) and terr < err:
-                u, res, scale, rnd, err = trial, tres, tscale, trnd, terr
+                u, res, err, kept = trial, tres, terr, tkept
                 break
             step *= 0.5
         else:
@@ -264,46 +279,40 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
     raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e})")
 
 
-def _picard(op, theta, khat, mu_arr, rhs, init, tol,
-            budget=_PICARD_BUDGET, relax=0.5, anchor=None):
-    """Lagged singular term, under-relaxed; each sweep is a nonsingular Newton."""
-    p = op.params
-    u = np.asarray(init, dtype=float).copy()
-    u[-1] = 0.0
-    u[:-1] = np.maximum(u[:-1], _POS_FLOOR)
-    zeros = np.zeros_like(mu_arr)
-    for _ in range(budget):
-        lag = mu_arr * u[:-1] ** (-p.gamma)
-        v = _newton(op, theta, khat, zeros, rhs + lag, u, tol, anchor=anchor)
-        new = u.copy()
-        new[:-1] = np.maximum(relax * v[:-1] + (1.0 - relax) * u[:-1], _POS_FLOOR)
-        res, scale, rnd = _residual_scale(op, new, theta, khat, mu_arr, rhs, True, anchor)
-        err = _scaled_err(res, scale, rnd)
-        delta = float(np.max(np.abs(new - u)))
-        u = new
-        if err <= 10.0 * tol:
-            return u
-        if delta <= 1e-15 * max(1.0, float(np.max(np.abs(u)))):
-            break
-    raise ConvergenceFailure("Picard fallback did not converge")
-
-
 def _solve_system(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None):
     n = op.n
     mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
     if np.any(mu_arr < 0.0):
         raise ConfigurationError("singular weights must be nonnegative")
-    try:
-        return _newton(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor)
-    except ConvergenceFailure:
-        if not np.any(mu_arr > 0.0):
-            raise
-        return _picard(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor)
+    return _newton(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor)
 
 
 def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
     return amp * (1.0 - (nodes / R) ** 2)
+
+
+def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
+    """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular or theta term).
+
+    The flux form telescopes node by node: Phi_i = r_{i+1/2}^{N-1} F(g_i)
+    obeys Phi_0 = -(h/2)^{N-1} rhs_0 h/(2N) and Phi_i = Phi_{i-1} - h r_i^{N-1}
+    rhs_i.  A cumulative sum gives the fluxes, lpq_inverse the gradients, and
+    a reverse cumulative sum from the Dirichlet node the values.  This is the
+    discrete analogue of the divergence theorem on the ball, exact up to
+    rounding, so Newton accepts it as a seed without taking a step.
+    """
+    N, h = op.params.dim, op._h
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (op.n,))
+    half = op.grid[:-1] + 0.5 * h
+    weight = np.empty(op.n)
+    weight[0] = (0.5 * h) ** (N - 1) * h / (2.0 * N)
+    weight[1:] = h * op.grid[1:-1] ** (N - 1)
+    flux = -np.cumsum(weight * rhs)
+    g = lpq_inverse(flux / half ** (N - 1), op.params, op.alpha, op.beta)
+    u = np.zeros(op.n + 1)
+    u[:-1] = -h * np.cumsum(g[::-1])[::-1]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +323,8 @@ def solve_eta_problem(op: DiscreteOperator, eta: float) -> GridFunction:
     """-L^{alpha,beta} w = eta with Dirichlet 0: positive, vanishing with eta."""
     if eta <= 0.0:
         raise ConfigurationError("eta must be positive")
-    params = op.params
-    R = params.radius
-    slope = lpq_inverse(eta * R / params.dim, params, op.alpha, op.beta)
-    init = _paraboloid(op.grid, R, 0.5 * slope * R)
-    u = _solve_system(op, 0.0, 0.0, 0.0, np.full(op.n, eta), init)
+    rhs = np.full(op.n, eta)
+    u = _solve_system(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))
     return GridFunction(op.grid, u)
 
 
@@ -498,10 +504,10 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
 
     u_up = None
     chi_high = None
+    ones = np.ones(op.n)
     for _ in range(_GEOM_BUDGET):
         aux = op.with_weights(alpha_star ** (params.p - params.q), 1.0)
-        init = _paraboloid(op.grid, R, 0.5 * norm0 * 2.0)
-        ua = _solve_system(aux, 0.0, 0.0, 0.0, np.ones(op.n), init)
+        ua = _solve_system(aux, 0.0, 0.0, 0.0, ones, _load_solution(aux, ones))
         norm = float(np.max(ua))
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
@@ -566,9 +572,8 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     def u_beta(m: float) -> tuple[np.ndarray, float]:
         if m not in cache:
             aux = op.with_weights(1.0, m ** (q - p))
-            slope = lpq_inverse(R / N, params, 1.0, m ** (q - p))
-            init = _paraboloid(op.grid, R, 0.5 * slope * R)
-            u = _solve_system(aux, 0.0, 0.0, 0.0, np.ones(op.n), init)
+            ones = np.ones(op.n)
+            u = _solve_system(aux, 0.0, 0.0, 0.0, ones, _load_solution(aux, ones))
             cache[m] = (u, float(np.max(u)))
         return cache[m]
 
@@ -748,7 +753,7 @@ def _fixed_point_residual(op, reactions, uv):
     lam_f0 = reactions.lam * reactions.f0
     mu = np.full(op.n, lam_f0)
     rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
-    res, scale, rnd = _residual_scale(op, uv, 0.0, 0.0, mu, rhs, lam_f0 > 0.0)
+    res, scale, rnd, _ = _residual_scale(op, uv, 0.0, 0.0, mu, rhs, lam_f0 > 0.0)
     return bool(np.all(res >= -rnd)), _scaled_err(res, scale, rnd)
 
 
@@ -791,8 +796,9 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     above, err_u = _fixed_point_residual(op, reactions, uv)
     if above:
         mu = np.full(op.n, lam_f0)
-        err_init = _scaled_err(*_residual_scale(op, init, 0.0, khat, mu, rhs,
-                                                lam_f0 > 0.0, uv[:-1]))
+        res, scale, rnd, _ = _residual_scale(op, init, 0.0, khat, mu, rhs,
+                                             lam_f0 > 0.0, uv[:-1])
+        err_init = _scaled_err(res, scale, rnd)
         if err_u < err_init:
             init = uv
     w = _solve_system(op, 0.0, khat, lam_f0, rhs, init, tol, anchor=uv[:-1])
@@ -979,12 +985,20 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
     is iterated under the solve map for a short budget.  Purely a log: the
     third solution is an existence statement, not a constructive one, and
     the iteration usually slides back into a known basin.
+
+    An attempt counts as distinct when it ends on a fixed point at least
+    0.05 theta1 from both known solutions, and at least 1e-6 of their sup
+    norm.  The second floor is float noise: Newton accepts any iterate whose
+    residual is within its rounding floor, so each solution is a fixed point
+    only to a band whose width grows with its size.  On the reference
+    configuration (sup 8.9e16) attempts end 1e6-7e7 from u2, under 1e-9
+    relative, which the absolute level alone would call a third solution.
     """
     if op is None:
         op = DiscreteOperator(params, u1.nodes)
     rng = np.random.default_rng(seed)
     R = params.radius
-    level = 0.05 * reactions.spec.theta1
+    level = max(0.05 * reactions.spec.theta1, 1e-6 * max(u1.sup_norm(), u2.sup_norm()))
     ctol = conv_factor * reactions.spec.theta2
     records = []
     found = False

@@ -94,6 +94,26 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
     """Solve alpha t^{p-1} + beta t^{q-1} = s elementwise for s > 0, t > 0."""
     p1 = params.p - 1.0
     q1 = params.q - 1.0
+
+    def F(t):
+        return alpha * t ** p1 + beta * t ** q1
+
+    if q1 == 2.0 * p1:
+        # x = t^{p-1} solves beta x^2 + alpha x = s; this root form has no
+        # cancellation, and hypot keeps alpha^2 + 4 beta s from overflowing
+        disc = np.hypot(alpha, 2.0 * np.sqrt(beta) * np.sqrt(s))
+        t = (s / (0.5 * (alpha + disc))) ** (1.0 / p1)
+    else:
+        t = _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter)
+    resid = np.abs(F(t) - s) / np.maximum(1.0, np.abs(s))
+    if not np.all(resid <= 1e-8):  # NaN from an overflow fails too
+        raise ConvergenceFailure(
+            f"scalar inverse stalled: worst relative residual {np.max(resid):.3e}"
+        )
+    return t
+
+
+def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
     # bracket: with t1 = (s/2a)^{1/(p-1)}, t2 = (s/2b)^{1/(q-1)}, the root lies in
     # [min(t1,t2), max(t1,t2)] because each endpoint contributes exactly s/2
     # through its own term and the map is strictly increasing.
@@ -101,10 +121,6 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
     t2 = (s / (2.0 * beta)) ** (1.0 / q1)
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
-
-    def F(t):
-        return alpha * t ** p1 + beta * t ** q1
-
     # geometric bisection: the bracket ratio can be astronomically wide for
     # extreme s, but its logarithm shrinks by half each step
     for _ in range(90):
@@ -130,11 +146,6 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
             t = t_new
             break
         t = t_new
-    resid = np.abs(F(t) - s) / np.maximum(1.0, np.abs(s))
-    if np.max(resid) > 1e-8:
-        raise ConvergenceFailure(
-            f"scalar inverse stalled: worst relative residual {np.max(resid):.3e}"
-        )
     return t
 
 
@@ -142,9 +153,14 @@ def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0,
                 rtol: float = 1e-12, max_iter: int = 60):
     """Inverse of the (weighted) scalar map; odd, strictly increasing.
 
-    Bracketed geometric bisection refined by safeguarded Newton.  For
-    s >= 0 the result also satisfies lpq_inverse(s) <= (s/beta)^{1/(q-1)}
-    (the q-term alone already overshoots s at that point).
+    When q-1 = 2(p-1) (p=2, q=3 among them) x = t^{p-1} solves the quadratic
+    beta x^2 + alpha x = s, and the inverse is the closed form
+    t = (2s / (alpha + sqrt(alpha^2 + 4 beta s)))^{1/(p-1)}.  Other (p,q)
+    take a bracketed geometric bisection refined by safeguarded Newton
+    (rtol, max_iter).  Either way the relative residual must end below
+    1e-8, else ConvergenceFailure.  For s >= 0 the result also satisfies
+    lpq_inverse(s) <= (s/beta)^{1/(q-1)} (the q-term alone already
+    overshoots s at that point).
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("weights must be positive")

@@ -18,6 +18,7 @@ from pqsing import (
     certify,
     choose_khat,
     construct_pairs,
+    lpq_derivative,
     original_residual,
     quadrature_solve,
     search_third_solution,
@@ -126,6 +127,62 @@ def test_eta_problem_against_quadrature():
     # two independent discretizations of the same problem: agreement
     # tightens at roughly second order
     assert errs[2] <= errs[0] / 8.0
+
+
+def _count_banded(monkeypatch):
+    calls = []
+    real = discrete_solver.solve_banded
+    monkeypatch.setattr(discrete_solver, "solve_banded",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_load_solution_is_accepted_without_a_step(dim, monkeypatch):
+    # the flux-integrated seed solves the scheme itself, not the continuum
+    # problem: Newton's 1e-12 rounding-aware check passes at once
+    pr = make_params(dim=dim)
+    op = DiscreteOperator.from_params(pr, n=256, alpha=0.37, beta=2.9)
+    calls = _count_banded(monkeypatch)
+    for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
+        seed = discrete_solver._load_solution(op, rhs)
+        assert seed[-1] == 0.0 and np.all(np.diff(seed) < 0.0)
+        u = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed, 1e-12)
+        assert np.array_equal(u, seed)
+    assert calls == []
+
+
+def test_construct_pairs_banded_solves(gentle, monkeypatch):
+    # the constant-load auxiliaries behind both pairs start at their answer;
+    # only v0 (a Theta-shifted solve) still takes Newton steps
+    env = gentle
+    calls = _count_banded(monkeypatch)
+    pairs = construct_pairs(env.params, env.spec, env.reactions, env.window,
+                            env.profile, op=env.op)
+    assert len(calls) <= 20
+    assert pairs.all_passed
+
+
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
+def test_jac_bands_from_kept_derivative_bitwise(pq):
+    pr = make_params(p=pq[0], q=pq[1])
+    op = DiscreteOperator.from_params(pr, n=64, alpha=0.37, beta=2.9)
+    u = 1.0 - op.grid ** 2
+    u[:8] = u[0]                       # flat core: g = 0
+    u[8:12] = u[0] - 1e-12 * np.arange(1, 5)  # gradients below the clip
+    u[-1] = 0.0
+    zeros = np.zeros(op.n)
+    with np.errstate(divide="ignore"):   # unclipped F'(0) is infinite for p < 2
+        kept = discrete_solver._residual_scale(op, u, 0.0, 0.0, zeros, np.ones(op.n),
+                                               False)[3]
+    g = kept[0]
+    assert np.any(np.abs(g) < discrete_solver._JAC_FLOOR)
+    fresh = (g, lpq_derivative(g, pr, op.alpha, op.beta, floor=discrete_solver._JAC_FLOOR))
+    for theta, khat in ((0.0, 0.0), (0.3, 2.0)):
+        got = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, kept)
+        want = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, fresh)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_eta_problem_guards():
@@ -274,10 +331,7 @@ def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):
     env = cfg1
     up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
                        "from_upper", op=env.op)
-    steps = []
-    real = discrete_solver.solve_banded
-    monkeypatch.setattr(discrete_solver, "solve_banded",
-                        lambda *a, **k: steps.append(1) or real(*a, **k))
+    steps = _count_banded(monkeypatch)
     w = that_map(env.params, env.reactions, up.limit, op=env.op)
     assert len(steps) <= 1
     assert float(np.max(np.abs(w.values - up.limit.values))) <= \
@@ -429,3 +483,22 @@ def test_search_third_solution_logs(gentle):
     for att in out["attempts"]:
         assert att["status"] in ("budget", "fixed_point", "solver_failed")
         assert "dist_to_u1" in att and "dist_to_u2" in att
+
+
+def test_search_third_solution_reference_not_distinct(cfg1):
+    # on the reference configuration every attempt ends on u2 to float noise
+    # (sup 8.9e16, distance ~1e7); that is not a third solution
+    env = cfg1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                           "from_lower", op=env.op)
+        up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
+                           "from_upper", op=env.op)
+        out = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                    op=env.op, seed=0)
+    assert out["found_distinct"] is False
+    landed = [a for a in out["attempts"] if a["status"] == "fixed_point"]
+    assert landed
+    for att in landed:
+        assert att["dist_to_u2"] <= 1e-6 * up.limit.sup_norm()

@@ -12,7 +12,7 @@ from pqsing import (
     simon_gap,
     simon_gap_sum,
 )
-from pqsing.errors import DegenerateInput, InfeasibleGeometry
+from pqsing.errors import ConvergenceFailure, DegenerateInput, InfeasibleGeometry
 
 
 def make_params(p, q, gamma=0.5, dim=2, radius=1.0, lam=0.0):
@@ -96,10 +96,38 @@ def test_lpq_round_trip_property(s, pq):
 
 
 def test_lpq_inverse_monotone_on_grid():
+    # q-1 != 2(p-1): the bracketed bisection + Newton branch
     pr = make_params(1.5, 4.0)
     s = np.geomspace(1e-10, 1e10, 401)
-    t = lpq_inverse(s, pr)
+    t = lpq_inverse(s, pr, 0.37, 2.9)
     assert np.all(np.diff(t) > 0.0)
+    assert np.max(np.abs(lpq_scalar(t, pr, 0.37, 2.9) - s) / s) <= 1e-12
+
+
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.0), (3.0, 5.0)])
+@pytest.mark.parametrize("ab", [(0.37, 2.9), (5e3, 1e-4)])
+def test_lpq_inverse_closed_form_branch(pq, ab):
+    # q-1 = 2(p-1): the quadratic closed form, across the whole float range
+    pr = make_params(*pq)
+    alpha, beta = ab
+    s = np.geomspace(1e-300, 1e300, 2001)
+    t = lpq_inverse(s, pr, alpha, beta)
+    # for p < 2 the inverse of the smallest loads lies below the smallest
+    # normal float; compare only where it is representable
+    normal = t >= np.finfo(float).tiny
+    assert np.count_nonzero(normal) >= 1000
+    assert np.all(t[~normal] >= 0.0)
+    ts, ss = t[normal], s[normal]
+    assert np.max(np.abs(lpq_scalar(ts, pr, alpha, beta) - ss) / ss) <= 1e-13
+    assert np.all(np.diff(ts) > 0.0)
+    assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
+
+
+def test_lpq_inverse_overflow_raises():
+    # the iterative branch overflows for loads this large; the NaN residual
+    # must not pass the 1e-8 check
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceFailure):
+        lpq_inverse(1e300, make_params(1.5, 4.0))
 
 
 # ---------------------------------------------------------------- simon gaps
