@@ -33,9 +33,8 @@ import math
 import warnings
 
 import numpy as np
-from scipy import optimize, special
 
-from .errors import BlowDown, CollarTooWide, ConfigurationError
+from .errors import BlowDown, CollarTooWide, ConfigurationError, ConvergenceFailure
 from .grid import CertificateReport, GridFunction
 from .pq_core import Params, lpq_scalar
 
@@ -60,6 +59,8 @@ def xi_max(tau: float, q: float, gamma: float) -> float:
 
 def blowdown_radius(tau: float, q: float, gamma: float) -> float:
     """Exact R_tau from the Beta-integral form of r(Xi_max)."""
+    from scipy import special
+
     _check_exponents(tau, q, gamma)
     a = 1.0 / (1.0 - gamma)
     b = (q - 1.0) / q
@@ -68,11 +69,63 @@ def blowdown_radius(tau: float, q: float, gamma: float) -> float:
 
 def _radius_of_xi(xi, tau: float, q: float, gamma: float):
     """r(Xi) on the rising branch, exact up to the Beta evaluation."""
+    from scipy import special
+
     a = 1.0 / (1.0 - gamma)
     b = (q - 1.0) / q
     xm = xi_max(tau, q, gamma)
     y = np.clip((np.asarray(xi, dtype=float) / xm) ** (1.0 - gamma), 0.0, 1.0)
     return xm / ((1.0 - gamma) * tau) * special.beta(a, b) * special.betainc(a, b, y)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A step-for-step reproduction of scipy.optimize.brentq (scipy's C brentq:
+    inverse quadratic interpolation, secant or bisection on the same
+    tests in the same float order), so it returns the same bits without
+    importing scipy.optimize.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConfigurationError("f(a) and f(b) must have different signs")
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # scipy's C code gets inf or nan: rejected below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ConvergenceFailure("brentq did not converge in 100 iterations")
 
 
 def _slope_from_xi(xi, tau: float, q: float, gamma: float):
@@ -145,7 +198,7 @@ def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
     for i in range(1, K + 1):
         ri = nodes[i]
         f = lambda x: _radius_of_xi(x, tau, q, gamma) - ri
-        xi[i] = optimize.brentq(f, 0.0, xm * (1.0 - 1e-15), xtol=1e-300, rtol=8.9e-16)
+        xi[i] = _brentq(f, 0.0, xm * (1.0 - 1e-15), xtol=1e-300, rtol=8.9e-16)
         z[i] = _slope_from_xi(xi[i], tau, q, gamma) ** (q - 1.0)
 
     def rhs(x, zz):

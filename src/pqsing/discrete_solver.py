@@ -31,7 +31,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     ConfigurationError,
@@ -66,7 +65,7 @@ __all__ = [
     "search_third_solution",
 ]
 
-_JAC_FLOOR = 1e-9       # |gradient| clip inside the Jacobian only
+_JAC_FLOOR = 1e-9       # |gradient| clip of F' (Jacobian, rounding floor), not of F
 _POS_FLOOR = 1e-12      # positivity safeguard for singular solves
 _NEWTON_BUDGET = 60
 _HALVINGS = 50
@@ -149,6 +148,14 @@ def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
     return GridFunction(op.grid, _apply_values(op, vals))
 
 
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded, imported at the first solve: importing
+    scipy.linalg costs more than a cold `pqsing window` does in all."""
+    from scipy import linalg
+
+    return linalg.solve_banded(l_and_u, ab, b)
+
+
 # ---------------------------------------------------------------------------
 # inner nonlinear solves:  A(u) + theta L(u) + khat u - mu u^{-gamma} = rhs
 # ---------------------------------------------------------------------------
@@ -159,8 +166,9 @@ _RND_SLACK = 8.0  # multiples of the flux-cancellation rounding floor
 def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
     """(residual, scale, rounding floor, (g, F'(g))) of the system at u.
 
-    The gradients and flux derivatives are handed back so that the Jacobian
-    at an accepted iterate does not evaluate them a second time.
+    The gradients and flux derivatives (clipped at |g| = _JAC_FLOOR) are
+    handed back so that the Jacobian at an accepted iterate does not
+    evaluate them a second time.
     """
     p = op.params
     ui = u[:-1]
@@ -171,8 +179,10 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
     res[1:] = -(op._cplus * F[1:] - op._cminus * F[:-1])
     # what a converged iterate can actually achieve in float64: flux
     # cancellation (|flux| * eps) plus the roundoff a Jacobian-sized update
-    # injects (|J_row| * ||u|| * eps); below this, residuals are noise
-    Fp = lpq_derivative(g, op.params, op.alpha, op.beta)
+    # injects (|J_row| * ||u|| * eps); below this, residuals are noise.
+    # F' is the Jacobian's, clipped at _JAC_FLOOR: for p < 2 the unclipped
+    # F'(0) is infinite and would hide every residual in a flat core
+    Fp = lpq_derivative(g, op.params, op.alpha, op.beta, floor=_JAC_FLOOR)
     rnd = np.empty_like(res)
     rnd[0] = op._coef0 * (abs(F[0]) + Fp[0] / op._h * np.max(np.abs(u)))
     rnd[1:] = (op._cplus * np.abs(F[1:]) + op._cminus * np.abs(F[:-1])
@@ -209,18 +219,11 @@ def _scaled_err(res, scale, rnd):
 
 
 def _jac_bands(op, u, theta, khat, mu_arr, singular, kept):
-    """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept.
-
-    F' is re-evaluated only where |g| < _JAC_FLOOR, at the clipped point;
-    elsewhere the clip is inactive, so the bands equal a fresh evaluation.
-    """
+    """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept,
+    F' clipped at |g| = _JAC_FLOOR."""
     p = op.params
     h = op._h
-    g, Fp = kept
-    small = np.abs(g) < _JAC_FLOOR
-    if np.any(small):
-        Fp = Fp.copy()
-        Fp[small] = lpq_derivative(g[small], p, op.alpha, op.beta, floor=_JAC_FLOOR)
+    Fp = kept[1]
     n = u.size - 1
     sub = np.zeros(n)
     sup = np.zeros(n)

@@ -10,10 +10,10 @@ monotonization constants Theta_lambda and khat.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BridgeNotMonotone, ConfigurationError
 from .parameter_window import F_of
@@ -281,6 +281,77 @@ def _curve(spec: NonlinearitySpec, gamma: float):
     return curve
 
 
+def _fminbound(func: Callable, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(argmin, min) of a scalar function on [a, b] by Brent's bounded search.
+
+    A step-for-step reproduction of scipy.optimize.minimize_scalar with
+    method="bounded" (scipy's _minimize_scalar_bounded, the Forsythe-Malcolm-
+    Moler fmin): the same golden-section/parabolic steps in the same float
+    order, so it returns the same bits without importing scipy.optimize.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx
+
+
 def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> DerivedReactions:
     """Construct the truncated reaction h and the derived constants.
 
@@ -308,10 +379,8 @@ def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> Deri
     lo = ts[max(i0 - 1, 0)]
     hi = ts[min(i0 + 1, n_grid - 1)]
     if hi > lo:
-        res = minimize_scalar(lambda t: float(curve(t)), bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13 * spec.theta1})
-        theta_star = float(res.x)
-        fbar = float(res.fun)
+        theta_star, fbar = _fminbound(lambda t: float(curve(t)), float(lo), float(hi),
+                                      xatol=1e-13 * spec.theta1)
         if fbar > cs[i0]:  # refinement should never lose to the grid
             theta_star, fbar = float(ts[i0]), float(cs[i0])
     else:

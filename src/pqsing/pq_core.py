@@ -104,7 +104,11 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
         disc = np.hypot(alpha, 2.0 * np.sqrt(beta) * np.sqrt(s))
         t = (s / (0.5 * (alpha + disc))) ** (1.0 / p1)
     else:
-        t = _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter)
+        # a bracket term can overflow (the smaller one stays finite), and a
+        # root that underflows to t = 0 makes t^{p-2} infinite for p < 2
+        # (its Newton step is then 0)
+        with np.errstate(over="ignore", divide="ignore"):
+            t = _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter)
     resid = np.abs(F(t) - s) / np.maximum(1.0, np.abs(s))
     if not np.all(resid <= 1e-8):  # NaN from an overflow fails too
         raise ConvergenceFailure(
@@ -114,17 +118,17 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
 
 
 def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
-    # bracket: with t1 = (s/2a)^{1/(p-1)}, t2 = (s/2b)^{1/(q-1)}, the root lies in
-    # [min(t1,t2), max(t1,t2)] because each endpoint contributes exactly s/2
-    # through its own term and the map is strictly increasing.
-    t1 = (s / (2.0 * alpha)) ** (1.0 / p1)
-    t2 = (s / (2.0 * beta)) ** (1.0 / q1)
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
+    # bracket: the root lies above min(t1, t2), t1 = (s/2a)^{1/(p-1)} and
+    # t2 = (s/2b)^{1/(q-1)}, where one term alone contributes exactly s/2; and
+    # below each one-term inverse, where one term alone is already s.  The
+    # smaller one-term inverse is finite whenever either is, so the bracket
+    # does not overflow.
+    lo = np.minimum((s / (2.0 * alpha)) ** (1.0 / p1), (s / (2.0 * beta)) ** (1.0 / q1))
+    hi = np.minimum((s / alpha) ** (1.0 / p1), (s / beta) ** (1.0 / q1))
     # geometric bisection: the bracket ratio can be astronomically wide for
     # extreme s, but its logarithm shrinks by half each step
     for _ in range(90):
-        mid = np.sqrt(lo * hi)
+        mid = np.sqrt(lo) * np.sqrt(hi)
         high = F(mid) > s
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
@@ -140,12 +144,18 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
         df = alpha * p1 * t ** (p1 - 1.0) + beta * q1 * t ** (q1 - 1.0)
         step = f / df
         t_new = t - step
-        bad = (t_new <= lo) | (t_new >= hi)
+        # a step onto the bracket end it came from is the converged root,
+        # not a reason to bisect
+        bad = (t_new < lo) | (t_new > hi)
         t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        if np.max(np.abs(t_new - t) / np.maximum(t_new, 1e-300)) < rtol:
-            t = t_new
-            break
+        # a short bisection step is no sign of convergence (the root can sit
+        # ulps below the analytic upper end, which Newton then overshoots)
+        # until the bracket itself is a few ulps wide
+        done = np.abs(t_new - t) < rtol * np.maximum(t_new, 1e-300)
+        done &= ~bad | (hi - lo <= 4.0 * np.finfo(float).eps * hi)
         t = t_new
+        if np.all(done):
+            break
     return t
 
 

@@ -15,7 +15,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import WindowViolation
 from .grid import CertificateReport, GridFunction
@@ -73,12 +72,20 @@ class RadialProfile:
     v_prime: GridFunction
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0 (scipy's
+    cumulative_trapezoid(y, x, initial=0.0), same formula and bits)."""
+    out = np.zeros(len(y))
+    out[1:] = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return out
+
+
 def _nested_integral(nodes: np.ndarray, load: np.ndarray, lam: float, N: int) -> np.ndarray:
     """I(r) = lam r^{1-N} int_0^r t^{N-1} load(t) dt by cumulative trapezoid.
 
     I(0) = 0 (the integrand vanishes like lam*load(0)*r/N there)."""
     integrand = nodes ** (N - 1) * load
-    inner = cumulative_trapezoid(integrand, nodes, initial=0.0)
+    inner = _cumulative_trapezoid(integrand, nodes)
     I = np.zeros_like(inner)
     I[1:] = lam * inner[1:] / nodes[1:] ** (N - 1)
     return I
@@ -86,7 +93,7 @@ def _nested_integral(nodes: np.ndarray, load: np.ndarray, lam: float, N: int) ->
 
 def _outer_integral(nodes: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """Phi(r_i) = int_{r_i}^R slope(s) ds via the same trapezoid weights."""
-    full = cumulative_trapezoid(slope, nodes, initial=0.0)
+    full = _cumulative_trapezoid(slope, nodes)
     return full[-1] - full
 
 

@@ -15,6 +15,7 @@ from pqsing import (
     solve_barrier,
     xi_max,
 )
+from pqsing import barrier
 from pqsing.errors import BlowDown, CollarTooWide, ConfigurationError
 
 
@@ -145,3 +146,30 @@ def test_barrier_supersolution_collar_guard(cfg1):
     steep = solve_quiet(6.0, 3.0, 0.5, r_max=1.0)
     with pytest.raises(CollarTooWide):
         certify_barrier_supersolution(steep, cfg1.params, 1.0, nu=0.5)
+
+
+# ---------------------------------------------------------------- root finder
+
+def test_brentq_matches_scipy_on_the_exact_start():
+    # the exact-start inversion of solve_barrier, over tau x q x gamma and
+    # 16 radii in (0, R_tau/4]: the port must return scipy's bits
+    from scipy.optimize import brentq
+
+    cases = 0
+    for tau in (0.5, 1.0, 2.0, 3.7):
+        for q in (1.5, 2.0, 3.0, 5.0):
+            for gamma in (0.1, 0.5, 0.9):
+                xm = xi_max(tau, q, gamma)
+                for r in np.linspace(0.0, 0.25 * blowdown_radius(tau, q, gamma), 17)[1:]:
+                    f = lambda x: barrier._radius_of_xi(x, tau, q, gamma) - r
+                    args = (f, 0.0, xm * (1.0 - 1e-15))
+                    want = brentq(*args, xtol=1e-300, rtol=8.9e-16)
+                    assert barrier._brentq(*args, xtol=1e-300, rtol=8.9e-16) == want
+                    cases += 1
+    assert cases == 768
+
+
+def test_brentq_guards():
+    with pytest.raises(ConfigurationError):
+        barrier._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+    assert barrier._brentq(lambda x: x, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.0

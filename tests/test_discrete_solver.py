@@ -185,6 +185,26 @@ def test_jac_bands_from_kept_derivative_bitwise(pq):
             assert np.array_equal(a, b)
 
 
+def test_rounding_floor_finite_on_a_flat_core():
+    # for p < 2 the unclipped F'(0) is infinite; the rounding floor must use
+    # the clipped F' so that a flat core's residual still counts.  u solves
+    # the scheme for a load that vanishes on nodes 0..7, so its gradient is
+    # 0 there, and against the load 1e6 everywhere only the core is off
+    pr = make_params(p=1.5, q=4.0)
+    op = DiscreteOperator.from_params(pr, n=64)
+    core = np.arange(op.n) < 8
+    u = discrete_solver._load_solution(op, np.where(core, 0.0, 1e6))
+    assert np.all(np.diff(u)[:8] == 0.0)
+    res, scale, rnd, _ = discrete_solver._residual_scale(op, u, 0.0, 0.0, np.zeros(op.n),
+                                                         np.full(op.n, 1e6), False)
+    assert np.all(np.isfinite(rnd))
+    assert np.all(res[core] == -1e6)
+    scaled = (np.abs(res) - rnd) / scale
+    assert np.all(scaled[core] > 0.999) and np.all(scaled[~core] < 1e-9)
+    assert core[np.argmax(scaled)]
+    assert discrete_solver._scaled_err(res, scale, rnd) > 0.999
+
+
 def test_eta_problem_guards():
     pr = make_params()
     op = DiscreteOperator.from_params(pr, n=64)

@@ -14,6 +14,7 @@ from pqsing import (
     lpq_scalar,
     validate,
 )
+from pqsing import nonlinearity
 from pqsing.errors import BridgeNotMonotone, ConfigurationError
 
 PARAMS = Params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3)
@@ -189,3 +190,48 @@ def test_choose_khat():
     assert np.all(np.diff(g) >= -1e-9 * np.max(np.abs(g)))
     # t_max widens the range the shift must cover
     assert choose_khat(spec, pr, t_max=4.0 * spec.theta2) >= k
+
+
+# ---------------------------------------------------------------- bounded search
+
+SHIPPED_SPECS = [
+    NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67, k=25.0, khat=60000.0),
+    NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=176.0, k=100.0),
+]
+
+
+def _scipy_bounded(f, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_fminbound_matches_scipy_on_shipped_brackets(spec):
+    # the bracket build_h refines: the grid argmin of the curve and its neighbours
+    curve = nonlinearity._curve(spec, PARAMS.gamma)
+    ts = np.geomspace(spec.theta1 * 1e-9, spec.theta1, 32768)
+    i0 = int(np.argmin(curve(ts)))
+    lo, hi = float(ts[i0 - 1]), float(ts[i0 + 1])
+    f = lambda t: float(curve(t))
+    xatol = 1e-13 * spec.theta1
+    x, fx = nonlinearity._fminbound(f, lo, hi, xatol)
+    want_x, want_f = _scipy_bounded(f, lo, hi, xatol)
+    assert x == want_x and fx == want_f
+    rx = build_h(spec, PARAMS)
+    assert (rx.theta_star, rx.fbar) == (x, fx)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda t: (t - 0.3) ** 2, 0.0, 1.0),
+    (np.cos, 2.0, 4.5),
+    (lambda t: np.exp(t) - 2.0 * t, -1.0, 3.0),
+    (lambda t: abs(t - 0.7) ** 1.5 + 0.1 * t, 0.0, 2.0),
+    (lambda t: t ** 3, 1.0, 2.0),               # minimum at the lower bound
+    (lambda t: -np.log(t), 0.5, 5.0),           # minimum at the upper bound
+])
+@pytest.mark.parametrize("xatol", [1e-5, 1e-12])
+def test_fminbound_matches_scipy_on_synthetic(f, lo, hi, xatol):
+    g = lambda t: float(f(t))
+    assert nonlinearity._fminbound(g, lo, hi, xatol) == _scipy_bounded(g, lo, hi, xatol)

@@ -123,11 +123,33 @@ def test_lpq_inverse_closed_form_branch(pq, ab):
     assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
 
 
+@pytest.mark.parametrize("ab", [(0.37, 2.9), (5e3, 1e-4)])
+def test_lpq_inverse_iterative_branch_whole_float_range(ab):
+    # q-1 != 2(p-1): the bracket stays finite for every finite load, so the
+    # largest loads invert too
+    pr = make_params(1.5, 4.0)
+    alpha, beta = ab
+    s = np.geomspace(1e-300, 1e300, 2001)
+    t = lpq_inverse(s, pr, alpha, beta)
+    # the root lies between the half-load and the full-load one-term inverses
+    with np.errstate(over="ignore"):
+        lower = np.minimum((s / (2.0 * alpha)) ** 2.0, (s / (2.0 * beta)) ** (1.0 / 3.0))
+        upper = np.minimum((s / alpha) ** 2.0, (s / beta) ** (1.0 / 3.0))
+    assert np.all((t >= lower) & (t <= upper))
+    normal = lower >= np.finfo(float).tiny   # the exact inverse is a normal float
+    assert np.count_nonzero(normal) >= 1400
+    ts, ss = t[normal], s[normal]
+    assert np.max(np.abs(lpq_scalar(ts, pr, alpha, beta) - ss) / ss) <= 1e-12
+    assert np.all(np.diff(ts) > 0.0)
+    assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
+
+
 def test_lpq_inverse_overflow_raises():
-    # the iterative branch overflows for loads this large; the NaN residual
-    # must not pass the 1e-8 check
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceFailure):
-        lpq_inverse(1e300, make_params(1.5, 4.0))
+    # an infinite load has no finite inverse; the NaN residual it leaves in
+    # either branch must not pass the 1e-8 check
+    for pq in ((1.5, 4.0), (2.0, 3.0)):
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceFailure):
+            lpq_inverse(np.inf, make_params(*pq))
 
 
 # ---------------------------------------------------------------- simon gaps

@@ -16,6 +16,7 @@ from pqsing import (
     quadrature_solve,
     solve_radial,
 )
+from pqsing import radial_solver
 from pqsing.errors import WindowViolation
 
 
@@ -53,6 +54,15 @@ def test_cutoff_collapses_to_ramp(cfg1):
 
 
 # ---------------------------------------------------------------- quadrature
+
+@pytest.mark.parametrize("n", [1, 2, 5, 257, 4097])
+def test_cumulative_trapezoid_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    for x in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(0.0, 3.0, n))):
+        assert np.array_equal(radial_solver._cumulative_trapezoid(y, x),
+                              cumulative_trapezoid(y, x, initial=0.0))
+
 
 def test_quadrature_solve_constant_load_closed_form():
     # p=2, q=3, load c: slope solves t + t^2 = c r / N, phi integrates it;
