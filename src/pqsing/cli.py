@@ -237,10 +237,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, names, columns) -> None:
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+        fh.writelines(row % values for values in
+                      zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
 
 
 def _read_grid_function(path: str) -> GridFunction:
@@ -388,11 +389,13 @@ def _cmd_solve(env: _Env) -> int:
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({
         "from_lower": {"converged": lo.converged, "steps": lo.n_steps,
-                       "residual": lo.residuals[-1], "sup": lo.limit.sup_norm(),
+                       "residual": lo.residuals[-1],
+                       "scaled_residual": lo.scaled_residual, "sup": lo.limit.sup_norm(),
                        "monotone": bool(all(lo.monotone)), "khat": lo.khat,
                        "stalled": lo.stalled},
         "from_upper": {"converged": up.converged, "steps": up.n_steps,
-                       "residual": up.residuals[-1], "sup": up.limit.sup_norm(),
+                       "residual": up.residuals[-1],
+                       "scaled_residual": up.scaled_residual, "sup": up.limit.sup_norm(),
                        "monotone": bool(all(up.monotone)), "khat": up.khat,
                        "stalled": up.stalled},
         "gap": gap,

@@ -7,6 +7,10 @@ iteration between ordered endpoints.  All nonlinear systems go through one
 damped-Newton core.  The constant-load problems behind both pairs (w_eta,
 u_alpha, u_beta*) are seeded at their exact discrete solution, which the flux
 form yields by two cumulative sums (_load_solution), so Newton only checks it.
+The solve map seeds Newton at its input when the input's residual is
+sign-definite (a supersolution, or a subsolution within the load's scale) and
+beats the load-sized paraboloid's, so the long orbits of both Amann legs and
+of the third-solution probe start each solve next to its answer (that_map).
 
 Scheme: interior node i differences the half-node fluxes,
 
@@ -243,13 +247,28 @@ def _jac_bands(op, u, theta, khat, mu_arr, singular, kept):
     return sub, diag, sup
 
 
-def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anchor=None):
-    singular = bool(np.any(mu_arr > 0.0))
+def _newton_start(init, singular):
+    """The iterate Newton starts from: Dirichlet slot 0, and positive where
+    the singular term needs it."""
     u = np.asarray(init, dtype=float).copy()
     u[-1] = 0.0
     if singular:
         u[:-1] = np.maximum(u[:-1], _POS_FLOOR)
-    res, scale, rnd, kept = _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor)
+    return u
+
+
+def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anchor=None,
+            first=None):
+    """Damped Newton from init.  `first` is the _residual_scale of the same
+    system at init, when the caller has evaluated it already to choose the
+    seed; init must then be a _newton_start."""
+    singular = bool(np.any(mu_arr > 0.0))
+    if first is None:
+        u = _newton_start(init, singular)
+        first = _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor)
+    else:
+        u = init
+    res, scale, rnd, kept = first
     err = _scaled_err(res, scale, rnd)
     n = u.size - 1
     ab = np.zeros((3, n))
@@ -282,13 +301,13 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
     raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e})")
 
 
-def _solve_system(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None):
+def _solve_system(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None):
     n = op.n
     mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
     if np.any(mu_arr < 0.0):
         raise ConfigurationError("singular weights must be nonnegative")
-    return _newton(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor)
+    return _newton(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor, first=first)
 
 
 def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
@@ -744,20 +763,19 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
 # ---------------------------------------------------------------------------
 
 def _fixed_point_residual(op, reactions, uv):
-    """(u is above the answer, rounding-aware scaled residual) of the map at u.
+    """Rounding-aware scaled residual of the map at u.
 
     At w = u the shift terms of the solve map cancel exactly, so this is the
     residual of the unshifted equation A(u) - lam f(u) u^{-gamma}, whatever
-    the shift: not below its rounding floor anywhere when u is a
-    supersolution, and within the solve tolerance when u is a fixed point.
+    the shift: within the solve tolerance when u is a fixed point, and at
+    most 0 when every node's residual is within its rounding floor.
     """
     if float(np.min(uv[:-1])) <= 0.0:
-        return False, float("inf")
+        return float("inf")
     lam_f0 = reactions.lam * reactions.f0
     mu = np.full(op.n, lam_f0)
     rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
-    res, scale, rnd, _ = _residual_scale(op, uv, 0.0, 0.0, mu, rhs, lam_f0 > 0.0)
-    return bool(np.all(res >= -rnd)), _scaled_err(res, scale, rnd)
+    return _scaled_err(*_residual_scale(op, uv, 0.0, 0.0, mu, rhs, lam_f0 > 0.0)[:3])
 
 
 def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
@@ -768,9 +786,22 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u  with
     khat = reactions.khat unless overridden; khat is a scalar or one shift
     per node 0..n-1.  Increasing in u where fhat + khat t is; fixed points
-    solve the original equation.  Newton starts at u when u is a
-    supersolution whose residual beats the load-sized seed (then w <= u and
-    the solve only descends), and at the load-sized seed otherwise.
+    solve the original equation.
+
+    Newton has two seed candidates: the load-sized paraboloid, and u itself.
+    At w = u the shift terms vanish, so the system's residual there is the
+    unshifted equation's.  u is the seed when that residual is sign-definite
+    against its rounding floor and beats the paraboloid's: a supersolution
+    (then w <= u and the solve only descends), or a subsolution whose scaled
+    residual is at most 1, i.e. |A(u) - load| within the load's own scale.
+    Such a u is near-(p,q)-superharmonic, as the map's images are.  On both
+    shipped configurations every map of the descending leg, all but the
+    first of the ascending leg and most of the third-solution probe's seed
+    at their input.  Without the guard a far-off subsolution (a sin^2 shape
+    with scaled residual 4.7e3, say) would seed Newton far below its
+    answer, and the damped search exhausts its budget climbing the
+    degenerate region.  The chosen seed's residual is Newton's first
+    evaluation.
     """
     if op is None:
         op = DiscreteOperator(params, u.nodes)
@@ -783,6 +814,8 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
     lam_f0 = reactions.lam * reactions.f0
+    singular = lam_f0 > 0.0
+    mu = np.full(op.n, lam_f0)
     rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
     base = 0.5 * lam_f0 ** (1.0 / (params.q - 1.0 + params.gamma))
     init = np.maximum(uv, _paraboloid(op.grid, params.radius, base))
@@ -795,16 +828,20 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
                             op.alpha, op.beta)
         init = np.maximum(
             init, _paraboloid(op.grid, params.radius, 0.5 * slope * params.radius))
-    init[-1] = 0.0
-    above, err_u = _fixed_point_residual(op, reactions, uv)
-    if above:
-        mu = np.full(op.n, lam_f0)
-        res, scale, rnd, _ = _residual_scale(op, init, 0.0, khat, mu, rhs,
-                                             lam_f0 > 0.0, uv[:-1])
-        err_init = _scaled_err(res, scale, rnd)
-        if err_u < err_init:
-            init = uv
-    w = _solve_system(op, 0.0, khat, lam_f0, rhs, init, tol, anchor=uv[:-1])
+
+    def evaluated(seed):
+        seed = _newton_start(seed, singular)
+        return seed, _residual_scale(op, seed, 0.0, khat, mu, rhs, singular, uv[:-1])
+
+    chosen = evaluated(init)
+    if float(np.min(uv[:-1])) > 0.0:
+        at_u = evaluated(uv)
+        res, scale, rnd, _ = at_u[1]
+        err_u = _scaled_err(res, scale, rnd)
+        definite = bool(np.all(res >= -rnd)) or (bool(np.all(res <= rnd)) and err_u <= 1.0)
+        if definite and err_u < _scaled_err(*chosen[1][:3]):
+            chosen = at_u
+    w = _solve_system(op, 0.0, khat, mu, rhs, chosen[0], tol, anchor=uv[:-1], first=chosen[1])
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
     return GridFunction(op.grid, w)
@@ -849,6 +886,9 @@ class IterationTrace:
     it is the largest K_i.  stalled marks a run that stopped on a move
     within a few ulps of the iterate while the iterate was not yet a fixed
     point: float64 cannot take the step the shift asks for.
+    scaled_residual is the rounding-aware residual of the unshifted equation
+    at the limit (what Newton and the stall test judge by); residuals hold
+    the plain original_residual, which counts flux-cancellation rounding.
     """
 
     iterates: tuple
@@ -859,6 +899,7 @@ class IterationTrace:
     khat: float
     increments: tuple
     stalled: bool
+    scaled_residual: float
 
     @property
     def limit(self) -> GridFunction:
@@ -949,7 +990,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
             converged = True
             break
         if inc <= _ULP_BAND * float(np.spacing(max(cur.sup_norm(), nxt.sup_norm()))):
-            err = _fixed_point_residual(op, reactions, cur.values)[1]
+            err = _fixed_point_residual(op, reactions, cur.values)
             converged = err <= stol
             stalled = not converged
             if stalled:
@@ -974,6 +1015,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
         khat=float(np.max(khat)),
         increments=tuple(increments),
         stalled=stalled,
+        scaled_residual=_fixed_point_residual(op, reactions, iterates[-1].values),
     )
 
 
@@ -985,9 +1027,11 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
     """Best-effort hunt for a fixed point away from both known solutions.
 
     Seeds are convex combinations of u1, u2 with a random radial bump; each
-    is iterated under the solve map for a short budget.  Purely a log: the
-    third solution is an existence statement, not a constructive one, and
-    the iteration usually slides back into a known basin.
+    is iterated under the solve map for a short budget (`iters` map
+    applications; each attempt reports how many it used, a failed one
+    included, as `maps`).  Purely a log: the third solution is an
+    existence statement, not a constructive one, and the iteration usually
+    slides back into a known basin.
 
     An attempt counts as distinct when it ends on a fixed point at least
     0.05 theta1 from both known solutions, and at least 1e-6 of their sup
@@ -1013,9 +1057,11 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
         vals[-1] = 0.0
         cur = GridFunction(u1.nodes, vals)
         status = "budget"
+        maps = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _k in range(iters):
+                maps += 1
                 try:
                     nxt = that_map(params, reactions, cur, op=op, khat=khat)
                 except (ConvergenceFailure, PositivityLoss):
@@ -1033,6 +1079,7 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
         records.append({
             "mix": mix,
             "status": status,
+            "maps": maps,
             "dist_to_u1": d1,
             "dist_to_u2": d2,
             "sup": cur.sup_norm(),

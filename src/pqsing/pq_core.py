@@ -109,10 +109,16 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
         # (its Newton step is then 0)
         with np.errstate(over="ignore", divide="ignore"):
             t = _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter)
-    resid = np.abs(F(t) - s) / np.maximum(1.0, np.abs(s))
-    if not np.all(resid <= 1e-8):  # NaN from an overflow fails too
+    # relative to s itself: an absolute floor would pass any t with F(t)
+    # below it, however wrong for a tiny load.  A root below the smallest
+    # normal float underflows (to a subnormal or 0) and cannot meet a
+    # relative check; it passes when the exact root lies there too.
+    tiny = np.finfo(float).tiny
+    resid = np.abs(F(t) - s) / s
+    ok = (resid <= 1e-8) | ((t < tiny) & (F(tiny) >= s))
+    if not np.all(ok):  # NaN from an overflow fails too
         raise ConvergenceFailure(
-            f"scalar inverse stalled: worst relative residual {np.max(resid):.3e}"
+            f"scalar inverse stalled: worst relative residual {np.max(resid[~ok]):.3e}"
         )
     return t
 
@@ -167,10 +173,11 @@ def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0,
     beta x^2 + alpha x = s, and the inverse is the closed form
     t = (2s / (alpha + sqrt(alpha^2 + 4 beta s)))^{1/(p-1)}.  Other (p,q)
     take a bracketed geometric bisection refined by safeguarded Newton
-    (rtol, max_iter).  Either way the relative residual must end below
-    1e-8, else ConvergenceFailure.  For s >= 0 the result also satisfies
-    lpq_inverse(s) <= (s/beta)^{1/(q-1)} (the q-term alone already
-    overshoots s at that point).
+    (rtol, max_iter).  Either way the residual relative to s must end
+    below 1e-8, or the root must underflow below the smallest normal float
+    where the exact one lies too, else ConvergenceFailure.  For s >= 0 the
+    result also satisfies lpq_inverse(s) <= (s/beta)^{1/(q-1)} (the q-term
+    alone already overshoots s at that point).
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("weights must be positive")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pqsing import cli
 from pqsing.cli import main, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +147,12 @@ def test_solve_small_all_green(tmp_path, capsys):
     assert rep["from_upper"]["khat"] > 0.0
     assert rep["from_lower"]["khat"] == 0.0
     assert rep["third_solution"]["found_distinct"] in (True, False)
+    for att in rep["third_solution"]["attempts"]:
+        assert 1 <= att["maps"] <= 25
+    # the rounding-aware residual discounts flux-cancellation rounding, which
+    # the plain one counts
+    for leg in ("from_lower", "from_upper"):
+        assert rep[leg]["scaled_residual"] <= rep[leg]["residual"] <= 1e-6
     for name in ("solution_lower.csv", "solution_upper.csv"):
         header, data = read_csv(tmp_path / name)
         assert header == ["r", "u"]
@@ -153,6 +160,26 @@ def test_solve_small_all_green(tmp_path, capsys):
         assert np.all(np.diff(data[:, 0]) > 0)
         assert data[-1, 1] == 0.0
     capsys.readouterr()
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    # one row format over Python floats writes the same bytes as formatting
+    # each value with "%.17g" % float(v), at the ends of the float range too
+    rng = np.random.default_rng(3)
+    big = np.finfo(float).max
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, big, -big,
+                         1.0, -1.0, 0.1, 1.0 / 3.0])
+    cols = (np.concatenate([extremes, rng.standard_normal(300)]),
+            np.concatenate([extremes[::-1], 10.0 ** rng.uniform(-300, 300, 300)]),
+            np.concatenate([extremes, rng.uniform(-1.0, 1.0, 300) * 1e17]))
+    names = ("a", "b", "c")
+    cli._write_csv(tmp_path / "got.csv", names, cols)
+    want = ",".join(names) + "\n" + "".join(
+        ",".join("%.17g" % float(v) for v in row) + "\n" for row in zip(*cols))
+    assert (tmp_path / "got.csv").read_bytes() == want.encode()
+    # columns given as tuples of floats (the sweep's rows) write the same
+    cli._write_csv(tmp_path / "tuples.csv", names, tuple(tuple(c) for c in cols))
+    assert (tmp_path / "tuples.csv").read_bytes() == want.encode()
 
 
 def test_solve_outputs_deterministic(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqsing import (
     DiscreteOperator,
@@ -358,6 +358,23 @@ def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):
         64.0 * np.spacing(up.limit.sup_norm())
 
 
+def test_that_map_seeds_at_ascending_orbit_input(gentle, monkeypatch):
+    # from its second step on, every iterate of the ascending leg is the
+    # image of a subsolution: a subsolution itself within the load's scale
+    # of its own image, so it seeds Newton (the load-sized paraboloid far
+    # above it took 4 banded solves per map)
+    env = gentle
+    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                       "from_lower", op=env.op)
+    assert lo.n_steps >= 3
+    steps = _count_banded(monkeypatch)
+    for before, after in zip(lo.iterates[2:], lo.iterates[3:]):
+        steps.clear()
+        w = that_map(env.params, env.reactions, before, op=env.op, khat=lo.khat)
+        assert len(steps) <= 2
+        assert np.array_equal(w.values, after.values)   # the leg's own step
+
+
 def test_that_map_rejects_negative(gentle):
     env = gentle
     bad = GridFunction(env.op.grid, -np.ones(env.op.n + 1))
@@ -366,9 +383,14 @@ def test_that_map_rejects_negative(gentle):
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(seed=137)
 @settings(max_examples=20, deadline=None)
 def test_that_map_increasing_property(seed):
-    # ordered inputs map to ordered outputs across amplitude scales
+    # ordered inputs map to ordered outputs across amplitude scales.  Seed
+    # 137's upper input (sup 121, a sin^2 shape) is a subsolution with scaled
+    # residual 4.7e3 whose image reaches 2e10: seeded there, Newton would
+    # exhaust its budget, which is why a subsolution input seeds the map
+    # only at scaled residual <= 1
     pr = make_params(lam=0.31864850210138757)
     spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=176.0, k=100.0)
     rx = build_h(spec, pr)
@@ -503,6 +525,28 @@ def test_search_third_solution_logs(gentle):
     for att in out["attempts"]:
         assert att["status"] in ("budget", "fixed_point", "solver_failed")
         assert "dist_to_u1" in att and "dist_to_u2" in att
+        assert 1 <= att["maps"] <= 8
+
+
+def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
+    # both are long orbits of subsolution inputs, each seeded at itself
+    # (256 and 16 banded solves when every map started at the load seed)
+    env = gentle
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        calls = _count_banded(monkeypatch)
+        lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                           "from_lower", op=env.op)
+        assert lo.converged and len(calls) <= 12
+        up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
+                           "from_upper", op=env.op)
+        calls.clear()
+        out = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                    op=env.op, seed=0)
+    assert len(calls) <= 180
+    for att in out["attempts"]:
+        assert att["status"] == "fixed_point"
+        assert 1 <= att["maps"] <= 25
 
 
 def test_search_third_solution_reference_not_distinct(cfg1):

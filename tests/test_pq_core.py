@@ -12,6 +12,7 @@ from pqsing import (
     simon_gap,
     simon_gap_sum,
 )
+from pqsing import pq_core
 from pqsing.errors import ConvergenceFailure, DegenerateInput, InfeasibleGeometry
 
 
@@ -142,6 +143,18 @@ def test_lpq_inverse_iterative_branch_whole_float_range(ab):
     assert np.max(np.abs(lpq_scalar(ts, pr, alpha, beta) - ss) / ss) <= 1e-12
     assert np.all(np.diff(ts) > 0.0)
     assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
+
+
+def test_lpq_inverse_rejects_a_wrong_root_of_a_tiny_load(monkeypatch):
+    # F(2.7e-177) = 1.9e-89 misses s = 1e-100 by eleven orders of magnitude
+    # (the exact root is 7.3e-200), yet it is below any absolute 1e-8 floor
+    pr = make_params(1.5, 4.0)
+    exact = lpq_inverse(1e-100, pr, 0.37, 2.9)
+    assert exact == pytest.approx(7.3e-200, rel=1e-2)
+    monkeypatch.setattr(pq_core, "_inverse_iterative",
+                        lambda s, *args: np.full_like(s, 2.7e-177))
+    with pytest.raises(ConvergenceFailure):
+        lpq_inverse(1e-100, pr, 0.37, 2.9)
 
 
 def test_lpq_inverse_overflow_raises():
