@@ -59,7 +59,7 @@ _SECTIONS = {
     "grid": {"n"},
     "window": {"chi", "kappa", "theta"},
     "barrier": {"tau", "n", "p", "nu"},
-    "tolerances": {"solver", "certify", "conv_factor", "budget"},
+    "tolerances": {"certify", "conv_factor", "budget"},
     "output": {"dir"},
     "sweep": {"count"},
     "seed": None,
@@ -156,16 +156,24 @@ class _Env:
     spec: NonlinearitySpec
     params0: Params          # lam = 0, for the lambda-independent window
     window: object
-    lam: float
     params: Params
     reactions: object
     n: int
     outdir: Path
     seed: int
-    tol_solver: float
     tol_certify: float | None
     conv_factor: float
     budget: int
+
+    @property
+    def lam(self) -> float:
+        return self.params.lam
+
+
+def _at_load(env: _Env, lam: float) -> _Env:
+    """env with the load set to lam and the reactions derived at it."""
+    params = dataclasses.replace(env.params, lam=lam)
+    return dataclasses.replace(env, params=params, reactions=build_h(env.spec, params))
 
 
 def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _Env:
@@ -185,7 +193,6 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
         _fail(f"grid.n must be at least 8, got {n}")
 
     tol = cfg.get("tolerances", {})
-    tol_solver = _number(tol, "tolerances", "solver", default=1e-12)
     tol_certify = _number(tol, "tolerances", "certify", default=None, allow_null=True)
     conv_factor = _number(tol, "tolerances", "conv_factor", default=1e-8)
     budget = _number(tol, "tolerances", "budget", default=200, integer=True)
@@ -209,21 +216,16 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
         lam = window.midpoint
     if lam < 0.0:
         _fail(f"lambda must be nonnegative, got {lam}")
-    params = dataclasses.replace(params0, lam=lam)
-    reactions = build_h(spec, params)
 
     outdir = Path(out if out is not None else cfg.get("output", {}).get("dir", "."))
-    if not isinstance(outdir, Path):
-        outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     seed_val = seed if seed is not None else cfg.get("seed", 0)
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
-    return _Env(cfg=cfg, spec=spec, params0=params0, window=window, lam=lam,
-                params=params, reactions=reactions, n=int(n), outdir=outdir,
-                seed=int(seed_val), tol_solver=tol_solver, tol_certify=tol_certify,
-                conv_factor=conv_factor, budget=int(budget))
+    env = _Env(cfg=cfg, spec=spec, params0=params0, window=window, params=params0,
+               reactions=reactions0, n=int(n), outdir=outdir, seed=int(seed_val),
+               tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget))
+    return _at_load(env, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +333,10 @@ def _cmd_barrier(env: _Env) -> int:
 
 
 def _pairs(env: _Env):
-    if not validate(env.spec, env.params).ok:
-        raise PositivityLoss("nonlinearity assumptions (f0)-(f4) failed validation")
+    failed = [c.name for c in validate(env.spec, env.params).checks if not c.passed]
+    if failed:
+        raise PositivityLoss("nonlinearity assumptions (f0)-(f4) failed validation: "
+                             + ", ".join(failed))
     profile, rcert = _radial(env)
     pairs = ds.construct_pairs(env.params, env.spec, env.reactions, env.window,
                                profile, n=env.n)
@@ -439,22 +443,21 @@ def _cmd_sweep(env: _Env) -> int:
         _fail(f"sweep.count must be at least 2, got {count}")
     lams = np.linspace(env.window.lambda_star, env.window.lambda_upper, count)
     names = ("lambda", "all_passed", "m_lambda", "alpha_star", "chi_low",
-             "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap")
+             "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap",
+             "eta", "eps_growth", "eps_cap", "radial_min")
     rows = []
     ok = True
     for lam in lams:  # ascending, sequential: row order is part of the contract
-        sub = dataclasses.replace(env, lam=float(lam),
-                                  params=dataclasses.replace(env.params, lam=float(lam)))
-        sub.reactions = build_h(env.spec, sub.params)
-        profile, rcert, pairs = _pairs(sub)
+        profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
         passed = bool(pairs.all_passed and rcert.passed)
         ok = ok and passed
+        first, second = pairs.first_margins, pairs.second_margins
         rows.append((
             float(lam), float(passed),
-            pairs.second_margins["m_lambda"], pairs.first_margins["alpha_star"],
-            pairs.first_margins["chi_low"], pairs.first_margins["chi_high"],
-            pairs.second_margins["eps_low"], pairs.second_margins["eps_high"],
+            second["m_lambda"], first["alpha_star"], first["chi_low"], first["chi_high"],
+            second["eps_low"], second["eps_high"],
             float(np.max(pairs.u_up.values - pairs.u0.values)),
+            first["eta"], second["eps_growth"], second["eps_cap"], rcert.min_margin,
         ))
     _write_csv(env.outdir / "sweep.csv", names, tuple(zip(*rows)))
     report = {"count": int(count), "lambda_star": env.window.lambda_star,
@@ -475,6 +478,7 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
             _fail(f"unknown command {command!r}")
         cfg = _load_config(config_path)
         env = _build_env(cfg, out=out, nodes=nodes, lam_flag=lam, seed=seed)
+        env.outdir.mkdir(parents=True, exist_ok=True)
         if command == "window":
             return _cmd_window(env)
         if command == "radial":

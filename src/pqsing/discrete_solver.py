@@ -129,15 +129,17 @@ def _require_same_grid(op: DiscreteOperator, u: GridFunction) -> None:
         raise ConfigurationError("grid function does not live on the operator grid")
 
 
-def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
-    """A(u) at nodes 0..n-1; the Dirichlet slot n is reported as 0."""
-    g = np.diff(u) / op._h
-    F = lpq_scalar(g, op.params, op.alpha, op.beta)
-    out = np.empty_like(u)
+def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
+    """The scheme's -div at nodes 0..n-1 of the fluxes F at the n half nodes."""
+    out = np.empty(F.size)
     out[0] = -op._coef0 * F[0]
-    out[1:-1] = -(op._cplus * F[1:] - op._cminus * F[:-1])
-    out[-1] = 0.0
+    out[1:] = -(op._cplus * F[1:] - op._cminus * F[:-1])
     return out
+
+
+def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
+    """A(u) at nodes 0..n-1."""
+    return _divergence(op, lpq_scalar(np.diff(u) / op._h, op.params, op.alpha, op.beta))
 
 
 def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
@@ -149,7 +151,7 @@ def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
         vals = np.asarray(u, dtype=float)
         if vals.shape != op.grid.shape:
             raise ConfigurationError("value array does not match the operator grid")
-    return GridFunction(op.grid, _apply_values(op, vals))
+    return GridFunction(op.grid, np.append(_apply_values(op, vals), 0.0))
 
 
 def solve_banded(l_and_u, ab, b):
@@ -178,9 +180,7 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
     ui = u[:-1]
     g = np.diff(u) / op._h
     F = lpq_scalar(g, op.params, op.alpha, op.beta)
-    res = np.empty(u.size - 1)
-    res[0] = -op._coef0 * F[0]
-    res[1:] = -(op._cplus * F[1:] - op._cminus * F[:-1])
+    res = _divergence(op, F)
     # what a converged iterate can actually achieve in float64: flux
     # cancellation (|flux| * eps) plus the roundoff a Jacobian-sized update
     # injects (|J_row| * ||u|| * eps); below this, residuals are noise.
@@ -403,7 +403,7 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
             op = DiscreteOperator(params, u.nodes)
         else:
             _require_same_grid(op, u)
-        A = _apply_values(op, u.values)[:-1]
+        A = _apply_values(op, u.values)
         react = _reaction_values(params, reactions, interior)
         margins = react - A if kind == "subsolution" else A - react
         if tol is None:
@@ -458,7 +458,7 @@ def original_residual(params: Params, reactions: DerivedReactions, u: GridFuncti
     ui = u.values[:-1]
     if np.any(ui <= 0.0):
         return float("inf")
-    A = _apply_values(op, u.values)[:-1]
+    A = _apply_values(op, u.values)
     react = _reaction_values(params, reactions, ui)
     return float(np.max(np.abs(A - react) / (1.0 + np.abs(react))))
 
@@ -534,7 +534,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
         Ui = U[:-1]
-        margins = _apply_values(op, U)[:-1] - _reaction_values(params, reactions, Ui)
+        margins = _apply_values(op, U) - _reaction_values(params, reactions, Ui)
         point_ok = bool(np.min(margins) > 0.0)
         dom_ok = dominate is None or bool(np.all(Ui >= dominate.values[:-1] * (1.0 + 1e-9)))
         if scalar_ok and point_ok and dom_ok:
@@ -660,7 +660,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(m * c_norm))
     vi = v_up.values[:-1]
     collar_deficit = float(np.min(
-        _apply_values(op, v_up.values)[:-1] - _reaction_values(params, reactions, vi)))
+        _apply_values(op, v_up.values) - _reaction_values(params, reactions, vi)))
 
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
@@ -677,7 +677,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     psi = _solve_system(op, Theta, 0.0, 0.0, rhs, init)
     v0 = GridFunction(op.grid, psi)
     eps_low = float(np.min(
-        _reaction_values(params, reactions, psi[:-1]) - _apply_values(op, psi)[:-1]))
+        _reaction_values(params, reactions, psi[:-1]) - _apply_values(op, psi)))
 
     margins = {
         "m_lambda": m,

@@ -1,31 +1,24 @@
 """Shared environments for the test suite.
 
-Two fully-built pipelines, constructed once per session:
+Two fully-built pipelines, constructed once per session from the shipped
+configs by the CLI's own builder:
 
-  cfg1    the reference run (k=100 reaction, theta2=176, n=2048).  Its
-          outer supersolution lives at ~4e17, which is what makes the
-          descending iteration a stress case.
-  gentle  a k=25 reaction with theta2=890.67 and an explicit khat shift,
-          n=256.  Every stage is green here, including both monotone
-          iteration legs, so it is the end-to-end fixture of choice.
-
-Both follow the same construction order the CLI uses: thresholds ->
-window at lam=0 -> lam=midpoint -> derived reactions -> radial profile ->
-discrete operator -> certified pairs.
+  cfg1    scripts/cfg_reference.json: the reference run (k=100 reaction,
+          theta2=176, n=2048).  Its outer supersolution lives at ~4e17,
+          which is what makes the descending iteration a stress case.
+  gentle  scripts/cfg_small.json: a k=25 reaction with theta2=890.67 and an
+          explicit khat shift, n=256.  Every stage is green here, including
+          both monotone iteration legs, so it is the end-to-end fixture of
+          choice.
 """
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from pqsing import (
-    DiscreteOperator,
-    NonlinearitySpec,
-    Params,
-    build_h,
-    compute_window,
-    construct_pairs,
-    solve_radial,
-)
+from pqsing import DiscreteOperator, NonlinearitySpec, Params, cli
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,27 +34,20 @@ class PipelineEnv:
     n: int
 
 
-def _build_env(spec: NonlinearitySpec, n: int) -> PipelineEnv:
-    params0 = Params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.0)
-    reactions0 = build_h(spec, params0)
-    window = compute_window(params0, spec, reactions0)
-    params = dataclasses.replace(params0, lam=window.midpoint)
-    reactions = build_h(spec, params)
-    profile = solve_radial(params, reactions, window, n=n)
-    op = DiscreteOperator.from_params(params, n=n)
-    pairs = construct_pairs(params, spec, reactions, window, profile, op=op)
-    return PipelineEnv(spec=spec, params0=params0, window=window, params=params,
-                       reactions=reactions, profile=profile, op=op, pairs=pairs, n=n)
+def _build_env(config: str) -> PipelineEnv:
+    env = cli._build_env(cli._load_config(str(SCRIPTS / config)))
+    profile, _rcert, pairs = cli._pairs(env)
+    return PipelineEnv(spec=env.spec, params0=env.params0, window=env.window,
+                       params=env.params, reactions=env.reactions, profile=profile,
+                       op=DiscreteOperator.from_params(env.params, n=env.n),
+                       pairs=pairs, n=env.n)
 
 
 @pytest.fixture(scope="session")
 def cfg1() -> PipelineEnv:
-    spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=176.0, k=100.0)
-    return _build_env(spec, n=2048)
+    return _build_env("cfg_reference.json")
 
 
 @pytest.fixture(scope="session")
 def gentle() -> PipelineEnv:
-    spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67,
-                            k=25.0, khat=60000.0)
-    return _build_env(spec, n=256)
+    return _build_env("cfg_small.json")

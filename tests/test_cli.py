@@ -63,7 +63,8 @@ def test_window_via_main(tmp_path, capsys):
     {"grid": {"n": 4}},                                 # grid too coarse
     {"seed": 1.5},                                      # fractional seed
     {"nonlinearity": {"kind": "mystery"}},              # unsupported family
-    {"tolerances": {"solver": None}},                   # null where number due
+    {"tolerances": {"conv_factor": None}},              # null where number due
+    {"tolerances": {"solver": 1e-12}},                  # removed key
 ])
 def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))
@@ -264,7 +265,26 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     assert rep["all_passed"] is True
     assert data[0, 0] == pytest.approx(rep["lambda_star"], rel=1e-15)
     assert data[-1, 0] == pytest.approx(rep["lambda_upper"], rel=1e-15)
+    # the margin columns of a row are the pairs report at that load
+    row = dict(zip(header, data[1]))
+    pairs_dir = tmp_path / "pairs"
+    assert run("pairs", write_cfg(tmp_path, cfg), out=str(pairs_dir), lam=row["lambda"]) == 0
+    pairs = json.loads((pairs_dir / "pairs.json").read_text())
+    assert header[-4:] == ["eta", "eps_growth", "eps_cap", "radial_min"]
+    assert row["eta"] == pairs["first_margins"]["eta"]
+    assert row["eps_growth"] == pairs["second_margins"]["eps_growth"]
+    assert row["eps_cap"] == pairs["second_margins"]["eps_cap"]
+    assert row["radial_min"] == pairs["radial_claim"]["min_margin"]
     capsys.readouterr()
+
+
+def test_failed_assumptions_are_named(tmp_path, capsys):
+    cfg = small_cfg(nonlinearity={"kind": "power", "m": 0.5, "theta1": 1.0,
+                                  "theta2": 890.67})
+    assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "positivity_loss"
+    assert out["error"].endswith("failed validation: f0")
 
 
 def test_barrier_command(tmp_path, capsys):
