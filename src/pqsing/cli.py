@@ -383,8 +383,8 @@ def _cmd_solve(env: _Env) -> int:
         up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
                               "from_upper", budget=env.budget,
                               conv_factor=env.conv_factor)
-        third = ds.search_third_solution(env.params, env.reactions,
-                                         lo.limit, up.limit, seed=env.seed)
+        third = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                         seed=env.seed, conv_factor=env.conv_factor)
     _write_csv(env.outdir / "solution_lower.csv", ("r", "u"),
                (lo.limit.nodes, lo.limit.values))
     _write_csv(env.outdir / "solution_upper.csv", ("r", "u"),
@@ -393,12 +393,12 @@ def _cmd_solve(env: _Env) -> int:
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({
         "from_lower": {"converged": lo.converged, "steps": lo.n_steps,
-                       "residual": lo.residuals[-1],
+                       "residual": lo.residual,
                        "scaled_residual": lo.scaled_residual, "sup": lo.limit.sup_norm(),
                        "monotone": bool(all(lo.monotone)), "khat": lo.khat,
                        "stalled": lo.stalled},
         "from_upper": {"converged": up.converged, "steps": up.n_steps,
-                       "residual": up.residuals[-1],
+                       "residual": up.residual,
                        "scaled_residual": up.scaled_residual, "sup": up.limit.sup_norm(),
                        "monotone": bool(all(up.monotone)), "khat": up.khat,
                        "stalled": up.stalled},

@@ -44,10 +44,11 @@ from .errors import (
     MonotonicityViolation,
     PositivityLoss,
     SearchExhausted,
-    WindowViolation,
 )
 from .grid import CertificateReport, GridFunction
-from .nonlinearity import DerivedReactions, NonlinearitySpec, choose_khat, validate
+from .nonlinearity import DerivedReactions, NonlinearitySpec, validate
+# not called here: the benchmark's tracer (perfbench/run.py) wraps it by this module's name
+from .nonlinearity import choose_khat  # noqa: F401
 from .parameter_window import WindowReport
 from .pq_core import Params, lpq_derivative, lpq_inverse, lpq_scalar
 from .radial_solver import RadialProfile
@@ -124,9 +125,19 @@ class DiscreteOperator:
         return DiscreteOperator(self.params, self.grid, alpha, beta)
 
 
-def _require_same_grid(op: DiscreteOperator, u: GridFunction) -> None:
-    if u.nodes.size != op.grid.size or not np.allclose(u.nodes, op.grid, rtol=0.0, atol=1e-12):
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two node arrays match to 1e-12 absolute."""
+    return a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+
+
+def _operator_for(params: Params, u: GridFunction,
+                  op: DiscreteOperator | None) -> DiscreteOperator:
+    """op, checked to carry u's nodes; the operator on u's nodes when op is None."""
+    if op is None:
+        return DiscreteOperator(params, u.nodes)
+    if not _same_grid(u.nodes, op.grid):
         raise ConfigurationError("grid function does not live on the operator grid")
+    return op
 
 
 def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
@@ -145,7 +156,8 @@ def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
 def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
     """Discrete -L^{alpha,beta} residual of u (Dirichlet slot carries 0)."""
     if isinstance(u, GridFunction):
-        _require_same_grid(op, u)
+        if not _same_grid(u.nodes, op.grid):
+            raise ConfigurationError("grid function does not live on the operator grid")
         vals = u.values
     else:
         vals = np.asarray(u, dtype=float)
@@ -377,6 +389,14 @@ def _reaction_values(params: Params, reactions: DerivedReactions, ui: np.ndarray
     return reactions.lam * np.asarray(reactions.f(ui), dtype=float) * ui ** (-params.gamma)
 
 
+def _unshifted(params: Params, reactions: DerivedReactions, op: DiscreteOperator,
+               uv: np.ndarray):
+    """(A(u) - lam f(u) u^{-gamma}, A(u), lam f(u) u^{-gamma}) at nodes 0..n-1."""
+    A = _apply_values(op, uv)
+    react = _reaction_values(params, reactions, uv[:-1])
+    return A - react, A, react
+
+
 def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: str,
             other: GridFunction | None = None, op: DiscreteOperator | None = None,
             tol: float | None = None, strict: bool = False) -> CertificateReport:
@@ -399,13 +419,8 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
             raise PositivityLoss(
                 f"{kind} certificate needs u > 0 at interior nodes "
                 f"(min {float(np.min(interior)):.3e})")
-        if op is None:
-            op = DiscreteOperator(params, u.nodes)
-        else:
-            _require_same_grid(op, u)
-        A = _apply_values(op, u.values)
-        react = _reaction_values(params, reactions, interior)
-        margins = react - A if kind == "subsolution" else A - react
+        res, A, react = _unshifted(params, reactions, _operator_for(params, u, op), u.values)
+        margins = -res if kind == "subsolution" else res
         if tol is None:
             tol = 1e-10 * max(1.0, float(np.max(np.abs(A))), float(np.max(react)))
         passed = bool(np.min(margins) >= -tol)
@@ -420,8 +435,7 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
     elif kind == "ordering":
         if other is None:
             raise ConfigurationError("ordering certificate needs `other`")
-        if u.nodes.size != other.nodes.size or not np.allclose(
-                u.nodes, other.nodes, rtol=0.0, atol=1e-12):
+        if not _same_grid(u.nodes, other.nodes):
             raise ConfigurationError("ordering certificate needs a common grid")
         weights = (R - u.nodes[:-1]) / R
         margins = (other.values[:-1] - u.values[:-1]) / weights
@@ -451,16 +465,11 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
 def original_residual(params: Params, reactions: DerivedReactions, u: GridFunction,
                       op: DiscreteOperator | None = None) -> float:
     """Scaled sup residual of -L u = lam f(u) u^{-gamma} at the nodes."""
-    if op is None:
-        op = DiscreteOperator(params, u.nodes)
-    else:
-        _require_same_grid(op, u)
-    ui = u.values[:-1]
-    if np.any(ui <= 0.0):
+    op = _operator_for(params, u, op)
+    if np.any(u.values[:-1] <= 0.0):
         return float("inf")
-    A = _apply_values(op, u.values)
-    react = _reaction_values(params, reactions, ui)
-    return float(np.max(np.abs(A - react) / (1.0 + np.abs(react))))
+    res, _A, react = _unshifted(params, reactions, op, u.values)
+    return float(np.max(np.abs(res) / (1.0 + np.abs(react))))
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +542,9 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
         norm = float(np.max(ua))
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
-        Ui = U[:-1]
-        margins = _apply_values(op, U) - _reaction_values(params, reactions, Ui)
+        margins = _unshifted(params, reactions, op, U)[0]
         point_ok = bool(np.min(margins) > 0.0)
-        dom_ok = dominate is None or bool(np.all(Ui >= dominate.values[:-1] * (1.0 + 1e-9)))
+        dom_ok = dominate is None or bool(np.all(U[:-1] >= dominate.values[:-1] * (1.0 + 1e-9)))
         if scalar_ok and point_ok and dom_ok:
             u_up = GridFunction(op.grid, U)
             chi_high = float(np.min(margins))
@@ -580,11 +588,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     p, q = params.p, params.q
     f = reactions.f
     theta1 = spec.theta1
-    if lam < window.lambda_star * (1.0 - 1e-12) or lam > window.lambda_upper * (1.0 + 1e-12):
-        warnings.warn(
-            f"lambda={lam} outside [{window.lambda_star}, {window.lambda_upper}]",
-            WindowViolation,
-        )
+    window.warn_outside(lam)
     if op is None:
         op = DiscreteOperator(params, profile.phi.nodes)
     R, N = params.radius, params.dim
@@ -658,14 +662,11 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     v_up = GridFunction(op.grid, m * uvals)
     eps_cap = theta1 - m * c_norm
     eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(m * c_norm))
-    vi = v_up.values[:-1]
-    collar_deficit = float(np.min(
-        _apply_values(op, v_up.values) - _reaction_values(params, reactions, vi)))
+    collar_deficit = float(np.min(_unshifted(params, reactions, op, v_up.values)[0]))
 
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
-    if zeta.nodes.size != op.grid.size or not np.allclose(zeta.nodes, op.grid,
-                                                          rtol=0.0, atol=1e-12):
+    if not _same_grid(zeta.nodes, op.grid):
         zeta = GridFunction(op.grid, zeta.interp(op.grid))
     zi = np.maximum(zeta.values[:-1], 0.0)
     Theta = reactions.Theta_lambda
@@ -676,8 +677,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     init = np.maximum(_paraboloid(op.grid, R, amp), zeta.values)
     psi = _solve_system(op, Theta, 0.0, 0.0, rhs, init)
     v0 = GridFunction(op.grid, psi)
-    eps_low = float(np.min(
-        _reaction_values(params, reactions, psi[:-1]) - _apply_values(op, psi)))
+    eps_low = float(np.min(-_unshifted(params, reactions, op, psi)[0]))
 
     margins = {
         "m_lambda": m,
@@ -803,10 +803,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     degenerate region.  The chosen seed's residual is Newton's first
     evaluation.
     """
-    if op is None:
-        op = DiscreteOperator(params, u.nodes)
-    else:
-        _require_same_grid(op, u)
+    op = _operator_for(params, u, op)
     if khat is None:
         khat = reactions.khat
     uv = u.values
@@ -847,18 +844,22 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     return GridFunction(op.grid, w)
 
 
-_SHIFT_RAISES = 40  # shift re-solves allowed per descending step
+_SHIFT_RAISES = 40  # shift re-solves allowed per step
 _ULP_BAND = 64.0    # a move within this many ulps of the iterate is float noise
 
 
-def _descending_step(params, reactions, u, op, K):
-    """Apply the map to the supersolution u with a checked node-wise shift K.
+def _checked_step(params, reactions, u, op, K, ascending):
+    """Apply the map to u with a checked node-wise shift K.
 
     The image w satisfies A(w) - lam f(w) w^{-gamma} = K (u - w) -
-    (fhat(w) - fhat(u)), and w <= u for any K >= 0 by comparison.  So w is
-    again a supersolution exactly where K_i >= (fhat(w_i) - fhat(u_i)) /
-    (u_i - w_i); K is raised to twice that secant wherever it falls short
-    and the map is applied again.  Returns (w, K).
+    (fhat(w) - fhat(u)), and by comparison w >= u from a subsolution, w <= u
+    from a supersolution, for any K >= 0.  So at a node that moved in the
+    leg's direction w is again a sub- (ascending) or supersolution
+    (descending) exactly where K_i >= (fhat(w_i) - fhat(u_i)) / (u_i - w_i).
+    At a node that moved against it the inequality only bounds K_i from
+    above, which raising K cannot mend, so it stays out of the test.  K is
+    raised to twice the secant wherever it falls short and the map is
+    applied again.  Returns (w, K).
     """
     ui = u.values[:-1]
     fu = np.asarray(reactions.fhat(ui), dtype=float)
@@ -866,15 +867,16 @@ def _descending_step(params, reactions, u, op, K):
         w = that_map(params, reactions, u, op=op, khat=K)
         wi = w.values[:-1]
         drop = ui - wi
-        down = drop > 0.0
+        moved = drop < 0.0 if ascending else drop > 0.0
         need = np.zeros_like(K)
-        need[down] = (np.asarray(reactions.fhat(wi[down]), dtype=float) - fu[down]) / drop[down]
+        need[moved] = (np.asarray(reactions.fhat(wi[moved]), dtype=float)
+                       - fu[moved]) / drop[moved]
         short = need > K
         if not np.any(short):
             return w, K
         K = np.where(short, 2.0 * need, K)
     raise ConvergenceFailure(
-        f"descending shift still short at {int(np.sum(short))} nodes "
+        f"shift still short at {int(np.sum(short))} nodes "
         f"(first {int(np.argmax(short))}) after {_SHIFT_RAISES} raises")
 
 
@@ -882,17 +884,17 @@ def _descending_step(params, reactions, u, op, K):
 class IterationTrace:
     """Record of one monotone run: every iterate plus per-step diagnostics.
 
-    khat is the shift of the last step; for the node-wise descending shift
-    it is the largest K_i.  stalled marks a run that stopped on a move
-    within a few ulps of the iterate while the iterate was not yet a fixed
-    point: float64 cannot take the step the shift asks for.
-    scaled_residual is the rounding-aware residual of the unshifted equation
-    at the limit (what Newton and the stall test judge by); residuals hold
-    the plain original_residual, which counts flux-cancellation rounding.
+    khat is the largest node-wise shift K_i of the last step.  stalled
+    marks a run that stopped on a move within a few ulps of the iterate
+    while the iterate was not yet a fixed point: float64 cannot take the
+    step the shift asks for.  residual is the plain original_residual of
+    the limit, which counts flux-cancellation rounding; scaled_residual is
+    the rounding-aware residual of the unshifted equation there (what
+    Newton and the stall test judge by).
     """
 
     iterates: tuple
-    residuals: tuple
+    residual: float
     monotone: tuple
     converged: bool
     start: str
@@ -912,65 +914,50 @@ class IterationTrace:
 
 def amann_iterate(params: Params, reactions: DerivedReactions,
                   lower: GridFunction, upper: GridFunction, start: str,
-                  op: DiscreteOperator | None = None, khat: float | None = None,
+                  op: DiscreteOperator | None = None,
                   budget: int = 200, conv_factor: float = 1e-8) -> IterationTrace:
     """Iterate the solve map from one endpoint of a certified interval.
 
-    from_lower ascends, from_upper descends.  Convergence is declared when
-    the sup increment drops below conv_factor * theta2, or when it is at
-    most 64 ulps of the iterate's sup norm and the rounding-aware residual
-    of the unshifted equation at the input is within the inner solve's
-    tolerance.  A float-level move at any larger residual ends the run as
-    stalled (IterationStall), not converged.  A monotonicity failure beyond
-    1e-9 * sup|iterate| is a discretization artifact: reported as a
-    MonotonicityViolation warning, iteration continues.
+    from_lower ascends, from_upper descends.  Every step is _checked_step:
+    a node-wise shift K, carried from step to step and raised only where an
+    image fails the check, so each iterate stays a sub- (ascending) or
+    supersolution (descending).  The shift never moves the fixed points,
+    only the path.  A global shift that keeps fhat + khat t nondecreasing
+    up to the upper endpoint would make the steps microscopic: on the
+    reference configuration each would be one ulp of the 4e17 iterate.
 
-    khat = None adapts the shift to the run.  Ascending, it is
-    choose_khat(t_max = sup of the current iterate), recomputed whenever
-    the run outgrows the covered range; the global shift that keeps the map
-    increasing up to a tall supersolution would make ascending steps
-    microscopic.  Descending, it is a node-wise shift checked after every
-    solve so that each iterate stays a supersolution (see
-    _descending_step); that shift is far below the global one, which on
-    the reference configuration is so large that every step is one ulp.
-    The shift never moves the fixed points, only the path.
+    Convergence is declared when the sup increment drops below
+    conv_factor * theta2, or when it is at most 64 ulps of the iterate's
+    sup norm and the rounding-aware residual of the unshifted equation at
+    the input is within the inner solve's tolerance.  A float-level move at
+    any larger residual ends the run as stalled (IterationStall), not
+    converged.  A monotonicity failure beyond 1e-9 * sup|iterate| is a
+    discretization artifact: reported as a MonotonicityViolation warning,
+    iteration continues.
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
-    if lower.nodes.size != upper.nodes.size or not np.allclose(
-            lower.nodes, upper.nodes, rtol=0.0, atol=1e-12):
+    if not _same_grid(lower.nodes, upper.nodes):
         raise ConfigurationError("endpoints must share one grid")
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):
         raise ConfigurationError("endpoints are not ordered")
     if op is None:
         op = DiscreteOperator(params, lower.nodes)
-    cur = lower if start == "from_lower" else upper
-    adaptive = khat is None
-    nodewise = adaptive and start == "from_upper"
-    if nodewise:
-        khat = np.zeros(op.n)
-    elif adaptive:
-        t_cover = max(float(np.max(cur.values)), 1e-300)
-        khat = choose_khat(reactions.spec, params, t_max=t_cover)
+    ascending = start == "from_lower"
+    cur = lower if ascending else upper
+    K = np.zeros(op.n)
     ctol = conv_factor * reactions.spec.theta2
     stol = 1e-12  # the solve map's own tolerance
     iterates = [cur]
-    residuals = [original_residual(params, reactions, cur, op=op)]
     monotone: list[bool] = []
     increments: list[float] = []
     converged = stalled = False
     for _ in range(budget):
-        if nodewise:
-            nxt, khat = _descending_step(params, reactions, cur, op, khat)
-        else:
-            nxt = that_map(params, reactions, cur, op=op, khat=khat)
+        nxt, K = _checked_step(params, reactions, cur, op, K, ascending)
         delta = nxt.values - cur.values
         mtol = 1e-9 * max(1.0, nxt.sup_norm())
-        if start == "from_lower":
-            ok = bool(np.min(delta) >= -mtol)
-        else:
-            ok = bool(np.max(delta) <= mtol)
+        ok = bool(np.min(delta) >= -mtol) if ascending else bool(np.max(delta) <= mtol)
         if not ok:
             warnings.warn(
                 f"monotone step violated by {float(np.max(np.abs(delta))):.3e}",
@@ -978,14 +965,8 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
             )
         inc = float(np.max(np.abs(delta)))
         iterates.append(nxt)
-        residuals.append(original_residual(params, reactions, nxt, op=op))
         monotone.append(ok)
         increments.append(inc)
-        if adaptive and start == "from_lower":
-            s = float(np.max(nxt.values))
-            if s > t_cover:
-                t_cover = 2.0 * s
-                khat = choose_khat(reactions.spec, params, t_max=t_cover)
         if inc < ctol:
             converged = True
             break
@@ -1008,11 +989,11 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
         )
     return IterationTrace(
         iterates=tuple(iterates),
-        residuals=tuple(residuals),
+        residual=original_residual(params, reactions, iterates[-1], op=op),
         monotone=tuple(monotone),
         converged=converged,
         start=start,
-        khat=float(np.max(khat)),
+        khat=float(np.max(K)),
         increments=tuple(increments),
         stalled=stalled,
         scaled_residual=_fixed_point_residual(op, reactions, iterates[-1].values),
@@ -1021,7 +1002,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
 
 def search_third_solution(params: Params, reactions: DerivedReactions,
                           u1: GridFunction, u2: GridFunction,
-                          op: DiscreteOperator | None = None, khat: float | None = None,
+                          op: DiscreteOperator | None = None,
                           attempts: int = 3, iters: int = 25, seed: int = 0,
                           conv_factor: float = 1e-8) -> dict:
     """Best-effort hunt for a fixed point away from both known solutions.
@@ -1063,7 +1044,7 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
             for _k in range(iters):
                 maps += 1
                 try:
-                    nxt = that_map(params, reactions, cur, op=op, khat=khat)
+                    nxt = that_map(params, reactions, cur, op=op)
                 except (ConvergenceFailure, PositivityLoss):
                     status = "solver_failed"
                     break

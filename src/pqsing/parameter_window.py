@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
-from .errors import ConfigurationError, EmptyThetaRange, InfeasibleGeometry
+from .errors import ConfigurationError, EmptyThetaRange, InfeasibleGeometry, WindowViolation
 from .pq_core import Params, lpq_scalar
 
 __all__ = ["WindowReport", "capacity_constant", "F_of", "compute_window"]
@@ -63,6 +64,13 @@ class WindowReport:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lambda_star + self.lambda_upper)
+
+    def warn_outside(self, lam: float) -> None:
+        """Warn (WindowViolation) when lam lies outside [lambda_*, lambda^*]
+        beyond a relative 1e-12; the warning is filed under the caller's line."""
+        if lam < self.lambda_star * (1.0 - 1e-12) or lam > self.lambda_upper * (1.0 + 1e-12):
+            warnings.warn(f"lambda={lam} outside [{self.lambda_star}, {self.lambda_upper}]",
+                          WindowViolation, stacklevel=2)
 
     def as_dict(self) -> dict:
         out = {f.name: float(getattr(self, f.name)) for f in dataclasses.fields(self)}

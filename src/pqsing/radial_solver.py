@@ -11,12 +11,10 @@ overshooting theta2.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Callable
 
 import numpy as np
 
-from .errors import WindowViolation
 from .grid import CertificateReport, GridFunction
 from .parameter_window import WindowReport
 from .pq_core import Params, lpq_inverse
@@ -137,11 +135,7 @@ def solve_radial(params: Params, reactions, window: WindowReport, n: int = 2048)
     its meaning.
     """
     lam = params.lam
-    if lam < window.lambda_star * (1.0 - 1e-12) or lam > window.lambda_upper * (1.0 + 1e-12):
-        warnings.warn(
-            f"lambda={lam} outside [{window.lambda_star}, {window.lambda_upper}]",
-            WindowViolation,
-        )
+    window.warn_outside(lam)
     nodes = np.linspace(0.0, params.radius, n + 1)
     v_vals = window.theta * cutoff(nodes, params, window.chi, window.kappa, window.epsilon)
     vp_vals = window.theta * cutoff_prime(nodes, params, window.chi, window.kappa, window.epsilon)
@@ -161,14 +155,18 @@ def certify_radial_claim(profile: RadialProfile, params: Params, window: WindowR
                          tol: float | None = None) -> CertificateReport:
     """Pointwise certificate of the comparison claim.
 
-    Three checks on the computed profile: Phi >= v everywhere,
-    max Phi <= theta2, and Phi' <= v' on the collar [eps, R].  The
-    default tolerance is 1e-8 * theta2 (scale-aware absolute).
+    Three checks on the computed profile: Phi >= v, max Phi <= theta2, and
+    Phi' <= v' on the collar [eps, R].  Dominance is checked at nodes
+    0..n-1 and scaled by the boundary distance (R - r)/R, as the ordering
+    certificates are: at r = R both vanish, so its margin is 0 by
+    construction.  The default tolerance is 1e-8 * theta2 (scale-aware
+    absolute).
     """
     if tol is None:
         tol = 1e-8 * window.theta2
     nodes = profile.phi.nodes
-    dominance = profile.phi.values - profile.v.values
+    R = params.radius
+    dominance = (profile.phi.values - profile.v.values)[:-1] / ((R - nodes[:-1]) / R)
     headroom = window.theta2 - profile.phi.values
     collar = nodes >= window.epsilon - 1e-14
     slope_gap = profile.v_prime.values[collar] - profile.phi_prime.values[collar]
@@ -183,6 +181,7 @@ def certify_radial_claim(profile: RadialProfile, params: Params, window: WindowR
         tolerance=float(tol),
         detail={
             "min_phi_minus_v": float(np.min(dominance)),
+            "distance_scaled": True,
             "max_phi": float(np.max(profile.phi.values)),
             "theta2": float(window.theta2),
             "min_slope_gap": float(np.min(slope_gap)),

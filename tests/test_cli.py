@@ -278,6 +278,34 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config", [SMALL, REFERENCE])
+def test_sweep_radial_min_tracks_the_load(config, tmp_path, capsys):
+    # the radial claim's dominance margin is distance-scaled at nodes
+    # 0..n-1, so it is positive and moves with the load instead of reading
+    # the 0 of the Dirichlet node on every row
+    assert run("sweep", str(config), out=str(tmp_path)) == 0
+    header, data = read_csv(tmp_path / "sweep.csv")
+    radial_min = data[:, header.index("radial_min")]
+    assert np.all(radial_min > 0.0)
+    assert np.unique(radial_min).size > 1
+    capsys.readouterr()
+
+
+def test_probe_uses_the_configured_conv_factor(tmp_path, capsys, monkeypatch):
+    seen = {}
+    real = cli.ds.search_third_solution
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ds, "search_third_solution", spy)
+    cfg = small_cfg(tolerances={"conv_factor": 1e-7})
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+    assert seen["conv_factor"] == 1e-7
+    capsys.readouterr()
+
+
 def test_failed_assumptions_are_named(tmp_path, capsys):
     cfg = small_cfg(nonlinearity={"kind": "power", "m": 0.5, "theta1": 1.0,
                                   "theta2": 890.67})

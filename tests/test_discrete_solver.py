@@ -427,7 +427,7 @@ def test_amann_gentle_both_legs(gentle):
     assert all(up.monotone)
     assert float(up.limit.sup_norm()) == pytest.approx(5822.071120854884, rel=1e-6)
     assert original_residual(env.params, env.reactions, up.limit, env.op) <= 1e-6
-    # descending from 1.3e4 needs the adaptive shift to keep the map increasing
+    # descending from 1.3e4 the checked shift is raised to keep each image a supersolution
     assert up.khat > 0.0
 
     gap = float(np.max(np.abs(lo.limit.values - up.limit.values)))
@@ -477,20 +477,67 @@ def test_amann_descending_iterates_stay_supersolutions(cfg1):
     assert float(up.limit.sup_norm()) == pytest.approx(8.874e16, rel=1e-3)
 
 
-def test_amann_global_shift_stalls_not_converges(cfg1):
-    # the global shift that keeps fhat + khat t nondecreasing up to u_up is
-    # ~1.5e34, so each step moves one ulp (64) at the 4e17 endpoint while the
-    # residual stays at ~56: a float-level move that must read as a stall
+def test_amann_stall_branch(cfg1, monkeypatch):
+    # a step that moves the 4e17 endpoint by one ulp per node (64 at the
+    # top, above the conv_factor target) while it is far from a fixed point
+    # is a float-level move that must read as a stall, not as convergence
     env = cfg1
-    khat = choose_khat(env.spec, env.params, t_max=env.pairs.u_up.sup_norm())
+
+    def float_noise(params, reactions, u, op, K, ascending):
+        vals = u.values.copy()
+        vals[:-1] = np.nextafter(vals[:-1], -np.inf)
+        return GridFunction(u.nodes, vals), K
+
+    monkeypatch.setattr(discrete_solver, "_checked_step", float_noise)
     with pytest.warns(IterationStall):
         tr = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op, khat=khat)
+                           "from_upper", op=env.op)
     assert tr.converged is False
     assert tr.stalled is True
     assert tr.n_steps == 1
-    assert tr.increments[0] <= 64.0 * np.spacing(env.pairs.u_up.sup_norm())
-    assert tr.residuals[-1] > 1.0
+    assert 0.0 < tr.increments[0] <= 64.0 * np.spacing(env.pairs.u_up.sup_norm())
+    assert tr.residual > 1.0
+
+
+def test_global_shift_moves_u_up_by_float_noise(cfg1):
+    # why the legs shift node-wise: the global shift that keeps
+    # fhat + khat t nondecreasing up to u_up is ~1.5e34, and one map under
+    # it moves the 4e17 endpoint by float noise although u_up is far from
+    # a fixed point
+    env = cfg1
+    u_up = env.pairs.u_up
+    khat = choose_khat(env.spec, env.params, t_max=u_up.sup_norm())
+    w = that_map(env.params, env.reactions, u_up, op=env.op, khat=khat)
+    assert float(np.max(np.abs(w.values - u_up.values))) <= 64.0 * np.spacing(u_up.sup_norm())
+    assert original_residual(env.params, env.reactions, w, env.op) > 1.0
+
+
+def test_amann_ascending_raises_the_checked_shift(gentle):
+    # from v0 the ascending leg climbs to u2 through the saturating tail of
+    # f, where fhat falls: the checked shift is raised there, and every
+    # iterate stays a certified subsolution below u_up
+    env = gentle
+    lo = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
+                       "from_lower", op=env.op)
+    assert lo.converged and not lo.stalled
+    assert all(lo.monotone)
+    assert lo.khat > 0.0
+    assert float(lo.limit.sup_norm()) == pytest.approx(5822.071120854884, rel=1e-6)
+    for it in lo.iterates:
+        assert certify(env.params, env.reactions, it, "subsolution", op=env.op).passed
+        assert np.all(it.values <= env.pairs.u_up.values)
+
+
+@pytest.mark.parametrize("name", ["cfg1", "gentle"])
+def test_amann_ascending_iterates_stay_subsolutions(name, request):
+    # on the theorem interval [u0, v_up] of both shipped configs the check
+    # never fires: the leg runs unshifted
+    env = request.getfixturevalue(name)
+    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                       "from_lower", op=env.op)
+    assert lo.converged and lo.khat == 0.0
+    for it in lo.iterates:
+        assert certify(env.params, env.reactions, it, "subsolution", op=env.op).passed
 
 
 def test_amann_limit_mesh_stability(gentle):

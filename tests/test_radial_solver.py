@@ -1,5 +1,6 @@
 """Cutoff geometry, the nested-quadrature solver, and the comparison claim."""
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from pqsing import (
     build_h,
     certify_radial_claim,
     compute_window,
+    construct_pairs,
     cutoff,
     cutoff_prime,
     quadrature_solve,
@@ -111,6 +113,13 @@ def test_radial_certificate(cfg1):
     assert cert.detail["max_phi"] <= cfg1.window.theta2
     # the slope comparison only applies on the collar
     assert cert.detail["min_slope_gap"] > 0.0
+    # dominance is scaled by the boundary distance at nodes 0..n-1, where
+    # phi - v > 0; at r = R both vanish and would pin the margin at 0
+    assert cert.detail["distance_scaled"] is True
+    nodes, R = cfg1.profile.phi.nodes, cfg1.params.radius
+    gap = (cfg1.profile.phi.values - cfg1.profile.v.values)[:-1] / ((R - nodes[:-1]) / R)
+    assert cert.detail["min_phi_minus_v"] == float(np.min(gap)) > 0.0
+    assert cert.min_margin > 0.0
 
 
 def test_solver_against_independent_quadrature(cfg1):
@@ -133,6 +142,23 @@ def test_out_of_window_load_warns(cfg1):
     rx = build_h(cfg1.spec, pr)
     with pytest.warns(WindowViolation):
         solve_radial(pr, rx, cfg1.window, n=256)
+
+
+def test_pairs_out_of_window_warn_once_per_stage(gentle):
+    # the radial solve and the second pair each check the load against the
+    # window; under the default filter both warnings are shown
+    pr = dataclasses.replace(gentle.params, lam=1.05 * gentle.window.lambda_upper)
+    rx = build_h(gentle.spec, pr)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        prof = solve_radial(pr, rx, gentle.window, n=gentle.n)
+        construct_pairs(pr, gentle.spec, rx, gentle.window, prof, n=gentle.n)
+    where = [os.path.basename(w.filename) for w in caught if w.category is WindowViolation]
+    assert where == ["radial_solver.py", "discrete_solver.py"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gentle.window.warn_outside(gentle.window.lambda_upper * (1.0 + 1e-13))
+        gentle.window.warn_outside(gentle.window.lambda_star * (1.0 - 1e-13))
 
 
 def test_lambda_zero_gives_zero_profile(cfg1):
