@@ -149,10 +149,6 @@ class BarrierProfile:
     xi_prime: GridFunction
     R_tau: float | None
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.xi.nodes
-
     def value(self, s):
         return self.xi.interp(s)
 

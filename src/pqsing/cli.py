@@ -152,7 +152,6 @@ def _build_spec(cfg: dict) -> NonlinearitySpec:
 class _Env:
     """Everything a command needs, resolved from one config."""
 
-    cfg: dict
     spec: NonlinearitySpec
     params0: Params          # lam = 0, for the lambda-independent window
     window: object
@@ -164,6 +163,11 @@ class _Env:
     tol_certify: float | None
     conv_factor: float
     budget: int
+    barrier_tau: float
+    barrier_n: int
+    barrier_p: float
+    barrier_nu: float | None
+    sweep_count: int
 
     @property
     def lam(self) -> float:
@@ -197,6 +201,15 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     conv_factor = _number(tol, "tolerances", "conv_factor", default=1e-8)
     budget = _number(tol, "tolerances", "budget", default=200, integer=True)
 
+    bc = cfg.get("barrier", {})
+    barrier_tau = _number(bc, "barrier", "tau", default=1.0)
+    barrier_n = _number(bc, "barrier", "n", default=10_000, integer=True)
+    barrier_p = _number(bc, "barrier", "p", default=p)
+    barrier_nu = _number(bc, "barrier", "nu", default=None, allow_null=True)
+    sweep_count = _number(cfg.get("sweep", {}), "sweep", "count", default=9, integer=True)
+    if sweep_count < 2:
+        _fail(f"sweep.count must be at least 2, got {sweep_count}")
+
     try:
         params0 = Params(p=p, q=q, gamma=gamma, dim=dim, radius=radius, lam=0.0)
     except ValueError as exc:
@@ -222,9 +235,11 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
-    env = _Env(cfg=cfg, spec=spec, params0=params0, window=window, params=params0,
+    env = _Env(spec=spec, params0=params0, window=window, params=params0,
                reactions=reactions0, n=int(n), outdir=outdir, seed=int(seed_val),
-               tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget))
+               tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
+               barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
+               barrier_nu=barrier_nu, sweep_count=sweep_count)
     return _at_load(env, lam)
 
 
@@ -304,19 +319,15 @@ def _cmd_radial(env: _Env) -> int:
 
 
 def _cmd_barrier(env: _Env) -> int:
-    bc = env.cfg.get("barrier", {})
-    tau = _number(bc, "barrier", "tau", default=1.0)
-    nbar = _number(bc, "barrier", "n", default=10_000, integer=True)
-    p_low = _number(bc, "barrier", "p", default=env.params.p)
-    nu = _number(bc, "barrier", "nu", default=None, allow_null=True)
+    tau = env.barrier_tau
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # blow-down truncation is expected
         profile = solve_barrier(tau, env.params.q, env.params.gamma,
-                                r_max=env.params.radius, n=nbar)
+                                r_max=env.params.radius, n=env.barrier_n)
     audit = conservation_residual(profile)
-    exp_cert = certify_smallest_exponent(profile, p_low)
+    exp_cert = certify_smallest_exponent(profile, env.barrier_p)
     M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
-    sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=nu)
+    sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
     _write_csv(env.outdir / "barrier.csv", ("s", "xi", "xi_prime"),
                (profile.xi.nodes, profile.xi.values, profile.xi_prime.values))
     report = {
@@ -438,9 +449,7 @@ def _cmd_certify(env: _Env, input_path, kind, other_path, tol) -> int:
 
 
 def _cmd_sweep(env: _Env) -> int:
-    count = _number(env.cfg.get("sweep", {}), "sweep", "count", default=9, integer=True)
-    if count < 2:
-        _fail(f"sweep.count must be at least 2, got {count}")
+    count = env.sweep_count
     lams = np.linspace(env.window.lambda_star, env.window.lambda_upper, count)
     names = ("lambda", "all_passed", "m_lambda", "alpha_star", "chi_low",
              "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap",

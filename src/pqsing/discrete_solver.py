@@ -12,14 +12,16 @@ sign-definite (a supersolution, or a subsolution within the load's scale) and
 beats the load-sized paraboloid's, so the long orbits of both Amann legs and
 of the third-solution probe start each solve next to its answer (that_map).
 
-Scheme: interior node i differences the half-node fluxes,
+Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
+cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
 
-    A(u)_i = -( r_{i+1/2}^{N-1} F(g_i) - r_{i-1/2}^{N-1} F(g_{i-1}) ) / (h r_i^{N-1}),
+    A(u)_i = -( area_i F(g_i) - area_{i-1} F(g_{i-1}) ) / vol_i,
 
-with g_i = (u_{i+1}-u_i)/h and F = alpha L_p + beta L_q.  Node 0 is the
-finite-volume balance over the half cell (symmetry: zero flux through r=0),
-A(u)_0 = -(2N/h) F(g_0), and node n holds the Dirichlet value.  Affine
-profiles reproduce the analytic divergence exactly for N <= 3; the scheme is
+with g_i = (u_{i+1}-u_i)/h, F = alpha L_p + beta L_q, area_i =
+r_{i+1/2}^{N-1} and vol_i = h r_i^{N-1}.  Row 0's cell is the half cell
+[0, h/2] of volume (h/2)^{N-1} h/(2N), whose inner face is the axis (zero
+flux through r=0); node n holds the Dirichlet value.  Affine profiles
+reproduce the analytic divergence exactly for N <= 3; the scheme is
 degenerate elliptic (A(u)_i nonincreasing in the neighbor values), which is
 what makes the comparison-based certificates meaningful on the grid.
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     PositivityLoss,
     SearchExhausted,
 )
-from .grid import CertificateReport, GridFunction
+from .grid import CertificateReport, GridFunction, same_grid
 from .nonlinearity import DerivedReactions, NonlinearitySpec, validate
 # not called here: the benchmark's tracer (perfbench/run.py) wraps it by this module's name
 from .nonlinearity import choose_khat  # noqa: F401
@@ -80,7 +81,13 @@ _BISECT_BUDGET = 80     # m_lambda bracketing + bisection
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Flux-form discretization of -L^{alpha,beta}_{p,q} on a uniform radial grid."""
+    """Flux-form discretization of -L^{alpha,beta}_{p,q} on a uniform radial grid.
+
+    The only code that builds the scheme's weights (module docstring).  Per
+    row i = 0..n-1: `area` r_{i+1/2}^{N-1} of the outer face, `vol` the cell
+    volume, `cplus` = area/vol and `cminus` the inner face's area over vol;
+    the axis row 0 has no inner face, so cminus_0 = 0, and cplus_0 = 2N/h.
+    """
 
     params: Params
     grid: np.ndarray
@@ -101,16 +108,15 @@ class DiscreteOperator:
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ConfigurationError("weights alpha, beta must be positive")
         N = self.params.dim
-        half = nodes[:-1] + 0.5 * h
-        interior = nodes[1:-1]
-        object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_cplus", half[1:] ** (N - 1) / (h * interior ** (N - 1)))
-        object.__setattr__(self, "_cminus", half[:-1] ** (N - 1) / (h * interior ** (N - 1)))
-        object.__setattr__(self, "_coef0", 2.0 * N / h)
-
-    @property
-    def h(self) -> float:
-        return self._h
+        area = (nodes[:-1] + 0.5 * h) ** (N - 1)
+        vol = h * nodes[:-1] ** (N - 1)
+        vol[0] = (0.5 * h) ** (N - 1) * h / (2.0 * N)
+        cplus = area / vol
+        cplus[0] = 2.0 * N / h
+        cminus = np.concatenate(((0.0,), area[:-1] / vol[1:]))
+        for name, value in (("h", h), ("area", area), ("vol", vol),
+                            ("cplus", cplus), ("cminus", cminus)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -125,38 +131,44 @@ class DiscreteOperator:
         return DiscreteOperator(self.params, self.grid, alpha, beta)
 
 
-def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    """Two node arrays match to 1e-12 absolute."""
-    return a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
-
-
 def _operator_for(params: Params, u: GridFunction,
                   op: DiscreteOperator | None) -> DiscreteOperator:
     """op, checked to carry u's nodes; the operator on u's nodes when op is None."""
     if op is None:
         return DiscreteOperator(params, u.nodes)
-    if not _same_grid(u.nodes, op.grid):
+    if not same_grid(u.nodes, op.grid):
         raise ConfigurationError("grid function does not live on the operator grid")
     return op
 
 
+def _faces(op: DiscreteOperator, x: np.ndarray):
+    """(cplus_i x_{i+1/2}, cminus_i x_{i-1/2}) at rows 0..n-1 of a quantity x
+    given at the n half nodes.  x_{-1/2} reads 0: cminus_0 = 0 drops it
+    anyway, and a 0 (not x's last entry) keeps row 0 free of -0.0 and NaN."""
+    return op.cplus * x, op.cminus * np.concatenate(((0.0,), x[:-1]))
+
+
+def _fluxes(op: DiscreteOperator, u: np.ndarray):
+    """(g, F(g)): the gradients and fluxes of u at the n half nodes."""
+    g = np.diff(u) / op.h
+    return g, lpq_scalar(g, op.params, op.alpha, op.beta)
+
+
 def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
     """The scheme's -div at nodes 0..n-1 of the fluxes F at the n half nodes."""
-    out = np.empty(F.size)
-    out[0] = -op._coef0 * F[0]
-    out[1:] = -(op._cplus * F[1:] - op._cminus * F[:-1])
-    return out
+    out, inner = _faces(op, F)
+    return -(out - inner)
 
 
 def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
     """A(u) at nodes 0..n-1."""
-    return _divergence(op, lpq_scalar(np.diff(u) / op._h, op.params, op.alpha, op.beta))
+    return _divergence(op, _fluxes(op, u)[1])
 
 
 def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
     """Discrete -L^{alpha,beta} residual of u (Dirichlet slot carries 0)."""
     if isinstance(u, GridFunction):
-        if not _same_grid(u.nodes, op.grid):
+        if not same_grid(u.nodes, op.grid):
             raise ConfigurationError("grid function does not live on the operator grid")
         vals = u.values
     else:
@@ -181,7 +193,7 @@ def solve_banded(l_and_u, ab, b):
 _RND_SLACK = 8.0  # multiples of the flux-cancellation rounding floor
 
 
-def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
+def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     """(residual, scale, rounding floor, (g, F'(g))) of the system at u.
 
     The gradients and flux derivatives (clipped at |g| = _JAC_FLOOR) are
@@ -190,8 +202,7 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
     """
     p = op.params
     ui = u[:-1]
-    g = np.diff(u) / op._h
-    F = lpq_scalar(g, op.params, op.alpha, op.beta)
+    g, F = _fluxes(op, u)
     res = _divergence(op, F)
     # what a converged iterate can actually achieve in float64: flux
     # cancellation (|flux| * eps) plus the roundoff a Jacobian-sized update
@@ -199,10 +210,9 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
     # F' is the Jacobian's, clipped at _JAC_FLOOR: for p < 2 the unclipped
     # F'(0) is infinite and would hide every residual in a flat core
     Fp = lpq_derivative(g, op.params, op.alpha, op.beta, floor=_JAC_FLOOR)
-    rnd = np.empty_like(res)
-    rnd[0] = op._coef0 * (abs(F[0]) + Fp[0] / op._h * np.max(np.abs(u)))
-    rnd[1:] = (op._cplus * np.abs(F[1:]) + op._cminus * np.abs(F[:-1])
-               + (op._cplus * Fp[1:] + op._cminus * Fp[:-1]) / op._h * np.max(np.abs(u)))
+    out, inner = _faces(op, np.abs(F))
+    dout, dinner = _faces(op, Fp)
+    rnd = out + inner + (dout + dinner) / op.h * np.max(np.abs(u))
     rnd *= _RND_SLACK * np.finfo(float).eps
     res -= rhs
     scale = 1.0 + np.abs(rhs)
@@ -224,7 +234,7 @@ def _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor=None):
             rnd = rnd + _RND_SLACK * np.finfo(float).eps * khat * np.maximum(
                 np.abs(ui), np.abs(anchor))
     if singular:
-        sing = mu_arr * ui ** (-p.gamma)
+        sing = mu * ui ** (-p.gamma)
         res = res - sing
         scale = scale + np.abs(sing)
     return res, scale, rnd, (g, Fp)
@@ -234,28 +244,21 @@ def _scaled_err(res, scale, rnd):
     return float(np.max((np.abs(res) - rnd) / scale))
 
 
-def _jac_bands(op, u, theta, khat, mu_arr, singular, kept):
+def _jac_bands(op, u, theta, khat, mu, singular, kept):
     """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept,
     F' clipped at |g| = _JAC_FLOOR."""
     p = op.params
-    h = op._h
-    Fp = kept[1]
-    n = u.size - 1
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    diag = np.empty(n)
-    diag[0] = op._coef0 * Fp[0] / h
-    sup[0] = -op._coef0 * Fp[0] / h
-    diag[1:] = (op._cplus * Fp[1:] + op._cminus * Fp[:-1]) / h
-    sub[1:] = -op._cminus * Fp[:-1] / h
-    sup[1:-1] = -op._cplus[:-1] * Fp[1:-1] / h
+    out, inner = _faces(op, kept[1])
+    diag = (out + inner) / op.h
+    sub = -inner / op.h
+    sup = -out / op.h
     sup[-1] = 0.0  # the upper neighbor of node n-1 is the fixed boundary
     if theta != 0.0:
         diag = diag + theta * lpq_derivative(u[:-1], p, floor=_JAC_FLOOR)
     if np.any(khat):
         diag = diag + khat
     if singular:
-        diag = diag + p.gamma * mu_arr * u[:-1] ** (-p.gamma - 1.0)
+        diag = diag + p.gamma * mu * u[:-1] ** (-p.gamma - 1.0)
     return sub, diag, sup
 
 
@@ -269,25 +272,30 @@ def _newton_start(init, singular):
     return u
 
 
-def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anchor=None,
-            first=None):
-    """Damped Newton from init.  `first` is the _residual_scale of the same
-    system at init, when the caller has evaluated it already to choose the
-    seed; init must then be a _newton_start."""
-    singular = bool(np.any(mu_arr > 0.0))
+def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None):
+    """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
+    mu u^{-gamma} = rhs; mu and rhs are scalars or one value per node
+    0..n-1.  `first` is the _residual_scale of the same system at init,
+    when the caller has evaluated it already to choose the seed; init must
+    then be a _newton_start."""
+    n = op.n
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
+    if np.any(mu < 0.0):
+        raise ConfigurationError("singular weights must be nonnegative")
+    singular = bool(np.any(mu > 0.0))
     if first is None:
         u = _newton_start(init, singular)
-        first = _residual_scale(op, u, theta, khat, mu_arr, rhs, singular, anchor)
+        first = _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor)
     else:
         u = init
     res, scale, rnd, kept = first
     err = _scaled_err(res, scale, rnd)
-    n = u.size - 1
     ab = np.zeros((3, n))
-    for _ in range(budget):
+    for _ in range(_NEWTON_BUDGET):
         if err <= tol:
             return u
-        sub, diag, sup = _jac_bands(op, u, theta, khat, mu_arr, singular, kept)
+        sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
         ab[0, 1:] = sup[:-1]
         ab[1, :] = diag
         ab[2, :-1] = sub[1:]
@@ -298,7 +306,7 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
             trial[:-1] = u[:-1] + step * d
             if singular:
                 trial[:-1] = np.maximum(trial[:-1], _POS_FLOOR)
-            tres, tscale, trnd, tkept = _residual_scale(op, trial, theta, khat, mu_arr, rhs,
+            tres, tscale, trnd, tkept = _residual_scale(op, trial, theta, khat, mu, rhs,
                                                         singular, anchor)
             terr = _scaled_err(tres, tscale, trnd)
             if np.isfinite(terr) and terr < err:
@@ -313,15 +321,6 @@ def _newton(op, theta, khat, mu_arr, rhs, init, tol, budget=_NEWTON_BUDGET, anch
     raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e})")
 
 
-def _solve_system(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None):
-    n = op.n
-    mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
-    rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
-    if np.any(mu_arr < 0.0):
-        raise ConfigurationError("singular weights must be nonnegative")
-    return _newton(op, theta, khat, mu_arr, rhs_arr, init, tol, anchor=anchor, first=first)
-
-
 def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
     return amp * (1.0 - (nodes / R) ** 2)
 
@@ -329,23 +328,18 @@ def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
 def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
     """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular or theta term).
 
-    The flux form telescopes node by node: Phi_i = r_{i+1/2}^{N-1} F(g_i)
-    obeys Phi_0 = -(h/2)^{N-1} rhs_0 h/(2N) and Phi_i = Phi_{i-1} - h r_i^{N-1}
-    rhs_i.  A cumulative sum gives the fluxes, lpq_inverse the gradients, and
+    The flux form telescopes row by row: Phi_i = area_i F(g_i) obeys
+    Phi_i = Phi_{i-1} - vol_i rhs_i with Phi_{-1} = 0 (no flux through the
+    axis).  A cumulative sum gives the fluxes, lpq_inverse the gradients, and
     a reverse cumulative sum from the Dirichlet node the values.  This is the
     discrete analogue of the divergence theorem on the ball, exact up to
     rounding, so Newton accepts it as a seed without taking a step.
     """
-    N, h = op.params.dim, op._h
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (op.n,))
-    half = op.grid[:-1] + 0.5 * h
-    weight = np.empty(op.n)
-    weight[0] = (0.5 * h) ** (N - 1) * h / (2.0 * N)
-    weight[1:] = h * op.grid[1:-1] ** (N - 1)
-    flux = -np.cumsum(weight * rhs)
-    g = lpq_inverse(flux / half ** (N - 1), op.params, op.alpha, op.beta)
+    flux = -np.cumsum(op.vol * rhs)
+    g = lpq_inverse(flux / op.area, op.params, op.alpha, op.beta)
     u = np.zeros(op.n + 1)
-    u[:-1] = -h * np.cumsum(g[::-1])[::-1]
+    u[:-1] = -op.h * np.cumsum(g[::-1])[::-1]
     return u
 
 
@@ -358,7 +352,7 @@ def solve_eta_problem(op: DiscreteOperator, eta: float) -> GridFunction:
     if eta <= 0.0:
         raise ConfigurationError("eta must be positive")
     rhs = np.full(op.n, eta)
-    u = _solve_system(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))
+    u = _newton(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))
     return GridFunction(op.grid, u)
 
 
@@ -372,7 +366,7 @@ def solve_singular_constant(op: DiscreteOperator, load: float) -> GridFunction:
         raise ConfigurationError("load must be positive")
     init = solve_eta_problem(op, load).values.copy()
     init[:-1] = np.maximum(init[:-1], _POS_FLOOR)
-    u = _solve_system(op, 0.0, 0.0, load, 0.0, init)
+    u = _newton(op, 0.0, 0.0, load, 0.0, init)
     if float(np.min(u[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("singular solve collapsed onto the positivity floor")
     return GridFunction(op.grid, u)
@@ -435,7 +429,7 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
     elif kind == "ordering":
         if other is None:
             raise ConfigurationError("ordering certificate needs `other`")
-        if not _same_grid(u.nodes, other.nodes):
+        if not same_grid(u.nodes, other.nodes):
             raise ConfigurationError("ordering certificate needs a common grid")
         weights = (R - u.nodes[:-1]) / R
         margins = (other.values[:-1] - u.values[:-1]) / weights
@@ -535,10 +529,9 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
 
     u_up = None
     chi_high = None
-    ones = np.ones(op.n)
     for _ in range(_GEOM_BUDGET):
         aux = op.with_weights(alpha_star ** (params.p - params.q), 1.0)
-        ua = _solve_system(aux, 0.0, 0.0, 0.0, ones, _load_solution(aux, ones))
+        ua = solve_eta_problem(aux, 1.0).values
         norm = float(np.max(ua))
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
@@ -597,9 +590,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     def u_beta(m: float) -> tuple[np.ndarray, float]:
         if m not in cache:
-            aux = op.with_weights(1.0, m ** (q - p))
-            ones = np.ones(op.n)
-            u = _solve_system(aux, 0.0, 0.0, 0.0, ones, _load_solution(aux, ones))
+            u = solve_eta_problem(op.with_weights(1.0, m ** (q - p)), 1.0).values
             cache[m] = (u, float(np.max(u)))
         return cache[m]
 
@@ -666,7 +657,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
-    if not _same_grid(zeta.nodes, op.grid):
+    if not same_grid(zeta.nodes, op.grid):
         zeta = GridFunction(op.grid, zeta.interp(op.grid))
     zi = np.maximum(zeta.values[:-1], 0.0)
     Theta = reactions.Theta_lambda
@@ -675,7 +666,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
         rhs = rhs + Theta * lpq_scalar(zi, params)
     amp = 0.5 * R * lpq_inverse(float(np.max(rhs)) * R / N, params)
     init = np.maximum(_paraboloid(op.grid, R, amp), zeta.values)
-    psi = _solve_system(op, Theta, 0.0, 0.0, rhs, init)
+    psi = _newton(op, Theta, 0.0, 0.0, rhs, init)
     v0 = GridFunction(op.grid, psi)
     eps_low = float(np.min(-_unshifted(params, reactions, op, psi)[0]))
 
@@ -762,6 +753,13 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
 # the solve map and the monotone iteration
 # ---------------------------------------------------------------------------
 
+def _map_terms(reactions: DerivedReactions, uv: np.ndarray):
+    """(lam f(0), fhat(u), singular): the solve map's singular weight and
+    load at u, and whether the singular term is on."""
+    lam_f0 = reactions.lam * reactions.f0
+    return lam_f0, np.asarray(reactions.fhat(uv[:-1]), dtype=float), lam_f0 > 0.0
+
+
 def _fixed_point_residual(op, reactions, uv):
     """Rounding-aware scaled residual of the map at u.
 
@@ -772,10 +770,8 @@ def _fixed_point_residual(op, reactions, uv):
     """
     if float(np.min(uv[:-1])) <= 0.0:
         return float("inf")
-    lam_f0 = reactions.lam * reactions.f0
-    mu = np.full(op.n, lam_f0)
-    rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
-    return _scaled_err(*_residual_scale(op, uv, 0.0, 0.0, mu, rhs, lam_f0 > 0.0)[:3])
+    lam_f0, rhs, singular = _map_terms(reactions, uv)
+    return _scaled_err(*_residual_scale(op, uv, 0.0, 0.0, lam_f0, rhs, singular)[:3])
 
 
 def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
@@ -810,10 +806,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
-    lam_f0 = reactions.lam * reactions.f0
-    singular = lam_f0 > 0.0
-    mu = np.full(op.n, lam_f0)
-    rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
+    lam_f0, rhs, singular = _map_terms(reactions, uv)
     base = 0.5 * lam_f0 ** (1.0 / (params.q - 1.0 + params.gamma))
     init = np.maximum(uv, _paraboloid(op.grid, params.radius, base))
     # seed at the amplitude the reaction load dictates: far-below starts
@@ -828,7 +821,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
 
     def evaluated(seed):
         seed = _newton_start(seed, singular)
-        return seed, _residual_scale(op, seed, 0.0, khat, mu, rhs, singular, uv[:-1])
+        return seed, _residual_scale(op, seed, 0.0, khat, lam_f0, rhs, singular, uv[:-1])
 
     chosen = evaluated(init)
     if float(np.min(uv[:-1])) > 0.0:
@@ -838,7 +831,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
         definite = bool(np.all(res >= -rnd)) or (bool(np.all(res <= rnd)) and err_u <= 1.0)
         if definite and err_u < _scaled_err(*chosen[1][:3]):
             chosen = at_u
-    w = _solve_system(op, 0.0, khat, mu, rhs, chosen[0], tol, anchor=uv[:-1], first=chosen[1])
+    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], tol, anchor=uv[:-1], first=chosen[1])
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
     return GridFunction(op.grid, w)
@@ -937,7 +930,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
-    if not _same_grid(lower.nodes, upper.nodes):
+    if not same_grid(lower.nodes, upper.nodes):
         raise ConfigurationError("endpoints must share one grid")
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):

@@ -61,8 +61,9 @@ class GridFunction:
         return float(out) if np.ndim(r) == 0 else out
 
 
-def same_grid(a: GridFunction, b: GridFunction) -> bool:
-    return a.nodes.size == b.nodes.size and bool(np.allclose(a.nodes, b.nodes, rtol=0, atol=1e-14))
+def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two node arrays match to 1e-12 absolute."""
+    return a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
 
 
 @dataclasses.dataclass(frozen=True)

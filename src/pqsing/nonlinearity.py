@@ -117,9 +117,6 @@ class AssumptionCheck:
     passed: bool
     witness: dict
 
-    def summary(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), **self.witness}
-
 
 @dataclasses.dataclass(frozen=True)
 class ValidationReport:
@@ -137,9 +134,6 @@ class ValidationReport:
 
     def passed(self, name: str) -> bool:
         return self.check(name).passed
-
-    def summary(self) -> dict:
-        return {"ok": self.ok, "checks": [c.summary() for c in self.checks]}
 
 
 def _monotone_deficit(values: np.ndarray) -> float:

@@ -62,9 +62,6 @@ class Params:
                 f"radius {self.radius} exceeds 1 + N/(q-1) = {rmax}"
             )
 
-    def with_lam(self, lam: float) -> "Params":
-        return dataclasses.replace(self, lam=lam)
-
 
 def lpq_scalar(t, params: Params, alpha: float = 1.0, beta: float = 1.0):
     """alpha|t|^{p-2}t + beta|t|^{q-2}t, continued by 0 at t = 0.

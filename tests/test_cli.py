@@ -65,6 +65,9 @@ def test_window_via_main(tmp_path, capsys):
     {"nonlinearity": {"kind": "mystery"}},              # unsupported family
     {"tolerances": {"conv_factor": None}},              # null where number due
     {"tolerances": {"solver": 1e-12}},                  # removed key
+    # sections `window` does not use are checked all the same
+    {"sweep": {"count": "x"}, "barrier": {"n": 2.5}},   # wrong types
+    {"sweep": {"count": 1}},                            # a sweep needs two loads
 ])
 def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))

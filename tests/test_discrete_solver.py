@@ -137,11 +137,15 @@ def _count_banded(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_load_solution_is_accepted_without_a_step(dim, monkeypatch):
+@pytest.mark.parametrize("dim, pq", [
+    *(pytest.param(dim, (2.0, 3.0), id=f"{dim}") for dim in (1, 2, 3)),
+    *(pytest.param(dim, (1.5, 2.5), id=f"{dim}-p1.5") for dim in (1, 2, 3)),
+])
+def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     # the flux-integrated seed solves the scheme itself, not the continuum
-    # problem: Newton's 1e-12 rounding-aware check passes at once
-    pr = make_params(dim=dim)
+    # problem: Newton's 1e-12 rounding-aware check passes at once, for the
+    # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike
+    pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=256, alpha=0.37, beta=2.9)
     calls = _count_banded(monkeypatch)
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
@@ -183,6 +187,36 @@ def test_jac_bands_from_kept_derivative_bitwise(pq):
         want = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, fresh)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jac_bands_are_the_residual_derivative(dim, pq):
+    # central differences of the residual, column by column, against the
+    # bands: every row, the axis row 0 and the row next to the Dirichlet node
+    # included, with and without the theta, shift and singular terms
+    pr = make_params(p=pq[0], q=pq[1], dim=dim)
+    op = DiscreteOperator.from_params(pr, n=32, alpha=0.37, beta=2.9)
+    u = (1.0 - op.grid) * (1.5 + op.grid)   # |u'| >= 0.5: F is smooth at every half node
+    rhs = np.linspace(1.0, 2.0, op.n)
+    anchor = 0.9 * u[:-1]
+    for theta, khat, mu in ((0.0, 0.0, 0.0), (0.3, 2.0, 0.7)):
+        args = (theta, khat, np.full(op.n, mu))
+
+        def residual(v):
+            return discrete_solver._residual_scale(op, v, *args, rhs, mu > 0.0, anchor)
+
+        sub, diag, sup = discrete_solver._jac_bands(op, u, *args, mu > 0.0, residual(u)[3])
+        J = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        fd = np.empty_like(J)
+        for j in range(op.n):
+            step = 1e-6 * u[j]
+            up, down = u.copy(), u.copy()
+            up[j] += step
+            down[j] -= step
+            fd[:, j] = (residual(up)[0] - residual(down)[0]) / (2.0 * step)
+        assert np.max(np.abs(fd - J)) <= 1e-6 * np.max(np.abs(J))
+        assert np.all(np.abs(fd - J) <= 1e-6 * np.abs(J) + 1e-9 * np.max(np.abs(J)))
 
 
 def test_rounding_floor_finite_on_a_flat_core():
