@@ -4,7 +4,8 @@ Pipeline: pq_core (the scalar operator algebra), nonlinearity (reaction
 assumptions and derived truncations), parameter_window (the admissible load
 interval), radial_solver (the comparison profile), barrier (the boundary
 collar supersolution), discrete_solver (finite differences, the four
-sub/supersolutions, the monotone iteration), cli (JSON-config driver).
+sub/supersolutions, the monotone iteration, shooting for the third
+solution), cli (the JSON-config command line).
 """
 
 from .pq_core import (
@@ -62,6 +63,7 @@ from .discrete_solver import (
     amann_iterate,
     certify,
     original_residual,
+    march,
     search_third_solution,
 )
 from . import errors
@@ -84,6 +86,6 @@ __all__ = [
     "DiscreteOperator", "IterationTrace", "PairsResult", "apply",
     "solve_eta_problem", "solve_singular_constant", "build_first_pair",
     "build_second_pair", "construct_pairs", "that_map", "amann_iterate",
-    "certify", "original_residual", "search_third_solution",
+    "certify", "original_residual", "march", "search_third_solution",
     "errors",
 ]

@@ -10,8 +10,9 @@ Exit codes carry the verdict so runs can be scripted:
 
 Outputs are deterministic byte-for-byte for a fixed config: JSON is written
 sorted with two-space indent, CSV numbers with repr-faithful %.17g, rows in
-a fixed order (sweeps ascend in lambda), and the only random element (the
-third-solution probe) runs under the seed from the config.
+a fixed order (sweeps ascend in lambda).  No step is random: the config's
+`seed` and the --seed flag are accepted and checked for backward
+compatibility, and seed nothing.
 """
 
 from __future__ import annotations
@@ -159,7 +160,6 @@ class _Env:
     reactions: object
     n: int
     outdir: Path
-    seed: int
     tol_certify: float | None
     conv_factor: float
     budget: int
@@ -231,12 +231,13 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
         _fail(f"lambda must be nonnegative, got {lam}")
 
     outdir = Path(out if out is not None else cfg.get("output", {}).get("dir", "."))
+    # seed and --seed seed nothing (no step is random); they stay valid input
     seed_val = seed if seed is not None else cfg.get("seed", 0)
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
     env = _Env(spec=spec, params0=params0, window=window, params=params0,
-               reactions=reactions0, n=int(n), outdir=outdir, seed=int(seed_val),
+               reactions=reactions0, n=int(n), outdir=outdir,
                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
                barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
                barrier_nu=barrier_nu, sweep_count=sweep_count)
@@ -384,8 +385,8 @@ def _cmd_solve(env: _Env) -> int:
         _write_json(env.outdir / "solve.json", report)
         _print(report)
         return 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as fired:
+        warnings.simplefilter("always")  # every warning, in firing order, in every run
         # the two theorem intervals: u1 is minimal in [u0, v_up], u2 maximal
         # in [v0, u_up]
         lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
@@ -394,12 +395,14 @@ def _cmd_solve(env: _Env) -> int:
         up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
                               "from_upper", budget=env.budget,
                               conv_factor=env.conv_factor)
-        third = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                         seed=env.seed, conv_factor=env.conv_factor)
+        third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                             pairs)
     _write_csv(env.outdir / "solution_lower.csv", ("r", "u"),
                (lo.limit.nodes, lo.limit.values))
     _write_csv(env.outdir / "solution_upper.csv", ("r", "u"),
                (up.limit.nodes, up.limit.values))
+    if u3 is not None:
+        _write_csv(env.outdir / "solution_middle.csv", ("r", "u"), (u3.nodes, u3.values))
     gap = float(np.max(np.abs(up.limit.values - lo.limit.values)))
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({
@@ -416,6 +419,8 @@ def _cmd_solve(env: _Env) -> int:
         "gap": gap,
         "distinctness": distinct,
         "third_solution": third,
+        "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                     for w in fired],
     })
     _write_json(env.outdir / "solve.json", report)
     _print(report)
@@ -531,7 +536,8 @@ def main(argv=None) -> int:
         cp.add_argument("--nodes", type=int, default=None, help="override grid.n")
         cp.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="override the load (default: config, else window midpoint)")
-        cp.add_argument("--seed", type=int, default=None, help="override the probe seed")
+        cp.add_argument("--seed", type=int, default=None,
+                        help="accepted for compatibility; no step is random, so it has no effect")
         if name == "certify":
             cp.add_argument("--input", required=True, help="CSV with columns r,value")
             cp.add_argument("--kind", required=True,

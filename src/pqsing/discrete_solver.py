@@ -2,15 +2,20 @@
 
 One uniform grid on [0, R] carries everything: the flux-form operator, the
 auxiliary solves (constant load, singular constant load), the four
-sub/supersolution constructors, the shifted solve map T-hat, and the Amann
-iteration between ordered endpoints.  All nonlinear systems go through one
+sub/supersolution constructors, the shifted solve map T-hat, the Amann
+iteration between ordered endpoints (u1, u2), and discrete shooting for the
+third solution u3 between them.  All nonlinear systems go through one
 damped-Newton core.  The constant-load problems behind both pairs (w_eta,
 u_alpha, u_beta*) are seeded at their exact discrete solution, which the flux
 form yields by two cumulative sums (_load_solution), so Newton only checks it.
-The solve map seeds Newton at its input when the input's residual is
-sign-definite (a supersolution, or a subsolution within the load's scale) and
-beats the load-sized paraboloid's, so the long orbits of both Amann legs and
-of the third-solution probe start each solve next to its answer (that_map).
+The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
+node by node from u(0) (march); u3 is the root of u_n between u1(0) and
+u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
+system (search_third_solution).  The solve map seeds Newton at its input
+when the input's residual is sign-definite (a supersolution, or a
+subsolution within the load's scale) and beats the load-sized paraboloid's,
+so the long orbits of both Amann legs start each solve next to its answer
+(that_map).
 
 Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
 cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
@@ -68,6 +73,7 @@ __all__ = [
     "amann_iterate",
     "certify",
     "original_residual",
+    "march",
     "search_third_solution",
 ]
 
@@ -244,6 +250,10 @@ def _scaled_err(res, scale, rnd):
     return float(np.max((np.abs(res) - rnd) / scale))
 
 
+def _worst_node(res, scale, rnd) -> int:
+    return int(np.argmax((np.abs(res) - rnd) / scale))
+
+
 def _jac_bands(op, u, theta, khat, mu, singular, kept):
     """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept,
     F' clipped at |g| = _JAC_FLOOR."""
@@ -272,32 +282,43 @@ def _newton_start(init, singular):
     return u
 
 
-def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None):
+def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None,
+            load=None):
     """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
-    mu u^{-gamma} = rhs; mu and rhs are scalars or one value per node
-    0..n-1.  `first` is the _residual_scale of the same system at init,
-    when the caller has evaluated it already to choose the seed; init must
-    then be a _newton_start."""
+    mu u^{-gamma} = rhs + load(u); mu and rhs are scalars or one value per
+    node 0..n-1.  `load`, when given, maps u at nodes 0..n-1 to the values
+    and the derivative of a u-dependent load.  `first` is the
+    _residual_scale of the same system at init, when the caller has
+    evaluated it already to choose the seed; init must then be a
+    _newton_start, and load None.  Returns (u, the number of Newton steps)."""
     n = op.n
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
     if np.any(mu < 0.0):
         raise ConfigurationError("singular weights must be nonnegative")
     singular = bool(np.any(mu > 0.0))
+
+    def evaluate(u):
+        """(_residual_scale at u, the load's derivative there or None)."""
+        if load is None:
+            return _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor), None
+        value, slope = load(u[:-1])
+        return _residual_scale(op, u, theta, khat, mu, rhs + value, singular, anchor), slope
+
     if first is None:
         u = _newton_start(init, singular)
-        first = _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor)
+        first, slope = evaluate(u)
     else:
-        u = init
+        u, slope = init, None
     res, scale, rnd, kept = first
     err = _scaled_err(res, scale, rnd)
     ab = np.zeros((3, n))
-    for _ in range(_NEWTON_BUDGET):
+    for steps in range(_NEWTON_BUDGET):
         if err <= tol:
-            return u
+            return u, steps
         sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
         ab[0, 1:] = sup[:-1]
-        ab[1, :] = diag
+        ab[1, :] = diag if slope is None else diag - slope
         ab[2, :-1] = sub[1:]
         d = solve_banded((1, 1), ab, -res)
         step = 1.0
@@ -306,19 +327,21 @@ def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None):
             trial[:-1] = u[:-1] + step * d
             if singular:
                 trial[:-1] = np.maximum(trial[:-1], _POS_FLOOR)
-            tres, tscale, trnd, tkept = _residual_scale(op, trial, theta, khat, mu, rhs,
-                                                        singular, anchor)
+            (tres, tscale, trnd, tkept), tslope = evaluate(trial)
             terr = _scaled_err(tres, tscale, trnd)
             if np.isfinite(terr) and terr < err:
-                u, res, err, kept = trial, tres, terr, tkept
+                u, res, scale, rnd, err, kept, slope = (trial, tres, tscale, trnd, terr,
+                                                        tkept, tslope)
                 break
             step *= 0.5
         else:
             raise ConvergenceFailure(
-                f"Newton line search stalled at scaled residual {err:.3e}")
+                f"Newton line search stalled at scaled residual {err:.3e} "
+                f"(worst node {_worst_node(res, scale, rnd)})")
     if err <= tol:
-        return u
-    raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e})")
+        return u, _NEWTON_BUDGET
+    raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e}, "
+                             f"worst node {_worst_node(res, scale, rnd)})")
 
 
 def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
@@ -352,7 +375,7 @@ def solve_eta_problem(op: DiscreteOperator, eta: float) -> GridFunction:
     if eta <= 0.0:
         raise ConfigurationError("eta must be positive")
     rhs = np.full(op.n, eta)
-    u = _newton(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))
+    u = _newton(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))[0]
     return GridFunction(op.grid, u)
 
 
@@ -366,7 +389,7 @@ def solve_singular_constant(op: DiscreteOperator, load: float) -> GridFunction:
         raise ConfigurationError("load must be positive")
     init = solve_eta_problem(op, load).values.copy()
     init[:-1] = np.maximum(init[:-1], _POS_FLOOR)
-    u = _newton(op, 0.0, 0.0, load, 0.0, init)
+    u = _newton(op, 0.0, 0.0, load, 0.0, init)[0]
     if float(np.min(u[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("singular solve collapsed onto the positivity floor")
     return GridFunction(op.grid, u)
@@ -666,7 +689,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
         rhs = rhs + Theta * lpq_scalar(zi, params)
     amp = 0.5 * R * lpq_inverse(float(np.max(rhs)) * R / N, params)
     init = np.maximum(_paraboloid(op.grid, R, amp), zeta.values)
-    psi = _newton(op, Theta, 0.0, 0.0, rhs, init)
+    psi = _newton(op, Theta, 0.0, 0.0, rhs, init)[0]
     v0 = GridFunction(op.grid, psi)
     eps_low = float(np.min(-_unshifted(params, reactions, op, psi)[0]))
 
@@ -791,12 +814,11 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     (then w <= u and the solve only descends), or a subsolution whose scaled
     residual is at most 1, i.e. |A(u) - load| within the load's own scale.
     Such a u is near-(p,q)-superharmonic, as the map's images are.  On both
-    shipped configurations every map of the descending leg, all but the
-    first of the ascending leg and most of the third-solution probe's seed
-    at their input.  Without the guard a far-off subsolution (a sin^2 shape
-    with scaled residual 4.7e3, say) would seed Newton far below its
-    answer, and the damped search exhausts its budget climbing the
-    degenerate region.  The chosen seed's residual is Newton's first
+    shipped configurations every map of the descending leg and all but the
+    first of the ascending leg seed at their input.  Without the guard a
+    far-off subsolution (a sin^2 shape with scaled residual 4.7e3, say)
+    would seed Newton far below its answer, and the damped search exhausts
+    its budget climbing the degenerate region.  The chosen seed's residual is Newton's first
     evaluation.
     """
     op = _operator_for(params, u, op)
@@ -831,7 +853,8 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
         definite = bool(np.all(res >= -rnd)) or (bool(np.all(res <= rnd)) and err_u <= 1.0)
         if definite and err_u < _scaled_err(*chosen[1][:3]):
             chosen = at_u
-    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], tol, anchor=uv[:-1], first=chosen[1])
+    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], tol, anchor=uv[:-1],
+                first=chosen[1])[0]
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
     return GridFunction(op.grid, w)
@@ -993,70 +1016,129 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     )
 
 
-def search_third_solution(params: Params, reactions: DerivedReactions,
-                          u1: GridFunction, u2: GridFunction,
-                          op: DiscreteOperator | None = None,
-                          attempts: int = 3, iters: int = 25, seed: int = 0,
-                          conv_factor: float = 1e-8) -> dict:
-    """Best-effort hunt for a fixed point away from both known solutions.
+_SHOOT_N = 64          # cells of the coarse grid that brackets u3
+_SHOOT_STARTS = 200    # geometric starts u(0) of the bracketing march
+_SHOOT_REFINE = 32     # starts of its one refinement
 
-    Seeds are convex combinations of u1, u2 with a random radial bump; each
-    is iterated under the solve map for a short budget (`iters` map
-    applications; each attempt reports how many it used, a failed one
-    included, as `maps`).  Purely a log: the third solution is an
-    existence statement, not a constructive one, and the iteration usually
-    slides back into a known basin.
 
-    An attempt counts as distinct when it ends on a fixed point at least
-    0.05 theta1 from both known solutions, and at least 1e-6 of their sup
-    norm.  The second floor is float noise: Newton accepts any iterate whose
-    residual is within its rounding floor, so each solution is a fixed point
-    only to a band whose width grows with its size.  On the reference
-    configuration (sup 8.9e16) attempts end 1e6-7e7 from u2, under 1e-9
-    relative, which the absolute level alone would call a third solution.
+def march(op: DiscreteOperator, reactions: DerivedReactions, starts) -> np.ndarray:
+    """Discrete shooting: the scheme's rows solved node by node from u_0 = a.
+
+    The flux form telescopes as in _load_solution, and the load
+    lam f(u_i) u_i^{-gamma} of row i is known once u_i is:
+
+        Phi_i = Phi_{i-1} - vol_i lam f(u_i) u_i^{-gamma},   Phi_{-1} = 0,
+        g_i = F^{-1}(Phi_i / area_i),   u_{i+1} = u_i + h g_i.
+
+    One march per start a, batched; returns their values at nodes 0..n,
+    one row per start.  Every solution of the discrete problem is the march
+    from its own u(0), and its u_n is 0.  A march that reaches u_i <= 0 at
+    some i < n has died and reads -inf from node i+1 on: as u_i -> 0+ the
+    singular load drives u_{i+1} to -inf, so the sign of u_n stays
+    continuous in a.
     """
-    if op is None:
-        op = DiscreteOperator(params, u1.nodes)
-    rng = np.random.default_rng(seed)
-    R = params.radius
-    level = max(0.05 * reactions.spec.theta1, 1e-6 * max(u1.sup_norm(), u2.sup_norm()))
-    ctol = conv_factor * reactions.spec.theta2
-    records = []
-    found = False
-    for _ in range(attempts):
-        mix = float(rng.uniform(0.25, 0.75))
-        bump = 1.0 + 0.5 * float(rng.uniform(-1.0, 1.0)) * np.sin(np.pi * u1.nodes / R)
-        vals = (mix * u1.values + (1.0 - mix) * u2.values) * bump
-        vals = np.maximum(vals, 0.0)
-        vals[-1] = 0.0
-        cur = GridFunction(u1.nodes, vals)
-        status = "budget"
-        maps = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _k in range(iters):
-                maps += 1
-                try:
-                    nxt = that_map(params, reactions, cur, op=op)
-                except (ConvergenceFailure, PositivityLoss):
-                    status = "solver_failed"
-                    break
-                inc = float(np.max(np.abs(nxt.values - cur.values)))
-                cur = nxt
-                if inc < ctol:
-                    status = "fixed_point"
-                    break
-        d1 = float(np.max(np.abs(cur.values - u1.values)))
-        d2 = float(np.max(np.abs(cur.values - u2.values)))
-        distinct = status == "fixed_point" and min(d1, d2) >= level
-        found = found or distinct
-        records.append({
-            "mix": mix,
-            "status": status,
-            "maps": maps,
-            "dist_to_u1": d1,
-            "dist_to_u2": d2,
-            "sup": cur.sup_norm(),
-            "distinct": distinct,
-        })
-    return {"found_distinct": found, "attempts": records}
+    params = op.params
+    starts = np.asarray(starts, dtype=float)
+    u = np.full((starts.size, op.n + 1), -np.inf)
+    u[:, 0] = starts
+    flux = np.zeros(starts.size)
+    for i in range(op.n):
+        live = u[:, i] > 0.0
+        ui = u[live, i]
+        flux[live] -= op.vol[i] * _reaction_values(params, reactions, ui)
+        u[live, i + 1] = ui + op.h * lpq_inverse(flux[live] / op.area[i], params,
+                                                 op.alpha, op.beta)
+    return u
+
+
+def _shoot_middle(op, reactions, a1, a2):
+    """(the _SHOOT_N grid, a march on it from near the middle root of u_n(a)
+    in (a1, a2)); SearchExhausted names the stage that finds no such root.
+
+    u_n rises through 0 at u1(0) and u2(0) and falls through 0 at u3(0) in
+    between, so u3 is the one falling sign change.  A march over
+    _SHOOT_STARTS geometric starts brackets it, one over _SHOOT_REFINE
+    starts inside the bracket refines it, and the refined bracket's
+    positive end is the profile.
+    """
+    coarse = DiscreteOperator.from_params(op.params, _SHOOT_N, op.alpha, op.beta)
+    lo, hi = a1, a2
+    for count in (_SHOOT_STARTS, _SHOOT_REFINE):
+        starts = np.geomspace(lo, hi, count)
+        u = march(coarse, reactions, starts)
+        un = u[:, -1]
+        falls = np.flatnonzero((un[:-1] > 0.0) & (un[1:] <= 0.0))
+        if falls.size != 1:
+            raise SearchExhausted(
+                f"{falls.size} falling sign changes of u at node {_SHOOT_N} of the "
+                f"{_SHOOT_N}-cell march over {count} starts u(0) in "
+                f"[{lo:.6g}, {hi:.6g}], need 1")
+        k = int(falls[0])
+        lo, hi = starts[k], starts[k + 1]
+    return coarse, u[k]
+
+
+def search_third_solution(params: Params, reactions: DerivedReactions,
+                          u1: GridFunction, u2: GridFunction, pairs: PairsResult,
+                          op: DiscreteOperator | None = None):
+    """Amann's third solution u3, between u1 and u2, by discrete shooting.
+
+    u3 lies in [u0, u_up] but in neither [u0, v_up] nor [v0, u_up].  The
+    solve map is order-preserving, so its orbits settle only on the minimal
+    and maximal solutions of an order interval; shooting does not need one.
+    _shoot_middle brackets the root of u_n(a) between u1(0) and u2(0) on a
+    coarse grid (march), and its profile, interpolated onto op's grid, seeds
+    Newton on the unshifted system A(u) - lam f(0) u^{-gamma} = fhat(u).
+    u3 is an unstable solution, so no monotone iteration reaches it.
+
+    Returns (report, u3).  The report carries status "converged", u(0),
+    the sup norm, the plain and rounding-aware residuals (as each Amann leg
+    reports them), the Newton steps, the distances to u1 and u2 and four
+    certificates: u0 <= u3, u3 <= u_up, u3 not below v_up and v0 not below
+    u3.  A stage that fails gives status "bracket_failed" or
+    "polish_failed", a message naming the stage and the node, and u3 None.
+    """
+    op = _operator_for(params, u1, op)
+    a1, a2 = float(u1.values[0]), float(u2.values[0])
+    try:
+        coarse, seed = _shoot_middle(op, reactions, a1, a2)
+    except (SearchExhausted, ConvergenceFailure) as exc:
+        return {"status": "bracket_failed", "message": f"shooting bracket: {exc}"}, None
+    gamma = params.gamma
+
+    def fhat_load(ui):
+        """(fhat, fhat') at positive ui: the solve map's load, now a Newton load."""
+        value = np.asarray(reactions.fhat(ui), dtype=float)
+        fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
+        return value, reactions.lam * fp * ui ** (-gamma) - gamma * value / ui
+
+    init = np.interp(op.grid, coarse.grid, seed)
+    try:
+        w, steps = _newton(op, 0.0, 0.0, reactions.lam * reactions.f0, 0.0, init,
+                           load=fhat_load)
+        low = int(np.argmin(w[:-1]))
+        if w[low] <= 2.0 * _POS_FLOOR:
+            raise PositivityLoss(f"collapsed onto the positivity floor at node {low}")
+    except (ConvergenceFailure, PositivityLoss) as exc:
+        return {"status": "polish_failed",
+                "message": f"shooting polish from u(0) = {seed[0]:.6g}: {exc}"}, None
+    u3 = GridFunction(op.grid, w)
+    certs = {
+        "order_u0_u3": certify(params, reactions, pairs.u0, "ordering", other=u3),
+        "order_u3_uup": certify(params, reactions, u3, "ordering", other=pairs.u_up),
+        "nonorder_u3_vup": certify(params, reactions, u3, "nonordering", other=pairs.v_up),
+        "nonorder_v0_u3": certify(params, reactions, pairs.v0, "nonordering", other=u3),
+    }
+    report = {
+        "status": "converged",
+        "u_at_0": float(w[0]),
+        "sup": u3.sup_norm(),
+        "residual": original_residual(params, reactions, u3, op=op),
+        "scaled_residual": _fixed_point_residual(op, reactions, w),
+        "newton_steps": steps,
+        "dist_to_u1": float(np.max(np.abs(w - u1.values))),
+        "dist_to_u2": float(np.max(np.abs(w - u2.values))),
+        "certificates": {k: c.summary() for k, c in certs.items()},
+        "all_passed": all(c.passed for c in certs.values()),
+    }
+    return report, u3

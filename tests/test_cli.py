@@ -150,14 +150,19 @@ def test_solve_small_all_green(tmp_path, capsys):
     # descending leg needed a positive shift, ascending leg did not
     assert rep["from_upper"]["khat"] > 0.0
     assert rep["from_lower"]["khat"] == 0.0
-    assert rep["third_solution"]["found_distinct"] in (True, False)
-    for att in rep["third_solution"]["attempts"]:
-        assert 1 <= att["maps"] <= 25
+    third = rep["third_solution"]
+    assert set(third) == {"status", "u_at_0", "sup", "residual", "scaled_residual",
+                          "newton_steps", "dist_to_u1", "dist_to_u2", "certificates",
+                          "all_passed"}
+    assert third["status"] == "converged" and third["all_passed"] is True
+    assert set(third["certificates"]) == {"order_u0_u3", "order_u3_uup",
+                                          "nonorder_u3_vup", "nonorder_v0_u3"}
+    assert rep["warnings"] == []
     # the rounding-aware residual discounts flux-cancellation rounding, which
     # the plain one counts
     for leg in ("from_lower", "from_upper"):
         assert rep[leg]["scaled_residual"] <= rep[leg]["residual"] <= 1e-6
-    for name in ("solution_lower.csv", "solution_upper.csv"):
+    for name in ("solution_lower.csv", "solution_upper.csv", "solution_middle.csv"):
         header, data = read_csv(tmp_path / name)
         assert header == ["r", "u"]
         assert data.shape == (257, 2)
@@ -294,18 +299,49 @@ def test_sweep_radial_min_tracks_the_load(config, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_probe_uses_the_configured_conv_factor(tmp_path, capsys, monkeypatch):
-    seen = {}
-    real = cli.ds.search_third_solution
+@pytest.mark.parametrize("config, nodes, u_at_0", [
+    (SMALL, None, 31.7574), (SMALL, 1024, None), (SMALL, 4096, None),
+    (REFERENCE, None, 13.6941), (REFERENCE, 8192, None), (REFERENCE, 16384, None),
+], ids=["small-shipped", "small-1024", "small-4096",
+        "reference-shipped", "reference-8192", "reference-16384"])
+def test_solve_finds_the_third_solution(config, nodes, u_at_0, tmp_path, capsys):
+    # Amann's u3 at the shipped n and at each mesh-ladder n: polished to its
+    # rounding floor, in [u0, u_up] but in neither [u0, v_up] nor [v0, u_up],
+    # and as far from u1 and u2 as the solve's distinctness rule asks
+    assert run("solve", str(config), out=str(tmp_path), nodes=nodes) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    third = rep["third_solution"]
+    assert third["status"] == "converged"
+    assert third["all_passed"] is True
+    assert all(c["passed"] for c in third["certificates"].values())
+    assert third["scaled_residual"] <= 0.0 < third["residual"]
+    assert min(third["dist_to_u1"], third["dist_to_u2"]) >= 0.1 * 1.0
+    assert rep["from_lower"]["sup"] < third["sup"] < rep["from_upper"]["sup"]
+    if u_at_0 is not None:
+        assert third["u_at_0"] == pytest.approx(u_at_0, rel=1e-5)
+    header, data = read_csv(tmp_path / "solution_middle.csv")
+    assert header == ["r", "u"] and data[0, 1] == third["u_at_0"]
+    capsys.readouterr()
 
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.ds, "search_third_solution", spy)
-    cfg = small_cfg(tolerances={"conv_factor": 1e-7})
-    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-    assert seen["conv_factor"] == 1e-7
+def test_solve_records_the_warnings_that_fired(tmp_path, capsys):
+    # a one-step budget stops both legs early: each warns IterationBudget,
+    # and the report lists the warnings in the order they fired
+    cfg = small_cfg(tolerances={"budget": 1})
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 3
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    fired = rep["warnings"]
+    assert [w["category"] for w in fired] == ["IterationBudget", "IterationBudget"]
+    assert fired[0]["message"].startswith("from_lower run used the full budget of 1")
+    assert fired[1]["message"].startswith("from_upper run used the full budget of 1")
+    capsys.readouterr()
+
+
+def test_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
+    assert run("solve", str(SMALL), out=str(tmp_path / "a"), nodes=64) == 0
+    assert run("solve", str(SMALL), out=str(tmp_path / "b"), nodes=64, seed=12345) == 0
+    for name in ("solve.json", "solution_middle.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     capsys.readouterr()
 
 

@@ -19,6 +19,7 @@ from pqsing import (
     choose_khat,
     construct_pairs,
     lpq_derivative,
+    march,
     original_residual,
     quadrature_solve,
     search_third_solution,
@@ -151,8 +152,8 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         seed = discrete_solver._load_solution(op, rhs)
         assert seed[-1] == 0.0 and np.all(np.diff(seed) < 0.0)
-        u = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed, 1e-12)
-        assert np.array_equal(u, seed)
+        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed, 1e-12)
+        assert np.array_equal(u, seed) and steps == 0
     assert calls == []
 
 
@@ -591,27 +592,20 @@ def test_amann_limit_mesh_stability(gentle):
     assert diff <= 5e-4 * float(lo.limit.sup_norm())
 
 
-def test_search_third_solution_logs(gentle):
-    env = gentle
+def _legs(env):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
                            "from_lower", op=env.op)
         up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
                            "from_upper", op=env.op)
-        out = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                    op=env.op, attempts=2, iters=8, seed=0)
-    assert set(out) == {"found_distinct", "attempts"}
-    assert len(out["attempts"]) == 2
-    for att in out["attempts"]:
-        assert att["status"] in ("budget", "fixed_point", "solver_failed")
-        assert "dist_to_u1" in att and "dist_to_u2" in att
-        assert 1 <= att["maps"] <= 8
+    return lo, up
 
 
 def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
-    # both are long orbits of subsolution inputs, each seeded at itself
-    # (256 and 16 banded solves when every map started at the load seed)
+    # the ascending leg is a long orbit of subsolution inputs, each seeded at
+    # itself (16 banded solves when every map started at the load seed); the
+    # third-solution probe is one Newton polish of a shooting profile
     env = gentle
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -621,29 +615,76 @@ def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
         assert lo.converged and len(calls) <= 12
         up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
                            "from_upper", op=env.op)
-        calls.clear()
-        out = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                    op=env.op, seed=0)
-    assert len(calls) <= 180
-    for att in out["attempts"]:
-        assert att["status"] == "fixed_point"
-        assert 1 <= att["maps"] <= 25
+    calls.clear()
+    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                       env.pairs, op=env.op)
+    assert report["status"] == "converged" and u3 is not None
+    assert len(calls) == report["newton_steps"] <= 8
 
 
-def test_search_third_solution_reference_not_distinct(cfg1):
-    # on the reference configuration every attempt ends on u2 to float noise
-    # (sup 8.9e16, distance ~1e7); that is not a third solution
-    env = cfg1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                           "from_lower", op=env.op)
-        up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op)
-        out = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                    op=env.op, seed=0)
-    assert out["found_distinct"] is False
-    landed = [a for a in out["attempts"] if a["status"] == "fixed_point"]
-    assert landed
-    for att in landed:
-        assert att["dist_to_u2"] <= 1e-6 * up.limit.sup_norm()
+def _march_root(op, reactions, a, band, count=64):
+    """The start where u_n(start) rises through 0 within a (1 +- 1e-5), by
+    nested uniform grids of starts until the bracket is below band / 100."""
+    lo, hi = a * (1.0 - 1e-5), a * (1.0 + 1e-5)
+    while hi - lo >= 0.01 * band:
+        starts = np.linspace(lo, hi, count)
+        un = march(op, reactions, starts)[:, -1]
+        k = np.flatnonzero((un[:-1] <= 0.0) & (un[1:] > 0.0))
+        assert k.size == 1, un
+        lo, hi = starts[k[0]], starts[k[0] + 1]
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", ["gentle", "cfg1"])
+def test_march_roots_are_the_amann_limits(name, request):
+    # shooting is an oracle for both legs that shares no Newton, shift or
+    # order interval with them: the march from u(0) = u1(0) or u2(0) must
+    # reach the boundary at 0.  The ascending leg stops on an increment
+    # below conv_factor * theta2, 4e-7 relative on gentle; the descending
+    # leg on cfg1 (sup 8.9e16) stops where the map cannot move its iterate
+    # any more, so its limit is known only to its last nonzero increment
+    env = request.getfixturevalue(name)
+    lo, up = _legs(env)
+    for leg in (lo, up):
+        a = float(leg.limit.values[0])
+        band = 1e-6 * a
+        if name == "cfg1" and leg is up:
+            band = min(inc for inc in up.increments if inc > 0.0)
+            assert band < 1e-9 * a
+        root = _march_root(env.op, env.reactions, a, band)
+        assert abs(root - a) <= band, (leg.start, root, a)
+    # every node of the march from the limit's own u(0) stays positive
+    u = march(env.op, env.reactions, [float(lo.limit.values[0])])[0]
+    assert np.all(u[:-1] > 0.0)
+
+
+def test_march_reproduces_the_scheme(gentle):
+    # a march is the scheme's rows solved node by node: A(u) equals the
+    # reaction at nodes 0..n-1 to rounding, whatever u_n it reaches
+    env = gentle
+    u = march(env.op, env.reactions, [20.0, 40.0])
+    assert np.all(u[0, :-1] > 0.0) and u[0, -1] > 0.0     # overshoots the boundary
+    assert u[1, -1] == -np.inf                              # dies before it
+    row = u[0]
+    A = apply(env.op, row).values[:-1]
+    react = env.reactions.lam * env.reactions.f(row[:-1]) * row[:-1] ** (-env.params.gamma)
+    assert np.max(np.abs(A - react) / (1.0 + react)) < 1e-9
+
+
+def test_search_third_solution_failures_name_stage_and_node(gentle, monkeypatch):
+    env = gentle
+    lo, up = _legs(env)
+    # no root between u1(0) and itself: the bracket stage fails, at node n
+    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, lo.limit,
+                                       env.pairs, op=env.op)
+    assert u3 is None and report["status"] == "bracket_failed"
+    assert report["message"].startswith("shooting bracket: 0 falling sign changes")
+    assert "at node 64" in report["message"]
+    # a Newton budget of one step: the polish fails and names its worst node
+    monkeypatch.setattr(discrete_solver, "_NEWTON_BUDGET", 1)
+    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                       env.pairs, op=env.op)
+    assert u3 is None and report["status"] == "polish_failed"
+    assert report["message"].startswith("shooting polish from u(0) = ")
+    assert "Newton budget exhausted" in report["message"]
+    assert "worst node" in report["message"]
