@@ -6,7 +6,8 @@ Exit codes carry the verdict so runs can be scripted:
     1   a certificate failed (including positivity loss and failed
         nonlinearity assumptions)
     2   the config did not validate (schema, types, parameter ranges)
-    3   a solve or search did not converge within its budget
+    3   a solve or search did not converge within its budget, or met a
+        singular or non-finite Newton system
 
 Outputs are deterministic byte-for-byte for a fixed config: JSON is written
 sorted with two-space indent, CSV numbers with repr-faithful %.17g, rows in
@@ -254,12 +255,20 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, names, columns) -> None:
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+def _csv_text(values) -> list:
+    """One CSV column as repr-faithful %.17g text."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_csv_text(path: Path, names, texts) -> None:
+    """A header line of names, then one row per entry of the _csv_text columns."""
+    lines = [",".join(names), *map(",".join, zip(*texts))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row % values for values in
-                      zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_csv(path: Path, names, columns) -> None:
+    _write_csv_text(path, names, map(_csv_text, columns))
 
 
 def _read_grid_function(path: str) -> GridFunction:
@@ -379,30 +388,35 @@ def _cmd_pairs(env: _Env) -> int:
 
 
 def _cmd_solve(env: _Env) -> int:
-    profile, rcert, pairs = _pairs(env)
-    report = _pairs_report(env, rcert, pairs)
+    with warnings.catch_warnings(record=True) as fired:
+        warnings.simplefilter("always")  # every warning, in firing order, in every run
+        profile, rcert, pairs = _pairs(env)
+        report = _pairs_report(env, rcert, pairs)
+        if report["all_passed"]:
+            # the two theorem intervals: u1 is minimal in [u0, v_up], u2
+            # maximal in [v0, u_up]
+            lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
+                                  "from_lower", budget=env.budget,
+                                  conv_factor=env.conv_factor)
+            up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
+                                  "from_upper", budget=env.budget,
+                                  conv_factor=env.conv_factor)
+            third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit,
+                                                 up.limit, pairs)
+    report["warnings"] = [{"category": w.category.__name__, "message": str(w.message)}
+                          for w in fired]
     if not report["all_passed"]:
         _write_json(env.outdir / "solve.json", report)
         _print(report)
         return 1
-    with warnings.catch_warnings(record=True) as fired:
-        warnings.simplefilter("always")  # every warning, in firing order, in every run
-        # the two theorem intervals: u1 is minimal in [u0, v_up], u2 maximal
-        # in [v0, u_up]
-        lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
-                              "from_lower", budget=env.budget,
-                              conv_factor=env.conv_factor)
-        up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
-                              "from_upper", budget=env.budget,
-                              conv_factor=env.conv_factor)
-        third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                             pairs)
-    _write_csv(env.outdir / "solution_lower.csv", ("r", "u"),
-               (lo.limit.nodes, lo.limit.values))
-    _write_csv(env.outdir / "solution_upper.csv", ("r", "u"),
-               (up.limit.nodes, up.limit.values))
+    r = _csv_text(lo.limit.nodes)  # the three solutions share the grid
+    _write_csv_text(env.outdir / "solution_lower.csv", ("r", "u"),
+                    (r, _csv_text(lo.limit.values)))
+    _write_csv_text(env.outdir / "solution_upper.csv", ("r", "u"),
+                    (r, _csv_text(up.limit.values)))
     if u3 is not None:
-        _write_csv(env.outdir / "solution_middle.csv", ("r", "u"), (u3.nodes, u3.values))
+        _write_csv_text(env.outdir / "solution_middle.csv", ("r", "u"),
+                        (r, _csv_text(u3.values)))
     gap = float(np.max(np.abs(up.limit.values - lo.limit.values)))
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({
@@ -419,8 +433,6 @@ def _cmd_solve(env: _Env) -> int:
         "gap": gap,
         "distinctness": distinct,
         "third_solution": third,
-        "warnings": [{"category": w.category.__name__, "message": str(w.message)}
-                     for w in fired],
     })
     _write_json(env.outdir / "solve.json", report)
     _print(report)

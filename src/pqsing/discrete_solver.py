@@ -5,9 +5,11 @@ auxiliary solves (constant load, singular constant load), the four
 sub/supersolution constructors, the shifted solve map T-hat, the Amann
 iteration between ordered endpoints (u1, u2), and discrete shooting for the
 third solution u3 between them.  All nonlinear systems go through one
-damped-Newton core.  The constant-load problems behind both pairs (w_eta,
-u_alpha, u_beta*) are seeded at their exact discrete solution, which the flux
-form yields by two cumulative sums (_load_solution), so Newton only checks it.
+damped-Newton core, whose tridiagonal steps solve_banded solves by odd-even
+cyclic reduction in numpy.  The constant-load problems behind both pairs
+(w_eta, u_alpha, u_beta*) are seeded at their exact discrete solution, which
+the flux form yields by two cumulative sums (_load_solution), so Newton only
+checks it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -81,6 +83,7 @@ _JAC_FLOOR = 1e-9       # |gradient| clip of F' (Jacobian, rounding floor), not 
 _POS_FLOOR = 1e-12      # positivity safeguard for singular solves
 _NEWTON_BUDGET = 60
 _HALVINGS = 50
+_CR_DENSE = 32          # rows solve_banded leaves to numpy.linalg.solve
 _GEOM_BUDGET = 60       # eta halvings / alpha_* doublings
 _BISECT_BUDGET = 80     # m_lambda bracketing + bisection
 
@@ -184,12 +187,83 @@ def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
     return GridFunction(op.grid, np.append(_apply_values(op, vals), 0.0))
 
 
-def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded, imported at the first solve: importing
-    scipy.linalg costs more than a cold `pqsing window` does in all."""
-    from scipy import linalg
+def solve_banded(sub, diag, sup, rhs):
+    """x with sub_i x_{i-1} + diag_i x_i + sup_i x_{i+1} = rhs_i, i = 0..n-1:
+    the tridiagonal system of one Newton step (sub_0 and sup_{n-1} are not read).
 
-    return linalg.solve_banded(l_and_u, ab, b)
+    Odd-even cyclic reduction (Heller, SIAM J. Numer. Anal. 13, 1976): each
+    level eliminates the even rows of an odd-sized system and leaves its odd
+    rows, again tridiagonal, at half the size; numpy.linalg.solve finishes
+    the last <= _CR_DENSE rows, and back substitution fills the eliminated
+    rows level by level.  Identity rows pad the system once to
+    blocks * 2^levels - 1 rows, which stays odd at every level.  There is no
+    pivoting: that is stable on diagonally dominant rows, whose dominance
+    every level inherits, and the tests check the indefinite Jacobians of the
+    u3 polish against LAPACK.  A singular or non-finite system raises
+    ConvergenceFailure naming the row it fails at.
+    """
+    n = diag.size
+    levels = 0
+    while n + 1 > (_CR_DENSE + 1) << levels:
+        levels += 1
+    blocks = -(-(n + 1) >> levels)  # ceil((n + 1) / 2^levels) <= _CR_DENSE + 1
+    size = (blocks << levels) - 1
+    # row i reads b_i x_i - a_i x_{i-1} - c_i x_{i+1} = d_i: with the signs
+    # of the off-diagonals flipped, no level negates them again
+    a, b, c, d = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
+    np.negative(sub[1:], out=a[1:n])
+    np.negative(sup[:-1], out=c[:n - 1])
+    b[:n], d[:n] = diag, rhs
+    eliminated = []
+    with np.errstate(all="ignore"):  # a zero pivot surfaces as a non-finite row
+        for _ in range(levels):
+            ae, be, ce, de = a[::2], b[::2], c[::2], d[::2]
+            left, right = a[1::2] / be[:-1], c[1::2] / be[1:]
+            a, c = left * ae[:-1], right * ce[1:]
+            b = b[1::2] - left * ce[:-1] - right * ae[1:]
+            d = d[1::2] + left * de[:-1] + right * de[1:]
+            eliminated.append((ae, be, ce, de))
+        m = b.size
+        dense = np.zeros((m, m))
+        dense.flat[::m + 1] = b
+        dense.flat[m::m + 1] = -a[1:]
+        dense.flat[1::m + 1] = -c[:-1]
+        try:
+            x = np.linalg.solve(dense, d)
+        except np.linalg.LinAlgError:
+            x = np.full(m, np.nan)
+        for ae, be, ce, de in reversed(eliminated):
+            # full holds rows -1..2k+1 of this level (k = x.size), the two
+            # ends 0: the kept rows at its even slots, the eliminated at the odd
+            full = np.zeros(2 * x.size + 3)
+            full[2:-1:2] = x
+            full[1::2] = (de + ae * full[:-1:2] + ce * full[2::2]) / be
+            x = full[1:-1]
+    x = x[:n]
+    if not np.all(np.isfinite(x)):
+        raise ConvergenceFailure(_no_solution(sub, diag, sup, rhs))
+    return x
+
+
+def _no_solution(sub, diag, sup, rhs) -> str:
+    """Why solve_banded found no finite solution, and the row it fails at:
+    the first row holding a non-finite entry, else the row of the smallest
+    pivot of Gaussian elimination in row order (the NaN of a zero pivot
+    spreads over every level of the reduction, so x cannot tell)."""
+    finite = np.isfinite(diag) & np.isfinite(rhs)
+    finite[1:] &= np.isfinite(sub[1:])
+    finite[:-1] &= np.isfinite(sup[:-1])
+    if not np.all(finite):
+        return f"Newton system not finite at row {int(np.argmin(finite))}"
+    pivot, smallest, where = 1.0, np.inf, 0
+    for row, (lower, mid, upper) in enumerate(zip([0.0, *sub[1:].tolist()], diag.tolist(),
+                                                  [0.0, *sup[:-1].tolist()])):
+        pivot = mid - lower * upper / pivot
+        if abs(pivot) < smallest:
+            smallest, where = abs(pivot), row
+        if pivot == 0.0:
+            break
+    return f"Newton system singular: smallest pivot {smallest:.3e} at row {where}"
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +386,11 @@ def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None,
         u, slope = init, None
     res, scale, rnd, kept = first
     err = _scaled_err(res, scale, rnd)
-    ab = np.zeros((3, n))
     for steps in range(_NEWTON_BUDGET):
         if err <= tol:
             return u, steps
         sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
-        ab[0, 1:] = sup[:-1]
-        ab[1, :] = diag if slope is None else diag - slope
-        ab[2, :-1] = sub[1:]
-        d = solve_banded((1, 1), ab, -res)
+        d = solve_banded(sub, diag if slope is None else diag - slope, sup, -res)
         step = 1.0
         for _h_ in range(_HALVINGS + 1):
             trial = u.copy()

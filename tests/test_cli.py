@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pqsing import cli
+from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -335,6 +336,45 @@ def test_solve_records_the_warnings_that_fired(tmp_path, capsys):
     assert fired[0]["message"].startswith("from_lower run used the full budget of 1")
     assert fired[1]["message"].startswith("from_upper run used the full budget of 1")
     capsys.readouterr()
+
+
+def test_solve_records_the_pairs_warnings(tmp_path, capsys):
+    # above lambda^* the radial profile and the second pair each warn
+    # WindowViolation; the report lists both, and stderr stays quiet
+    assert run("solve", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"] * 2
+    assert rep["warnings"][0]["message"].startswith("lambda=0.29502 outside [")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan_residual", "Newton system not finite at row 17\n"),
+    ("zero_column", "Newton system singular: smallest pivot 0.000e+00 at row 17\n"),
+], ids=["nan_residual", "zero_column"])
+def test_unsolvable_newton_system_exit_3(tmp_path, capsys, monkeypatch, fault, message):
+    # a NaN residual at node 17, or a zero Jacobian column at node 17
+    if fault == "nan_residual":
+        real = ds._residual_scale
+
+        def faulty(*args, **kwargs):
+            res, scale, rnd, kept = real(*args, **kwargs)
+            res = res.copy()
+            res[17] = np.nan
+            return res, scale, rnd, kept
+
+        monkeypatch.setattr(ds, "_residual_scale", faulty)
+    else:
+        real = ds._jac_bands
+
+        def faulty(*args, **kwargs):
+            sub, diag, sup = real(*args, **kwargs)
+            sup[16] = diag[17] = sub[18] = 0.0
+            return sub, diag, sup
+
+        monkeypatch.setattr(ds, "_jac_bands", faulty)
+    assert run("solve", str(SMALL), out=str(tmp_path)) == 3
+    assert capsys.readouterr().err == "did not converge: " + message
 
 
 def test_seed_is_accepted_and_changes_nothing(tmp_path, capsys):

@@ -31,6 +31,7 @@ from pqsing import (
 from pqsing import discrete_solver
 from pqsing.errors import (
     ConfigurationError,
+    ConvergenceFailure,
     IterationBudget,
     IterationStall,
     MonotonicityViolation,
@@ -136,6 +137,81 @@ def _count_banded(monkeypatch):
     monkeypatch.setattr(discrete_solver, "solve_banded",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
+
+
+def _backward_error(sub, diag, sup, rhs, x):
+    """Componentwise (Oettli-Prager) backward error of x:
+    max_i |rhs - A x|_i / (|A| |x| + |rhs|)_i."""
+    res, mag = rhs - diag * x, np.abs(rhs) + np.abs(diag * x)
+    res[1:] -= sub[1:] * x[:-1]
+    mag[1:] += np.abs(sub[1:] * x[:-1])
+    res[:-1] -= sup[:-1] * x[1:]
+    mag[:-1] += np.abs(sup[:-1] * x[1:])
+    return float(np.max(np.abs(res) / mag))
+
+
+def _check_against_lapack(sub, diag, sup, rhs, fwd_tol):
+    from scipy.linalg import solve_banded as lapack
+
+    x = discrete_solver.solve_banded(sub, diag, sup, rhs)
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup[:-1], diag, sub[1:]
+    oracle = lapack((1, 1), ab, rhs)
+    assert _backward_error(sub, diag, sup, rhs, x) <= 1e-14
+    assert np.max(np.abs(x - oracle)) <= fwd_tol * np.max(np.abs(oracle))
+
+
+# sizes around the dense block (32 rows) and its padding, and the mesh-ladder's
+@pytest.mark.parametrize("n", [4, 5, 31, 32, 33, 34, 777, 1024, 16384])
+@pytest.mark.parametrize("indefinite", [False, True], ids=["m_matrix", "indefinite"])
+def test_solve_banded_against_lapack(n, indefinite):
+    # Newton's Jacobians are diagonally dominant M-matrices; the signs of an
+    # indefinite but dominant diagonal keep it well conditioned
+    rng = np.random.default_rng(n)
+    sub, sup = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
+    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.0, 1.0, n)
+    if indefinite:
+        diag *= rng.choice((-1.0, 1.0), n)
+    sub[0] = sup[-1] = np.nan  # outside the matrix: never read
+    _check_against_lapack(sub, diag, sup, rng.normal(size=n), 1e-13)
+
+
+def test_solve_banded_on_the_third_solution_polish(gentle, monkeypatch):
+    # the polish linearizes at the unstable u3: an indefinite Jacobian (one
+    # negative eigenvalue), dominant in almost no row
+    env = gentle
+    lo, up = _legs(env)
+    systems = []
+    real = discrete_solver.solve_banded
+    monkeypatch.setattr(discrete_solver, "solve_banded",
+                        lambda *a: systems.append(a) or real(*a))
+    search_third_solution(env.params, env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
+    sub, diag, sup, rhs = systems[0]
+    assert np.mean(np.abs(diag) >= np.abs(sub) + np.abs(sup)) < 0.05
+    # condition number ~4e4: the two solutions agree to its multiple of eps
+    _check_against_lapack(sub, diag, sup, rhs, 1e-11)
+
+
+def test_solve_banded_names_the_failing_row():
+    n = 100
+    sub, sup, diag = np.full(n, -1.0), np.full(n, -1.0), np.full(n, 3.0)
+    rhs = np.ones(n)
+    rhs[17] = np.nan
+    with pytest.raises(ConvergenceFailure, match="not finite at row 17$"):
+        discrete_solver.solve_banded(sub, diag, sup, rhs)
+    sup[40] = np.inf
+    with pytest.raises(ConvergenceFailure, match="not finite at row 17$"):
+        discrete_solver.solve_banded(sub, diag, sup, rhs)
+    rhs[17] = 1.0
+    with pytest.raises(ConvergenceFailure, match="not finite at row 40$"):
+        discrete_solver.solve_banded(sub, diag, sup, rhs)
+    sup[40] = -1.0
+    # a zero column: finite entries, no solution; elimination's zero pivot
+    # names it, though NaN reaches every row of the reduction
+    sub[61] = diag[60] = sup[59] = 0.0
+    with pytest.raises(ConvergenceFailure,
+                       match="singular: smallest pivot 0.000e[+]00 at row 60$"):
+        discrete_solver.solve_banded(sub, diag, sup, rhs)
 
 
 @pytest.mark.parametrize("dim, pq", [
