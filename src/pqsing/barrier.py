@@ -21,9 +21,15 @@ Beta integral:
 
 with I the regularized incomplete Beta.  We use the closed form to start the
 integrator off the r=0 singularity (where Xi^{-gamma} is not Lipschitz) and
-as the oracle for R_tau = r(Xi_max).  The conservation audit, by contrast,
-never touches the energy identity: it integrates Xi^{-gamma} cell by cell
-with a fitted power-law rule, so it is an independent check on the profile.
+as the oracle for R_tau = r(Xi_max).  Both Beta functions are computed here
+in plain floating point: B(a, b) from math.gamma (from math.lgamma and a
+Stirling difference once Gamma(a+b) would overflow), and B * I by the
+continued fraction of DLMF 8.17.22, evaluated by the modified Lentz method
+(Thompson & Barnett, J. Comput. Phys. 64, 1986), with the symmetry
+I_y(a, b) = 1 - I_{1-y}(b, a) above y = (a+1)/(a+b+2), where the fraction
+converges fastest.  The conservation audit, by contrast, never touches the
+energy identity: it integrates Xi^{-gamma} cell by cell with a fitted
+power-law rule, so it is an independent check on the profile.
 """
 
 from __future__ import annotations
@@ -59,23 +65,103 @@ def xi_max(tau: float, q: float, gamma: float) -> float:
 
 def blowdown_radius(tau: float, q: float, gamma: float) -> float:
     """Exact R_tau from the Beta-integral form of r(Xi_max)."""
-    from scipy import special
-
     _check_exponents(tau, q, gamma)
     a = 1.0 / (1.0 - gamma)
     b = (q - 1.0) / q
-    return xi_max(tau, q, gamma) / ((1.0 - gamma) * tau) * special.beta(a, b)
+    return xi_max(tau, q, gamma) / ((1.0 - gamma) * tau) * _beta(a, b)
 
 
-def _radius_of_xi(xi, tau: float, q: float, gamma: float):
-    """r(Xi) on the rising branch, exact up to the Beta evaluation."""
-    from scipy import special
+# Gamma(x) overflows a double above this argument (Cephes' MAXGAM)
+_GAMMA_MAX = 171.62437695630272
+# budget of the incomplete-Beta continued fraction: next to its switch point,
+# where it converges slowest, it took at most 75 terms for a <= 1e6, b < 1
+_CF_TERMS = 10_000
+_CF_TINY = 1e-300
 
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - [(x - 1/2) log x - x + log(2 pi)/2], within 2e-17 for x >= 85."""
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
+
+
+def _beta(a: float, b: float) -> float:
+    """The Beta function B(a, b) for a, b > 0.
+
+    Below the overflow of Gamma(a+b) it is the Gamma quotient, taken in
+    Cephes' order.  Above it, B = exp(lgamma(b) + lgamma(a) - lgamma(a+b))
+    with a >= b, where the last difference comes from the Stirling series:
+    its terms are O(b log a), whereas lgamma(a) and lgamma(a+b) are
+    O(a log a), so their difference would carry O(a log a) ulps of error
+    (1e-12 relative at a = 1000).
+    """
+    if a < b:
+        a, b = b, a
+    s = a + b
+    if s > _GAMMA_MAX:
+        ratio = (b - (a - 0.5) * math.log1p(b / a) - b * math.log(s)
+                 + _stirling_tail(a) - _stirling_tail(s))
+        return math.exp(math.lgamma(b) + ratio)
+    ga, gb, gs = math.gamma(a), math.gamma(b), math.gamma(s)
+    if abs(ga - gs) > abs(gb - gs):
+        return gb / gs * ga
+    return ga / gs * gb
+
+
+def _beta_fraction(a: float, b: float, y: float) -> float:
+    """The continued fraction of I_y(a, b) (DLMF 8.17.22) by modified Lentz."""
+    def clamp(v):
+        return v if abs(v) >= _CF_TINY else _CF_TINY
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * y / (a + 1.0))
+    frac = d
+    for m in range(1, _CF_TERMS + 1):
+        # even term d_{2m}, then odd term d_{2m+1}
+        num = m * (b - m) * y / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        d = 1.0 / clamp(1.0 + num * d)
+        c = clamp(1.0 + num / c)
+        frac *= d * c
+        num = -(a + m) * (a + b + m) * y / ((a + 2 * m) * (a + 1.0 + 2 * m))
+        d = 1.0 / clamp(1.0 + num * d)
+        c = clamp(1.0 + num / c)
+        step = d * c
+        frac *= step
+        if abs(step - 1.0) <= 2.0 ** -52:
+            return frac
+    raise ConvergenceFailure(
+        f"incomplete Beta continued fraction did not converge in {_CF_TERMS} "
+        f"terms at a={a:.17g}, b={b:.17g}, y={y:.17g}")
+
+
+def _incomplete_beta(a: float, b: float, y: float, beta_ab: float) -> float:
+    """B_y(a, b) = int_0^y t^(a-1) (1-t)^(b-1) dt; beta_ab = B(a, b).
+
+    The regularized I_y(a, b) is B_y(a, b) / B(a, b).  Below the switch
+    point the fraction gives B_y directly, so no B enters; above it,
+    B_y(a, b) = B(a, b) - B_{1-y}(b, a).
+    """
+    if y <= 0.0:
+        return 0.0
+    if y >= 1.0:
+        return beta_ab
+    front = y ** a * (1.0 - y) ** b
+    if y < (a + 1.0) / (a + b + 2.0):
+        return front / a * _beta_fraction(a, b, y)
+    return beta_ab - front / b * _beta_fraction(b, a, 1.0 - y)
+
+
+def _radius_of_xi(xi: float, tau: float, q: float, gamma: float,
+                  beta_ab: float) -> float:
+    """r(Xi) on the rising branch, exact up to the Beta evaluation.
+
+    beta_ab is B(1/(1-gamma), (q-1)/q), computed once by the caller.
+    """
     a = 1.0 / (1.0 - gamma)
     b = (q - 1.0) / q
     xm = xi_max(tau, q, gamma)
-    y = np.clip((np.asarray(xi, dtype=float) / xm) ** (1.0 - gamma), 0.0, 1.0)
-    return xm / ((1.0 - gamma) * tau) * special.beta(a, b) * special.betainc(a, b, y)
+    y = (xi / xm) ** (1.0 - gamma)
+    return xm / ((1.0 - gamma) * tau) * _incomplete_beta(a, b, y, beta_ab)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -175,14 +261,15 @@ def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
     if n < 8:
         raise ConfigurationError(f"need at least 8 cells, got {n}")
     h = r_max / n
-    R_exact = blowdown_radius(tau, q, gamma)
+    xm = xi_max(tau, q, gamma)
+    beta_ab = _beta(1.0 / (1.0 - gamma), (q - 1.0) / q)
+    R_exact = xm / ((1.0 - gamma) * tau) * beta_ab
     if h >= 0.25 * R_exact:
         raise ConfigurationError(
             f"step {h:.3e} too coarse for blow-down radius {R_exact:.3e}; "
             "raise n or shrink r_max")
 
     nodes = np.linspace(0.0, r_max, n + 1)
-    xm = xi_max(tau, q, gamma)
     inv_exp = 1.0 / (q - 1.0)
 
     xi = np.zeros(n + 1)
@@ -193,7 +280,7 @@ def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
     K = min(16, n - 1, max(2, int(0.25 * R_exact / h)))
     for i in range(1, K + 1):
         ri = nodes[i]
-        f = lambda x: _radius_of_xi(x, tau, q, gamma) - ri
+        f = lambda x: _radius_of_xi(x, tau, q, gamma, beta_ab) - ri
         xi[i] = _brentq(f, 0.0, xm * (1.0 - 1e-15), xtol=1e-300, rtol=8.9e-16)
         z[i] = _slope_from_xi(xi[i], tau, q, gamma) ** (q - 1.0)
 

@@ -19,6 +19,7 @@ compatibility, and seed nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -40,6 +41,7 @@ from .errors import (
     ConfigurationError,
     ConvergenceFailure,
     EmptyThetaRange,
+    FailedAssumptions,
     PositivityLoss,
     SearchExhausted,
 )
@@ -294,6 +296,21 @@ def _print(result: dict) -> None:
     sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Catch every warning, in firing order and in every run, none on stderr.
+
+    Yields a list that holds one {category, message} record per warning
+    once the block ends without an exception.
+    """
+    records: list = []
+    with warnings.catch_warnings(record=True) as fired:
+        warnings.simplefilter("always")
+        yield records
+    records.extend({"category": w.category.__name__, "message": str(w.message)}
+                   for w in fired)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -330,14 +347,13 @@ def _cmd_radial(env: _Env) -> int:
 
 def _cmd_barrier(env: _Env) -> int:
     tau = env.barrier_tau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # blow-down truncation is expected
+    with _recorded_warnings() as fired:  # a blow-down truncation is expected
         profile = solve_barrier(tau, env.params.q, env.params.gamma,
                                 r_max=env.params.radius, n=env.barrier_n)
-    audit = conservation_residual(profile)
-    exp_cert = certify_smallest_exponent(profile, env.barrier_p)
-    M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
-    sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
+        audit = conservation_residual(profile)
+        exp_cert = certify_smallest_exponent(profile, env.barrier_p)
+        M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
+        sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
     _write_csv(env.outdir / "barrier.csv", ("s", "xi", "xi_prime"),
                (profile.xi.nodes, profile.xi.values, profile.xi_prime.values))
     report = {
@@ -347,6 +363,7 @@ def _cmd_barrier(env: _Env) -> int:
         "smallest_exponent": exp_cert.summary(),
         "supersolution": sup_cert.summary(),
         "M_lambda": float(M),
+        "warnings": fired,
     }
     _write_json(env.outdir / "barrier.json", report)
     _print(report)
@@ -356,8 +373,8 @@ def _cmd_barrier(env: _Env) -> int:
 def _pairs(env: _Env):
     failed = [c.name for c in validate(env.spec, env.params).checks if not c.passed]
     if failed:
-        raise PositivityLoss("nonlinearity assumptions (f0)-(f4) failed validation: "
-                             + ", ".join(failed))
+        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: "
+                                + ", ".join(failed))
     profile, rcert = _radial(env)
     pairs = ds.construct_pairs(env.params, env.spec, env.reactions, env.window,
                                profile, n=env.n)
@@ -377,19 +394,20 @@ def _pairs_report(env: _Env, rcert, pairs) -> dict:
 
 
 def _cmd_pairs(env: _Env) -> int:
-    profile, rcert, pairs = _pairs(env)
+    with _recorded_warnings() as fired:
+        profile, rcert, pairs = _pairs(env)
     _write_csv(env.outdir / "pairs.csv", ("r", "u0", "v0", "v_up", "u_up"),
                (pairs.u0.nodes, pairs.u0.values, pairs.v0.values,
                 pairs.v_up.values, pairs.u_up.values))
     report = _pairs_report(env, rcert, pairs)
+    report["warnings"] = fired
     _write_json(env.outdir / "pairs.json", report)
     _print(report)
     return 0 if report["all_passed"] else 1
 
 
 def _cmd_solve(env: _Env) -> int:
-    with warnings.catch_warnings(record=True) as fired:
-        warnings.simplefilter("always")  # every warning, in firing order, in every run
+    with _recorded_warnings() as fired:
         profile, rcert, pairs = _pairs(env)
         report = _pairs_report(env, rcert, pairs)
         if report["all_passed"]:
@@ -403,8 +421,7 @@ def _cmd_solve(env: _Env) -> int:
                                   conv_factor=env.conv_factor)
             third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit,
                                                  up.limit, pairs)
-    report["warnings"] = [{"category": w.category.__name__, "message": str(w.message)}
-                          for w in fired]
+    report["warnings"] = fired
     if not report["all_passed"]:
         _write_json(env.outdir / "solve.json", report)
         _print(report)
@@ -472,9 +489,12 @@ def _cmd_sweep(env: _Env) -> int:
              "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap",
              "eta", "eps_growth", "eps_cap", "radial_min")
     rows = []
+    fired = []
     ok = True
     for lam in lams:  # ascending, sequential: row order is part of the contract
-        profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
+        with _recorded_warnings() as at_lam:
+            profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
+        fired.extend({"lambda": float(lam), **w} for w in at_lam)
         passed = bool(pairs.all_passed and rcert.passed)
         ok = ok and passed
         first, second = pairs.first_margins, pairs.second_margins
@@ -487,7 +507,8 @@ def _cmd_sweep(env: _Env) -> int:
         ))
     _write_csv(env.outdir / "sweep.csv", names, tuple(zip(*rows)))
     report = {"count": int(count), "lambda_star": env.window.lambda_star,
-              "lambda_upper": env.window.lambda_upper, "all_passed": bool(ok)}
+              "lambda_upper": env.window.lambda_upper, "all_passed": bool(ok),
+              "warnings": fired}
     _write_json(env.outdir / "sweep.json", report)
     _print(report)
     return 0 if ok else 1
@@ -523,6 +544,9 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         return 1
     except PositivityLoss as exc:
         _print({"error": str(exc), "kind": "positivity_loss"})
+        return 1
+    except FailedAssumptions as exc:
+        _print({"error": str(exc), "kind": "failed_assumptions"})
         return 1
     except (ConfigurationError, BridgeNotMonotone) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -723,16 +723,31 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
         hi *= 2.0
         steps += 1
     if not cond_growth(hi):
+        if not cond_cap(hi):  # growth needs m > hi, where the cap fails: none is admissible
+            raise SearchExhausted(
+                f"no admissible m: growth fails at every m <= {hi:.6g}, "
+                "and the cap already fails there")
         raise SearchExhausted("growth condition for m unattainable in budget")
     m_min = bisect(cond_growth, lo, hi, rising=True)[1]
 
-    hi = max(1.0, m_min)
+    start = hi = max(1.0, m_min)
     while cond_cap(hi) and hi < 1e12 and steps < _BISECT_BUDGET:
         hi *= 2.0
         steps += 1
     if cond_cap(hi):
         raise SearchExhausted("cap condition never fails; bracket not found")
-    m_max = bisect(cond_cap, max(1e-12, m_min / 2.0), hi, rising=False)[0]
+    # bisect the cap edge from a point where the cap holds: m_min/2 does if
+    # the cap held at start; otherwise halve down to one
+    lo = max(1e-12, m_min / 2.0)
+    if hi == start:
+        while not cond_cap(lo) and lo > 1e-12 and steps < _BISECT_BUDGET:
+            hi, lo = lo, lo * 0.5
+            steps += 1
+        if not cond_cap(lo):
+            raise SearchExhausted(
+                f"no admissible m: growth needs m >= {m_min:.6g}, and the cap "
+                f"fails at every m >= {lo:.6g}")
+    m_max = bisect(cond_cap, lo, hi, rising=False)[0]
     if not (m_min <= m_max and cond_growth(m_max)):
         raise SearchExhausted(
             f"no admissible m: growth needs m >= {m_min:.6g}, cap needs m <= {m_max:.6g}")

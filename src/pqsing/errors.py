@@ -42,6 +42,10 @@ class PositivityLoss(RuntimeError):
     """An iterate or input is nonpositive where the singular term needs u > 0."""
 
 
+class FailedAssumptions(RuntimeError):
+    """The nonlinearity fails one of the assumptions (f0)-(f4) the pairs need."""
+
+
 class CollarTooWide(ValueError):
     """The boundary collar fails the barrier curvature condition (or outruns the profile)."""
 

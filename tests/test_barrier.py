@@ -16,7 +16,7 @@ from pqsing import (
     xi_max,
 )
 from pqsing import barrier
-from pqsing.errors import BlowDown, CollarTooWide, ConfigurationError
+from pqsing.errors import BlowDown, CollarTooWide, ConfigurationError, ConvergenceFailure
 
 
 def solve_quiet(tau, q, gamma, r_max, **kw):
@@ -160,8 +160,9 @@ def test_brentq_matches_scipy_on_the_exact_start():
         for q in (1.5, 2.0, 3.0, 5.0):
             for gamma in (0.1, 0.5, 0.9):
                 xm = xi_max(tau, q, gamma)
+                beta_ab = barrier._beta(1.0 / (1.0 - gamma), (q - 1.0) / q)
                 for r in np.linspace(0.0, 0.25 * blowdown_radius(tau, q, gamma), 17)[1:]:
-                    f = lambda x: barrier._radius_of_xi(x, tau, q, gamma) - r
+                    f = lambda x: barrier._radius_of_xi(x, tau, q, gamma, beta_ab) - r
                     args = (f, 0.0, xm * (1.0 - 1e-15))
                     want = brentq(*args, xtol=1e-300, rtol=8.9e-16)
                     assert barrier._brentq(*args, xtol=1e-300, rtol=8.9e-16) == want
@@ -173,3 +174,55 @@ def test_brentq_guards():
     with pytest.raises(ConfigurationError):
         barrier._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
     assert barrier._brentq(lambda x: x, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.0
+
+
+# ---------------------------------------------------------------- Beta functions
+
+# the exponents of the exact start, a = 1/(1-gamma) and b = (q-1)/q; gamma =
+# 0.995 and 0.999 put a + b past the overflow of Gamma (the lgamma branch)
+BETA_GAMMAS = (*np.linspace(0.05, 0.95, 19), 0.99, 0.995, 0.999)
+BETA_QS = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
+
+
+def test_beta_matches_scipy():
+    from scipy import special
+
+    lgamma_branch = 0
+    for gamma in BETA_GAMMAS:
+        for q in BETA_QS:
+            a, b = 1.0 / (1.0 - gamma), (q - 1.0) / q
+            got = barrier._beta(a, b)
+            if a + b > barrier._GAMMA_MAX:
+                # scipy's beta and betaln take lgamma(a) - lgamma(a+b) here and
+                # lose about 1e-12 to the cancellation; compare the logarithm
+                lgamma_branch += 1
+                want = special.betaln(a, b)
+                assert abs(np.log(got) - want) <= 1e-12 * abs(want)
+            else:
+                assert got == pytest.approx(special.beta(a, b), rel=1e-12, abs=0.0)
+    assert lgamma_branch == 2 * len(BETA_QS)
+
+
+def test_incomplete_beta_matches_scipy():
+    # the regularized I_y = B_y / B against scipy.special.betainc, over 399
+    # interior y and both sides of the symmetry switch
+    from scipy import special
+
+    ys = np.linspace(0.0, 1.0, 401)[1:-1]
+    for gamma in BETA_GAMMAS:
+        for q in BETA_QS:
+            a, b = 1.0 / (1.0 - gamma), (q - 1.0) / q
+            beta_ab = barrier._beta(a, b)
+            got = np.array([barrier._incomplete_beta(a, b, y, beta_ab) for y in ys.tolist()])
+            # subnormal values carry no relative precision: scipy flushes
+            # some of them to zero at gamma = 0.995
+            np.testing.assert_allclose(got / beta_ab, special.betainc(a, b, ys),
+                                       rtol=1e-12, atol=np.finfo(float).tiny)
+            assert barrier._incomplete_beta(a, b, 0.0, beta_ab) == 0.0
+            assert barrier._incomplete_beta(a, b, 1.0, beta_ab) == beta_ab
+
+
+def test_incomplete_beta_failure_is_a_convergence_failure(monkeypatch):
+    monkeypatch.setattr(barrier, "_CF_TERMS", 2)
+    with pytest.raises(ConvergenceFailure, match="did not converge in 2 terms"):
+        barrier._incomplete_beta(50.0, 0.5, 0.9, barrier._beta(50.0, 0.5))

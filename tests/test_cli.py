@@ -4,6 +4,7 @@ Everything runs in-process through pqsing.cli.run / main so coverage tools
 see it and failures carry tracebacks instead of subprocess noise.
 """
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,7 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     assert np.all(data[:, 1] == 1.0)
     rep = json.loads((tmp_path / "sweep.json").read_text())
     assert rep["all_passed"] is True
+    assert rep["warnings"] == []
     assert data[0, 0] == pytest.approx(rep["lambda_star"], rel=1e-15)
     assert data[-1, 0] == pytest.approx(rep["lambda_upper"], rel=1e-15)
     # the margin columns of a row are the pairs report at that load
@@ -285,6 +287,24 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     assert row["eps_cap"] == pairs["second_margins"]["eps_cap"]
     assert row["radial_min"] == pairs["radial_claim"]["min_margin"]
     capsys.readouterr()
+
+
+def test_sweep_tags_each_warning_with_its_load(tmp_path, capsys, monkeypatch):
+    # a warning fired while a row's pairs are built carries that row's lambda
+    real = cli._pairs
+
+    def warning_pairs(env):
+        warnings.warn(f"probe at {env.lam!r}", RuntimeWarning)
+        return real(env)
+
+    monkeypatch.setattr(cli, "_pairs", warning_pairs)
+    cfg = small_cfg(sweep={"count": 2}, grid={"n": 64})
+    assert run("sweep", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+    rep = json.loads((tmp_path / "sweep.json").read_text())
+    lams = (rep["lambda_star"], rep["lambda_upper"])
+    assert rep["warnings"] == [{"lambda": lam, "category": "RuntimeWarning",
+                                "message": f"probe at {lam!r}"} for lam in lams]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("config", [SMALL, REFERENCE])
@@ -348,6 +368,18 @@ def test_solve_records_the_pairs_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_pairs_records_its_warnings(tmp_path, capsys):
+    # the same load as above: pairs.json lists both WindowViolation warnings
+    assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
+    rep = json.loads((tmp_path / "pairs.json").read_text())
+    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"] * 2
+    assert rep["warnings"][0]["message"].startswith("lambda=0.29502 outside [")
+    assert capsys.readouterr().err == ""
+    assert run("pairs", str(SMALL), out=str(tmp_path)) == 0
+    assert json.loads((tmp_path / "pairs.json").read_text())["warnings"] == []
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("fault, message", [
     ("nan_residual", "Newton system not finite at row 17\n"),
     ("zero_column", "Newton system singular: smallest pivot 0.000e+00 at row 17\n"),
@@ -390,8 +422,51 @@ def test_failed_assumptions_are_named(tmp_path, capsys):
                                   "theta2": 890.67})
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["kind"] == "positivity_loss"
+    assert out["kind"] == "failed_assumptions"
     assert out["error"].endswith("failed validation: f0")
+
+
+def test_failed_f4_is_not_a_positivity_loss(tmp_path, capsys):
+    # cfg_small in three dimensions fails (f4) for its khat
+    cfg = small_cfg(params={"dim": 3})
+    assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "nonlinearity assumptions (f0)-(f4) failed validation: f4",
+                   "kind": "failed_assumptions"}
+
+
+def _cap_holds(env, m):
+    # m C(m) <= theta1 with C(m) = max u_beta, beta = m^(q-p): the inner pair's cap
+    op = ds.DiscreteOperator.from_params(env.params, n=env.n)
+    u = ds.solve_eta_problem(op.with_weights(1.0, m ** (env.params.q - env.params.p)), 1.0)
+    return m * float(np.max(u.values)) <= env.spec.theta1
+
+
+def test_second_pair_reports_the_cap_edge(tmp_path, capsys):
+    # (p, q) = (1.5, 4) with khat = 1e12: growth needs m >= 268.225 while the
+    # cap fails below m_min / 2; the message gives the cap's own edge
+    cfg = small_cfg(params={"p": 1.5, "q": 4.0}, nonlinearity={"khat": 1e12})
+    path = write_cfg(tmp_path, cfg)
+    assert run("pairs", path, out=str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    head = "did not converge: no admissible m: growth needs m >= 268.225, cap needs m <= "
+    assert err.startswith(head)
+    m_max = float(err[len(head):])
+    env = cli._build_env(cli._load_config(path))
+    assert _cap_holds(env, m_max * (1.0 - 1e-5))
+    assert not _cap_holds(env, m_max * (1.0 + 1e-5))
+
+
+def test_second_pair_names_an_empty_admissible_set(tmp_path, capsys):
+    # cfg_reference with (p, q) = (3, 5) at half its lambda^*: the growth
+    # condition fails up to the bracket's end, where the cap fails too
+    cfg = json.loads(REFERENCE.read_text())
+    cfg["params"].update(p=3.0, q=5.0)
+    assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128,
+               lam=401.6) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: no admissible m: growth fails at every m <= 1.09951e+12, "
+        "and the cap already fails there\n")
 
 
 def test_barrier_command(tmp_path, capsys):
@@ -402,6 +477,9 @@ def test_barrier_command(tmp_path, capsys):
     assert rep["conservation_residual"] <= 1e-6
     assert rep["smallest_exponent"]["passed"] is True
     assert rep["supersolution"]["passed"] is True
+    # the expected blow-down truncation is recorded, not thrown away
+    assert rep["warnings"] == [{"category": "BlowDown", "message":
+                                "flux exhausted at r ~ 0.2 < r_max=1; profile truncated"}]
     header, data = read_csv(tmp_path / "barrier.csv")
     assert header == ["s", "xi", "xi_prime"]
     assert np.all(data[:, 1] >= 0.0)
