@@ -35,7 +35,6 @@ from .radial_solver import (
     cutoff_prime,
     solve_radial,
     certify_radial_claim,
-    quadrature_solve,
 )
 from .barrier import (
     BarrierProfile,
@@ -53,9 +52,7 @@ from .discrete_solver import (
     DiscreteOperator,
     IterationTrace,
     PairsResult,
-    apply,
     solve_eta_problem,
-    solve_singular_constant,
     build_first_pair,
     build_second_pair,
     construct_pairs,
@@ -78,13 +75,13 @@ __all__ = [
     "build_fhat", "build_h", "choose_Theta_lambda", "choose_khat",
     "WindowReport", "capacity_constant", "F_of", "compute_window",
     "RadialProfile", "cutoff", "cutoff_prime",
-    "solve_radial", "certify_radial_claim", "quadrature_solve",
+    "solve_radial", "certify_radial_claim",
     "BarrierProfile", "ScalingReport", "solve_barrier", "blowdown_radius",
     "xi_max", "conservation_residual",
     "check_scaling", "certify_smallest_exponent", "certify_barrier_supersolution",
     "minimal_M",
-    "DiscreteOperator", "IterationTrace", "PairsResult", "apply",
-    "solve_eta_problem", "solve_singular_constant", "build_first_pair",
+    "DiscreteOperator", "IterationTrace", "PairsResult",
+    "solve_eta_problem", "build_first_pair",
     "build_second_pair", "construct_pairs", "that_map", "amann_iterate",
     "certify", "original_residual", "march", "search_third_solution",
     "errors",

@@ -238,9 +238,6 @@ class BarrierProfile:
     def value(self, s):
         return self.xi.interp(s)
 
-    def slope(self, s):
-        return self.xi_prime.interp(s)
-
 
 def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
                   n: int = 10_000) -> BarrierProfile:
@@ -322,8 +319,7 @@ def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
     )
 
 
-def conservation_residual(profile: BarrierProfile, q: float | None = None,
-                          gamma: float | None = None) -> float:
+def conservation_residual(profile: BarrierProfile) -> float:
     """Sup over nodes r >= h of |(Xi')^{q-1} + int_0^r Xi^{-gamma} - tau^{q-1}|.
 
     The integral is accumulated cell by cell from the node values alone.
@@ -338,8 +334,7 @@ def conservation_residual(profile: BarrierProfile, q: float | None = None,
     toward a point and most of the flux dies in the first cell); by
     gamma ~ 0.9 the audit, not the profile, is the accuracy floor.
     """
-    q = profile.q if q is None else q
-    gamma = profile.gamma if gamma is None else gamma
+    q, gamma = profile.q, profile.gamma
     r = profile.xi.nodes
     x = profile.xi.values
     if len(r) < 4:

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -87,6 +88,8 @@ def _number(cfg: dict, section: str, key: str, default=None, required=False,
         _fail(f"{section}.{key} must not be null")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{section}.{key} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # inf, nan, or an integer past the float range
+        _fail(f"{section}.{key} must be finite, got {v!r}")
     if integer and int(v) != v:
         _fail(f"{section}.{key} must be an integer, got {v!r}")
     return int(v) if integer else float(v)
@@ -171,6 +174,7 @@ class _Env:
     barrier_p: float
     barrier_nu: float | None
     sweep_count: int
+    fired: list = dataclasses.field(default_factory=list)  # the run's recorded warnings
 
     @property
     def lam(self) -> float:
@@ -230,8 +234,8 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
         lam = lam_cfg
     else:
         lam = window.midpoint
-    if lam < 0.0:
-        _fail(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        _fail(f"lambda must be finite and nonnegative, got {lam}")
 
     outdir = Path(out if out is not None else cfg.get("output", {}).get("dir", "."))
     # seed and --seed seed nothing (no step is random); they stay valid input
@@ -297,18 +301,22 @@ def _print(result: dict) -> None:
 
 
 @contextlib.contextmanager
-def _recorded_warnings():
+def _recorded_warnings(env: _Env):
     """Catch every warning, in firing order and in every run, none on stderr.
 
     Yields a list that holds one {category, message} record per warning
-    once the block ends without an exception.
+    once the block ends.  env.fired gets the same records even when the
+    block raises, so that a failed run still reports them.
     """
     records: list = []
-    with warnings.catch_warnings(record=True) as fired:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        yield records
-    records.extend({"category": w.category.__name__, "message": str(w.message)}
-                   for w in fired)
+        try:
+            yield records
+        finally:
+            records.extend({"category": w.category.__name__, "message": str(w.message)}
+                           for w in caught)
+            env.fired.extend(records)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +330,14 @@ def _cmd_window(env: _Env) -> int:
     return 0 if env.window.nonempty else 1
 
 
-def _radial(env: _Env):
-    profile = solve_radial(env.params, env.reactions, env.window, n=env.n)
+def _radial(env: _Env, op: ds.DiscreteOperator):
+    profile = solve_radial(env.params, env.reactions, env.window, op.grid)
     cert = certify_radial_claim(profile, env.params, env.window)
     return profile, cert
 
 
 def _cmd_radial(env: _Env) -> int:
-    profile, cert = _radial(env)
+    profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
                (profile.phi.nodes, profile.phi.values, profile.phi_prime.values,
@@ -347,7 +355,7 @@ def _cmd_radial(env: _Env) -> int:
 
 def _cmd_barrier(env: _Env) -> int:
     tau = env.barrier_tau
-    with _recorded_warnings() as fired:  # a blow-down truncation is expected
+    with _recorded_warnings(env) as fired:  # a blow-down truncation is expected
         profile = solve_barrier(tau, env.params.q, env.params.gamma,
                                 r_max=env.params.radius, n=env.barrier_n)
         audit = conservation_residual(profile)
@@ -375,10 +383,10 @@ def _pairs(env: _Env):
     if failed:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: "
                                 + ", ".join(failed))
-    profile, rcert = _radial(env)
-    pairs = ds.construct_pairs(env.params, env.spec, env.reactions, env.window,
-                               profile, n=env.n)
-    return profile, rcert, pairs
+    op = ds.DiscreteOperator.from_params(env.params, env.n)  # the load's one grid
+    profile, rcert = _radial(env, op)
+    pairs = ds.construct_pairs(env.params, env.spec, env.reactions, env.window, profile, op)
+    return op, profile, rcert, pairs
 
 
 def _pairs_report(env: _Env, rcert, pairs) -> dict:
@@ -394,8 +402,8 @@ def _pairs_report(env: _Env, rcert, pairs) -> dict:
 
 
 def _cmd_pairs(env: _Env) -> int:
-    with _recorded_warnings() as fired:
-        profile, rcert, pairs = _pairs(env)
+    with _recorded_warnings(env) as fired:
+        _op, _profile, rcert, pairs = _pairs(env)
     _write_csv(env.outdir / "pairs.csv", ("r", "u0", "v0", "v_up", "u_up"),
                (pairs.u0.nodes, pairs.u0.values, pairs.v0.values,
                 pairs.v_up.values, pairs.u_up.values))
@@ -407,20 +415,20 @@ def _cmd_pairs(env: _Env) -> int:
 
 
 def _cmd_solve(env: _Env) -> int:
-    with _recorded_warnings() as fired:
-        profile, rcert, pairs = _pairs(env)
+    with _recorded_warnings(env) as fired:
+        op, _profile, rcert, pairs = _pairs(env)
         report = _pairs_report(env, rcert, pairs)
         if report["all_passed"]:
             # the two theorem intervals: u1 is minimal in [u0, v_up], u2
             # maximal in [v0, u_up]
             lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
-                                  "from_lower", budget=env.budget,
+                                  "from_lower", op, budget=env.budget,
                                   conv_factor=env.conv_factor)
             up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
-                                  "from_upper", budget=env.budget,
+                                  "from_upper", op, budget=env.budget,
                                   conv_factor=env.conv_factor)
             third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit,
-                                                 up.limit, pairs)
+                                                 up.limit, pairs, op)
     report["warnings"] = fired
     if not report["all_passed"]:
         _write_json(env.outdir / "solve.json", report)
@@ -463,6 +471,8 @@ def _cmd_certify(env: _Env, input_path, kind, other_path, tol) -> int:
         _fail("certify needs --input")
     if kind is None:
         _fail("certify needs --kind")
+    if tol is not None and not math.isfinite(tol):
+        _fail(f"--tol must be finite, got {tol}")
     u = _read_grid_function(input_path)
     other = _read_grid_function(other_path) if other_path else None
     use_tol = tol if tol is not None else env.tol_certify
@@ -492,8 +502,8 @@ def _cmd_sweep(env: _Env) -> int:
     fired = []
     ok = True
     for lam in lams:  # ascending, sequential: row order is part of the contract
-        with _recorded_warnings() as at_lam:
-            profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
+        with _recorded_warnings(env) as at_lam:
+            _op, _profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
         fired.extend({"lambda": float(lam), **w} for w in at_lam)
         passed = bool(pairs.all_passed and rcert.passed)
         ok = ok and passed
@@ -520,6 +530,7 @@ _COMMANDS = ("window", "radial", "barrier", "pairs", "solve", "certify", "sweep"
 def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         seed=None, input_path=None, kind=None, other=None, tol=None) -> int:
     """Execute one command against a config; returns the process exit code."""
+    env = None
     try:
         if command not in _COMMANDS:
             _fail(f"unknown command {command!r}")
@@ -540,23 +551,31 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
             return _cmd_certify(env, input_path, kind, other, tol)
         return _cmd_sweep(env)
     except EmptyThetaRange as exc:
-        _print({"error": str(exc), "kind": "empty_window"})
-        return 1
+        return _refused(env, exc, "empty_window")
     except PositivityLoss as exc:
-        _print({"error": str(exc), "kind": "positivity_loss"})
-        return 1
+        return _refused(env, exc, "positivity_loss")
     except FailedAssumptions as exc:
-        _print({"error": str(exc), "kind": "failed_assumptions"})
-        return 1
-    except (ConfigurationError, BridgeNotMonotone) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
+        return _refused(env, exc, "failed_assumptions")
+    except (ValueError, BridgeNotMonotone) as exc:  # ConfigurationError among them
+        return _failed(env, f"config error: {exc}", 2)
     except (ConvergenceFailure, SearchExhausted) as exc:
-        sys.stderr.write(f"did not converge: {exc}\n")
-        return 3
+        return _failed(env, f"did not converge: {exc}", 3)
+
+
+def _refused(env: _Env | None, exc: Exception, kind: str) -> int:
+    """Exit 1 with an error object on stdout, listing the warnings recorded
+    before the failure (none when it came before env)."""
+    _print({"error": str(exc), "kind": kind, "warnings": env.fired if env else []})
+    return 1
+
+
+def _failed(env: _Env | None, message: str, code: int) -> int:
+    """Exit `code` with the error line on stderr, then one line per warning
+    recorded before the failure."""
+    sys.stderr.write(message + "\n")
+    for w in env.fired if env else ():
+        sys.stderr.write(f"warning: {w['category']}: {w['message']}\n")
+    return code
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,16 @@
 """Radial finite differences for -L^{alpha,beta}_{p,q} and the monotone pipeline.
 
-One uniform grid on [0, R] carries everything: the flux-form operator, the
-auxiliary solves (constant load, singular constant load), the four
-sub/supersolution constructors, the shifted solve map T-hat, the Amann
+One uniform grid on [0, R], laid out by DiscreteOperator.from_params, carries
+everything: the flux-form operator, the auxiliary constant-load solves, the
+four sub/supersolution constructors, the shifted solve map T-hat, the Amann
 iteration between ordered endpoints (u1, u2), and discrete shooting for the
-third solution u3 between them.  All nonlinear systems go through one
-damped-Newton core, whose tridiagonal steps solve_banded solves by odd-even
-cyclic reduction in numpy.  The constant-load problems behind both pairs
-(w_eta, u_alpha, u_beta*) are seeded at their exact discrete solution, which
-the flux form yields by two cumulative sums (_load_solution), so Newton only
-checks it.
+third solution u3 between them.  Every stage takes that operator and
+refuses a grid function that lives elsewhere.  All nonlinear systems go
+through one damped-Newton core, whose tridiagonal steps solve_banded solves
+by odd-even cyclic reduction in numpy.  The constant-load problems behind
+both pairs (w_eta, u_alpha, u_beta*) are seeded at their exact discrete
+solution, which the flux form yields by two cumulative sums
+(_load_solution), so Newton only checks it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -65,9 +66,7 @@ __all__ = [
     "DiscreteOperator",
     "IterationTrace",
     "PairsResult",
-    "apply",
     "solve_eta_problem",
-    "solve_singular_constant",
     "build_first_pair",
     "build_second_pair",
     "construct_pairs",
@@ -82,6 +81,7 @@ __all__ = [
 _JAC_FLOOR = 1e-9       # |gradient| clip of F' (Jacobian, rounding floor), not of F
 _POS_FLOOR = 1e-12      # positivity safeguard for singular solves
 _NEWTON_BUDGET = 60
+_SOLVE_TOL = 1e-12      # sup-norm scaled residual every Newton solve ends below
 _HALVINGS = 50
 _CR_DENSE = 32          # rows solve_banded leaves to numpy.linalg.solve
 _GEOM_BUDGET = 60       # eta halvings / alpha_* doublings
@@ -132,12 +132,21 @@ class DiscreteOperator:
         return int(self.grid.size - 1)
 
     @classmethod
-    def from_params(cls, params: Params, n: int = 2048,
+    def from_params(cls, params: Params, n: int,
                     alpha: float = 1.0, beta: float = 1.0) -> "DiscreteOperator":
+        """The operator on n uniform cells of [0, R]: the one place radial
+        nodes are laid out."""
         return cls(params, np.linspace(0.0, params.radius, n + 1), alpha, beta)
 
     def with_weights(self, alpha: float, beta: float) -> "DiscreteOperator":
         return DiscreteOperator(self.params, self.grid, alpha, beta)
+
+
+def _check_grid(op: DiscreteOperator, *functions: GridFunction) -> None:
+    """ConfigurationError unless every grid function lives on op's grid."""
+    for u in functions:
+        if not same_grid(u.nodes, op.grid):
+            raise ConfigurationError("grid function does not live on the operator grid")
 
 
 def _operator_for(params: Params, u: GridFunction,
@@ -145,8 +154,7 @@ def _operator_for(params: Params, u: GridFunction,
     """op, checked to carry u's nodes; the operator on u's nodes when op is None."""
     if op is None:
         return DiscreteOperator(params, u.nodes)
-    if not same_grid(u.nodes, op.grid):
-        raise ConfigurationError("grid function does not live on the operator grid")
+    _check_grid(op, u)
     return op
 
 
@@ -172,19 +180,6 @@ def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
 def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
     """A(u) at nodes 0..n-1."""
     return _divergence(op, _fluxes(op, u)[1])
-
-
-def apply(op: DiscreteOperator, u: GridFunction | np.ndarray) -> GridFunction:
-    """Discrete -L^{alpha,beta} residual of u (Dirichlet slot carries 0)."""
-    if isinstance(u, GridFunction):
-        if not same_grid(u.nodes, op.grid):
-            raise ConfigurationError("grid function does not live on the operator grid")
-        vals = u.values
-    else:
-        vals = np.asarray(u, dtype=float)
-        if vals.shape != op.grid.shape:
-            raise ConfigurationError("value array does not match the operator grid")
-    return GridFunction(op.grid, np.append(_apply_values(op, vals), 0.0))
 
 
 def solve_banded(sub, diag, sup, rhs):
@@ -356,8 +351,7 @@ def _newton_start(init, singular):
     return u
 
 
-def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None,
-            load=None):
+def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None):
     """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
     mu u^{-gamma} = rhs + load(u); mu and rhs are scalars or one value per
     node 0..n-1.  `load`, when given, maps u at nodes 0..n-1 to the values
@@ -387,7 +381,7 @@ def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None,
     res, scale, rnd, kept = first
     err = _scaled_err(res, scale, rnd)
     for steps in range(_NEWTON_BUDGET):
-        if err <= tol:
+        if err <= _SOLVE_TOL:
             return u, steps
         sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
         d = solve_banded(sub, diag if slope is None else diag - slope, sup, -res)
@@ -408,7 +402,7 @@ def _newton(op, theta, khat, mu, rhs, init, tol=1e-12, anchor=None, first=None,
             raise ConvergenceFailure(
                 f"Newton line search stalled at scaled residual {err:.3e} "
                 f"(worst node {_worst_node(res, scale, rnd)})")
-    if err <= tol:
+    if err <= _SOLVE_TOL:
         return u, _NEWTON_BUDGET
     raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e}, "
                              f"worst node {_worst_node(res, scale, rnd)})")
@@ -449,22 +443,6 @@ def solve_eta_problem(op: DiscreteOperator, eta: float) -> GridFunction:
     return GridFunction(op.grid, u)
 
 
-def solve_singular_constant(op: DiscreteOperator, load: float) -> GridFunction:
-    """-L^{alpha,beta} u = load * u^{-gamma}: the minimal-solution analogue.
-
-    Start from the non-singular constant-load solution; the singular term
-    then only pushes the iterate up, which the damped Newton absorbs.
-    """
-    if load <= 0.0:
-        raise ConfigurationError("load must be positive")
-    init = solve_eta_problem(op, load).values.copy()
-    init[:-1] = np.maximum(init[:-1], _POS_FLOOR)
-    u = _newton(op, 0.0, 0.0, load, 0.0, init)[0]
-    if float(np.min(u[:-1])) <= 2.0 * _POS_FLOOR:
-        raise PositivityLoss("singular solve collapsed onto the positivity floor")
-    return GridFunction(op.grid, u)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -500,6 +478,11 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
     if kind not in _KINDS:
         raise ConfigurationError(f"unknown certificate kind {kind!r}")
     R = params.radius
+    if kind in ("ordering", "nonordering"):
+        if other is None:
+            raise ConfigurationError(f"{kind} certificate needs `other`")
+        if not same_grid(u.nodes, other.nodes):
+            raise ConfigurationError(f"{kind} certificate needs a common grid")
     if kind in ("subsolution", "supersolution"):
         interior = u.values[:-1]
         if np.any(interior <= 0.0):
@@ -520,10 +503,6 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
             "sup_u": u.sup_norm(),
         }
     elif kind == "ordering":
-        if other is None:
-            raise ConfigurationError("ordering certificate needs `other`")
-        if not same_grid(u.nodes, other.nodes):
-            raise ConfigurationError("ordering certificate needs a common grid")
         weights = (R - u.nodes[:-1]) / R
         margins = (other.values[:-1] - u.values[:-1]) / weights
         if tol is None:
@@ -535,8 +514,6 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
             "distance_scaled": True,
         }
     else:  # nonordering: u must exceed `other` somewhere
-        if other is None:
-            raise ConfigurationError("nonordering certificate needs `other`")
         margins = u.values - other.values
         if tol is None:
             tol = 1e-10 * max(1.0, u.sup_norm(), other.sup_norm())
@@ -564,8 +541,7 @@ def original_residual(params: Params, reactions: DerivedReactions, u: GridFuncti
 # ---------------------------------------------------------------------------
 
 def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
-                     n: int = 2048, op: DiscreteOperator | None = None,
-                     fit_under: GridFunction | None = None,
+                     op: DiscreteOperator, fit_under: GridFunction | None = None,
                      dominate: GridFunction | None = None):
     """Outer pair: u0 = w_eta (small) and u_up = alpha_* u_alpha (large).
 
@@ -579,8 +555,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     """
     if not validate(spec, params).ok:
         raise ConfigurationError("nonlinearity assumptions (f0)-(f4) do not hold")
-    if op is None:
-        op = DiscreteOperator.from_params(params, n)
+    _check_grid(op, *(g for g in (fit_under, dominate) if g is not None))
     lam, gamma = reactions.lam, params.gamma
     f = reactions.f
 
@@ -653,8 +628,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
 
 
 def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
-                      window: WindowReport, profile: RadialProfile,
-                      op: DiscreteOperator | None = None):
+                      window: WindowReport, profile: RadialProfile, op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
     m is located by two bisections: the growth condition
@@ -667,16 +641,16 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     its worst value is recorded as collar_deficit, not asserted.
 
     v0 = psi solves -L psi + Theta L(psi) = lam h(zeta) + Theta L(zeta) with
-    zeta = phi from the radial profile; eps_low is psi's pointwise
-    subsolution margin against the original reaction.
+    zeta = phi from the radial profile, which must live on op's grid;
+    eps_low is psi's pointwise subsolution margin against the original
+    reaction.
     """
     lam, gamma = reactions.lam, params.gamma
     p, q = params.p, params.q
     f = reactions.f
     theta1 = spec.theta1
     window.warn_outside(lam)
-    if op is None:
-        op = DiscreteOperator(params, profile.phi.nodes)
+    _check_grid(op, profile.phi)
     R, N = params.radius, params.dim
 
     cache: dict[float, tuple[np.ndarray, float]] = {}
@@ -765,8 +739,6 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
-    if not same_grid(zeta.nodes, op.grid):
-        zeta = GridFunction(op.grid, zeta.interp(op.grid))
     zi = np.maximum(zeta.values[:-1], 0.0)
     Theta = reactions.Theta_lambda
     rhs = lam * np.asarray(reactions.h(zi), dtype=float)
@@ -813,16 +785,15 @@ class PairsResult:
 
 def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
                     window: WindowReport, profile: RadialProfile,
-                    n: int = 2048, op: DiscreteOperator | None = None) -> PairsResult:
-    """Build (u0, u_up), (v0, v_up) and certify the Theorem-2.5 geometry.
+                    op: DiscreteOperator) -> PairsResult:
+    """Build (u0, u_up), (v0, v_up) on op's grid, the radial profile's too,
+    and certify the Theorem-2.5 geometry.
 
     The inner pair is built first; the outer searches then take envelopes so
     that u0 fits strictly under both inner functions and u_up dominates both.
     v_up's supersolution certificate carries the paper's scalar slack as its
     margins (see build_second_pair).
     """
-    if op is None:
-        op = DiscreteOperator.from_params(params, n)
     v0, v_up, second = build_second_pair(params, spec, reactions, window, profile, op=op)
     inner_min = GridFunction(op.grid, np.minimum(v0.values, v_up.values))
     inner_max = GridFunction(op.grid, np.maximum(v0.values, v_up.values))
@@ -848,10 +819,7 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
         "order_u0_vup": certify(params, reactions, u0, "ordering", other=v_up, strict=True),
         "order_vup_uup": certify(params, reactions, v_up, "ordering", other=u_up),
         "nonorder_v0_vup": certify(params, reactions, v0, "nonordering", other=v_up),
-        "order_zeta_v0": certify(params, reactions,
-                                 GridFunction(op.grid, np.interp(op.grid, profile.phi.nodes,
-                                                                 profile.phi.values)),
-                                 "ordering", other=v0),
+        "order_zeta_v0": certify(params, reactions, profile.phi, "ordering", other=v0),
     }
     return PairsResult(u0=u0, u_up=u_up, v0=v0, v_up=v_up,
                        first_margins=first, second_margins=second, certificates=certs)
@@ -883,8 +851,8 @@ def _fixed_point_residual(op, reactions, uv):
 
 
 def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
-             op: DiscreteOperator | None = None, khat: float | np.ndarray | None = None,
-             tol: float = 1e-12) -> GridFunction:
+             op: DiscreteOperator | None = None,
+             khat: float | np.ndarray | None = None) -> GridFunction:
     """One application of the shifted solve map.
 
     w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u  with
@@ -938,8 +906,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
         definite = bool(np.all(res >= -rnd)) or (bool(np.all(res <= rnd)) and err_u <= 1.0)
         if definite and err_u < _scaled_err(*chosen[1][:3]):
             chosen = at_u
-    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], tol, anchor=uv[:-1],
-                first=chosen[1])[0]
+    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], anchor=uv[:-1], first=chosen[1])[0]
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
     return GridFunction(op.grid, w)
@@ -1015,7 +982,7 @@ class IterationTrace:
 
 def amann_iterate(params: Params, reactions: DerivedReactions,
                   lower: GridFunction, upper: GridFunction, start: str,
-                  op: DiscreteOperator | None = None,
+                  op: DiscreteOperator,
                   budget: int = 200, conv_factor: float = 1e-8) -> IterationTrace:
     """Iterate the solve map from one endpoint of a certified interval.
 
@@ -1038,18 +1005,14 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
-    if not same_grid(lower.nodes, upper.nodes):
-        raise ConfigurationError("endpoints must share one grid")
+    _check_grid(op, lower, upper)
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):
         raise ConfigurationError("endpoints are not ordered")
-    if op is None:
-        op = DiscreteOperator(params, lower.nodes)
     ascending = start == "from_lower"
     cur = lower if ascending else upper
     K = np.zeros(op.n)
     ctol = conv_factor * reactions.spec.theta2
-    stol = 1e-12  # the solve map's own tolerance
     iterates = [cur]
     monotone: list[bool] = []
     increments: list[float] = []
@@ -1073,7 +1036,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
             break
         if inc <= _ULP_BAND * float(np.spacing(max(cur.sup_norm(), nxt.sup_norm()))):
             err = _fixed_point_residual(op, reactions, cur.values)
-            converged = err <= stol
+            converged = err <= _SOLVE_TOL
             stalled = not converged
             if stalled:
                 warnings.warn(
@@ -1165,7 +1128,7 @@ def _shoot_middle(op, reactions, a1, a2):
 
 def search_third_solution(params: Params, reactions: DerivedReactions,
                           u1: GridFunction, u2: GridFunction, pairs: PairsResult,
-                          op: DiscreteOperator | None = None):
+                          op: DiscreteOperator):
     """Amann's third solution u3, between u1 and u2, by discrete shooting.
 
     u3 lies in [u0, u_up] but in neither [u0, v_up] nor [v0, u_up].  The
@@ -1183,7 +1146,7 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
     u3.  A stage that fails gives status "bracket_failed" or
     "polish_failed", a message naming the stage and the node, and u3 None.
     """
-    op = _operator_for(params, u1, op)
+    _check_grid(op, u1, u2)
     a1, a2 = float(u1.values[0]), float(u2.values[0])
     try:
         coarse, seed = _shoot_middle(op, reactions, a1, a2)

@@ -38,23 +38,12 @@ class GridFunction:
         if np.max(np.abs(steps - h)) > _UNIFORM_RTOL * max(abs(nodes[0]), abs(nodes[-1]), h):
             raise ValueError("node spacing is not uniform")
 
-    def __len__(self) -> int:
-        return int(self.nodes.size)
-
     @property
     def h(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
-    @property
-    def n(self) -> int:
-        """Number of cells (nodes - 1)."""
-        return int(self.nodes.size - 1)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.nodes, np.asarray(values, dtype=float))
 
     def interp(self, r: np.ndarray | float) -> np.ndarray | float:
         out = np.interp(r, self.nodes, self.values)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _KINDS = ("exp_saturating", "power", "table")
+_THETA_CAP = 1e8         # a larger Theta_lambda signals a misconfigured reaction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -346,7 +347,7 @@ def _fminbound(func: Callable, a: float, b: float, xatol: float) -> tuple[float,
     return xf, fx
 
 
-def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> DerivedReactions:
+def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
     """Construct the truncated reaction h and the derived constants.
 
     With curve(t) = f(t)/(2 t^gamma):
@@ -363,7 +364,7 @@ def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> Deri
     gamma = params.gamma
     curve = _curve(spec, gamma)
 
-    ts = np.geomspace(spec.theta1 * 1e-9, spec.theta1, n_grid)
+    ts = np.geomspace(spec.theta1 * 1e-9, spec.theta1, 32768)
     cs = curve(ts)
     if not np.all(np.isfinite(cs)):
         raise ConfigurationError("reaction curve not finite on (0, theta1]")
@@ -371,7 +372,7 @@ def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> Deri
 
     i0 = int(np.argmin(cs))
     lo = ts[max(i0 - 1, 0)]
-    hi = ts[min(i0 + 1, n_grid - 1)]
+    hi = ts[min(i0 + 1, ts.size - 1)]
     if hi > lo:
         theta_star, fbar = _fminbound(lambda t: float(curve(t)), float(lo), float(hi),
                                       xatol=1e-13 * spec.theta1)
@@ -426,28 +427,25 @@ def build_h(spec: NonlinearitySpec, params: Params, n_grid: int = 32768) -> Deri
 
 
 def choose_Theta_lambda(spec: NonlinearitySpec, params: Params,
-                        h: Callable | None = None, t_max: float | None = None,
-                        cap: float = 1e8) -> float:
+                        h: Callable | None = None) -> float:
     """Smallest Theta >= 0 making g(t) = lam h(t) + Theta L_{p,q}(t) grid-nondecreasing.
 
     Sampled on 10^4 points of [0, 2 theta2].  Since L is strictly
     increasing, the grid-optimal value is read off directly as
-    max(0, max(-lam dh / dL)); values beyond the cap signal a
+    max(0, max(-lam dh / dL)); values beyond _THETA_CAP signal a
     misconfigured reaction.
     """
     if h is None:
         h = build_h(spec, params).h
-    if t_max is None:
-        t_max = 2.0 * spec.theta2
-    grid = np.linspace(0.0, t_max, 10001)
+    grid = np.linspace(0.0, 2.0 * spec.theta2, 10001)
     hv = params.lam * np.asarray(h(grid), dtype=float)
     Lv = lpq_scalar(grid, params)
     dh = np.diff(hv)
     dL = np.diff(Lv)
     need = np.max(-dh / dL)
     Theta = 0.0 if need <= 0.0 else float(need) * (1.0 + 1e-9)
-    if Theta > cap:
-        raise ConfigurationError(f"Theta_lambda = {Theta:.3e} exceeds cap {cap:.1e}")
+    if Theta > _THETA_CAP:
+        raise ConfigurationError(f"Theta_lambda = {Theta:.3e} exceeds cap {_THETA_CAP:.1e}")
     if _monotone_deficit(hv + Theta * Lv) > 1e-9 * max(1.0, float(np.max(np.abs(hv)))):
         raise ConfigurationError("monotonization of lam*h + Theta*L failed on the grid")
     return Theta

@@ -12,7 +12,7 @@ import dataclasses
 import math
 import warnings
 
-from .errors import ConfigurationError, EmptyThetaRange, InfeasibleGeometry, WindowViolation
+from .errors import ConfigurationError, EmptyThetaRange, WindowViolation
 from .pq_core import Params, lpq_scalar
 
 __all__ = ["WindowReport", "capacity_constant", "F_of", "compute_window"]
@@ -90,9 +90,6 @@ def compute_window(params: Params, spec, reactions, chi: float = 1.01,
     p, q, N, R = params.p, params.q, params.dim, params.radius
     if chi <= 1.0 or kappa <= 1.0:
         raise ConfigurationError(f"need chi, kappa > 1, got chi={chi}, kappa={kappa}")
-    rmax = 1.0 + N / (q - 1.0)
-    if R > rmax * (1.0 + 1e-12):
-        raise InfeasibleGeometry(f"radius {R} exceeds 1 + N/(q-1) = {rmax}")
 
     C = capacity_constant(N, q)
     F2 = F_of(spec.theta2, params)
@@ -122,8 +119,8 @@ def compute_window(params: Params, spec, reactions, chi: float = 1.01,
 
     # amplitude bound used in the lambda_* derivation:
     #   (1/eps^N) L_{p,q}(chi*kappa/(R-eps)) <= 2 (chi*kappa)^{q-1} / ((R-eps)^{q-1} eps^N),
-    # equivalent to chi*kappa >= R-eps; the geometry guard above gives
-    # R-eps = R(q-1)/(N+q-1) <= 1 < chi*kappa, so the margin is positive.
+    # equivalent to chi*kappa >= R-eps; Params' radius guard R <= 1 + N/(q-1)
+    # gives R-eps = R(q-1)/(N+q-1) <= 1 < chi*kappa, so the margin is positive.
     x = chi * kappa / (R - eps)
     cutoff_margin = 2.0 * (chi * kappa) ** (q - 1.0) / ((R - eps) ** (q - 1.0) * eps ** N) - (
         lpq_scalar(x, params) / eps ** N

@@ -86,8 +86,7 @@ def lpq_derivative(t, params: Params, alpha: float = 1.0, beta: float = 1.0, flo
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
-                      rtol: float, max_iter: int) -> np.ndarray:
+def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float) -> np.ndarray:
     """Solve alpha t^{p-1} + beta t^{q-1} = s elementwise for s > 0, t > 0."""
     p1 = params.p - 1.0
     q1 = params.q - 1.0
@@ -105,7 +104,7 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
         # root that underflows to t = 0 makes t^{p-2} infinite for p < 2
         # (its Newton step is then 0)
         with np.errstate(over="ignore", divide="ignore"):
-            t = _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter)
+            t = _inverse_iterative(s, F, p1, q1, alpha, beta)
     # relative to s itself: an absolute floor would pass any t with F(t)
     # below it, however wrong for a tiny load.  A root below the smallest
     # normal float underflows (to a subnormal or 0) and cannot meet a
@@ -120,7 +119,7 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float,
     return t
 
 
-def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
+def _inverse_iterative(s, F, p1, q1, alpha, beta):
     # bracket: the root lies above min(t1, t2), t1 = (s/2a)^{1/(p-1)} and
     # t2 = (s/2b)^{1/(q-1)}, where one term alone contributes exactly s/2; and
     # below each one-term inverse, where one term alone is already s.  The
@@ -139,7 +138,7 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
             break
     # safeguarded Newton polish inside the bracket
     t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(60):
         f = F(t) - s
         high = f > 0
         hi = np.where(high, t, hi)
@@ -154,7 +153,7 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
         # a short bisection step is no sign of convergence (the root can sit
         # ulps below the analytic upper end, which Newton then overshoots)
         # until the bracket itself is a few ulps wide
-        done = np.abs(t_new - t) < rtol * np.maximum(t_new, 1e-300)
+        done = np.abs(t_new - t) < 1e-12 * np.maximum(t_new, 1e-300)
         done &= ~bad | (hi - lo <= 4.0 * np.finfo(float).eps * hi)
         t = t_new
         if np.all(done):
@@ -162,17 +161,17 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta, rtol, max_iter):
     return t
 
 
-def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0,
-                rtol: float = 1e-12, max_iter: int = 60):
+def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0):
     """Inverse of the (weighted) scalar map; odd, strictly increasing.
 
     When q-1 = 2(p-1) (p=2, q=3 among them) x = t^{p-1} solves the quadratic
     beta x^2 + alpha x = s, and the inverse is the closed form
     t = (2s / (alpha + sqrt(alpha^2 + 4 beta s)))^{1/(p-1)}.  Other (p,q)
-    take a bracketed geometric bisection refined by safeguarded Newton
-    (rtol, max_iter).  Either way the residual relative to s must end
-    below 1e-8, or the root must underflow below the smallest normal float
-    where the exact one lies too, else ConvergenceFailure.  For s >= 0 the
+    take a bracketed geometric bisection refined by safeguarded Newton (at
+    most 60 steps, until a step moves t by less than 1e-12 relative).
+    Either way the residual relative to s must end below 1e-8, or the root
+    must underflow below the smallest normal float where the exact one lies
+    too, else ConvergenceFailure.  For s >= 0 the
     result also satisfies lpq_inverse(s) <= (s/beta)^{1/(q-1)} (the q-term
     alone already overshoots s at that point).
     """
@@ -185,9 +184,9 @@ def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0,
     pos = s_flat > 0.0
     neg = s_flat < 0.0
     if np.any(pos):
-        out[pos] = _inverse_positive(s_flat[pos], params, alpha, beta, rtol, max_iter)
+        out[pos] = _inverse_positive(s_flat[pos], params, alpha, beta)
     if np.any(neg):
-        out[neg] = -_inverse_positive(-s_flat[neg], params, alpha, beta, rtol, max_iter)
+        out[neg] = -_inverse_positive(-s_flat[neg], params, alpha, beta)
     if scalar_in:
         return float(out[0])
     return out.reshape(s_arr.shape)

@@ -11,7 +11,6 @@ overshooting theta2.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "RadialProfile",
     "cutoff",
     "cutoff_prime",
-    "quadrature_solve",
     "solve_radial",
     "certify_radial_claim",
 ]
@@ -95,40 +93,10 @@ def _outer_integral(nodes: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return full[-1] - full
 
 
-def quadrature_solve(params: Params, load_fn: Callable, n: int,
-                     alpha: float = 1.0, beta: float = 1.0,
-                     iters: int = 60, relax: float = 0.5,
-                     init: np.ndarray | None = None,
-                     tol: float = 1e-12) -> GridFunction:
-    """Lagged nested-quadrature solution of -L^{alpha,beta} u = load_fn(u) on the ball.
-
-    load_fn maps node values to node loads (it owns any positivity
-    flooring for singular terms).  Each sweep freezes the load, solves the
-    resulting radial problem exactly by quadrature, then under-relaxes.
-    Serves as an independent oracle for the finite-difference solvers and
-    as their initial guess.
-    """
-    nodes = np.linspace(0.0, params.radius, n + 1)
-    if init is None:
-        u = (1.0 - (nodes / params.radius) ** 2)
-    else:
-        u = np.asarray(init, dtype=float).copy()
-    for _ in range(iters):
-        load = np.asarray(load_fn(u), dtype=float)
-        if load.ndim == 0:
-            load = np.full_like(nodes, float(load))
-        I = _nested_integral(nodes, load, 1.0, params.dim)
-        slope = lpq_inverse(I, params, alpha, beta)
-        u_new = _outer_integral(nodes, slope)
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u + relax * (u_new - u)
-        if delta <= tol * max(1.0, float(np.max(np.abs(u)))):
-            break
-    return GridFunction(nodes, u)
-
-
-def solve_radial(params: Params, reactions, window: WindowReport, n: int = 2048) -> RadialProfile:
-    """Quadrature solution Phi of the truncated problem with load lam*h(v).
+def solve_radial(params: Params, reactions, window: WindowReport,
+                 nodes: np.ndarray) -> RadialProfile:
+    """Quadrature solution Phi of the truncated problem with load lam*h(v),
+    at the radial nodes (DiscreteOperator.from_params lays them out).
 
     lam outside [lambda_*, lambda^*] only warns (WindowViolation): the
     solve is still well defined, the comparison certificate just loses
@@ -136,7 +104,6 @@ def solve_radial(params: Params, reactions, window: WindowReport, n: int = 2048)
     """
     lam = params.lam
     window.warn_outside(lam)
-    nodes = np.linspace(0.0, params.radius, n + 1)
     v_vals = window.theta * cutoff(nodes, params, window.chi, window.kappa, window.epsilon)
     vp_vals = window.theta * cutoff_prime(nodes, params, window.chi, window.kappa, window.epsilon)
     load = np.asarray(reactions.h(v_vals), dtype=float)

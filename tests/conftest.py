@@ -36,11 +36,10 @@ class PipelineEnv:
 
 def _build_env(config: str) -> PipelineEnv:
     env = cli._build_env(cli._load_config(str(SCRIPTS / config)))
-    profile, _rcert, pairs = cli._pairs(env)
+    op, profile, _rcert, pairs = cli._pairs(env)
     return PipelineEnv(spec=env.spec, params0=env.params0, window=env.window,
                        params=env.params, reactions=env.reactions, profile=profile,
-                       op=DiscreteOperator.from_params(env.params, n=env.n),
-                       pairs=pairs, n=env.n)
+                       op=op, pairs=pairs, n=env.n)
 
 
 @pytest.fixture(scope="session")

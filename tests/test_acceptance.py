@@ -113,7 +113,7 @@ def test_criterion_4_truncated_profile_claims(cfg1, capsys):
                 cfg1.window.lambda_upper):
         px = dataclasses.replace(cfg1.params0, lam=lam)
         rxx = build_h(cfg1.spec, px)
-        pf = solve_radial(px, rxx, cfg1.window, n=4096)
+        pf = solve_radial(px, rxx, cfg1.window, DiscreteOperator.from_params(px, 4096).grid)
         certs.append(certify_radial_claim(pf, px, cfg1.window).passed)
         certs.append(bool(np.all(pf.phi.values >= pf.v.values - tolv)))
         certs.append(float(pf.phi.sup_norm()) <= cfg1.spec.theta2 + tolv)
@@ -233,15 +233,16 @@ def test_criterion_8_solve_map_increasing(cfg1, capsys):
 
 def test_criterion_9_mesh_refinement_order(cfg1, capsys):
     t0 = time.perf_counter()
-    phis = {n: solve_radial(cfg1.params, cfg1.reactions, cfg1.window, n=n).phi.values
+    phis = {n: solve_radial(cfg1.params, cfg1.reactions, cfg1.window,
+                            DiscreteOperator.from_params(cfg1.params, n).grid).phi.values
             for n in (512, 1024, 2048)}
     d1 = float(np.max(np.abs(phis[512] - phis[1024][::2])))
     d2 = float(np.max(np.abs(phis[1024] - phis[2048][::2])))
     order_phi = float(np.log2(d1 / d2))
     u1 = {}
     for n in (256, 512, 1024):
-        opn = DiscreteOperator.from_params(cfg1.params, n=n)
-        profn = solve_radial(cfg1.params, cfg1.reactions, cfg1.window, n=n)
+        opn = DiscreteOperator.from_params(cfg1.params, n)
+        profn = solve_radial(cfg1.params, cfg1.reactions, cfg1.window, opn.grid)
         pn = construct_pairs(cfg1.params, cfg1.spec, cfg1.reactions, cfg1.window,
                              profn, op=opn)
         u1[n] = amann_iterate(cfg1.params, cfg1.reactions, pn.u0, pn.v_up,

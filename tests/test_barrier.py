@@ -50,7 +50,7 @@ def test_profile_interpolators():
     assert prof.R_tau is None
     s = 0.05
     assert prof.value(s) == pytest.approx(float(prof.xi.interp(s)))
-    assert prof.slope(s) < 1.0
+    assert prof.xi_prime.interp(s) < 1.0   # the slope falls from tau = 1
 
 
 def test_exponent_guards():

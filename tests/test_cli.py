@@ -70,6 +70,10 @@ def test_window_via_main(tmp_path, capsys):
     # sections `window` does not use are checked all the same
     {"sweep": {"count": "x"}, "barrier": {"n": 2.5}},   # wrong types
     {"sweep": {"count": 1}},                            # a sweep needs two loads
+    {"grid": {"n": float("inf")}},                      # non-finite numbers, written
+    {"tolerances": {"budget": float("inf")}},           # as JSON Infinity
+    {"params": {"lambda": float("inf")}},
+    {"grid": {"n": 10 ** 400}},                         # an integer past the float range
 ])
 def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))
@@ -102,6 +106,18 @@ def test_unknown_command_exit_2(tmp_path, capsys):
 def test_negative_lambda_flag_exit_2(tmp_path, capsys):
     assert run("window", str(SMALL), out=str(tmp_path), lam=-0.1) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["pairs", "--lambda", "inf"], "lambda must be finite and nonnegative, got inf"),
+    (["window", "--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
+    (["certify", "--input", "x.csv", "--kind", "subsolution", "--tol", "inf"],
+     "--tol must be finite, got inf"),
+], ids=["lambda-inf", "lambda-nan", "tol-inf"])
+def test_non_finite_flags_exit_2(tmp_path, capsys, flags, message):
+    # refused before any stage runs: no solve, and no numpy warning on stderr
+    assert main([*flags, "--config", str(SMALL), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_empty_window_exit_1(tmp_path, capsys):
@@ -262,6 +278,18 @@ def test_certify_input_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_nonordering_needs_a_common_grid(tmp_path, capsys):
+    # as ordering does: u on [0, 1] against `other` on [0, 2], both 257 rows
+    for name, R in (("u.csv", 1.0), ("other.csv", 2.0)):
+        nodes = np.linspace(0.0, R, 257)
+        lines = ["r,u"] + ["%.17g,%.17g" % (r, R - r) for r in nodes]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    for kind in ("ordering", "nonordering"):
+        assert run("certify", str(SMALL), out=str(tmp_path), input_path=str(tmp_path / "u.csv"),
+                   kind=kind, other=str(tmp_path / "other.csv")) == 2
+        assert capsys.readouterr().err == f"config error: {kind} certificate needs a common grid\n"
+
+
 def test_sweep_rows_ascend(tmp_path, capsys):
     cfg = small_cfg(sweep={"count": 3})
     code = run("sweep", write_cfg(tmp_path, cfg), out=str(tmp_path))
@@ -409,6 +437,26 @@ def test_unsolvable_newton_system_exit_3(tmp_path, capsys, monkeypatch, fault, m
     assert capsys.readouterr().err == "did not converge: " + message
 
 
+def test_failed_run_keeps_its_warnings(tmp_path, capsys, monkeypatch):
+    # above lambda^* the pairs stage warns WindowViolation twice before a NaN
+    # residual at node 17 stops it: both warnings follow the error line
+    real = ds._residual_scale
+
+    def faulty(*args, **kwargs):
+        res, scale, rnd, kept = real(*args, **kwargs)
+        res = res.copy()
+        res[17] = np.nan
+        return res, scale, rnd, kept
+
+    monkeypatch.setattr(ds, "_residual_scale", faulty)
+    assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "did not converge: Newton system not finite at row 17"
+    assert len(err) == 3
+    for line in err[1:]:
+        assert line.startswith("warning: WindowViolation: lambda=0.29502 outside [")
+
+
 def test_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
     assert run("solve", str(SMALL), out=str(tmp_path / "a"), nodes=64) == 0
     assert run("solve", str(SMALL), out=str(tmp_path / "b"), nodes=64, seed=12345) == 0
@@ -432,7 +480,7 @@ def test_failed_f4_is_not_a_positivity_loss(tmp_path, capsys):
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"error": "nonlinearity assumptions (f0)-(f4) failed validation: f4",
-                   "kind": "failed_assumptions"}
+                   "kind": "failed_assumptions", "warnings": []}
 
 
 def _cap_holds(env, m):

@@ -12,7 +12,6 @@ from pqsing import (
     NonlinearitySpec,
     Params,
     amann_iterate,
-    apply,
     build_first_pair,
     build_h,
     certify,
@@ -21,11 +20,9 @@ from pqsing import (
     lpq_derivative,
     march,
     original_residual,
-    quadrature_solve,
     search_third_solution,
     solve_eta_problem,
     solve_radial,
-    solve_singular_constant,
     that_map,
 )
 from pqsing import discrete_solver
@@ -37,6 +34,7 @@ from pqsing.errors import (
     MonotonicityViolation,
     PositivityLoss,
 )
+from quadrature_oracle import quadrature_solve
 
 
 def make_params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3):
@@ -44,6 +42,11 @@ def make_params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3):
 
 
 # ---------------------------------------------------------------- operator
+
+def apply(op, values):
+    """The scheme's A(u) at nodes 0..n-1, and 0 in the Dirichlet slot."""
+    return np.append(discrete_solver._apply_values(op, np.asarray(values, dtype=float)), 0.0)
+
 
 def test_operator_construction_guards():
     pr = make_params()
@@ -66,8 +69,7 @@ def test_operator_exact_on_affine(dim):
     # N-dependent geometric factor, reproduced exactly by the scheme
     pr = make_params(dim=dim)
     op = DiscreteOperator.from_params(pr, n=128)
-    u = GridFunction(op.grid, pr.radius - op.grid)
-    out = apply(op, u).values
+    out = apply(op, pr.radius - op.grid)
     # -L(u) with |u'| = 1: flux F(-1) = -(alpha+beta); divergence of
     # r^{N-1} F over r^{N-1} gives (N-1)/r * (alpha+beta)
     interior = np.arange(1, op.n)
@@ -81,9 +83,9 @@ def _p2_part(pr, n, u_of_grid):
     # applies isolate the p=2 contribution without zero weights
     op1 = DiscreteOperator.from_params(pr, n=n)
     op2 = DiscreteOperator.from_params(pr, n=n, beta=2.0)
-    u = GridFunction(op1.grid, u_of_grid(op1.grid))
-    q_part = apply(op2, u).values - apply(op1, u).values
-    return apply(op1, u).values - q_part
+    u = u_of_grid(op1.grid)
+    q_part = apply(op2, u) - apply(op1, u)
+    return apply(op1, u) - q_part
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -107,12 +109,22 @@ def test_operator_paraboloid_dim3_known_deviation():
     assert p2[0] == pytest.approx(6.0, rel=1e-12)
 
 
-def test_apply_requires_matching_grid():
-    pr = make_params()
-    op = DiscreteOperator.from_params(pr, n=64)
-    g = GridFunction(np.linspace(0.0, 1.0, 33), np.zeros(33))
-    with pytest.raises(ConfigurationError):
-        apply(op, g)
+def test_stages_require_the_operator_grid(gentle):
+    # every stage takes the load's one operator and refuses a grid function
+    # that lives elsewhere, where it used to interpolate or rebuild
+    env = gentle
+    half = DiscreteOperator.from_params(env.params, env.n // 2)
+    g = GridFunction(half.grid, np.ones(half.n + 1))
+    with pytest.raises(ConfigurationError, match="operator grid"):
+        construct_pairs(env.params, env.spec, env.reactions, env.window, env.profile, half)
+    with pytest.raises(ConfigurationError, match="operator grid"):
+        build_first_pair(env.params, env.spec, env.reactions, env.op, fit_under=g)
+    with pytest.raises(ConfigurationError, match="operator grid"):
+        amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                      "from_lower", half)
+    with pytest.raises(ConfigurationError, match="operator grid"):
+        search_third_solution(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
+                              env.pairs, half)
 
 
 # ---------------------------------------------------------------- basic solves
@@ -228,7 +240,7 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         seed = discrete_solver._load_solution(op, rhs)
         assert seed[-1] == 0.0 and np.all(np.diff(seed) < 0.0)
-        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed, 1e-12)
+        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed)
         assert np.array_equal(u, seed) and steps == 0
     assert calls == []
 
@@ -323,20 +335,6 @@ def test_eta_problem_guards():
         solve_eta_problem(op, 0.0)
 
 
-def test_singular_constant_solve():
-    pr = make_params()
-    op = DiscreteOperator.from_params(pr, n=512)
-    u = solve_singular_constant(op, 1.0)
-    ui = u.values[:-1]
-    assert np.all(ui > 0.0)
-    assert u.values[-1] == 0.0
-    res = apply(op, u).values[:-1] - ui ** (-0.5)
-    assert np.max(np.abs(res)) <= 1e-8
-    # sits above the non-singular solution of the same load
-    base = solve_eta_problem(op, 1.0)
-    assert np.all(u.values >= base.values - 1e-12)
-
-
 def test_weighted_scaling_identities(cfg1):
     # A_{1,1}(alpha_* u) = alpha_*^{q-1} A^{alpha,1}(u) with alpha = alpha_*^{p-q},
     # and A_{1,1}(m u) = m^{p-1} A^{1,beta}(u) with beta = m^{q-p); both exact
@@ -345,13 +343,13 @@ def test_weighted_scaling_identities(cfg1):
     op = DiscreteOperator.from_params(pr, n=256)
     u = solve_eta_problem(DiscreteOperator.from_params(pr, n=256), 1.0)
     for scale in (3.0, 17.0):
-        lhs = apply(op, u.with_values(scale * u.values)).values
+        lhs = apply(op, scale * u.values)
         opw = DiscreteOperator.from_params(pr, n=256, alpha=scale ** (pr.p - pr.q))
-        rhs = scale ** (pr.q - 1.0) * apply(opw, u).values
+        rhs = scale ** (pr.q - 1.0) * apply(opw, u.values)
         rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
         assert rel <= 1e-10
         opb = DiscreteOperator.from_params(pr, n=256, beta=scale ** (pr.q - pr.p))
-        rhs2 = scale ** (pr.p - 1.0) * apply(opb, u).values
+        rhs2 = scale ** (pr.p - 1.0) * apply(opb, u.values)
         rel2 = np.max(np.abs(lhs - rhs2)) / np.max(np.abs(rhs2))
         assert rel2 <= 1e-10
 
@@ -657,7 +655,7 @@ def test_amann_limit_mesh_stability(gentle):
     env = gentle
     n2 = env.n // 2
     op2 = DiscreteOperator.from_params(env.params, n=n2)
-    prof2 = solve_radial(env.params, env.reactions, env.window, n=n2)
+    prof2 = solve_radial(env.params, env.reactions, env.window, op2.grid)
     pairs2 = construct_pairs(env.params, env.spec, env.reactions, env.window,
                              prof2, op=op2)
     lo2 = amann_iterate(env.params, env.reactions, pairs2.u0, pairs2.v_up,
@@ -742,7 +740,7 @@ def test_march_reproduces_the_scheme(gentle):
     assert np.all(u[0, :-1] > 0.0) and u[0, -1] > 0.0     # overshoots the boundary
     assert u[1, -1] == -np.inf                              # dies before it
     row = u[0]
-    A = apply(env.op, row).values[:-1]
+    A = apply(env.op, row)[:-1]
     react = env.reactions.lam * env.reactions.f(row[:-1]) * row[:-1] ** (-env.params.gamma)
     assert np.max(np.abs(A - react) / (1.0 + react)) < 1e-9
 

@@ -1,15 +1,21 @@
 """Import diet: `import pqsing` loads numpy only, and no command loads scipy.
 
-Every check runs in a fresh interpreter, because this process has imported
-scipy already (the port tests use it as their oracle).
+Every diet check runs in a fresh interpreter, because this process has
+imported scipy already (the port tests use it as their oracle).  The last
+two tests check the public surface: every exported name resolves, and the
+README's library quick start runs as written.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import pqsing
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ROOT / "scripts" / "cfg_small.json"
@@ -83,3 +89,24 @@ def test_pipeline_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     codes = json.loads(done.stdout.splitlines()[-1])
     assert codes == {"window": 0, "barrier": 0, "pairs": 0, "solve": 0, "sweep": 0}
+
+
+def test_every_exported_name_resolves():
+    # the package's and each module's __all__ name only what is defined
+    names = [m.name for m in pkgutil.iter_modules(pqsing.__path__) if m.name != "__main__"]
+    for module in (pqsing, *(importlib.import_module(f"pqsing.{n}") for n in names)):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's "Quick start (library)" block, executed as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["pairs"].all_passed
+    assert namespace["third"]["status"] == "converged"
+    assert namespace["third"]["u_at_0"] == pytest.approx(31.757, rel=1e-4)
+    capsys.readouterr()

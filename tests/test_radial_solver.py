@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pqsing import (
+    DiscreteOperator,
     Params,
     build_h,
     certify_radial_claim,
@@ -15,11 +16,15 @@ from pqsing import (
     construct_pairs,
     cutoff,
     cutoff_prime,
-    quadrature_solve,
     solve_radial,
 )
 from pqsing import radial_solver
 from pqsing.errors import WindowViolation
+from quadrature_oracle import quadrature_solve
+
+
+def radial_nodes(params, n):
+    return DiscreteOperator.from_params(params, n).grid
 
 
 # ---------------------------------------------------------------- cutoff
@@ -125,7 +130,8 @@ def test_radial_certificate(cfg1):
 def test_solver_against_independent_quadrature(cfg1):
     # same nodes, same rule, but assembled from scratch with the p=2,q=3
     # closed-form inverse instead of the generic scalar root-finder
-    prof = solve_radial(cfg1.params, cfg1.reactions, cfg1.window, n=1024)
+    prof = solve_radial(cfg1.params, cfg1.reactions, cfg1.window,
+                        radial_nodes(cfg1.params, 1024))
     nodes = prof.phi.nodes
     load = cfg1.params.lam * np.asarray(cfg1.reactions.h(prof.v.values), dtype=float)
     inner = cumulative_trapezoid(nodes * load, nodes, initial=0.0)
@@ -141,7 +147,7 @@ def test_out_of_window_load_warns(cfg1):
     pr = dataclasses.replace(cfg1.params, lam=10.0 * cfg1.window.lambda_upper)
     rx = build_h(cfg1.spec, pr)
     with pytest.warns(WindowViolation):
-        solve_radial(pr, rx, cfg1.window, n=256)
+        solve_radial(pr, rx, cfg1.window, radial_nodes(pr, 256))
 
 
 def test_pairs_out_of_window_warn_once_per_stage(gentle):
@@ -151,8 +157,9 @@ def test_pairs_out_of_window_warn_once_per_stage(gentle):
     rx = build_h(gentle.spec, pr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        prof = solve_radial(pr, rx, gentle.window, n=gentle.n)
-        construct_pairs(pr, gentle.spec, rx, gentle.window, prof, n=gentle.n)
+        op = DiscreteOperator.from_params(pr, gentle.n)
+        prof = solve_radial(pr, rx, gentle.window, op.grid)
+        construct_pairs(pr, gentle.spec, rx, gentle.window, prof, op)
     where = [os.path.basename(w.filename) for w in caught if w.category is WindowViolation]
     assert where == ["radial_solver.py", "discrete_solver.py"]
     with warnings.catch_warnings():
@@ -164,7 +171,8 @@ def test_pairs_out_of_window_warn_once_per_stage(gentle):
 def test_lambda_zero_gives_zero_profile(cfg1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WindowViolation)
-        prof = solve_radial(cfg1.params0, cfg1.reactions, cfg1.window, n=256)
+        prof = solve_radial(cfg1.params0, cfg1.reactions, cfg1.window,
+                            radial_nodes(cfg1.params0, 256))
     assert prof.phi.sup_norm() == 0.0
 
 
