@@ -52,7 +52,6 @@ from .discrete_solver import (
     DiscreteOperator,
     IterationTrace,
     PairsResult,
-    solve_eta_problem,
     build_first_pair,
     build_second_pair,
     construct_pairs,
@@ -80,8 +79,7 @@ __all__ = [
     "xi_max", "conservation_residual",
     "check_scaling", "certify_smallest_exponent", "certify_barrier_supersolution",
     "minimal_M",
-    "DiscreteOperator", "IterationTrace", "PairsResult",
-    "solve_eta_problem", "build_first_pair",
+    "DiscreteOperator", "IterationTrace", "PairsResult", "build_first_pair",
     "build_second_pair", "construct_pairs", "that_map", "amann_iterate",
     "certify", "original_residual", "march", "search_third_solution",
     "errors",

@@ -337,7 +337,8 @@ def _radial(env: _Env, op: ds.DiscreteOperator):
 
 
 def _cmd_radial(env: _Env) -> int:
-    profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
+    with _recorded_warnings(env) as fired:
+        profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
                (profile.phi.nodes, profile.phi.values, profile.phi_prime.values,
@@ -347,6 +348,7 @@ def _cmd_radial(env: _Env) -> int:
         "n": env.n,
         "sup_phi": profile.phi.sup_norm(),
         "certificate": cert.summary(),
+        "warnings": fired,
     }
     _write_json(env.outdir / "radial.json", report)
     _print(report)
@@ -414,6 +416,12 @@ def _cmd_pairs(env: _Env) -> int:
     return 0 if report["all_passed"] else 1
 
 
+def _leg_report(leg: ds.IterationTrace) -> dict:
+    return {"converged": leg.converged, "steps": leg.n_steps, "residual": leg.residual,
+            "scaled_residual": leg.scaled_residual, "sup": leg.limit.sup_norm(),
+            "monotone": bool(all(leg.monotone)), "khat": leg.khat, "stalled": leg.stalled}
+
+
 def _cmd_solve(env: _Env) -> int:
     with _recorded_warnings(env) as fired:
         op, _profile, rcert, pairs = _pairs(env)
@@ -445,16 +453,8 @@ def _cmd_solve(env: _Env) -> int:
     gap = float(np.max(np.abs(up.limit.values - lo.limit.values)))
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({
-        "from_lower": {"converged": lo.converged, "steps": lo.n_steps,
-                       "residual": lo.residual,
-                       "scaled_residual": lo.scaled_residual, "sup": lo.limit.sup_norm(),
-                       "monotone": bool(all(lo.monotone)), "khat": lo.khat,
-                       "stalled": lo.stalled},
-        "from_upper": {"converged": up.converged, "steps": up.n_steps,
-                       "residual": up.residual,
-                       "scaled_residual": up.scaled_residual, "sup": up.limit.sup_norm(),
-                       "monotone": bool(all(up.monotone)), "khat": up.khat,
-                       "stalled": up.stalled},
+        "from_lower": _leg_report(lo),
+        "from_upper": _leg_report(up),
         "gap": gap,
         "distinctness": distinct,
         "third_solution": third,

@@ -1,4 +1,4 @@
-"""Radial finite differences for -L^{alpha,beta}_{p,q} and the monotone pipeline.
+"""Radial finite differences for -L_{p,q} and the monotone pipeline.
 
 One uniform grid on [0, R], laid out by DiscreteOperator.from_params, carries
 everything: the flux-form operator, the auxiliary constant-load solves, the
@@ -8,9 +8,10 @@ third solution u3 between them.  Every stage takes that operator and
 refuses a grid function that lives elsewhere.  All nonlinear systems go
 through one damped-Newton core, whose tridiagonal steps solve_banded solves
 by odd-even cyclic reduction in numpy.  The constant-load problems behind
-both pairs (w_eta, u_alpha, u_beta*) are seeded at their exact discrete
-solution, which the flux form yields by two cumulative sums
-(_load_solution), so Newton only checks it.
+both pairs -- w_eta, and u_alpha, u_beta* of the paper's weighted
+-L^{alpha,beta} -- need no Newton: the flux form gives their exact discrete
+solution by two cumulative sums (_load_solution, the one place weights
+enter), checked once per load where a reported margin relies on it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -25,7 +26,7 @@ cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
 
     A(u)_i = -( area_i F(g_i) - area_{i-1} F(g_{i-1}) ) / vol_i,
 
-with g_i = (u_{i+1}-u_i)/h, F = alpha L_p + beta L_q, area_i =
+with g_i = (u_{i+1}-u_i)/h, F = L_p + L_q, area_i =
 r_{i+1/2}^{N-1} and vol_i = h r_i^{N-1}.  Row 0's cell is the half cell
 [0, h/2] of volume (h/2)^{N-1} h/(2N), whose inner face is the axis (zero
 flux through r=0); node n holds the Dirichlet value.  Affine profiles
@@ -66,7 +67,6 @@ __all__ = [
     "DiscreteOperator",
     "IterationTrace",
     "PairsResult",
-    "solve_eta_problem",
     "build_first_pair",
     "build_second_pair",
     "construct_pairs",
@@ -85,23 +85,21 @@ _SOLVE_TOL = 1e-12      # sup-norm scaled residual every Newton solve ends below
 _HALVINGS = 50
 _CR_DENSE = 32          # rows solve_banded leaves to numpy.linalg.solve
 _GEOM_BUDGET = 60       # eta halvings / alpha_* doublings
-_BISECT_BUDGET = 80     # m_lambda bracketing + bisection
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Flux-form discretization of -L^{alpha,beta}_{p,q} on a uniform radial grid.
+    """Flux-form discretization of -L_{p,q} on a uniform radial grid.
 
-    The only code that builds the scheme's weights (module docstring).  Per
-    row i = 0..n-1: `area` r_{i+1/2}^{N-1} of the outer face, `vol` the cell
-    volume, `cplus` = area/vol and `cminus` the inner face's area over vol;
-    the axis row 0 has no inner face, so cminus_0 = 0, and cplus_0 = 2N/h.
+    The only code that builds the scheme's geometric weights (module
+    docstring).  Per row i = 0..n-1: `area` r_{i+1/2}^{N-1} of the outer
+    face, `vol` the cell volume, `cplus` = area/vol and `cminus` the inner
+    face's area over vol; the axis row 0 has no inner face, so cminus_0 = 0,
+    and cplus_0 = 2N/h.
     """
 
     params: Params
     grid: np.ndarray
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.grid, dtype=float)
@@ -114,8 +112,6 @@ class DiscreteOperator:
         R = self.params.radius
         if abs(float(nodes[0])) > 1e-14 or abs(float(nodes[-1]) - R) > 1e-12 * R:
             raise ConfigurationError("grid must span [0, R]")
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ConfigurationError("weights alpha, beta must be positive")
         N = self.params.dim
         area = (nodes[:-1] + 0.5 * h) ** (N - 1)
         vol = h * nodes[:-1] ** (N - 1)
@@ -132,14 +128,10 @@ class DiscreteOperator:
         return int(self.grid.size - 1)
 
     @classmethod
-    def from_params(cls, params: Params, n: int,
-                    alpha: float = 1.0, beta: float = 1.0) -> "DiscreteOperator":
+    def from_params(cls, params: Params, n: int) -> "DiscreteOperator":
         """The operator on n uniform cells of [0, R]: the one place radial
         nodes are laid out."""
-        return cls(params, np.linspace(0.0, params.radius, n + 1), alpha, beta)
-
-    def with_weights(self, alpha: float, beta: float) -> "DiscreteOperator":
-        return DiscreteOperator(self.params, self.grid, alpha, beta)
+        return cls(params, np.linspace(0.0, params.radius, n + 1))
 
 
 def _check_grid(op: DiscreteOperator, *functions: GridFunction) -> None:
@@ -147,15 +139,6 @@ def _check_grid(op: DiscreteOperator, *functions: GridFunction) -> None:
     for u in functions:
         if not same_grid(u.nodes, op.grid):
             raise ConfigurationError("grid function does not live on the operator grid")
-
-
-def _operator_for(params: Params, u: GridFunction,
-                  op: DiscreteOperator | None) -> DiscreteOperator:
-    """op, checked to carry u's nodes; the operator on u's nodes when op is None."""
-    if op is None:
-        return DiscreteOperator(params, u.nodes)
-    _check_grid(op, u)
-    return op
 
 
 def _faces(op: DiscreteOperator, x: np.ndarray):
@@ -168,7 +151,7 @@ def _faces(op: DiscreteOperator, x: np.ndarray):
 def _fluxes(op: DiscreteOperator, u: np.ndarray):
     """(g, F(g)): the gradients and fluxes of u at the n half nodes."""
     g = np.diff(u) / op.h
-    return g, lpq_scalar(g, op.params, op.alpha, op.beta)
+    return g, lpq_scalar(g, op.params)
 
 
 def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
@@ -284,7 +267,7 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     # injects (|J_row| * ||u|| * eps); below this, residuals are noise.
     # F' is the Jacobian's, clipped at _JAC_FLOOR: for p < 2 the unclipped
     # F'(0) is infinite and would hide every residual in a flat core
-    Fp = lpq_derivative(g, op.params, op.alpha, op.beta, floor=_JAC_FLOOR)
+    Fp = lpq_derivative(g, op.params, floor=_JAC_FLOOR)
     out, inner = _faces(op, np.abs(F))
     dout, dinner = _faces(op, Fp)
     rnd = out + inner + (dout + dinner) / op.h * np.max(np.abs(u))
@@ -412,35 +395,36 @@ def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
     return amp * (1.0 - (nodes / R) ** 2)
 
 
-def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
-    """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular or theta term).
+def _load_solution(op: DiscreteOperator, rhs, alpha: float = 1.0,
+                   beta: float = 1.0) -> np.ndarray:
+    """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular
+    or theta term), with the flux F = alpha L_p + beta L_q.
 
     The flux form telescopes row by row: Phi_i = area_i F(g_i) obeys
     Phi_i = Phi_{i-1} - vol_i rhs_i with Phi_{-1} = 0 (no flux through the
     axis).  A cumulative sum gives the fluxes, lpq_inverse the gradients, and
     a reverse cumulative sum from the Dirichlet node the values.  This is the
     discrete analogue of the divergence theorem on the ball, exact up to
-    rounding, so Newton accepts it as a seed without taking a step.
+    rounding, so Newton accepts it without taking a step.  The weights are
+    those of the auxiliary problems -L^{alpha,beta} u = 1; no other code
+    carries them.
     """
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (op.n,))
     flux = -np.cumsum(op.vol * rhs)
-    g = lpq_inverse(flux / op.area, op.params, op.alpha, op.beta)
+    g = lpq_inverse(flux / op.area, op.params, alpha, beta)
     u = np.zeros(op.n + 1)
     u[:-1] = -op.h * np.cumsum(g[::-1])[::-1]
     return u
 
 
-# ---------------------------------------------------------------------------
-# auxiliary problems
-# ---------------------------------------------------------------------------
-
-def solve_eta_problem(op: DiscreteOperator, eta: float) -> GridFunction:
-    """-L^{alpha,beta} w = eta with Dirichlet 0: positive, vanishing with eta."""
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
-    rhs = np.full(op.n, eta)
-    u = _newton(op, 0.0, 0.0, 0.0, rhs, _load_solution(op, rhs))[0]
-    return GridFunction(op.grid, u)
+def _check_exact(op: DiscreteOperator, u: np.ndarray, rhs: float, what: str) -> None:
+    """ConvergenceFailure unless u solves A(u) = rhs within Newton's
+    rounding-aware tolerance: the check Newton makes before its first step."""
+    res, scale, rnd, _ = _residual_scale(op, u, 0.0, 0.0, 0.0, rhs, False)
+    err = _scaled_err(res, scale, rnd)
+    if err > _SOLVE_TOL:
+        raise ConvergenceFailure(f"{what} by scaled residual {err:.3e} "
+                                 f"(worst node {_worst_node(res, scale, rnd)})")
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +473,10 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
             raise PositivityLoss(
                 f"{kind} certificate needs u > 0 at interior nodes "
                 f"(min {float(np.min(interior)):.3e})")
-        res, A, react = _unshifted(params, reactions, _operator_for(params, u, op), u.values)
+        if op is None:
+            op = DiscreteOperator(params, u.nodes)
+        _check_grid(op, u)
+        res, A, react = _unshifted(params, reactions, op, u.values)
         margins = -res if kind == "subsolution" else res
         if tol is None:
             tol = 1e-10 * max(1.0, float(np.max(np.abs(A))), float(np.max(react)))
@@ -527,9 +514,9 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
 
 
 def original_residual(params: Params, reactions: DerivedReactions, u: GridFunction,
-                      op: DiscreteOperator | None = None) -> float:
+                      op: DiscreteOperator) -> float:
     """Scaled sup residual of -L u = lam f(u) u^{-gamma} at the nodes."""
-    op = _operator_for(params, u, op)
+    _check_grid(op, u)
     if np.any(u.values[:-1] <= 0.0):
         return float("inf")
     res, _A, react = _unshifted(params, reactions, op, u.values)
@@ -545,13 +532,17 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
                      dominate: GridFunction | None = None):
     """Outer pair: u0 = w_eta (small) and u_up = alpha_* u_alpha (large).
 
-    eta is halved until eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes
-    w_eta a strict subsolution with margin chi_low; alpha_* is doubled until
+    w_eta solves -L w = eta and u_alpha solves -L^{alpha,1} u = 1 with
+    alpha = alpha_*^{p-q}, both by _load_solution.  eta is halved until
+    eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes w_eta a strict
+    subsolution with margin chi_low; chi_low takes -L w_eta = eta as exact,
+    which is checked once, at the accepted eta.  alpha_* is doubled until
     the smallness condition lam f(alpha_*||u_alpha||) <= alpha_*^{q+gamma-1}
     holds AND the pointwise supersolution certificate has a positive margin
     chi_high (the scalar condition alone controls only the sup norm; the
     grid's near-boundary nodes need the extra doublings).  `fit_under` /
     `dominate` tighten the searches so the pair brackets a given inner pair.
+    u_up needs no exactness check: its certificate is pointwise.
     """
     if not validate(spec, params).ok:
         raise ConfigurationError("nonlinearity assumptions (f0)-(f4) do not hold")
@@ -561,10 +552,9 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
 
     # --- lower: w_eta ------------------------------------------------------
     eta = max(1.0, lam * reactions.f0)
-    w = None
     for _ in range(_GEOM_BUDGET):
-        w = solve_eta_problem(op, eta)
-        wi = w.values[:-1]
+        w = _load_solution(op, eta)
+        wi = w[:-1]
         cond = 0.5 * lam * float(np.min(np.asarray(f(wi), dtype=float) * wi ** (-gamma)))
         ok = eta <= cond
         if ok and fit_under is not None:
@@ -574,7 +564,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
         eta *= 0.5
     else:
         raise SearchExhausted("no admissible eta within the halving budget")
-    wi = w.values[:-1]
+    _check_exact(op, w, eta, "first pair: w_eta misses -L w = eta")
     chi_low = float(np.min(_reaction_values(params, reactions, wi))) - eta
 
     # --- upper: alpha_* u_alpha --------------------------------------------
@@ -598,8 +588,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     u_up = None
     chi_high = None
     for _ in range(_GEOM_BUDGET):
-        aux = op.with_weights(alpha_star ** (params.p - params.q), 1.0)
-        ua = solve_eta_problem(aux, 1.0).values
+        ua = _load_solution(op, 1.0, alpha_star ** (params.p - params.q), 1.0)
         norm = float(np.max(ua))
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
@@ -614,7 +603,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     else:
         raise SearchExhausted("no admissible alpha_* within the doubling budget")
 
-    u0 = w
+    u0 = GridFunction(op.grid, w)
     if np.any(u0.values[:-1] > u_up.values[:-1]):
         raise SearchExhausted("constructed pair is not ordered")
     margins = {
@@ -631,11 +620,15 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
                       window: WindowReport, profile: RadialProfile, op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
-    m is located by two bisections: the growth condition
-    m^{p-1+gamma} >= lam f(m C) (C = ||u_{beta*}||) gives the lower edge
-    m_min, the cap m C <= theta1 gives the upper edge m_max; their geometric
-    mean is used.  The supersolution margin eps_high is the slack in those
-    two scalar inequalities -- the paper's own certificate for v_up.  The raw
+    u_beta solves -L^{1,beta} u = 1 with beta = m^{q-p}, by _load_solution,
+    so each probe of m is one closed-form solve.  m is located by two
+    bisections: the growth condition m^{p-1+gamma} >= lam f(m C)
+    (C = ||u_{beta*}||) gives the lower edge m_min, the cap m C <= theta1
+    gives the upper edge m_max; their geometric mean is used.  The
+    supersolution margin eps_high is the slack in those two scalar
+    inequalities -- the paper's own certificate for v_up.  It takes
+    v_up = m u_{beta*} as an exact solution of -L v = m^{p-1} (by scaling),
+    which is checked once, at the chosen m.  The raw
     pointwise singular margin is negative on the last boundary cells at any
     admissible m (the cap forbids compensating the (R-r)^{-gamma} blow-up);
     its worst value is recorded as collar_deficit, not asserted.
@@ -657,7 +650,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     def u_beta(m: float) -> tuple[np.ndarray, float]:
         if m not in cache:
-            u = solve_eta_problem(op.with_weights(1.0, m ** (q - p)), 1.0).values
+            u = _load_solution(op, 1.0, 1.0, m ** (q - p))
             cache[m] = (u, float(np.max(u)))
         return cache[m]
 
@@ -669,16 +662,10 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
         _, c = u_beta(m)
         return m * c <= theta1
 
-    steps = 0
-
     def bisect(cond, lo, hi, rising):
         # cond flips once between lo and hi; returns the edge
-        nonlocal steps
         for _ in range(40):
-            if steps >= _BISECT_BUDGET:
-                break
             mid = float(np.sqrt(lo * hi))
-            steps += 1
             if cond(mid) == rising:
                 hi = mid
             else:
@@ -689,34 +676,30 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     # bracket the growth edge from below and the cap edge from above
     lo = 1.0
-    while cond_growth(lo) and lo > 1e-12 and steps < _BISECT_BUDGET:
+    while cond_growth(lo) and lo > 1e-12:
         lo *= 0.5
-        steps += 1
     hi = 1.0
-    while not cond_growth(hi) and hi < 1e12 and steps < _BISECT_BUDGET:
+    while not cond_growth(hi) and hi < 1e12:
         hi *= 2.0
-        steps += 1
     if not cond_growth(hi):
         if not cond_cap(hi):  # growth needs m > hi, where the cap fails: none is admissible
             raise SearchExhausted(
                 f"no admissible m: growth fails at every m <= {hi:.6g}, "
                 "and the cap already fails there")
-        raise SearchExhausted("growth condition for m unattainable in budget")
+        raise SearchExhausted(f"no admissible m: growth fails at every m <= {hi:.6g}")
     m_min = bisect(cond_growth, lo, hi, rising=True)[1]
 
     start = hi = max(1.0, m_min)
-    while cond_cap(hi) and hi < 1e12 and steps < _BISECT_BUDGET:
+    while cond_cap(hi) and hi < 1e12:
         hi *= 2.0
-        steps += 1
     if cond_cap(hi):
         raise SearchExhausted("cap condition never fails; bracket not found")
     # bisect the cap edge from a point where the cap holds: m_min/2 does if
     # the cap held at start; otherwise halve down to one
     lo = max(1e-12, m_min / 2.0)
     if hi == start:
-        while not cond_cap(lo) and lo > 1e-12 and steps < _BISECT_BUDGET:
+        while not cond_cap(lo) and lo > 1e-12:
             hi, lo = lo, lo * 0.5
-            steps += 1
         if not cond_cap(lo):
             raise SearchExhausted(
                 f"no admissible m: growth needs m >= {m_min:.6g}, and the cap "
@@ -733,6 +716,8 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
 
     uvals, c_norm = u_beta(m)
     v_up = GridFunction(op.grid, m * uvals)
+    _check_exact(op, v_up.values, m ** (p - 1.0),
+                 "second pair: v_up = m u_beta misses -L v = m^(p-1)")
     eps_cap = theta1 - m * c_norm
     eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(m * c_norm))
     collar_deficit = float(np.min(_unshifted(params, reactions, op, v_up.values)[0]))
@@ -851,7 +836,7 @@ def _fixed_point_residual(op, reactions, uv):
 
 
 def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
-             op: DiscreteOperator | None = None,
+             op: DiscreteOperator,
              khat: float | np.ndarray | None = None) -> GridFunction:
     """One application of the shifted solve map.
 
@@ -874,7 +859,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     its budget climbing the degenerate region.  The chosen seed's residual is Newton's first
     evaluation.
     """
-    op = _operator_for(params, u, op)
+    _check_grid(op, u)
     if khat is None:
         khat = reactions.khat
     uv = u.values
@@ -889,8 +874,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     # drift pins w near u, which init already contains, so it stays out)
     load = float(np.max(rhs)) + lam_f0
     if load > 0.0:
-        slope = lpq_inverse(load * params.radius / params.dim, params,
-                            op.alpha, op.beta)
+        slope = lpq_inverse(load * params.radius / params.dim, params)
         init = np.maximum(
             init, _paraboloid(op.grid, params.radius, 0.5 * slope * params.radius))
 
@@ -1094,8 +1078,7 @@ def march(op: DiscreteOperator, reactions: DerivedReactions, starts) -> np.ndarr
         live = u[:, i] > 0.0
         ui = u[live, i]
         flux[live] -= op.vol[i] * _reaction_values(params, reactions, ui)
-        u[live, i + 1] = ui + op.h * lpq_inverse(flux[live] / op.area[i], params,
-                                                 op.alpha, op.beta)
+        u[live, i + 1] = ui + op.h * lpq_inverse(flux[live] / op.area[i], params)
     return u
 
 
@@ -1109,7 +1092,7 @@ def _shoot_middle(op, reactions, a1, a2):
     starts inside the bracket refines it, and the refined bracket's
     positive end is the profile.
     """
-    coarse = DiscreteOperator.from_params(op.params, _SHOOT_N, op.alpha, op.beta)
+    coarse = DiscreteOperator.from_params(op.params, _SHOOT_N)
     lo, hi = a1, a2
     for count in (_SHOOT_STARTS, _SHOOT_REFINE):
         starts = np.geomspace(lo, hi, count)

@@ -76,13 +76,11 @@ def lpq_scalar(t, params: Params, alpha: float = 1.0, beta: float = 1.0):
     return float(out) if t_arr.ndim == 0 else out
 
 
-def lpq_derivative(t, params: Params, alpha: float = 1.0, beta: float = 1.0, floor: float = 0.0):
-    """d/dt of lpq_scalar.  `floor` clips |t| from below (Jacobian regularization
-    for p < 2; the residual itself is never clipped)."""
+def lpq_derivative(t, params: Params, floor: float = 0.0):
+    """d/dt of the unweighted lpq_scalar.  `floor` clips |t| from below (Jacobian
+    regularization for p < 2; the residual itself is never clipped)."""
     at = np.maximum(np.abs(np.asarray(t, dtype=float)), floor)
-    out = alpha * (params.p - 1.0) * at ** (params.p - 2.0) + beta * (params.q - 1.0) * at ** (
-        params.q - 2.0
-    )
+    out = (params.p - 1.0) * at ** (params.p - 2.0) + (params.q - 1.0) * at ** (params.q - 2.0)
     return float(out) if np.ndim(t) == 0 else out
 
 

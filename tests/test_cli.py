@@ -396,6 +396,40 @@ def test_solve_records_the_pairs_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_radial_records_its_warnings(tmp_path, capsys):
+    # above lambda^* the radial profile warns WindowViolation: radial.json
+    # lists it, and none escapes the run (to stderr, in a real process)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert run("radial", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
+    assert escaped == []
+    rep = json.loads((tmp_path / "radial.json").read_text())
+    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"]
+    assert rep["warnings"][0]["message"].startswith("lambda=0.29502 outside [")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("config", [SMALL, REFERENCE], ids=["small", "reference"])
+def test_one_operator_per_load(config, tmp_path, capsys, monkeypatch):
+    # the pair searches probe closed forms on the load's one operator; solve
+    # adds only the shooting's coarse grid
+    built = []
+    real = ds.DiscreteOperator.__post_init__
+
+    def counted(op):
+        real(op)
+        built.append(op.n)
+
+    monkeypatch.setattr(ds.DiscreteOperator, "__post_init__", counted)
+    n = json.loads(config.read_text())["grid"]["n"]
+    assert run("pairs", str(config), out=str(tmp_path)) == 0
+    assert built == [n]
+    built.clear()
+    assert run("solve", str(config), out=str(tmp_path)) == 0
+    assert built == [n, ds._SHOOT_N] and ds._SHOOT_N == 64
+    capsys.readouterr()
+
+
 def test_pairs_records_its_warnings(tmp_path, capsys):
     # the same load as above: pairs.json lists both WindowViolation warnings
     assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
@@ -486,8 +520,8 @@ def test_failed_f4_is_not_a_positivity_loss(tmp_path, capsys):
 def _cap_holds(env, m):
     # m C(m) <= theta1 with C(m) = max u_beta, beta = m^(q-p): the inner pair's cap
     op = ds.DiscreteOperator.from_params(env.params, n=env.n)
-    u = ds.solve_eta_problem(op.with_weights(1.0, m ** (env.params.q - env.params.p)), 1.0)
-    return m * float(np.max(u.values)) <= env.spec.theta1
+    u = ds._load_solution(op, 1.0, 1.0, m ** (env.params.q - env.params.p))
+    return m * float(np.max(u)) <= env.spec.theta1
 
 
 def test_second_pair_reports_the_cap_edge(tmp_path, capsys):

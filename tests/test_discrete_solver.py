@@ -18,10 +18,10 @@ from pqsing import (
     choose_khat,
     construct_pairs,
     lpq_derivative,
+    lpq_scalar,
     march,
     original_residual,
     search_third_solution,
-    solve_eta_problem,
     solve_radial,
     that_map,
 )
@@ -57,10 +57,10 @@ def test_operator_construction_guards():
         DiscreteOperator(pr, np.linspace(0.0, 0.7, 65))     # must span [0, R]
     with pytest.raises(ConfigurationError):
         DiscreteOperator(pr, np.linspace(0.0, 1.0, 3))      # too coarse
-    w = op.with_weights(alpha=2.0, beta=0.5)
-    assert (w.alpha, w.beta) == (2.0, 0.5)
     with pytest.raises(ConfigurationError):
-        op.with_weights(alpha=-1.0, beta=1.0)
+        DiscreteOperator(pr, np.linspace(0.0, 1.0, 65) ** 2)  # not uniform
+    # the plain L_{p,q} scheme: no weights to set
+    assert [f.name for f in dataclasses.fields(DiscreteOperator)] == ["params", "grid"]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -79,13 +79,18 @@ def test_operator_exact_on_affine(dim):
 
 
 def _p2_part(pr, n, u_of_grid):
-    # the flux is linear in (alpha, beta) for a fixed function, so two
-    # applies isolate the p=2 contribution without zero weights
-    op1 = DiscreteOperator.from_params(pr, n=n)
-    op2 = DiscreteOperator.from_params(pr, n=n, beta=2.0)
-    u = u_of_grid(op1.grid)
-    q_part = apply(op2, u) - apply(op1, u)
-    return apply(op1, u) - q_part
+    # the flux alpha L_p + beta L_q is linear in (alpha, beta) for a fixed
+    # function, so two divergences isolate the p=2 contribution without
+    # zero weights
+    op = DiscreteOperator.from_params(pr, n=n)
+    u = u_of_grid(op.grid)
+    g = np.diff(u) / op.h
+
+    def weighted(beta):
+        return np.append(discrete_solver._divergence(op, lpq_scalar(g, pr, 1.0, beta)), 0.0)
+
+    q_part = weighted(2.0) - weighted(1.0)
+    return weighted(1.0) - q_part
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -134,9 +139,9 @@ def test_eta_problem_against_quadrature():
     errs = []
     for n in (256, 512, 1024):
         op = DiscreteOperator.from_params(pr, n=n)
-        w = solve_eta_problem(op, 0.5)
+        w = discrete_solver._load_solution(op, 0.5)
         oracle = quadrature_solve(pr, lambda u: 0.5, n)
-        errs.append(float(np.max(np.abs(w.values - oracle.values))))
+        errs.append(float(np.max(np.abs(w - oracle.values))))
     assert errs[0] <= 2e-7
     # two independent discretizations of the same problem: agreement
     # tightens at roughly second order
@@ -233,15 +238,22 @@ def test_solve_banded_names_the_failing_row():
 def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     # the flux-integrated seed solves the scheme itself, not the continuum
     # problem: Newton's 1e-12 rounding-aware check passes at once, for the
-    # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike
+    # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike.
+    # With weights (alpha, beta) = (0.37, 2.9) it does so after scaling: for
+    # s^{q-p} = beta/alpha, s u solves the plain scheme with load
+    # s^{p-1} rhs / alpha, as v_up = m u_beta does in the second pair
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
-    op = DiscreteOperator.from_params(pr, n=256, alpha=0.37, beta=2.9)
+    op = DiscreteOperator.from_params(pr, n=256)
+    alpha, beta = 0.37, 2.9
+    s = (beta / alpha) ** (1.0 / (pr.q - pr.p))
     calls = _count_banded(monkeypatch)
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         seed = discrete_solver._load_solution(op, rhs)
-        assert seed[-1] == 0.0 and np.all(np.diff(seed) < 0.0)
-        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, seed)
-        assert np.array_equal(u, seed) and steps == 0
+        scaled = s * discrete_solver._load_solution(op, rhs, alpha, beta)
+        for u0, load in ((seed, rhs), (scaled, s ** (pr.p - 1.0) / alpha * rhs)):
+            assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
+            u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), load, u0)
+            assert np.array_equal(u, u0) and steps == 0
     assert calls == []
 
 
@@ -259,7 +271,7 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
 def test_jac_bands_from_kept_derivative_bitwise(pq):
     pr = make_params(p=pq[0], q=pq[1])
-    op = DiscreteOperator.from_params(pr, n=64, alpha=0.37, beta=2.9)
+    op = DiscreteOperator.from_params(pr, n=64)
     u = 1.0 - op.grid ** 2
     u[:8] = u[0]                       # flat core: g = 0
     u[8:12] = u[0] - 1e-12 * np.arange(1, 5)  # gradients below the clip
@@ -270,7 +282,7 @@ def test_jac_bands_from_kept_derivative_bitwise(pq):
                                                False)[3]
     g = kept[0]
     assert np.any(np.abs(g) < discrete_solver._JAC_FLOOR)
-    fresh = (g, lpq_derivative(g, pr, op.alpha, op.beta, floor=discrete_solver._JAC_FLOOR))
+    fresh = (g, lpq_derivative(g, pr, floor=discrete_solver._JAC_FLOOR))
     for theta, khat in ((0.0, 0.0), (0.3, 2.0)):
         got = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, kept)
         want = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, fresh)
@@ -285,7 +297,7 @@ def test_jac_bands_are_the_residual_derivative(dim, pq):
     # bands: every row, the axis row 0 and the row next to the Dirichlet node
     # included, with and without the theta, shift and singular terms
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
-    op = DiscreteOperator.from_params(pr, n=32, alpha=0.37, beta=2.9)
+    op = DiscreteOperator.from_params(pr, n=32)
     u = (1.0 - op.grid) * (1.5 + op.grid)   # |u'| >= 0.5: F is smooth at every half node
     rhs = np.linspace(1.0, 2.0, op.n)
     anchor = 0.9 * u[:-1]
@@ -328,30 +340,47 @@ def test_rounding_floor_finite_on_a_flat_core():
     assert discrete_solver._scaled_err(res, scale, rnd) > 0.999
 
 
-def test_eta_problem_guards():
-    pr = make_params()
-    op = DiscreteOperator.from_params(pr, n=64)
-    with pytest.raises(ConfigurationError):
-        solve_eta_problem(op, 0.0)
-
-
-def test_weighted_scaling_identities(cfg1):
-    # A_{1,1}(alpha_* u) = alpha_*^{q-1} A^{alpha,1}(u) with alpha = alpha_*^{p-q},
-    # and A_{1,1}(m u) = m^{p-1} A^{1,beta}(u) with beta = m^{q-p); both exact
-    # identities of the discrete flux form
-    pr = cfg1.params
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["p2-q3", "p1.5-q4"])
+def test_scaling_identities_through_the_closed_form(pq):
+    # A_{1,1}(m u) = m^{p-1} A^{1,beta}(u) with beta = m^{q-p}, and
+    # A_{1,1}(alpha_* u) = alpha_*^{q-1} A^{alpha,1}(u) with alpha = alpha_*^{p-q}:
+    # so m u_beta and alpha_* u_alpha solve the plain scheme with the loads
+    # m^{p-1} and alpha_*^{q-1}, which the second pair's check relies on
+    pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=256)
-    u = solve_eta_problem(DiscreteOperator.from_params(pr, n=256), 1.0)
-    for scale in (3.0, 17.0):
-        lhs = apply(op, scale * u.values)
-        opw = DiscreteOperator.from_params(pr, n=256, alpha=scale ** (pr.p - pr.q))
-        rhs = scale ** (pr.q - 1.0) * apply(opw, u.values)
-        rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
-        assert rel <= 1e-10
-        opb = DiscreteOperator.from_params(pr, n=256, beta=scale ** (pr.q - pr.p))
-        rhs2 = scale ** (pr.p - 1.0) * apply(opb, u.values)
-        rel2 = np.max(np.abs(lhs - rhs2)) / np.max(np.abs(rhs2))
-        assert rel2 <= 1e-10
+    load = discrete_solver._load_solution
+    for scale in (3.0, 17.0, 0.2):
+        pairs = ((scale * load(op, 1.0, 1.0, scale ** (pr.q - pr.p)),
+                  load(op, scale ** (pr.p - 1.0))),
+                 (scale * load(op, 1.0, scale ** (pr.p - pr.q), 1.0),
+                  load(op, scale ** (pr.q - 1.0))))
+        for scaled, plain in pairs:
+            assert np.max(np.abs(scaled - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("second", "second pair: v_up = m u_beta misses -L v = m\\^\\(p-1\\)"),
+    ("first", "first pair: w_eta misses -L w = eta"),
+], ids=["second", "first"])
+def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, message):
+    # one node of u_beta (beta != 1), or of w_eta (the one unit-weight load on
+    # this config: alpha_* and m differ from 1), off by 1e-6 relative: the
+    # searches still run, and the check at the chosen m or eta names the
+    # pair and that node
+    env = gentle
+    k = env.op.n // 2
+    real = discrete_solver._load_solution
+
+    def corrupted(op, rhs, alpha=1.0, beta=1.0):
+        u = real(op, rhs, alpha, beta)
+        if (beta != 1.0) if pair == "second" else (alpha == beta == 1.0):
+            u[k] *= 1.0 + 1e-6
+        return u
+
+    monkeypatch.setattr(discrete_solver, "_load_solution", corrupted)
+    with pytest.raises(ConvergenceFailure, match=f"^{message} by scaled residual "
+                                                 f".* \\(worst node {k}\\)$"):
+        construct_pairs(env.params, env.spec, env.reactions, env.window, env.profile, env.op)
 
 
 # ---------------------------------------------------------------- certify
