@@ -261,20 +261,19 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _csv_text(values) -> list:
-    """One CSV column as repr-faithful %.17g text."""
-    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
-
-
-def _write_csv_text(path: Path, names, texts) -> None:
-    """A header line of names, then one row per entry of the _csv_text columns."""
-    lines = [",".join(names), *map(",".join, zip(*texts))]
+def _write_csv_rows(path: Path, names, rows: str, values) -> None:
+    """A header line of names, then `rows`, a template of CSV rows with one
+    %.17g slot per entry of values, filled by one format call."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names) + "\n" + rows % tuple(values))
 
 
 def _write_csv(path: Path, names, columns) -> None:
-    _write_csv_text(path, names, map(_csv_text, columns))
+    """A header line of names, then one row of repr-faithful %.17g numbers
+    per entry of the columns."""
+    values = np.asarray(np.column_stack(columns), dtype=float).ravel().tolist()
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    _write_csv_rows(path, names, row * (len(values) // len(names)), values)
 
 
 def _read_grid_function(path: str) -> GridFunction:
@@ -442,14 +441,12 @@ def _cmd_solve(env: _Env) -> int:
         _write_json(env.outdir / "solve.json", report)
         _print(report)
         return 1
-    r = _csv_text(lo.limit.nodes)  # the three solutions share the grid
-    _write_csv_text(env.outdir / "solution_lower.csv", ("r", "u"),
-                    (r, _csv_text(lo.limit.values)))
-    _write_csv_text(env.outdir / "solution_upper.csv", ("r", "u"),
-                    (r, _csv_text(up.limit.values)))
-    if u3 is not None:
-        _write_csv_text(env.outdir / "solution_middle.csv", ("r", "u"),
-                        (r, _csv_text(u3.values)))
+    # the three solutions share the grid, so its column is formatted once
+    rows = "".join(map("%.17g,%%.17g\n".__mod__, lo.limit.nodes.tolist()))
+    for name, u in (("lower", lo.limit), ("upper", up.limit), ("middle", u3)):
+        if u is not None:
+            _write_csv_rows(env.outdir / f"solution_{name}.csv", ("r", "u"), rows,
+                            u.values.tolist())
     gap = float(np.max(np.abs(up.limit.values - lo.limit.values)))
     distinct = bool(gap >= 0.1 * env.spec.theta1)
     report.update({

@@ -10,8 +10,9 @@ through one damped-Newton core, whose tridiagonal steps solve_banded solves
 by odd-even cyclic reduction in numpy.  The constant-load problems behind
 both pairs -- w_eta, and u_alpha, u_beta* of the paper's weighted
 -L^{alpha,beta} -- need no Newton: the flux form gives their exact discrete
-solution by two cumulative sums (_load_solution, the one place weights
-enter), checked once per load where a reported margin relies on it.
+solution by two cumulative sums (_load_solution; the weights enter only in
+_load_sums, whose last sum alone is the norm the m probes read), checked
+once per load where a reported margin relies on it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -143,21 +144,26 @@ def _check_grid(op: DiscreteOperator, *functions: GridFunction) -> None:
 
 def _faces(op: DiscreteOperator, x: np.ndarray):
     """(cplus_i x_{i+1/2}, cminus_i x_{i-1/2}) at rows 0..n-1 of a quantity x
-    given at the n half nodes.  x_{-1/2} reads 0: cminus_0 = 0 drops it
-    anyway, and a 0 (not x's last entry) keeps row 0 free of -0.0 and NaN."""
-    return op.cplus * x, op.cminus * np.concatenate(((0.0,), x[:-1]))
+    given at the n half nodes, as two new arrays.  Row 0 reads 0: cminus_0 =
+    0 drops x_{-1/2} anyway, and a 0 keeps row 0 free of -0.0 and NaN."""
+    inner = np.empty_like(x)
+    inner[0] = 0.0
+    np.multiply(op.cminus[1:], x[:-1], out=inner[1:])
+    return op.cplus * x, inner
 
 
 def _fluxes(op: DiscreteOperator, u: np.ndarray):
     """(g, F(g)): the gradients and fluxes of u at the n half nodes."""
-    g = np.diff(u) / op.h
+    g = np.diff(u)
+    g /= op.h
     return g, lpq_scalar(g, op.params)
 
 
 def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
     """The scheme's -div at nodes 0..n-1 of the fluxes F at the n half nodes."""
     out, inner = _faces(op, F)
-    return -(out - inner)
+    out -= inner
+    return np.negative(out, out=out)
 
 
 def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
@@ -252,11 +258,15 @@ _RND_SLACK = 8.0  # multiples of the flux-cancellation rounding floor
 
 
 def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
-    """(residual, scale, rounding floor, (g, F'(g))) of the system at u.
+    """(residual, scale, rounding floor, flux bands) of the system at u.
 
-    The gradients and flux derivatives (clipped at |g| = _JAC_FLOOR) are
-    handed back so that the Jacobian at an accepted iterate does not
-    evaluate them a second time.
+    The flux bands are (cminus_i F'_{i-1/2}, (cminus_i F'_{i-1/2} + cplus_i
+    F'_{i+1/2}) / h, cplus_i F'_{i+1/2}) at rows 0..n-1, F' clipped at |g| =
+    _JAC_FLOOR: the rounding floor forms them anyway, and they are the flux
+    part of the Jacobian's diagonal and, over -h, its off-diagonals
+    (_jac_bands).  Every temporary is formed in place, in the operation
+    order of the plain expressions (residual = div - rhs + theta L(u) +
+    khat drift - mu u^{-gamma}, and so on).
     """
     p = op.params
     ui = u[:-1]
@@ -268,34 +278,40 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     # F' is the Jacobian's, clipped at _JAC_FLOOR: for p < 2 the unclipped
     # F'(0) is infinite and would hide every residual in a flat core
     Fp = lpq_derivative(g, op.params, floor=_JAC_FLOOR)
-    out, inner = _faces(op, np.abs(F))
+    rnd, term = _faces(op, np.abs(F, out=F))
+    rnd += term
     dout, dinner = _faces(op, Fp)
-    rnd = out + inner + (dout + dinner) / op.h * np.max(np.abs(u))
+    diag = np.add(dout, dinner, out=Fp)
+    diag /= op.h
+    rnd += np.multiply(diag, np.max(np.abs(u)), out=term)
     rnd *= _RND_SLACK * np.finfo(float).eps
     res -= rhs
-    scale = 1.0 + np.abs(rhs)
+    scale = np.abs(rhs)
+    scale += 1.0
     if theta != 0.0:
         Lu = lpq_scalar(ui, p)
-        res = res + theta * Lu
-        scale = scale + np.abs(theta * Lu)
+        Lu *= theta
+        res += Lu
+        scale += np.abs(Lu, out=Lu)
     if np.any(khat):
         # anchored shift: khat (w - anchor) keeps the two khat terms of the
         # solve map out of the scale -- they cancel at the solution, and a
         # large khat would otherwise declare victory at the initial iterate
         drift = ui if anchor is None else ui - anchor
-        res = res + khat * drift
-        scale = scale + khat * np.abs(drift)
+        res += np.multiply(khat, drift, out=term)
+        scale += np.multiply(khat, np.abs(drift, out=term), out=term)
         if anchor is not None:
             # forming w - anchor loses eps * |w|; when khat times that noise
             # tops the other scales, steps below an ulp of the iterate are
             # unrepresentable and the anchor is the converged answer
-            rnd = rnd + _RND_SLACK * np.finfo(float).eps * khat * np.maximum(
-                np.abs(ui), np.abs(anchor))
+            noise = np.abs(anchor)
+            np.maximum(np.abs(ui, out=term), noise, out=noise)
+            rnd += np.multiply(_RND_SLACK * np.finfo(float).eps * khat, noise, out=noise)
     if singular:
-        sing = mu * ui ** (-p.gamma)
-        res = res - sing
-        scale = scale + np.abs(sing)
-    return res, scale, rnd, (g, Fp)
+        sing = np.power(ui, -p.gamma, out=term)
+        res -= np.multiply(mu, sing, out=term)
+        scale += np.abs(term, out=term)
+    return res, scale, rnd, (dinner, diag, dout)
 
 
 def _scaled_err(res, scale, rnd):
@@ -307,13 +323,13 @@ def _worst_node(res, scale, rnd) -> int:
 
 
 def _jac_bands(op, u, theta, khat, mu, singular, kept):
-    """Tridiagonal Jacobian at u from the (g, F'(g)) _residual_scale kept,
-    F' clipped at |g| = _JAC_FLOOR."""
+    """Tridiagonal Jacobian at u: the flux bands _residual_scale kept (F'
+    clipped at |g| = _JAC_FLOOR), plus the diagonal's theta, shift and
+    singular terms."""
     p = op.params
-    out, inner = _faces(op, kept[1])
-    diag = (out + inner) / op.h
-    sub = -inner / op.h
-    sup = -out / op.h
+    inner, diag, out = kept
+    sub = inner / -op.h
+    sup = out / -op.h
     sup[-1] = 0.0  # the upper neighbor of node n-1 is the fixed boundary
     if theta != 0.0:
         diag = diag + theta * lpq_derivative(u[:-1], p, floor=_JAC_FLOOR)
@@ -395,25 +411,38 @@ def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
     return amp * (1.0 - (nodes / R) ** 2)
 
 
+def _load_flux(op: DiscreteOperator, rhs) -> np.ndarray:
+    """F(g_i) = Phi_i / area_i of the scheme's exact solution of A(u) = rhs.
+
+    The flux form telescopes row by row: Phi_i = area_i F(g_i) obeys
+    Phi_i = Phi_{i-1} - vol_i rhs_i with Phi_{-1} = 0 (no flux through the
+    axis), so a cumulative sum gives the fluxes, whatever the flux map F.
+    """
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (op.n,))
+    return -np.cumsum(op.vol * rhs) / op.area
+
+
+def _load_sums(op: DiscreteOperator, flux: np.ndarray, alpha: float,
+               beta: float) -> np.ndarray:
+    """Sums of the gradients g = F^{-1}(flux) from node n-1 down to node i,
+    in reverse node order, for F = alpha L_p + beta L_q: the one place the
+    weights of the auxiliary problems -L^{alpha,beta} u = 1 enter.  u_i is
+    -h times the sum from i."""
+    return np.cumsum(lpq_inverse(flux, op.params, alpha, beta)[::-1])
+
+
 def _load_solution(op: DiscreteOperator, rhs, alpha: float = 1.0,
                    beta: float = 1.0) -> np.ndarray:
     """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular
     or theta term), with the flux F = alpha L_p + beta L_q.
 
-    The flux form telescopes row by row: Phi_i = area_i F(g_i) obeys
-    Phi_i = Phi_{i-1} - vol_i rhs_i with Phi_{-1} = 0 (no flux through the
-    axis).  A cumulative sum gives the fluxes, lpq_inverse the gradients, and
-    a reverse cumulative sum from the Dirichlet node the values.  This is the
-    discrete analogue of the divergence theorem on the ball, exact up to
-    rounding, so Newton accepts it without taking a step.  The weights are
-    those of the auxiliary problems -L^{alpha,beta} u = 1; no other code
-    carries them.
+    _load_flux gives the fluxes, lpq_inverse the gradients, and a reverse
+    cumulative sum from the Dirichlet node the values (_load_sums).  This
+    is the discrete analogue of the divergence theorem on the ball, exact up
+    to rounding, so Newton accepts it without taking a step.
     """
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (op.n,))
-    flux = -np.cumsum(op.vol * rhs)
-    g = lpq_inverse(flux / op.area, op.params, alpha, beta)
     u = np.zeros(op.n + 1)
-    u[:-1] = -op.h * np.cumsum(g[::-1])[::-1]
+    u[:-1] = -op.h * _load_sums(op, _load_flux(op, rhs), alpha, beta)[::-1]
     return u
 
 
@@ -620,8 +649,10 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
                       window: WindowReport, profile: RadialProfile, op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
-    u_beta solves -L^{1,beta} u = 1 with beta = m^{q-p}, by _load_solution,
-    so each probe of m is one closed-form solve.  m is located by two
+    u_beta solves -L^{1,beta} u = 1 with beta = m^{q-p}, by _load_solution.
+    The probes of m read only C = ||u_beta|| = u_beta(0): one lpq_inverse of
+    the load's fluxes, shared by every probe, and one sum each; only the
+    chosen m's profile is built.  m is located by two
     bisections: the growth condition m^{p-1+gamma} >= lam f(m C)
     (C = ||u_{beta*}||) gives the lower edge m_min, the cap m C <= theta1
     gives the upper edge m_max; their geometric mean is used.  The
@@ -646,21 +677,21 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     _check_grid(op, profile.phi)
     R, N = params.radius, params.dim
 
-    cache: dict[float, tuple[np.ndarray, float]] = {}
+    flux = _load_flux(op, 1.0)
+    cache: dict[float, float] = {}
 
-    def u_beta(m: float) -> tuple[np.ndarray, float]:
+    def norm(m: float) -> float:
+        # the load is positive, so every flux is < 0 and u_beta decreases:
+        # its max is u_beta(0), -h times the last sum, the profile's own bits
         if m not in cache:
-            u = _load_solution(op, 1.0, 1.0, m ** (q - p))
-            cache[m] = (u, float(np.max(u)))
+            cache[m] = float(-op.h * _load_sums(op, flux, 1.0, m ** (q - p))[-1])
         return cache[m]
 
     def cond_growth(m: float) -> bool:   # true from m_min upward
-        _, c = u_beta(m)
-        return m ** (p - 1.0 + gamma) >= lam * float(f(m * c))
+        return m ** (p - 1.0 + gamma) >= lam * float(f(m * norm(m)))
 
     def cond_cap(m: float) -> bool:      # true up to m_max
-        _, c = u_beta(m)
-        return m * c <= theta1
+        return m * norm(m) <= theta1
 
     def bisect(cond, lo, hi, rising):
         # cond flips once between lo and hi; returns the edge
@@ -714,8 +745,8 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     if not (cond_growth(m) and cond_cap(m)):
         raise SearchExhausted("bisection landed outside the admissible interval")
 
-    uvals, c_norm = u_beta(m)
-    v_up = GridFunction(op.grid, m * uvals)
+    c_norm = norm(m)
+    v_up = GridFunction(op.grid, m * _load_solution(op, 1.0, 1.0, m ** (q - p)))
     _check_exact(op, v_up.values, m ** (p - 1.0),
                  "second pair: v_up = m u_beta misses -L v = m^(p-1)")
     eps_cap = theta1 - m * c_norm
@@ -1056,7 +1087,7 @@ _SHOOT_REFINE = 32     # starts of its one refinement
 def march(op: DiscreteOperator, reactions: DerivedReactions, starts) -> np.ndarray:
     """Discrete shooting: the scheme's rows solved node by node from u_0 = a.
 
-    The flux form telescopes as in _load_solution, and the load
+    The flux form telescopes as in _load_flux, and the load
     lam f(u_i) u_i^{-gamma} of row i is known once u_i is:
 
         Phi_i = Phi_{i-1} - vol_i lam f(u_i) u_i^{-gamma},   Phi_{-1} = 0,

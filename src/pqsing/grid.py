@@ -51,8 +51,8 @@ class GridFunction:
 
 
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    """Two node arrays match to 1e-12 absolute."""
-    return a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+    """Two node arrays match to 1e-12 absolute (the same array trivially)."""
+    return a is b or (a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12)))
 
 
 @dataclasses.dataclass(frozen=True)

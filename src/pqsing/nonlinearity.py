@@ -137,6 +137,14 @@ class ValidationReport:
         return self.check(name).passed
 
 
+def _distinct(*parts: np.ndarray) -> np.ndarray:
+    """The distinct values of the parts, ascending, as np.unique gives them:
+    a sort and a neighbour mask, without the numpy.ma import np.unique makes
+    on its first call."""
+    grid = np.sort(np.concatenate(parts))
+    return grid[np.concatenate(((True,), grid[1:] != grid[:-1]))]
+
+
 def _monotone_deficit(values: np.ndarray) -> float:
     """Largest decrease between consecutive samples (0 if nondecreasing)."""
     d = np.diff(values)
@@ -187,10 +195,7 @@ def validate(spec: NonlinearitySpec, params: Params) -> ValidationReport:
     f0 = spec.f0
     checks.append(AssumptionCheck("f0", f0 > 0.0, {"f_at_0": f0}))
 
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, 2.0 * spec.theta2, 2001),
-        np.geomspace(1e-6, 1e6, 2001),
-    ]))
+    grid = _distinct(np.linspace(0.0, 2.0 * spec.theta2, 2001), np.geomspace(1e-6, 1e6, 2001))
     fv = spec.f(grid)
     deficit = _monotone_deficit(fv)
     scale = max(1.0, float(np.max(np.abs(fv))))
@@ -465,10 +470,8 @@ def choose_khat(spec: NonlinearitySpec, params: Params, t_max: float | None = No
     if t_max <= 0.0:
         return 0.0
     fhat = build_fhat(spec, params)
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, t_max, 20001),
-        np.geomspace(max(t_max * 1e-12, 1e-12), t_max, 20001),
-    ]))
+    grid = _distinct(np.linspace(0.0, t_max, 20001),
+                     np.geomspace(max(t_max * 1e-12, 1e-12), t_max, 20001))
     v = fhat(grid)
     slopes = np.diff(v) / np.diff(grid)
     worst = float(np.min(slopes))

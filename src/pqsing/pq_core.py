@@ -177,14 +177,17 @@ def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0):
         raise ValueError("weights must be positive")
     s_arr = np.asarray(s, dtype=float)
     scalar_in = s_arr.ndim == 0
-    s_flat = np.atleast_1d(s_arr).astype(float)
-    out = np.zeros_like(s_flat)
-    pos = s_flat > 0.0
+    s_flat = np.atleast_1d(s_arr)
     neg = s_flat < 0.0
-    if np.any(pos):
-        out[pos] = _inverse_positive(s_flat[pos], params, alpha, beta)
-    if np.any(neg):
-        out[neg] = -_inverse_positive(-s_flat[neg], params, alpha, beta)
+    if s_flat.size and np.all(neg):  # the fluxes of every solver caller
+        out = -_inverse_positive(-s_flat, params, alpha, beta)
+    else:
+        out = np.zeros_like(s_flat)
+        pos = s_flat > 0.0
+        if np.any(pos):
+            out[pos] = _inverse_positive(s_flat[pos], params, alpha, beta)
+        if np.any(neg):
+            out[neg] = -_inverse_positive(-s_flat[neg], params, alpha, beta)
     if scalar_in:
         return float(out[0])
     return out.reshape(s_arr.shape)

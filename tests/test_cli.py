@@ -209,6 +209,20 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert (tmp_path / "tuples.csv").read_bytes() == want.encode()
 
 
+def test_solution_csvs_match_per_value_format(tmp_path, capsys):
+    # the three solution files share one row template of the grid's text:
+    # each row is still "%.17g,%.17g" of that node and its value
+    assert run("solve", str(SMALL), out=str(tmp_path), nodes=64) == 0
+    capsys.readouterr()
+    for name in ("lower", "upper", "middle"):
+        text = (tmp_path / f"solution_{name}.csv").read_text()
+        header, *rows = text.splitlines()
+        assert header == "r,u" and len(rows) == 65 and text.endswith("\n")
+        for row in rows:
+            r, u = map(float, row.split(","))
+            assert row == "%.17g,%.17g" % (r, u)
+
+
 def test_solve_outputs_deterministic(tmp_path, capsys):
     run("solve", str(SMALL), out=str(tmp_path / "a"))
     run("solve", str(SMALL), out=str(tmp_path / "b"))

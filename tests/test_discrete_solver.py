@@ -148,6 +148,20 @@ def test_eta_problem_against_quadrature():
     assert errs[2] <= errs[0] / 8.0
 
 
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_probe_norm_is_the_profile_max_bitwise(pq, dim):
+    # the m probes of the second pair read ||u_beta|| off the load's shared
+    # fluxes without forming u_beta: the same bits as the profile's max
+    pr = make_params(p=pq[0], q=pq[1], dim=dim)
+    op = DiscreteOperator.from_params(pr, n=256)
+    flux = discrete_solver._load_flux(op, 1.0)
+    for beta in np.geomspace(1e-6, 1e6, 37):
+        u = discrete_solver._load_solution(op, 1.0, 1.0, beta)
+        sums = discrete_solver._load_sums(op, flux, 1.0, beta)
+        assert float(-op.h * sums[-1]) == float(np.max(u))
+
+
 def _count_banded(monkeypatch):
     calls = []
     real = discrete_solver.solve_banded
@@ -268,26 +282,106 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
     assert pairs.all_passed
 
 
+def _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
+    """(residual, scale, rounding floor) of _residual_scale as plain
+    expressions, one new array per operation: the reference its in-place
+    form must match bit for bit."""
+    pr, floor = op.params, discrete_solver._JAC_FLOOR
+    slack = discrete_solver._RND_SLACK * np.finfo(float).eps
+    ui = u[:-1]
+    g = np.diff(u) / op.h
+    F = lpq_scalar(g, pr)
+    res = -(op.cplus * F - op.cminus * np.concatenate(((0.0,), F[:-1])))
+    Fp = lpq_derivative(g, pr, floor=floor)
+    out, inner = op.cplus * np.abs(F), op.cminus * np.concatenate(((0.0,), np.abs(F)[:-1]))
+    dout, dinner = op.cplus * Fp, op.cminus * np.concatenate(((0.0,), Fp[:-1]))
+    rnd = out + inner + (dout + dinner) / op.h * np.max(np.abs(u))
+    rnd = rnd * slack
+    res = res - rhs
+    scale = 1.0 + np.abs(rhs)
+    if theta != 0.0:
+        Lu = lpq_scalar(ui, pr)
+        res = res + theta * Lu
+        scale = scale + np.abs(theta * Lu)
+    if np.any(khat):
+        drift = ui if anchor is None else ui - anchor
+        res = res + khat * drift
+        scale = scale + khat * np.abs(drift)
+        if anchor is not None:
+            rnd = rnd + slack * khat * np.maximum(np.abs(ui), np.abs(anchor))
+    if singular:
+        sing = mu * ui ** (-pr.gamma)
+        res = res - sing
+        scale = scale + np.abs(sing)
+    return res, scale, rnd
+
+
+def _fresh_bands(op, u, theta, khat, mu, singular):
+    """The Jacobian bands formed from a fresh lpq_derivative at u (F'
+    clipped at |g| = _JAC_FLOOR), one new array per operation."""
+    pr, floor = op.params, discrete_solver._JAC_FLOOR
+    Fp = lpq_derivative(np.diff(u) / op.h, pr, floor=floor)
+    out, inner = op.cplus * Fp, op.cminus * np.concatenate(((0.0,), Fp[:-1]))
+    diag = (out + inner) / op.h
+    sub, sup = -inner / op.h, -out / op.h
+    sup[-1] = 0.0
+    if theta != 0.0:
+        diag = diag + theta * lpq_derivative(u[:-1], pr, floor=floor)
+    if np.any(khat):
+        diag = diag + khat
+    if singular:
+        diag = diag + pr.gamma * mu * u[:-1] ** (-pr.gamma - 1.0)
+    return sub, diag, sup
+
+
+_TERMS = [(0.0, 0.0, False, False), (0.3, 0.0, False, False), (0.0, 2.0, False, False),
+          (0.0, 2.0, True, True), (0.3, 2.0, True, True)]  # theta, khat, singular, anchor
+
+
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
 def test_jac_bands_from_kept_derivative_bitwise(pq):
+    # the bands built from the flux terms the residual kept equal, bit for
+    # bit, the bands formed from a fresh lpq_derivative at the same u: on a
+    # flat core and on gradients below the clip, with theta, the shift and
+    # the singular term each on and off
     pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=64)
     u = 1.0 - op.grid ** 2
     u[:8] = u[0]                       # flat core: g = 0
     u[8:12] = u[0] - 1e-12 * np.arange(1, 5)  # gradients below the clip
     u[-1] = 0.0
-    zeros = np.zeros(op.n)
-    with np.errstate(divide="ignore"):   # unclipped F'(0) is infinite for p < 2
-        kept = discrete_solver._residual_scale(op, u, 0.0, 0.0, zeros, np.ones(op.n),
-                                               False)[3]
-    g = kept[0]
-    assert np.any(np.abs(g) < discrete_solver._JAC_FLOOR)
-    fresh = (g, lpq_derivative(g, pr, floor=discrete_solver._JAC_FLOOR))
-    for theta, khat in ((0.0, 0.0), (0.3, 2.0)):
-        got = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, kept)
-        want = discrete_solver._jac_bands(op, u, theta, khat, zeros, False, fresh)
+    assert np.any(np.abs(np.diff(u) / op.h) < discrete_solver._JAC_FLOOR)
+    mu = np.full(op.n, 0.7)
+    for theta, khat, singular, anchored in _TERMS:
+        anchor = 0.9 * u[:-1] if anchored else None
+        kept = discrete_solver._residual_scale(op, u, theta, khat, mu, np.ones(op.n),
+                                               singular, anchor)[3]
+        got = discrete_solver._jac_bands(op, u, theta, khat, mu, singular, kept)
+        want = _fresh_bands(op, u, theta, khat, mu, singular)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
+def test_residual_scale_matches_plain_expressions_bitwise(pq):
+    # the in-place residual, scale and rounding floor against the plain
+    # expressions, node-wise and scalar shift and load alike
+    pr = make_params(p=pq[0], q=pq[1])
+    op = DiscreteOperator.from_params(pr, n=64)
+    rng = np.random.default_rng(7)
+    u = (1.0 - op.grid ** 2) * (1.0 + 0.1 * rng.uniform(size=op.n + 1))
+    u[:8] = u[0]
+    u[-1] = 0.0
+    mu = rng.uniform(0.0, 1.0, op.n)
+    for rhs in (rng.uniform(-1.0, 2.0, op.n), 1.5):
+        for theta, khat, singular, anchored in _TERMS + [(0.3, rng.uniform(0, 3, op.n),
+                                                          True, True)]:
+            anchor = 0.9 * u[:-1] if anchored else None
+            got = discrete_solver._residual_scale(op, u, theta, khat, mu, rhs, singular,
+                                                  anchor)[:3]
+            want = _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])

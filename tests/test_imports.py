@@ -91,6 +91,19 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert codes == {"window": 0, "barrier": 0, "pairs": 0, "solve": 0, "sweep": 0}
 
 
+def test_pairs_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; validate's sample grid
+    # is sorted and deduplicated without it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys\nfrom pqsing import cli\n"
+             "code = cli.run('pairs', sys.argv[1], out=sys.argv[2])\n"
+             "print(code, 'numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe, str(SMALL), str(tmp_path / "out")],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_every_exported_name_resolves():
     # the package's and each module's __all__ name only what is defined
     names = [m.name for m in pkgutil.iter_modules(pqsing.__path__) if m.name != "__main__"]

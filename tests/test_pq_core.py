@@ -145,6 +145,21 @@ def test_lpq_inverse_iterative_branch_whole_float_range(ab):
     assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
 
 
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
+def test_lpq_inverse_one_sign_array_matches_mixed(pq):
+    # an array of one sign skips the sign gather and scatter: its entries
+    # equal the same loads' inside a mixed-sign array with zeros (whose two
+    # signs hold the same magnitudes, so each branch sees the same array)
+    pr = make_params(*pq)
+    s = -np.geomspace(1e-200, 1e200, 401)
+    t = lpq_inverse(s, pr, 0.37, 2.9)
+    mixed = np.stack((s, np.zeros_like(s), -s), axis=1).ravel()
+    want = lpq_inverse(mixed, pr, 0.37, 2.9).reshape(-1, 3)
+    assert np.array_equal(t, want[:, 0]) and np.all(want[:, 1] == 0.0)
+    assert np.array_equal(lpq_inverse(-s, pr, 0.37, 2.9), want[:, 2])
+    assert np.array_equal(want[:, 2], -t)
+
+
 def test_lpq_inverse_rejects_a_wrong_root_of_a_tiny_load(monkeypatch):
     # F(2.7e-177) = 1.9e-89 misses s = 1e-100 by eleven orders of magnitude
     # (the exact root is 7.3e-200), yet it is below any absolute 1e-8 floor
