@@ -9,6 +9,12 @@ Exit codes carry the verdict so runs can be scripted:
     3   a solve or search did not converge within its budget, or met a
         singular or non-finite Newton system
 
+Every command writes <command>.json and prints the same text on stdout; its
+`warnings` lists each warning the command fired, in firing order (sweep
+tags each with its row's lambda).  A refused run prints an error object
+with the warnings fired before the failure; exit codes 2 and 3 print the
+error and those warnings on stderr instead.
+
 Outputs are deterministic byte-for-byte for a fixed config: JSON is written
 sorted with two-space indent, CSV numbers with repr-faithful %.17g, rows in
 a fixed order (sweeps ascend in lambda).  No step is random: the config's
@@ -255,12 +261,6 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
 # deterministic writers / readers
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
-
-
 def _write_csv_rows(path: Path, names, rows: str, values) -> None:
     """A header line of names, then `rows`, a template of CSV rows with one
     %.17g slot per entry of values, filled by one format call."""
@@ -295,8 +295,8 @@ def _read_grid_function(path: str) -> GridFunction:
     return GridFunction(nodes, values)
 
 
-def _print(result: dict) -> None:
-    sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+def _dumps(result: dict) -> str:
+    return json.dumps(result, sort_keys=True, indent=2) + "\n"
 
 
 @contextlib.contextmanager
@@ -319,14 +319,12 @@ def _recorded_warnings(env: _Env):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each computes its numbers, writes its CSVs, and returns
+# (report, exit code); run writes the report
 # ---------------------------------------------------------------------------
 
-def _cmd_window(env: _Env) -> int:
-    report = env.window.as_dict()
-    _write_json(env.outdir / "window.json", report)
-    _print(report)
-    return 0 if env.window.nonempty else 1
+def _cmd_window(env: _Env):
+    return env.window.as_dict(), 0 if env.window.nonempty else 1
 
 
 def _radial(env: _Env, op: ds.DiscreteOperator):
@@ -335,9 +333,8 @@ def _radial(env: _Env, op: ds.DiscreteOperator):
     return profile, cert
 
 
-def _cmd_radial(env: _Env) -> int:
-    with _recorded_warnings(env) as fired:
-        profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
+def _cmd_radial(env: _Env):
+    profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
                (profile.phi.nodes, profile.phi.values, profile.phi_prime.values,
@@ -347,22 +344,19 @@ def _cmd_radial(env: _Env) -> int:
         "n": env.n,
         "sup_phi": profile.phi.sup_norm(),
         "certificate": cert.summary(),
-        "warnings": fired,
     }
-    _write_json(env.outdir / "radial.json", report)
-    _print(report)
-    return 0 if cert.passed else 1
+    return report, 0 if cert.passed else 1
 
 
-def _cmd_barrier(env: _Env) -> int:
+def _cmd_barrier(env: _Env):
     tau = env.barrier_tau
-    with _recorded_warnings(env) as fired:  # a blow-down truncation is expected
-        profile = solve_barrier(tau, env.params.q, env.params.gamma,
-                                r_max=env.params.radius, n=env.barrier_n)
-        audit = conservation_residual(profile)
-        exp_cert = certify_smallest_exponent(profile, env.barrier_p)
-        M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
-        sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
+    # a blow-down truncation warning is expected
+    profile = solve_barrier(tau, env.params.q, env.params.gamma,
+                            r_max=env.params.radius, n=env.barrier_n)
+    audit = conservation_residual(profile)
+    exp_cert = certify_smallest_exponent(profile, env.barrier_p)
+    M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
+    sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
     _write_csv(env.outdir / "barrier.csv", ("s", "xi", "xi_prime"),
                (profile.xi.nodes, profile.xi.values, profile.xi_prime.values))
     report = {
@@ -372,11 +366,8 @@ def _cmd_barrier(env: _Env) -> int:
         "smallest_exponent": exp_cert.summary(),
         "supersolution": sup_cert.summary(),
         "M_lambda": float(M),
-        "warnings": fired,
     }
-    _write_json(env.outdir / "barrier.json", report)
-    _print(report)
-    return 0 if (exp_cert.passed and sup_cert.passed) else 1
+    return report, 0 if (exp_cert.passed and sup_cert.passed) else 1
 
 
 def _pairs(env: _Env):
@@ -402,17 +393,13 @@ def _pairs_report(env: _Env, rcert, pairs) -> dict:
     }
 
 
-def _cmd_pairs(env: _Env) -> int:
-    with _recorded_warnings(env) as fired:
-        _op, _profile, rcert, pairs = _pairs(env)
+def _cmd_pairs(env: _Env):
+    _op, _profile, rcert, pairs = _pairs(env)
     _write_csv(env.outdir / "pairs.csv", ("r", "u0", "v0", "v_up", "u_up"),
                (pairs.u0.nodes, pairs.u0.values, pairs.v0.values,
                 pairs.v_up.values, pairs.u_up.values))
     report = _pairs_report(env, rcert, pairs)
-    report["warnings"] = fired
-    _write_json(env.outdir / "pairs.json", report)
-    _print(report)
-    return 0 if report["all_passed"] else 1
+    return report, 0 if report["all_passed"] else 1
 
 
 def _leg_report(leg: ds.IterationTrace) -> dict:
@@ -421,26 +408,19 @@ def _leg_report(leg: ds.IterationTrace) -> dict:
             "monotone": bool(all(leg.monotone)), "khat": leg.khat, "stalled": leg.stalled}
 
 
-def _cmd_solve(env: _Env) -> int:
-    with _recorded_warnings(env) as fired:
-        op, _profile, rcert, pairs = _pairs(env)
-        report = _pairs_report(env, rcert, pairs)
-        if report["all_passed"]:
-            # the two theorem intervals: u1 is minimal in [u0, v_up], u2
-            # maximal in [v0, u_up]
-            lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
-                                  "from_lower", op, budget=env.budget,
-                                  conv_factor=env.conv_factor)
-            up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
-                                  "from_upper", op, budget=env.budget,
-                                  conv_factor=env.conv_factor)
-            third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit,
-                                                 up.limit, pairs, op)
-    report["warnings"] = fired
+def _cmd_solve(env: _Env):
+    op, _profile, rcert, pairs = _pairs(env)
+    report = _pairs_report(env, rcert, pairs)
     if not report["all_passed"]:
-        _write_json(env.outdir / "solve.json", report)
-        _print(report)
-        return 1
+        return report, 1
+    # the two theorem intervals: u1 is minimal in [u0, v_up], u2 maximal in
+    # [v0, u_up]
+    lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
+                          "from_lower", op, budget=env.budget, conv_factor=env.conv_factor)
+    up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
+                          "from_upper", op, budget=env.budget, conv_factor=env.conv_factor)
+    third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
+                                         pairs, op)
     # the three solutions share the grid, so its column is formatted once
     rows = "".join(map("%.17g,%%.17g\n".__mod__, lo.limit.nodes.tolist()))
     for name, u in (("lower", lo.limit), ("upper", up.limit), ("middle", u3)):
@@ -456,14 +436,12 @@ def _cmd_solve(env: _Env) -> int:
         "distinctness": distinct,
         "third_solution": third,
     })
-    _write_json(env.outdir / "solve.json", report)
-    _print(report)
     if not (lo.converged and up.converged):
-        return 3
-    return 0 if distinct else 1
+        return report, 3
+    return report, 0 if distinct else 1
 
 
-def _cmd_certify(env: _Env, input_path, kind, other_path, tol) -> int:
+def _cmd_certify(env: _Env, input_path, kind, other_path, tol):
     if input_path is None:
         _fail("certify needs --input")
     if kind is None:
@@ -474,22 +452,15 @@ def _cmd_certify(env: _Env, input_path, kind, other_path, tol) -> int:
     other = _read_grid_function(other_path) if other_path else None
     use_tol = tol if tol is not None else env.tol_certify
     try:
-        cert = ds.certify(env.params, env.reactions, u, kind,
-                          other=other, tol=use_tol)
-        report = {"input": str(input_path), "lambda": env.lam,
-                  "certificate": cert.summary()}
-        code = 0 if cert.passed else 1
+        cert = ds.certify(env.params, env.reactions, u, kind, other=other, tol=use_tol)
+        summary, code = cert.summary(), 0 if cert.passed else 1
     except PositivityLoss as exc:
-        report = {"input": str(input_path), "lambda": env.lam,
-                  "certificate": {"kind": kind, "passed": False,
-                                  "positivity_loss": str(exc)}}
+        summary = {"kind": kind, "passed": False, "positivity_loss": str(exc)}
         code = 1
-    _write_json(env.outdir / "certify.json", report)
-    _print(report)
-    return code
+    return {"input": str(input_path), "lambda": env.lam, "certificate": summary}, code
 
 
-def _cmd_sweep(env: _Env) -> int:
+def _cmd_sweep(env: _Env):
     count = env.sweep_count
     lams = np.linspace(env.window.lambda_star, env.window.lambda_upper, count)
     names = ("lambda", "all_passed", "m_lambda", "alpha_star", "chi_low",
@@ -515,18 +486,22 @@ def _cmd_sweep(env: _Env) -> int:
     _write_csv(env.outdir / "sweep.csv", names, tuple(zip(*rows)))
     report = {"count": int(count), "lambda_star": env.window.lambda_star,
               "lambda_upper": env.window.lambda_upper, "all_passed": bool(ok),
-              "warnings": fired}
-    _write_json(env.outdir / "sweep.json", report)
-    _print(report)
-    return 0 if ok else 1
+              "warnings": fired}  # each record tagged with its row's lambda
+    return report, 0 if ok else 1
 
 
-_COMMANDS = ("window", "radial", "barrier", "pairs", "solve", "certify", "sweep")
+_COMMANDS = {"window": _cmd_window, "radial": _cmd_radial, "barrier": _cmd_barrier,
+             "pairs": _cmd_pairs, "solve": _cmd_solve, "certify": _cmd_certify,
+             "sweep": _cmd_sweep}
 
 
 def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         seed=None, input_path=None, kind=None, other=None, tol=None) -> int:
-    """Execute one command against a config; returns the process exit code."""
+    """Execute one command against a config; returns the process exit code.
+
+    The command's report, with the warnings it fired, is written to
+    <command>.json and printed as the same text.
+    """
     env = None
     try:
         if command not in _COMMANDS:
@@ -534,19 +509,14 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         cfg = _load_config(config_path)
         env = _build_env(cfg, out=out, nodes=nodes, lam_flag=lam, seed=seed)
         env.outdir.mkdir(parents=True, exist_ok=True)
-        if command == "window":
-            return _cmd_window(env)
-        if command == "radial":
-            return _cmd_radial(env)
-        if command == "barrier":
-            return _cmd_barrier(env)
-        if command == "pairs":
-            return _cmd_pairs(env)
-        if command == "solve":
-            return _cmd_solve(env)
-        if command == "certify":
-            return _cmd_certify(env, input_path, kind, other, tol)
-        return _cmd_sweep(env)
+        args = (input_path, kind, other, tol) if command == "certify" else ()
+        with _recorded_warnings(env) as fired:
+            report, code = _COMMANDS[command](env, *args)
+        report.setdefault("warnings", fired)
+        text = _dumps(report)
+        (env.outdir / f"{command}.json").write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
+        return code
     except EmptyThetaRange as exc:
         return _refused(env, exc, "empty_window")
     except PositivityLoss as exc:
@@ -562,7 +532,8 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
 def _refused(env: _Env | None, exc: Exception, kind: str) -> int:
     """Exit 1 with an error object on stdout, listing the warnings recorded
     before the failure (none when it came before env)."""
-    _print({"error": str(exc), "kind": kind, "warnings": env.fired if env else []})
+    sys.stdout.write(_dumps({"error": str(exc), "kind": kind,
+                             "warnings": env.fired if env else []}))
     return 1
 
 

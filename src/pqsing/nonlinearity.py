@@ -241,13 +241,10 @@ def build_fhat(spec: NonlinearitySpec, params: Params) -> Callable:
 
     def fhat(t):
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tt = np.atleast_1d(t_arr)
-        out = np.zeros_like(tt)
-        pos = tt > 0.0
-        tp = tt[pos]
-        out[pos] = lam * (spec.f(tp) - f0) / tp ** gamma
-        return float(out[0]) if scalar else out.reshape(t_arr.shape)
+        tt = np.atleast_1d(t_arr)  # numpy's array kernels for a scalar too: the same bits
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at t <= 0, discarded
+            out = np.where(tt > 0.0, lam * (spec.f(tt) - f0) / tt ** gamma, 0.0)
+        return float(out[0]) if t_arr.ndim == 0 else out
 
     return fhat
 

@@ -56,6 +56,21 @@ def test_window_via_main(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_writes_its_stdout_with_warnings(command, tmp_path, capsys):
+    # one contract for every command: <command>.json holds exactly the text
+    # printed on stdout, and the report lists the warnings the command fired
+    extra = {}
+    if command == "certify":
+        assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64) == 0
+        capsys.readouterr()
+        extra = dict(input_path=str(tmp_path / "pairs.csv"), kind="subsolution")
+    assert run(command, str(SMALL), out=str(tmp_path), nodes=64, **extra) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / f"{command}.json").read_text() == out
+    assert isinstance(json.loads(out)["warnings"], list)
+
+
 @pytest.mark.parametrize("mangle", [
     {"schema": "v2"},                                   # wrong schema tag
     {"extra_section": {}},                              # unknown top level key

@@ -1,5 +1,6 @@
 """Reaction admissibility, the truncated bridge h, and the two shift choices."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,44 @@ def test_fhat_carries_lam_and_vanishes_at_zero():
     # continuity at 0+: bounded by lam*sup|f'|*t^{1-gamma}
     small = fhat(1e-12)
     assert 0.0 < small < PARAMS.lam * 2.0 * 1e-6
+
+
+
+def _masked_fhat(spec, params, t):
+    """fhat by gathering the positive entries and scattering them back into
+    zeros: the reference its one-expression form must match bit for bit."""
+    t_arr = np.asarray(t, dtype=float)
+    tt = np.atleast_1d(t_arr)
+    out = np.zeros_like(tt)
+    pos = tt > 0.0
+    out[pos] = params.lam * (spec.f(tt[pos]) - spec.f0) / tt[pos] ** params.gamma
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3])
+@pytest.mark.parametrize("spec", [
+    exp_spec(),                                          # cfg_reference's reaction
+    exp_spec(theta2=890.67, k=25.0, khat=6e4),           # cfg_small's
+    NonlinearitySpec(kind="power", theta1=1.0, theta2=5.0, m=1.5),
+    NonlinearitySpec(kind="table", theta1=1.0, theta2=4.0,
+                     table_t=(0.0, 1.0, 4.0), table_f=(1.0, 2.0, 9.0)),
+], ids=["exp_reference", "exp_small", "power", "table"])
+def test_fhat_is_bitwise_the_masked_form(spec, gamma):
+    params = dataclasses.replace(PARAMS, gamma=gamma)
+    t = 10.0 ** np.random.default_rng(7).uniform(-3.0, 17.0, 4099)
+    t[::3] *= -1.0
+    t[:8] = [0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0]
+    fhat = build_fhat(spec, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI records every warning into its reports
+        got, got_2d = fhat(t), fhat(t[:4098].reshape(2, 2049))
+        scalars = [fhat(float(x)) for x in t[:40]]
+    assert got.tobytes() == _masked_fhat(spec, params, t).tobytes()
+    assert got_2d.shape == (2, 2049)
+    assert got_2d.tobytes() == got[:4098].tobytes()
+    want = [_masked_fhat(spec, params, float(x)) for x in t[:40]]
+    assert all(type(g) is float for g in scalars)
+    assert np.array(scalars).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------- build_h
