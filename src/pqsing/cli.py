@@ -20,6 +20,10 @@ sorted with two-space indent, CSV numbers with repr-faithful %.17g, rows in
 a fixed order (sweeps ascend in lambda).  No step is random: the config's
 `seed` and the --seed flag are accepted and checked for backward
 compatibility, and seed nothing.
+
+Each command imports only the modules it runs: `window` loads no solver,
+radial or barrier module, `barrier` no solver or radial one, and the
+solver commands no barrier one.
 """
 
 from __future__ import annotations
@@ -32,17 +36,10 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import discrete_solver as ds
-from .barrier import (
-    certify_smallest_exponent,
-    conservation_residual,
-    minimal_M,
-    certify_barrier_supersolution,
-    solve_barrier,
-)
 from .errors import (
     BridgeNotMonotone,
     ConfigurationError,
@@ -52,13 +49,36 @@ from .errors import (
     PositivityLoss,
     SearchExhausted,
 )
-from .grid import GridFunction
 from .nonlinearity import NonlinearitySpec, build_h, validate
 from .parameter_window import compute_window
 from .pq_core import Params
-from .radial_solver import certify_radial_claim, solve_radial
+
+if TYPE_CHECKING:
+    from . import discrete_solver as ds
+    from .grid import GridFunction
 
 __all__ = ["main", "run"]
+
+# the handlers call the radial and barrier stages as _self.<name>, so the
+# lookup sees this module's globals at call time (and a wrapper bound there)
+_self = sys.modules[__name__]
+_RADIAL = ("solve_radial", "certify_radial_claim")
+_BARRIER = ("solve_barrier", "conservation_residual", "certify_smallest_exponent",
+            "minimal_M", "certify_barrier_supersolution")
+
+
+def __getattr__(name):
+    """Import a radial or barrier stage function on its first lookup, so a
+    command loads only the modules it runs.  The name is bound with
+    setdefault: a binding already in place is never overwritten."""
+    if name in _RADIAL:
+        from . import radial_solver as home
+    elif name in _BARRIER:
+        from . import barrier as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(home, name))
+
 
 _SCHEMA = "v1"
 
@@ -277,6 +297,8 @@ def _write_csv(path: Path, names, columns) -> None:
 
 
 def _read_grid_function(path: str) -> GridFunction:
+    from .grid import GridFunction
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
@@ -328,12 +350,14 @@ def _cmd_window(env: _Env):
 
 
 def _radial(env: _Env, op: ds.DiscreteOperator):
-    profile = solve_radial(env.params, env.reactions, env.window, op.grid)
-    cert = certify_radial_claim(profile, env.params, env.window)
+    profile = _self.solve_radial(env.params, env.reactions, env.window, op.grid)
+    cert = _self.certify_radial_claim(profile, env.params, env.window)
     return profile, cert
 
 
 def _cmd_radial(env: _Env):
+    from . import discrete_solver as ds
+
     profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
@@ -351,12 +375,12 @@ def _cmd_radial(env: _Env):
 def _cmd_barrier(env: _Env):
     tau = env.barrier_tau
     # a blow-down truncation warning is expected
-    profile = solve_barrier(tau, env.params.q, env.params.gamma,
-                            r_max=env.params.radius, n=env.barrier_n)
-    audit = conservation_residual(profile)
-    exp_cert = certify_smallest_exponent(profile, env.barrier_p)
-    M = minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
-    sup_cert = certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
+    profile = _self.solve_barrier(tau, env.params.q, env.params.gamma,
+                                  r_max=env.params.radius, n=env.barrier_n)
+    audit = _self.conservation_residual(profile)
+    exp_cert = _self.certify_smallest_exponent(profile, env.barrier_p)
+    M = _self.minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
+    sup_cert = _self.certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
     _write_csv(env.outdir / "barrier.csv", ("s", "xi", "xi_prime"),
                (profile.xi.nodes, profile.xi.values, profile.xi_prime.values))
     report = {
@@ -371,6 +395,8 @@ def _cmd_barrier(env: _Env):
 
 
 def _pairs(env: _Env):
+    from . import discrete_solver as ds
+
     failed = [c.name for c in validate(env.spec, env.params).checks if not c.passed]
     if failed:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: "
@@ -409,6 +435,8 @@ def _leg_report(leg: ds.IterationTrace) -> dict:
 
 
 def _cmd_solve(env: _Env):
+    from . import discrete_solver as ds
+
     op, _profile, rcert, pairs = _pairs(env)
     report = _pairs_report(env, rcert, pairs)
     if not report["all_passed"]:
@@ -442,6 +470,8 @@ def _cmd_solve(env: _Env):
 
 
 def _cmd_certify(env: _Env, input_path, kind, other_path, tol):
+    from . import discrete_solver as ds
+
     if input_path is None:
         _fail("certify needs --input")
     if kind is None:

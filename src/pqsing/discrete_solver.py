@@ -760,7 +760,10 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
         rhs = rhs + Theta * lpq_scalar(zi, params)
     amp = 0.5 * R * lpq_inverse(float(np.max(rhs)) * R / N, params)
     init = np.maximum(_paraboloid(op.grid, R, amp), zeta.values)
-    psi = _newton(op, Theta, 0.0, 0.0, rhs, init)[0]
+    try:
+        psi = _newton(op, Theta, 0.0, 0.0, rhs, init)[0]
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"second pair: v0 = psi: {exc}") from exc
     v0 = GridFunction(op.grid, psi)
     eps_low = float(np.min(-_unshifted(params, reactions, op, psi)[0]))
 
@@ -885,7 +888,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     map, and every map seeds at u except two kinds.  The first ascending
     map seeds at the paraboloid, whose scaled error is lower (0.62-0.94
     against u's 0.85-0.99).  The first two or three descending maps are
-    ties: the paraboloid lies under u, so init is u, evaluated twice.
+    ties: the paraboloid lies under u, so init is u, evaluated once.
     Without the guard a far-off subsolution (a sin^2 shape with scaled
     residual 4.7e3, say) would seed Newton far below its answer, and the
     damped search exhausts its budget climbing the degenerate region.  The
@@ -915,7 +918,7 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
         return seed, _residual_scale(op, seed, 0.0, khat, lam_f0, rhs, singular, uv[:-1])
 
     chosen = evaluated(init)
-    if float(np.min(uv[:-1])) > 0.0:
+    if float(np.min(uv[:-1])) > 0.0 and not np.array_equal(init, uv):
         at_u = evaluated(uv)
         res, scale, rnd, _ = at_u[1]
         err_u = _scaled_err(res, scale, rnd)
@@ -1033,8 +1036,11 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     monotone: list[bool] = []
     increments: list[float] = []
     converged = stalled = False
-    for _ in range(budget):
-        nxt, K = _checked_step(params, reactions, cur, op, K, ascending)
+    for k in range(1, budget + 1):
+        try:
+            nxt, K = _checked_step(params, reactions, cur, op, K, ascending)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"{start} step {k}: {exc}") from exc
         delta = nxt.values - cur.values
         mtol = 1e-9 * max(1.0, nxt.sup_norm())
         ok = bool(np.min(delta) >= -mtol) if ascending else bool(np.max(delta) <= mtol)

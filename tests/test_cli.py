@@ -476,7 +476,9 @@ def test_pairs_records_its_warnings(tmp_path, capsys):
     ("zero_column", "Newton system singular: smallest pivot 0.000e+00 at row 17\n"),
 ], ids=["nan_residual", "zero_column"])
 def test_unsolvable_newton_system_exit_3(tmp_path, capsys, monkeypatch, fault, message):
-    # a NaN residual at node 17, or a zero Jacobian column at node 17
+    # a NaN residual at node 17, or a zero Jacobian column at node 17: the
+    # run's first Newton system is the second pair's psi solve, which the
+    # message names
     if fault == "nan_residual":
         real = ds._residual_scale
 
@@ -497,7 +499,27 @@ def test_unsolvable_newton_system_exit_3(tmp_path, capsys, monkeypatch, fault, m
 
         monkeypatch.setattr(ds, "_jac_bands", faulty)
     assert run("solve", str(SMALL), out=str(tmp_path)) == 3
-    assert capsys.readouterr().err == "did not converge: " + message
+    assert capsys.readouterr().err == "did not converge: second pair: v0 = psi: " + message
+
+
+def test_newton_failure_in_a_leg_names_the_leg_and_step(tmp_path, capsys, monkeypatch):
+    # a NaN residual at node 17 in the solve map's systems only (the ones
+    # with an anchor): the pairs stage passes, and the ascending leg's first
+    # step fails
+    real = ds._residual_scale
+
+    def faulty(op, u, theta, khat, mu, rhs, singular, anchor=None):
+        res, scale, rnd, kept = real(op, u, theta, khat, mu, rhs, singular, anchor)
+        if anchor is not None:
+            res = res.copy()
+            res[17] = np.nan
+        return res, scale, rnd, kept
+
+    monkeypatch.setattr(ds, "_residual_scale", faulty)
+    assert run("solve", str(SMALL), out=str(tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: from_lower step 1: Newton system not finite at row 17\n")
+    assert not (tmp_path / "solve.json").exists()
 
 
 def test_failed_run_keeps_its_warnings(tmp_path, capsys, monkeypatch):
@@ -514,7 +536,7 @@ def test_failed_run_keeps_its_warnings(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ds, "_residual_scale", faulty)
     assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == "did not converge: Newton system not finite at row 17"
+    assert err[0] == "did not converge: second pair: v0 = psi: Newton system not finite at row 17"
     assert len(err) == 3
     for line in err[1:]:
         assert line.startswith("warning: WindowViolation: lambda=0.29502 outside [")

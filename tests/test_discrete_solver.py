@@ -607,6 +607,24 @@ def test_that_map_seeds_at_ascending_orbit_input(gentle, monkeypatch):
         assert np.array_equal(w.values, after.values)   # the leg's own step
 
 
+def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
+    # the descending leg's first input lies above the load-sized paraboloid,
+    # so both seed candidates are u itself: one evaluation, which Newton
+    # reuses, and no second one at u
+    env = gentle
+    u = env.pairs.u_up
+    at_u = []
+    real = discrete_solver._residual_scale
+
+    def recorded(op, w, *args):
+        at_u.append(np.array_equal(w[:-1], u.values[:-1]))
+        return real(op, w, *args)
+
+    monkeypatch.setattr(discrete_solver, "_residual_scale", recorded)
+    that_map(env.params, env.reactions, u, op=env.op, khat=np.zeros(env.op.n))
+    assert at_u[0] and not any(at_u[1:])
+
+
 def test_that_map_rejects_negative(gentle):
     env = gentle
     bad = GridFunction(env.op.grid, -np.ones(env.op.n + 1))

@@ -1,9 +1,10 @@
-"""Import diet: `import pqsing` loads numpy only, and no command loads scipy.
+"""Import diet: `import pqsing` loads no stage module, each command loads
+only the modules it runs, and no command loads scipy.
 
 Every diet check runs in a fresh interpreter, because this process has
-imported scipy already (the port tests use it as their oracle).  The last
-two tests check the public surface: every exported name resolves, and the
-README's library quick start runs as written.
+imported every module and scipy already (the port tests use scipy as their
+oracle).  The last two tests check the public surface: every exported name
+resolves, and the README's library quick start runs as written.
 """
 import importlib
 import json
@@ -35,19 +36,31 @@ if args:
 else:
     import pqsing
 with open(report, "w") as fh:
-    json.dump({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}, fh)
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
 """
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def loaded(tmp_path, *args):
+    """Exit code and the modules loaded by one fresh process."""
+    report = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", _PROBE, str(report), *args], env=ENV,
+                   check=True, stdout=subprocess.DEVNULL, timeout=120)
+    result = json.loads(report.read_text())
+    return result["code"], set(result["modules"])
 
 
 def loaded_scipy(tmp_path, *args):
     """Exit code and the scipy modules loaded by one fresh process."""
-    report = tmp_path / "modules.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", _PROBE, str(report), *args], env=env,
-                   check=True, stdout=subprocess.DEVNULL, timeout=120)
-    result = json.loads(report.read_text())
-    return result["code"], set(result["scipy"])
+    code, modules = loaded(tmp_path, *args)
+    return code, {m for m in modules if m.startswith("scipy")}
+
+
+def loaded_pqsing(tmp_path, *args):
+    """Exit code and the pqsing submodules loaded by one fresh process."""
+    code, modules = loaded(tmp_path, *args)
+    return code, {m.partition(".")[2] for m in modules if m.startswith("pqsing.")}
 
 
 def command(tmp_path, name):
@@ -62,11 +75,74 @@ def test_window_loads_no_scipy(tmp_path):
     assert loaded_scipy(tmp_path, *command(tmp_path, "window")) == (0, set())
 
 
+def test_import_loads_no_stage_module(tmp_path):
+    # every public name is imported from its home module on first access
+    code, modules = loaded(tmp_path)
+    assert code == 0 and "numpy" not in modules
+    assert {m for m in modules if m.startswith("pqsing")} == {"pqsing", "pqsing.errors"}
+
+
+def test_window_loads_only_the_window_modules(tmp_path):
+    assert loaded_pqsing(tmp_path, *command(tmp_path, "window")) == (
+        0, {"errors", "pq_core", "parameter_window", "nonlinearity", "cli"})
+
+
+@pytest.mark.parametrize("name, absent", [
+    ("barrier", {"discrete_solver", "radial_solver"}),
+    ("radial", {"barrier"}),
+    ("pairs", {"barrier"}),
+    ("solve", {"barrier"}),
+    ("sweep", {"barrier"}),
+    ("certify", {"barrier"}),
+], ids=["barrier", "radial", "pairs", "solve", "sweep", "certify"])
+def test_command_loads_only_its_stages(tmp_path, name, absent):
+    args = command(tmp_path, name)
+    if name == "certify":
+        profile = tmp_path / "u.csv"
+        profile.write_text("r,u\n" + "".join(f"{r},{1 - r * r}\n" for r in (0, 0.25, 0.5, 0.75, 1)))
+        args += ("--input", str(profile), "--kind", "supersolution")
+    code, modules = loaded_pqsing(tmp_path, *args)
+    assert code in (0, 1) and "cli" in modules
+    assert not modules & absent
+
+
 @pytest.mark.parametrize("name", ["barrier", "pairs", "solve", "sweep"])
 def test_command_loads_only_its_scipy(tmp_path, name):
     # none: the Beta functions, the root finders and the Newton systems are
     # all computed in numpy or plain Python
     assert loaded_scipy(tmp_path, *command(tmp_path, name)) == (0, set())
+
+
+# argv: <perfbench dir> <config> <out dir>; in a fresh interpreter the
+# benchmark's tracer wraps its names before any command has run, then traces
+# one solve at n = 64 and prints the spans per name
+_TRACED_SOLVE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])   # run.py imports its sibling tracer
+import run as bench
+with bench.tracer.Tracer() as trace:
+    bench.instrument(trace)
+    from pqsing import cli
+    code = cli.run("solve", sys.argv[2], out=sys.argv[3], nodes=64)
+from pqsing import radial_solver
+print(json.dumps({"code": code, "calls": trace.calls(),
+                  "restored": cli.solve_radial is radial_solver.solve_radial}))
+"""
+
+
+def test_benchmark_instrumentation_in_a_fresh_interpreter(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _TRACED_SOLVE, str(ROOT / "perfbench"),
+                           str(SMALL), str(tmp_path / "out")], env=ENV, check=True,
+                          capture_output=True, text=True, timeout=120)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0 and result["restored"]
+    calls = result["calls"]
+    for leg in ("from_lower", "from_upper"):
+        assert calls["discrete_solver.amann_iterate." + leg] == 1
+    for name in ("radial_solver.solve_radial", "radial_solver.certify_radial_claim",
+                 "discrete_solver.construct_pairs",
+                 "discrete_solver.search_third_solution"):
+        assert calls[name] == 1, name
 
 
 # argv: <config> <out dir>; runs every command of the pipeline in one process
@@ -82,10 +158,8 @@ print(json.dumps({name: main([name, "--config", config, "--out", out]) for name 
 
 
 def test_pipeline_runs_without_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(SMALL),
-                           str(tmp_path / "out")], env=env, check=True,
+                           str(tmp_path / "out")], env=ENV, check=True,
                           capture_output=True, text=True, timeout=300)
     codes = json.loads(done.stdout.splitlines()[-1])
     assert codes == {"window": 0, "barrier": 0, "pairs": 0, "solve": 0, "sweep": 0}
@@ -94,13 +168,11 @@ def test_pipeline_runs_without_scipy(tmp_path):
 def test_pairs_loads_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call; validate's sample grid
     # is sorted and deduplicated without it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys\nfrom pqsing import cli\n"
              "code = cli.run('pairs', sys.argv[1], out=sys.argv[2])\n"
              "print(code, 'numpy.ma' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", probe, str(SMALL), str(tmp_path / "out")],
-                          env=env, check=True, capture_output=True, text=True, timeout=120)
+                          env=ENV, check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
