@@ -1,5 +1,3 @@
-import sys
+from .cli import process_main
 
-from .cli import main
-
-sys.exit(main())
+process_main()

@@ -24,6 +24,11 @@ compatibility, and seed nothing.
 Each command imports only the modules it runs: `window` loads no solver,
 radial or barrier module, `barrier` no solver or radial one, and the
 solver commands no barrier one.
+
+A `pqsing` process (`python -m pqsing` or the installed script) runs
+process_main: it flushes stdout and stderr after the command and ends
+without the interpreter's teardown.  main() and run() return their exit
+code in process, for tests and library callers.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .errors import (
     PositivityLoss,
     SearchExhausted,
 )
-from .nonlinearity import NonlinearitySpec, build_h, validate
+from .nonlinearity import DerivedReactions, NonlinearitySpec, build_h, validate
 from .parameter_window import compute_window
 from .pq_core import Params
 
@@ -57,7 +63,7 @@ if TYPE_CHECKING:
     from . import discrete_solver as ds
     from .grid import GridFunction
 
-__all__ = ["main", "run"]
+__all__ = ["main", "process_main", "run"]
 
 # the handlers call the radial and barrier stages as _self.<name>, so the
 # lookup sees this module's globals at call time (and a wrapper bound there)
@@ -188,8 +194,7 @@ class _Env:
     spec: NonlinearitySpec
     params0: Params          # lam = 0, for the lambda-independent window
     window: object
-    params: Params
-    reactions: object
+    reactions: DerivedReactions  # at the command's load
     n: int
     outdir: Path
     tol_certify: float | None
@@ -203,14 +208,18 @@ class _Env:
     fired: list = dataclasses.field(default_factory=list)  # the run's recorded warnings
 
     @property
+    def params(self) -> Params:
+        return self.reactions.params
+
+    @property
     def lam(self) -> float:
         return self.params.lam
 
 
 def _at_load(env: _Env, lam: float) -> _Env:
-    """env with the load set to lam and the reactions derived at it."""
-    params = dataclasses.replace(env.params, lam=lam)
-    return dataclasses.replace(env, params=params, reactions=build_h(env.spec, params))
+    """env with the reactions moved to load lam (h itself does not depend on
+    the load, so a command builds it once)."""
+    return dataclasses.replace(env, reactions=env.reactions.at_load(lam))
 
 
 def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _Env:
@@ -269,8 +278,8 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
-    env = _Env(spec=spec, params0=params0, window=window, params=params0,
-               reactions=reactions0, n=int(n), outdir=outdir,
+    env = _Env(spec=spec, params0=params0, window=window, reactions=reactions0,
+               n=int(n), outdir=outdir,
                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
                barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
                barrier_nu=barrier_nu, sweep_count=sweep_count)
@@ -608,5 +617,20 @@ def main(argv=None) -> int:
                tol=getattr(args, "tol", None))
 
 
+def process_main() -> NoReturn:
+    """Run main() as a `pqsing` process: flush stdout and stderr, then end
+    by os._exit with main's code.  Every file a command writes is closed by
+    then, so the interpreter's teardown (finalizing numpy and the package's
+    modules) would only spend time.  If a flush fails, sys.exit lets the
+    interpreter report it as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -592,7 +592,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
             break
         eta *= 0.5
     else:
-        raise SearchExhausted("no admissible eta within the halving budget")
+        raise SearchExhausted("first pair: no admissible eta within the halving budget")
     _check_exact(op, w, eta, "first pair: w_eta misses -L w = eta")
     chi_low = float(np.min(_reaction_values(params, reactions, wi))) - eta
 
@@ -630,11 +630,11 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
             break
         alpha_star *= 2.0
     else:
-        raise SearchExhausted("no admissible alpha_* within the doubling budget")
+        raise SearchExhausted("first pair: no admissible alpha_* within the doubling budget")
 
     u0 = GridFunction(op.grid, w)
     if np.any(u0.values[:-1] > u_up.values[:-1]):
-        raise SearchExhausted("constructed pair is not ordered")
+        raise SearchExhausted("first pair: constructed pair is not ordered")
     margins = {
         "eta": float(eta),
         "alpha_star": float(alpha_star),
@@ -715,16 +715,17 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     if not cond_growth(hi):
         if not cond_cap(hi):  # growth needs m > hi, where the cap fails: none is admissible
             raise SearchExhausted(
-                f"no admissible m: growth fails at every m <= {hi:.6g}, "
+                f"second pair: no admissible m: growth fails at every m <= {hi:.6g}, "
                 "and the cap already fails there")
-        raise SearchExhausted(f"no admissible m: growth fails at every m <= {hi:.6g}")
+        raise SearchExhausted(
+            f"second pair: no admissible m: growth fails at every m <= {hi:.6g}")
     m_min = bisect(cond_growth, lo, hi, rising=True)[1]
 
     start = hi = max(1.0, m_min)
     while cond_cap(hi) and hi < 1e12:
         hi *= 2.0
     if cond_cap(hi):
-        raise SearchExhausted("cap condition never fails; bracket not found")
+        raise SearchExhausted("second pair: cap condition never fails; bracket not found")
     # bisect the cap edge from a point where the cap holds: m_min/2 does if
     # the cap held at start; otherwise halve down to one
     lo = max(1e-12, m_min / 2.0)
@@ -733,15 +734,16 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
             hi, lo = lo, lo * 0.5
         if not cond_cap(lo):
             raise SearchExhausted(
-                f"no admissible m: growth needs m >= {m_min:.6g}, and the cap "
+                f"second pair: no admissible m: growth needs m >= {m_min:.6g}, and the cap "
                 f"fails at every m >= {lo:.6g}")
     m_max = bisect(cond_cap, lo, hi, rising=False)[0]
     if not (m_min <= m_max and cond_growth(m_max)):
         raise SearchExhausted(
-            f"no admissible m: growth needs m >= {m_min:.6g}, cap needs m <= {m_max:.6g}")
+            f"second pair: no admissible m: growth needs m >= {m_min:.6g}, "
+            f"cap needs m <= {m_max:.6g}")
     m = float(np.sqrt(m_min * m_max))
     if not (cond_growth(m) and cond_cap(m)):
-        raise SearchExhausted("bisection landed outside the admissible interval")
+        raise SearchExhausted("second pair: bisection landed outside the admissible interval")
 
     c_norm = norm(m)
     v_up = GridFunction(op.grid, m * _load_solution(op, 1.0, 1.0, m ** (q - p)))

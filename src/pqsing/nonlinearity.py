@@ -270,6 +270,32 @@ class DerivedReactions:
     spec: NonlinearitySpec
     params: Params
 
+    def at_load(self, lam: float) -> DerivedReactions:
+        """These reactions moved to load lam.  h, theta_star and fbar do not
+        depend on the load and are kept; fhat and Theta_lambda are derived
+        at lam, bit for bit as build_h would at that load."""
+        return _at_load(self.spec, dataclasses.replace(self.params, lam=lam),
+                        self.theta_star, self.fbar, self.h)
+
+
+def _at_load(spec: NonlinearitySpec, params: Params, theta_star: float, fbar: float,
+             h: Callable) -> DerivedReactions:
+    """The reactions at params.lam around the load-free bridge h: the one
+    place that derives the load's fhat and Theta_lambda."""
+    return DerivedReactions(
+        theta_star=theta_star,
+        fbar=fbar,
+        h=h,
+        fhat=build_fhat(spec, params),
+        Theta_lambda=choose_Theta_lambda(spec, params, h=h),
+        f=spec.f,
+        f0=spec.f0,
+        lam=params.lam,
+        khat=spec.khat,
+        spec=spec,
+        params=params,
+    )
+
 
 def _curve(spec: NonlinearitySpec, gamma: float):
     def curve(t):
@@ -410,22 +436,7 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
             "thresholds are inadmissible"
         )
 
-    fhat = build_fhat(spec, params)
-    Theta = choose_Theta_lambda(spec, params, h=h)
-
-    return DerivedReactions(
-        theta_star=theta_star,
-        fbar=fbar,
-        h=h,
-        fhat=fhat,
-        Theta_lambda=Theta,
-        f=spec.f,
-        f0=spec.f0,
-        lam=params.lam,
-        khat=spec.khat,
-        spec=spec,
-        params=params,
-    )
+    return _at_load(spec, params, theta_star, fbar, h)
 
 
 def choose_Theta_lambda(spec: NonlinearitySpec, params: Params,

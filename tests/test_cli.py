@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsing import cli
+from pqsing import cli, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
 
@@ -346,6 +346,22 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_builds_h_once(tmp_path, capsys, monkeypatch):
+    # the window's h, built at lam = 0, is moved to every row's load
+    real, loads = nonlinearity.build_h, []
+
+    def counted(spec, params):
+        loads.append(params.lam)
+        return real(spec, params)
+
+    monkeypatch.setattr(cli, "build_h", counted)
+    monkeypatch.setattr(nonlinearity, "build_h", counted)
+    cfg = small_cfg(sweep={"count": 3}, grid={"n": 64})
+    assert run("sweep", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+    assert loads == [0.0]
+    capsys.readouterr()
+
+
 def test_sweep_tags_each_warning_with_its_load(tmp_path, capsys, monkeypatch):
     # a warning fired while a row's pairs are built carries that row's lambda
     real = cli._pairs
@@ -582,7 +598,8 @@ def test_second_pair_reports_the_cap_edge(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert run("pairs", path, out=str(tmp_path)) == 3
     err = capsys.readouterr().err
-    head = "did not converge: no admissible m: growth needs m >= 268.225, cap needs m <= "
+    head = ("did not converge: second pair: no admissible m: growth needs m >= 268.225, "
+            "cap needs m <= ")
     assert err.startswith(head)
     m_max = float(err[len(head):])
     env = cli._build_env(cli._load_config(path))
@@ -598,8 +615,24 @@ def test_second_pair_names_an_empty_admissible_set(tmp_path, capsys):
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128,
                lam=401.6) == 3
     assert capsys.readouterr().err == (
-        "did not converge: no admissible m: growth fails at every m <= 1.09951e+12, "
-        "and the cap already fails there\n")
+        "did not converge: second pair: no admissible m: growth fails at every "
+        "m <= 1.09951e+12, and the cap already fails there\n")
+
+
+def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
+    cfg = json.loads(REFERENCE.read_text())
+    cfg["params"].update(p=3.0, q=5.0)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=512) == 3
+    assert capsys.readouterr().err.startswith(
+        "did not converge: second pair: no admissible m")
+
+
+def test_first_pair_names_its_stage(tmp_path, capsys, monkeypatch):
+    # with no halvings left the eta search of the first pair gives up at once
+    monkeypatch.setattr(ds, "_GEOM_BUDGET", 0)
+    assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: first pair: no admissible eta within the halving budget\n")
 
 
 def test_barrier_command(tmp_path, capsys):

@@ -22,13 +22,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SMALL = ROOT / "scripts" / "cfg_small.json"
 
 # argv: <report path> [command args...]; with no command it only imports
-# pqsing, otherwise it runs `python -m pqsing <command args>` in process
+# pqsing, otherwise it runs `python -m pqsing <command args>` in process.  A
+# pqsing process ends by os._exit, which here raises SystemExit instead, so
+# that the probe still writes its report
 _PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 report, args = sys.argv[1], sys.argv[2:]
 code = 0
 if args:
     sys.argv = ["pqsing", *args]
+    os._exit = sys.exit
     try:
         runpy.run_module("pqsing", run_name="__main__", alter_sys=True)
     except SystemExit as exc:

@@ -137,14 +137,18 @@ def _masked_fhat(spec, params, t):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 0.3])
-@pytest.mark.parametrize("spec", [
+# the shipped reactions and one of each other family
+FAMILIES = pytest.mark.parametrize("spec", [
     exp_spec(),                                          # cfg_reference's reaction
     exp_spec(theta2=890.67, k=25.0, khat=6e4),           # cfg_small's
     NonlinearitySpec(kind="power", theta1=1.0, theta2=5.0, m=1.5),
     NonlinearitySpec(kind="table", theta1=1.0, theta2=4.0,
                      table_t=(0.0, 1.0, 4.0), table_f=(1.0, 2.0, 9.0)),
 ], ids=["exp_reference", "exp_small", "power", "table"])
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3])
+@FAMILIES
 def test_fhat_is_bitwise_the_masked_form(spec, gamma):
     params = dataclasses.replace(PARAMS, gamma=gamma)
     t = 10.0 ** np.random.default_rng(7).uniform(-3.0, 17.0, 4099)
@@ -186,6 +190,21 @@ def test_bridge_running_minimum():
     # flat at fbar up to the argmin
     flat = ts <= rx.theta_star
     assert np.allclose(hv[flat], rx.fbar, rtol=1e-12)
+
+
+@FAMILIES
+def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
+    # h does not depend on the load, so the CLI builds it once, at lam = 0
+    # for the window, and moves it from load to load
+    moved = build_h(spec, dataclasses.replace(PARAMS, lam=0.0)).at_load(0.7).at_load(PARAMS.lam)
+    fresh = build_h(spec, PARAMS)
+    t = np.concatenate([np.linspace(0.0, 2.0 * spec.theta2, 20001),
+                        np.geomspace(1e-12, 2.0 * spec.theta2, 4001)])
+    for name in ("h", "fhat"):
+        assert getattr(moved, name)(t).tobytes() == getattr(fresh, name)(t).tobytes(), name
+    for name in ("Theta_lambda", "theta_star", "fbar", "lam", "params"):
+        assert getattr(moved, name) == getattr(fresh, name), name
+    assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS)
 
 
 def test_bridge_rejects_impossible_thresholds():
