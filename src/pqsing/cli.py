@@ -189,10 +189,9 @@ def _build_spec(cfg: dict) -> NonlinearitySpec:
 
 @dataclasses.dataclass
 class _Env:
-    """Everything a command needs, resolved from one config."""
+    """Everything a command needs, resolved from one config; the load's
+    Params and reaction live in reactions alone."""
 
-    spec: NonlinearitySpec
-    params0: Params          # lam = 0, for the lambda-independent window
     window: object
     reactions: DerivedReactions  # at the command's load
     n: int
@@ -206,6 +205,10 @@ class _Env:
     barrier_nu: float | None
     sweep_count: int
     fired: list = dataclasses.field(default_factory=list)  # the run's recorded warnings
+
+    @property
+    def spec(self) -> NonlinearitySpec:
+        return self.reactions.spec
 
     @property
     def params(self) -> Params:
@@ -251,6 +254,8 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     sweep_count = _number(cfg.get("sweep", {}), "sweep", "count", default=9, integer=True)
     if sweep_count < 2:
         _fail(f"sweep.count must be at least 2, got {sweep_count}")
+    if budget < 1:
+        _fail(f"tolerances.budget must be at least 1, got {budget}")
 
     try:
         params0 = Params(p=p, q=q, gamma=gamma, dim=dim, radius=radius, lam=0.0)
@@ -261,7 +266,7 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     kappa = _number(wc, "window", "kappa", default=1.01)
     theta = _number(wc, "window", "theta", default=None, allow_null=True)
     reactions0 = build_h(spec, params0)
-    window = compute_window(params0, spec, reactions0, chi=chi, kappa=kappa, theta=theta)
+    window = compute_window(reactions0, chi=chi, kappa=kappa, theta=theta)
 
     if lam_flag is not None:
         lam = float(lam_flag)
@@ -278,8 +283,7 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
-    env = _Env(spec=spec, params0=params0, window=window, reactions=reactions0,
-               n=int(n), outdir=outdir,
+    env = _Env(window=window, reactions=reactions0, n=int(n), outdir=outdir,
                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
                barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
                barrier_nu=barrier_nu, sweep_count=sweep_count)
@@ -321,6 +325,8 @@ def _read_grid_function(path: str) -> GridFunction:
         values = np.array([float(r[1]) for r in rows])
     except (ValueError, IndexError):
         _fail(f"{path} must contain at least two numeric columns")
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+        _fail(f"{path} holds a non-finite node or value")
     if nodes.size < 4:
         _fail(f"{path} holds fewer than 4 rows")
     return GridFunction(nodes, values)
@@ -359,7 +365,7 @@ def _cmd_window(env: _Env):
 
 
 def _radial(env: _Env, op: ds.DiscreteOperator):
-    profile = _self.solve_radial(env.params, env.reactions, env.window, op.grid)
+    profile = _self.solve_radial(env.reactions, env.window, op.grid)
     cert = _self.certify_radial_claim(profile, env.params, env.window)
     return profile, cert
 
@@ -412,7 +418,7 @@ def _pairs(env: _Env):
                                 + ", ".join(failed))
     op = ds.DiscreteOperator.from_params(env.params, env.n)  # the load's one grid
     profile, rcert = _radial(env, op)
-    pairs = ds.construct_pairs(env.params, env.spec, env.reactions, env.window, profile, op)
+    pairs = ds.construct_pairs(env.reactions, env.window, profile, op)
     return op, profile, rcert, pairs
 
 
@@ -452,12 +458,11 @@ def _cmd_solve(env: _Env):
         return report, 1
     # the two theorem intervals: u1 is minimal in [u0, v_up], u2 maximal in
     # [v0, u_up]
-    lo = ds.amann_iterate(env.params, env.reactions, pairs.u0, pairs.v_up,
-                          "from_lower", op, budget=env.budget, conv_factor=env.conv_factor)
-    up = ds.amann_iterate(env.params, env.reactions, pairs.v0, pairs.u_up,
-                          "from_upper", op, budget=env.budget, conv_factor=env.conv_factor)
-    third, u3 = ds.search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                         pairs, op)
+    lo = ds.amann_iterate(env.reactions, op, pairs.u0, pairs.v_up, "from_lower",
+                          budget=env.budget, conv_factor=env.conv_factor)
+    up = ds.amann_iterate(env.reactions, op, pairs.v0, pairs.u_up, "from_upper",
+                          budget=env.budget, conv_factor=env.conv_factor)
+    third, u3 = ds.search_third_solution(env.reactions, lo.limit, up.limit, pairs, op)
     # the three solutions share the grid, so its column is formatted once
     rows = "".join(map("%.17g,%%.17g\n".__mod__, lo.limit.nodes.tolist()))
     for name, u in (("lower", lo.limit), ("upper", up.limit), ("middle", u3)):
@@ -491,7 +496,7 @@ def _cmd_certify(env: _Env, input_path, kind, other_path, tol):
     other = _read_grid_function(other_path) if other_path else None
     use_tol = tol if tol is not None else env.tol_certify
     try:
-        cert = ds.certify(env.params, env.reactions, u, kind, other=other, tol=use_tol)
+        cert = ds.certify(env.reactions, u, kind, other=other, tol=use_tol)
         summary, code = cert.summary(), 0 if cert.passed else 1
     except PositivityLoss as exc:
         summary = {"kind": kind, "passed": False, "positivity_loss": str(exc)}

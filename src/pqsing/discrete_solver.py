@@ -4,15 +4,16 @@ One uniform grid on [0, R], laid out by DiscreteOperator.from_params, carries
 everything: the flux-form operator, the auxiliary constant-load solves, the
 four sub/supersolution constructors, the shifted solve map T-hat, the Amann
 iteration between ordered endpoints (u1, u2), and discrete shooting for the
-third solution u3 between them.  Every stage takes that operator and
-refuses a grid function that lives elsewhere.  All nonlinear systems go
-through one damped-Newton core, whose tridiagonal steps solve_banded solves
-by odd-even cyclic reduction in numpy.  The constant-load problems behind
-both pairs -- w_eta, and u_alpha, u_beta* of the paper's weighted
--L^{alpha,beta} -- need no Newton: the flux form gives their exact discrete
-solution by two cumulative sums (_load_solution; the weights enter only in
-_load_sums, whose last sum alone is the norm the m probes read), checked
-once per load where a reported margin relies on it.
+third solution u3 between them.  Every stage takes that operator and the
+load's DerivedReactions (its one copy of Params and reaction), and refuses
+a grid function that lives elsewhere or an operator of other exponents or
+geometry.  All nonlinear systems go through one damped-Newton core, whose
+tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
+The constant-load problems behind both pairs -- w_eta, and u_alpha, u_beta*
+of the paper's weighted -L^{alpha,beta} -- need no Newton: the flux form
+gives their exact discrete solution by two cumulative sums (_load_solution;
+the weights enter only in _load_sums, whose last sum alone is the norm the
+m probes read), checked once per load where a reported margin relies on it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -57,7 +58,7 @@ from .errors import (
     SearchExhausted,
 )
 from .grid import CertificateReport, GridFunction, same_grid
-from .nonlinearity import DerivedReactions, NonlinearitySpec, validate
+from .nonlinearity import DerivedReactions, validate
 # not called here: the benchmark's tracer (perfbench/run.py) wraps it by this module's name
 from .nonlinearity import choose_khat  # noqa: F401
 from .parameter_window import WindowReport
@@ -135,8 +136,11 @@ class DiscreteOperator:
         return cls(params, np.linspace(0.0, params.radius, n + 1))
 
 
-def _check_grid(op: DiscreteOperator, *functions: GridFunction) -> None:
-    """ConfigurationError unless every grid function lives on op's grid."""
+def _check_grid(op: DiscreteOperator, reactions: DerivedReactions, *functions) -> None:
+    """ConfigurationError unless op's Params are reactions' but for lam (which
+    op's nodes and weights do not read) and every function lives on op's grid."""
+    if dataclasses.replace(op.params, lam=reactions.params.lam) != reactions.params:
+        raise ConfigurationError("operator does not match the reactions' exponents or geometry")
     for u in functions:
         if not same_grid(u.nodes, op.grid):
             raise ConfigurationError("grid function does not live on the operator grid")
@@ -463,19 +467,19 @@ def _check_exact(op: DiscreteOperator, u: np.ndarray, rhs: float, what: str) -> 
 _KINDS = ("subsolution", "supersolution", "ordering", "nonordering")
 
 
-def _reaction_values(params: Params, reactions: DerivedReactions, ui: np.ndarray) -> np.ndarray:
-    return reactions.lam * np.asarray(reactions.f(ui), dtype=float) * ui ** (-params.gamma)
+def _reaction_values(reactions: DerivedReactions, ui: np.ndarray) -> np.ndarray:
+    params = reactions.params
+    return params.lam * np.asarray(reactions.spec.f(ui), dtype=float) * ui ** (-params.gamma)
 
 
-def _unshifted(params: Params, reactions: DerivedReactions, op: DiscreteOperator,
-               uv: np.ndarray):
+def _unshifted(reactions: DerivedReactions, op: DiscreteOperator, uv: np.ndarray):
     """(A(u) - lam f(u) u^{-gamma}, A(u), lam f(u) u^{-gamma}) at nodes 0..n-1."""
     A = _apply_values(op, uv)
-    react = _reaction_values(params, reactions, uv[:-1])
+    react = _reaction_values(reactions, uv[:-1])
     return A - react, A, react
 
 
-def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: str,
+def certify(reactions: DerivedReactions, u: GridFunction, kind: str,
             other: GridFunction | None = None, op: DiscreteOperator | None = None,
             tol: float | None = None, strict: bool = False) -> CertificateReport:
     """Pointwise certificate at the nodes.
@@ -490,7 +494,7 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
     """
     if kind not in _KINDS:
         raise ConfigurationError(f"unknown certificate kind {kind!r}")
-    R = params.radius
+    R = reactions.params.radius
     if kind in ("ordering", "nonordering"):
         if other is None:
             raise ConfigurationError(f"{kind} certificate needs `other`")
@@ -503,9 +507,9 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
                 f"{kind} certificate needs u > 0 at interior nodes "
                 f"(min {float(np.min(interior)):.3e})")
         if op is None:
-            op = DiscreteOperator(params, u.nodes)
-        _check_grid(op, u)
-        res, A, react = _unshifted(params, reactions, op, u.values)
+            op = DiscreteOperator(reactions.params, u.nodes)
+        _check_grid(op, reactions, u)
+        res, A, react = _unshifted(reactions, op, u.values)
         margins = -res if kind == "subsolution" else res
         if tol is None:
             tol = 1e-10 * max(1.0, float(np.max(np.abs(A))), float(np.max(react)))
@@ -542,13 +546,13 @@ def certify(params: Params, reactions: DerivedReactions, u: GridFunction, kind: 
                              passed=passed, tolerance=float(tol), detail=detail)
 
 
-def original_residual(params: Params, reactions: DerivedReactions, u: GridFunction,
+def original_residual(reactions: DerivedReactions, u: GridFunction,
                       op: DiscreteOperator) -> float:
     """Scaled sup residual of -L u = lam f(u) u^{-gamma} at the nodes."""
-    _check_grid(op, u)
+    _check_grid(op, reactions, u)
     if np.any(u.values[:-1] <= 0.0):
         return float("inf")
-    res, _A, react = _unshifted(params, reactions, op, u.values)
+    res, _A, react = _unshifted(reactions, op, u.values)
     return float(np.max(np.abs(res) / (1.0 + np.abs(react))))
 
 
@@ -556,9 +560,8 @@ def original_residual(params: Params, reactions: DerivedReactions, u: GridFuncti
 # sub/supersolution constructors
 # ---------------------------------------------------------------------------
 
-def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
-                     op: DiscreteOperator, fit_under: GridFunction | None = None,
-                     dominate: GridFunction | None = None):
+def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
+                     fit_under: GridFunction | None = None, dominate: GridFunction | None = None):
     """Outer pair: u0 = w_eta (small) and u_up = alpha_* u_alpha (large).
 
     w_eta solves -L w = eta and u_alpha solves -L^{alpha,1} u = 1 with
@@ -573,14 +576,14 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     `dominate` tighten the searches so the pair brackets a given inner pair.
     u_up needs no exactness check: its certificate is pointwise.
     """
-    if not validate(spec, params).ok:
+    params, f = reactions.params, reactions.spec.f
+    if not validate(reactions.spec, params).ok:
         raise ConfigurationError("nonlinearity assumptions (f0)-(f4) do not hold")
-    _check_grid(op, *(g for g in (fit_under, dominate) if g is not None))
-    lam, gamma = reactions.lam, params.gamma
-    f = reactions.f
+    _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
+    lam, gamma = params.lam, params.gamma
 
     # --- lower: w_eta ------------------------------------------------------
-    eta = max(1.0, lam * reactions.f0)
+    eta = max(1.0, lam * reactions.spec.f0)
     for _ in range(_GEOM_BUDGET):
         w = _load_solution(op, eta)
         wi = w[:-1]
@@ -594,7 +597,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     else:
         raise SearchExhausted("first pair: no admissible eta within the halving budget")
     _check_exact(op, w, eta, "first pair: w_eta misses -L w = eta")
-    chi_low = float(np.min(_reaction_values(params, reactions, wi))) - eta
+    chi_low = float(np.min(_reaction_values(reactions, wi))) - eta
 
     # --- upper: alpha_* u_alpha --------------------------------------------
     # The smallness condition lam f(alpha_* C) <= alpha_*^{q+gamma-1} is not
@@ -621,7 +624,7 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
         norm = float(np.max(ua))
         scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
         U = alpha_star * ua
-        margins = _unshifted(params, reactions, op, U)[0]
+        margins = _unshifted(reactions, op, U)[0]
         point_ok = bool(np.min(margins) > 0.0)
         dom_ok = dominate is None or bool(np.all(U[:-1] >= dominate.values[:-1] * (1.0 + 1e-9)))
         if scalar_ok and point_ok and dom_ok:
@@ -645,8 +648,8 @@ def build_first_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedR
     return u0, u_up, margins
 
 
-def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
-                      window: WindowReport, profile: RadialProfile, op: DiscreteOperator):
+def build_second_pair(reactions: DerivedReactions, window: WindowReport,
+                      profile: RadialProfile, op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
     u_beta solves -L^{1,beta} u = 1 with beta = m^{q-p}, by _load_solution.
@@ -669,12 +672,12 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     eps_low is psi's pointwise subsolution margin against the original
     reaction.
     """
-    lam, gamma = reactions.lam, params.gamma
+    params, f = reactions.params, reactions.spec.f
+    lam, gamma = params.lam, params.gamma
     p, q = params.p, params.q
-    f = reactions.f
-    theta1 = spec.theta1
+    theta1 = reactions.spec.theta1
     window.warn_outside(lam)
-    _check_grid(op, profile.phi)
+    _check_grid(op, reactions, profile.phi)
     R, N = params.radius, params.dim
 
     flux = _load_flux(op, 1.0)
@@ -751,7 +754,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
                  "second pair: v_up = m u_beta misses -L v = m^(p-1)")
     eps_cap = theta1 - m * c_norm
     eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(m * c_norm))
-    collar_deficit = float(np.min(_unshifted(params, reactions, op, v_up.values)[0]))
+    collar_deficit = float(np.min(_unshifted(reactions, op, v_up.values)[0]))
 
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
@@ -767,7 +770,7 @@ def build_second_pair(params: Params, spec: NonlinearitySpec, reactions: Derived
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"second pair: v0 = psi: {exc}") from exc
     v0 = GridFunction(op.grid, psi)
-    eps_low = float(np.min(-_unshifted(params, reactions, op, psi)[0]))
+    eps_low = float(np.min(-_unshifted(reactions, op, psi)[0]))
 
     margins = {
         "m_lambda": m,
@@ -802,9 +805,8 @@ class PairsResult:
         return all(c.passed for c in self.certificates.values())
 
 
-def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedReactions,
-                    window: WindowReport, profile: RadialProfile,
-                    op: DiscreteOperator) -> PairsResult:
+def construct_pairs(reactions: DerivedReactions, window: WindowReport,
+                    profile: RadialProfile, op: DiscreteOperator) -> PairsResult:
     """Build (u0, u_up), (v0, v_up) on op's grid, the radial profile's too,
     and certify the Theorem-2.5 geometry.
 
@@ -813,15 +815,15 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
     v_up's supersolution certificate carries the paper's scalar slack as its
     margins (see build_second_pair).
     """
-    v0, v_up, second = build_second_pair(params, spec, reactions, window, profile, op=op)
+    v0, v_up, second = build_second_pair(reactions, window, profile, op=op)
     inner_min = GridFunction(op.grid, np.minimum(v0.values, v_up.values))
     inner_max = GridFunction(op.grid, np.maximum(v0.values, v_up.values))
-    u0, u_up, first = build_first_pair(params, spec, reactions, op=op,
+    u0, u_up, first = build_first_pair(reactions, op=op,
                                        fit_under=inner_min, dominate=inner_max)
     certs = {
-        "sub_u0": certify(params, reactions, u0, "subsolution", op=op),
-        "super_u_up": certify(params, reactions, u_up, "supersolution", op=op),
-        "sub_v0": certify(params, reactions, v0, "subsolution", op=op),
+        "sub_u0": certify(reactions, u0, "subsolution", op=op),
+        "super_u_up": certify(reactions, u_up, "supersolution", op=op),
+        "sub_v0": certify(reactions, v0, "subsolution", op=op),
         "super_v_up": CertificateReport(
             kind="supersolution",
             margins=np.array([second["eps_cap"], second["eps_growth"]]),
@@ -833,12 +835,12 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
                 "collar_deficit": second["collar_deficit"],
             },
         ),
-        "order_u0_v0": certify(params, reactions, u0, "ordering", other=v0),
-        "order_v0_uup": certify(params, reactions, v0, "ordering", other=u_up, strict=True),
-        "order_u0_vup": certify(params, reactions, u0, "ordering", other=v_up, strict=True),
-        "order_vup_uup": certify(params, reactions, v_up, "ordering", other=u_up),
-        "nonorder_v0_vup": certify(params, reactions, v0, "nonordering", other=v_up),
-        "order_zeta_v0": certify(params, reactions, profile.phi, "ordering", other=v0),
+        "order_u0_v0": certify(reactions, u0, "ordering", other=v0),
+        "order_v0_uup": certify(reactions, v0, "ordering", other=u_up, strict=True),
+        "order_u0_vup": certify(reactions, u0, "ordering", other=v_up, strict=True),
+        "order_vup_uup": certify(reactions, v_up, "ordering", other=u_up),
+        "nonorder_v0_vup": certify(reactions, v0, "nonordering", other=v_up),
+        "order_zeta_v0": certify(reactions, profile.phi, "ordering", other=v0),
     }
     return PairsResult(u0=u0, u_up=u_up, v0=v0, v_up=v_up,
                        first_margins=first, second_margins=second, certificates=certs)
@@ -851,7 +853,7 @@ def construct_pairs(params: Params, spec: NonlinearitySpec, reactions: DerivedRe
 def _map_terms(reactions: DerivedReactions, uv: np.ndarray):
     """(lam f(0), fhat(u), singular): the solve map's singular weight and
     load at u, and whether the singular term is on."""
-    lam_f0 = reactions.lam * reactions.f0
+    lam_f0 = reactions.params.lam * reactions.spec.f0
     return lam_f0, np.asarray(reactions.fhat(uv[:-1]), dtype=float), lam_f0 > 0.0
 
 
@@ -869,13 +871,12 @@ def _fixed_point_residual(op, reactions, uv):
     return _scaled_err(*_residual_scale(op, uv, 0.0, 0.0, lam_f0, rhs, singular)[:3])
 
 
-def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
-             op: DiscreteOperator,
+def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
              khat: float | np.ndarray | None = None) -> GridFunction:
     """One application of the shifted solve map.
 
     w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u  with
-    khat = reactions.khat unless overridden; khat is a scalar or one shift
+    khat = reactions.spec.khat unless overridden; khat is a scalar or one shift
     per node 0..n-1.  Increasing in u where fhat + khat t is; fixed points
     solve the original equation.
 
@@ -896,9 +897,10 @@ def that_map(params: Params, reactions: DerivedReactions, u: GridFunction,
     damped search exhausts its budget climbing the degenerate region.  The
     chosen seed's residual is Newton's first evaluation.
     """
-    _check_grid(op, u)
+    _check_grid(op, reactions, u)
+    params = reactions.params
     if khat is None:
-        khat = reactions.khat
+        khat = reactions.spec.khat
     uv = u.values
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")
@@ -937,7 +939,7 @@ _SHIFT_RAISES = 40  # shift re-solves allowed per step
 _ULP_BAND = 64.0    # a move within this many ulps of the iterate is float noise
 
 
-def _checked_step(params, reactions, u, op, K, ascending):
+def _checked_step(reactions, u, op, K, ascending):
     """Apply the map to u with a checked node-wise shift K.
 
     The image w satisfies A(w) - lam f(w) w^{-gamma} = K (u - w) -
@@ -953,7 +955,7 @@ def _checked_step(params, reactions, u, op, K, ascending):
     ui = u.values[:-1]
     fu = np.asarray(reactions.fhat(ui), dtype=float)
     for _ in range(_SHIFT_RAISES):
-        w = that_map(params, reactions, u, op=op, khat=K)
+        w = that_map(reactions, u, op=op, khat=K)
         wi = w.values[:-1]
         drop = ui - wi
         moved = drop < 0.0 if ascending else drop > 0.0
@@ -1001,9 +1003,8 @@ class IterationTrace:
         return len(self.increments)
 
 
-def amann_iterate(params: Params, reactions: DerivedReactions,
+def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
                   lower: GridFunction, upper: GridFunction, start: str,
-                  op: DiscreteOperator,
                   budget: int = 200, conv_factor: float = 1e-8) -> IterationTrace:
     """Iterate the solve map from one endpoint of a certified interval.
 
@@ -1026,7 +1027,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
-    _check_grid(op, lower, upper)
+    _check_grid(op, reactions, lower, upper)
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):
         raise ConfigurationError("endpoints are not ordered")
@@ -1040,7 +1041,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
     converged = stalled = False
     for k in range(1, budget + 1):
         try:
-            nxt, K = _checked_step(params, reactions, cur, op, K, ascending)
+            nxt, K = _checked_step(reactions, cur, op, K, ascending)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(f"{start} step {k}: {exc}") from exc
         delta = nxt.values - cur.values
@@ -1077,7 +1078,7 @@ def amann_iterate(params: Params, reactions: DerivedReactions,
         )
     return IterationTrace(
         iterates=tuple(iterates),
-        residual=original_residual(params, reactions, iterates[-1], op=op),
+        residual=original_residual(reactions, iterates[-1], op=op),
         monotone=tuple(monotone),
         converged=converged,
         start=start,
@@ -1109,6 +1110,7 @@ def march(op: DiscreteOperator, reactions: DerivedReactions, starts) -> np.ndarr
     singular load drives u_{i+1} to -inf, so the sign of u_n stays
     continuous in a.
     """
+    _check_grid(op, reactions)
     params = op.params
     starts = np.asarray(starts, dtype=float)
     u = np.full((starts.size, op.n + 1), -np.inf)
@@ -1117,7 +1119,7 @@ def march(op: DiscreteOperator, reactions: DerivedReactions, starts) -> np.ndarr
     for i in range(op.n):
         live = u[:, i] > 0.0
         ui = u[live, i]
-        flux[live] -= op.vol[i] * _reaction_values(params, reactions, ui)
+        flux[live] -= op.vol[i] * _reaction_values(reactions, ui)
         u[live, i + 1] = ui + op.h * lpq_inverse(flux[live] / op.area[i], params)
     return u
 
@@ -1149,9 +1151,8 @@ def _shoot_middle(op, reactions, a1, a2):
     return coarse, u[k]
 
 
-def search_third_solution(params: Params, reactions: DerivedReactions,
-                          u1: GridFunction, u2: GridFunction, pairs: PairsResult,
-                          op: DiscreteOperator):
+def search_third_solution(reactions: DerivedReactions, u1: GridFunction, u2: GridFunction,
+                          pairs: PairsResult, op: DiscreteOperator):
     """Amann's third solution u3, between u1 and u2, by discrete shooting.
 
     u3 lies in [u0, u_up] but in neither [u0, v_up] nor [v0, u_up].  The
@@ -1169,23 +1170,23 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
     u3.  A stage that fails gives status "bracket_failed" or
     "polish_failed", a message naming the stage and the node, and u3 None.
     """
-    _check_grid(op, u1, u2)
+    _check_grid(op, reactions, u1, u2)
     a1, a2 = float(u1.values[0]), float(u2.values[0])
     try:
         coarse, seed = _shoot_middle(op, reactions, a1, a2)
     except (SearchExhausted, ConvergenceFailure) as exc:
         return {"status": "bracket_failed", "message": f"shooting bracket: {exc}"}, None
-    gamma = params.gamma
+    lam, gamma = reactions.params.lam, reactions.params.gamma
 
     def fhat_load(ui):
         """(fhat, fhat') at positive ui: the solve map's load, now a Newton load."""
         value = np.asarray(reactions.fhat(ui), dtype=float)
         fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
-        return value, reactions.lam * fp * ui ** (-gamma) - gamma * value / ui
+        return value, lam * fp * ui ** (-gamma) - gamma * value / ui
 
     init = np.interp(op.grid, coarse.grid, seed)
     try:
-        w, steps = _newton(op, 0.0, 0.0, reactions.lam * reactions.f0, 0.0, init,
+        w, steps = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init,
                            load=fhat_load)
         low = int(np.argmin(w[:-1]))
         if w[low] <= 2.0 * _POS_FLOOR:
@@ -1195,16 +1196,16 @@ def search_third_solution(params: Params, reactions: DerivedReactions,
                 "message": f"shooting polish from u(0) = {seed[0]:.6g}: {exc}"}, None
     u3 = GridFunction(op.grid, w)
     certs = {
-        "order_u0_u3": certify(params, reactions, pairs.u0, "ordering", other=u3),
-        "order_u3_uup": certify(params, reactions, u3, "ordering", other=pairs.u_up),
-        "nonorder_u3_vup": certify(params, reactions, u3, "nonordering", other=pairs.v_up),
-        "nonorder_v0_u3": certify(params, reactions, pairs.v0, "nonordering", other=u3),
+        "order_u0_u3": certify(reactions, pairs.u0, "ordering", other=u3),
+        "order_u3_uup": certify(reactions, u3, "ordering", other=pairs.u_up),
+        "nonorder_u3_vup": certify(reactions, u3, "nonordering", other=pairs.v_up),
+        "nonorder_v0_u3": certify(reactions, pairs.v0, "nonordering", other=u3),
     }
     report = {
         "status": "converged",
         "u_at_0": float(w[0]),
         "sup": u3.sup_norm(),
-        "residual": original_residual(params, reactions, u3, op=op),
+        "residual": original_residual(reactions, u3, op=op),
         "scaled_residual": _fixed_point_residual(op, reactions, w),
         "newton_steps": steps,
         "dist_to_u1": float(np.max(np.abs(w - u1.values))),

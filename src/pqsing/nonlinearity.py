@@ -255,7 +255,8 @@ class DerivedReactions:
 
     h is nondecreasing on [0, theta2], equals f(t)/(2 t^gamma) for
     t >= theta1, and is bounded by that curve everywhere; fhat carries
-    the load lam inside it.
+    the load lam inside it.  spec and params are the load's one copy of f,
+    khat, lam and the exponents, which every later stage reads.
     """
 
     theta_star: float
@@ -263,10 +264,6 @@ class DerivedReactions:
     h: Callable
     fhat: Callable
     Theta_lambda: float
-    f: Callable
-    f0: float
-    lam: float
-    khat: float
     spec: NonlinearitySpec
     params: Params
 
@@ -288,10 +285,6 @@ def _at_load(spec: NonlinearitySpec, params: Params, theta_star: float, fbar: fl
         h=h,
         fhat=build_fhat(spec, params),
         Theta_lambda=choose_Theta_lambda(spec, params, h=h),
-        f=spec.f,
-        f0=spec.f0,
-        lam=params.lam,
-        khat=spec.khat,
         spec=spec,
         params=params,
     )

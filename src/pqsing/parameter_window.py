@@ -79,14 +79,15 @@ class WindowReport:
         return out
 
 
-def compute_window(params: Params, spec, reactions, chi: float = 1.01,
-                   kappa: float = 1.01, theta: float | None = None) -> WindowReport:
+def compute_window(reactions, chi: float = 1.01, kappa: float = 1.01,
+                   theta: float | None = None) -> WindowReport:
     """Choose theta, evaluate both load thresholds, and sanity-check the cutoff bound.
 
     theta defaults to the midpoint of (theta1, min(theta2, F(theta2))).
     chi and kappa are the cutoff shape exponents, "just above 1" by
-    default.  `reactions` supplies h; `spec` supplies the thresholds.
+    default.  `reactions` supplies h, the thresholds and the geometry.
     """
+    params, spec = reactions.params, reactions.spec
     p, q, N, R = params.p, params.q, params.dim, params.radius
     if chi <= 1.0 or kappa <= 1.0:
         raise ConfigurationError(f"need chi, kappa > 1, got chi={chi}, kappa={kappa}")

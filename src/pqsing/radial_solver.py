@@ -93,16 +93,16 @@ def _outer_integral(nodes: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return full[-1] - full
 
 
-def solve_radial(params: Params, reactions, window: WindowReport,
-                 nodes: np.ndarray) -> RadialProfile:
+def solve_radial(reactions, window: WindowReport, nodes: np.ndarray) -> RadialProfile:
     """Quadrature solution Phi of the truncated problem with load lam*h(v),
-    at the radial nodes (DiscreteOperator.from_params lays them out).
+    at the radial nodes (DiscreteOperator.from_params lays them out); lam
+    and the exponents are those of reactions.params.
 
     lam outside [lambda_*, lambda^*] only warns (WindowViolation): the
     solve is still well defined, the comparison certificate just loses
     its meaning.
     """
-    lam = params.lam
+    params, lam = reactions.params, reactions.params.lam
     window.warn_outside(lam)
     v_vals = window.theta * cutoff(nodes, params, window.chi, window.kappa, window.epsilon)
     vp_vals = window.theta * cutoff_prime(nodes, params, window.chi, window.kappa, window.epsilon)

@@ -23,22 +23,26 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @dataclasses.dataclass(frozen=True)
 class PipelineEnv:
-    spec: NonlinearitySpec
-    params0: Params          # lam = 0, for window computations
     window: object
-    params: Params           # lam = window midpoint
-    reactions: object
+    reactions: object        # at the window midpoint; carries spec and params
     profile: object
     op: DiscreteOperator
     pairs: object
     n: int
 
+    @property
+    def spec(self) -> NonlinearitySpec:
+        return self.reactions.spec
+
+    @property
+    def params(self) -> Params:
+        return self.reactions.params
+
 
 def _build_env(config: str) -> PipelineEnv:
     env = cli._build_env(cli._load_config(str(SCRIPTS / config)))
     op, profile, _rcert, pairs = cli._pairs(env)
-    return PipelineEnv(spec=env.spec, params0=env.params0, window=env.window,
-                       params=env.params, reactions=env.reactions, profile=profile,
+    return PipelineEnv(window=env.window, reactions=env.reactions, profile=profile,
                        op=op, pairs=pairs, n=env.n)
 
 

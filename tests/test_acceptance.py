@@ -10,7 +10,6 @@ suite.  One criterion is expected red on the reference configuration and
 its failure mode is documented where it is asserted: the uniform-mesh
 boundary/origin layers cap the observed sup-norm orders near 1.5 (9).
 """
-import dataclasses
 import time
 import warnings
 
@@ -93,8 +92,7 @@ def test_criterion_3_window_nonempty_sweep(capsys):
             for frac in (0.85, 0.6):
                 radius = frac * (1.0 + dim / (q - 1.0))
                 p0 = Params(p=p, q=q, gamma=0.5, dim=dim, radius=radius, lam=0.0)
-                rx = build_h(spec, p0)
-                w = compute_window(p0, spec, rx)
+                w = compute_window(build_h(spec, p0))
                 tuples += 1
                 admissible = w.theta <= min(w.theta2, w.F_theta2) + 1e-12
                 if not (admissible and w.lambda_star < w.lambda_upper):
@@ -111,9 +109,9 @@ def test_criterion_4_truncated_profile_claims(cfg1, capsys):
     tolv = 1e-8 * cfg1.spec.theta2
     for lam in (cfg1.window.lambda_star, cfg1.window.midpoint,
                 cfg1.window.lambda_upper):
-        px = dataclasses.replace(cfg1.params0, lam=lam)
-        rxx = build_h(cfg1.spec, px)
-        pf = solve_radial(px, rxx, cfg1.window, DiscreteOperator.from_params(px, 4096).grid)
+        rxx = cfg1.reactions.at_load(lam)
+        px = rxx.params
+        pf = solve_radial(rxx, cfg1.window, DiscreteOperator.from_params(px, 4096).grid)
         certs.append(certify_radial_claim(pf, px, cfg1.window).passed)
         certs.append(bool(np.all(pf.phi.values >= pf.v.values - tolv)))
         certs.append(float(pf.phi.sup_norm()) <= cfg1.spec.theta2 + tolv)
@@ -160,8 +158,7 @@ def test_criterion_5_barrier_certificates(capsys):
 
 def test_criterion_6_certified_pairs(cfg1, capsys):
     t0 = time.perf_counter()
-    pairs = construct_pairs(cfg1.params, cfg1.spec, cfg1.reactions, cfg1.window,
-                            cfg1.profile, op=cfg1.op)
+    pairs = construct_pairs(cfg1.reactions, cfg1.window, cfg1.profile, op=cfg1.op)
     margin_ok = all(pairs.certificates[k].passed and
                     pairs.certificates[k].min_margin > 0.0
                     for k in ("sub_u0", "super_u_up", "sub_v0", "super_v_up"))
@@ -179,14 +176,12 @@ def test_criterion_6_certified_pairs(cfg1, capsys):
 def test_criterion_7_two_solutions(cfg1, capsys):
     t0 = time.perf_counter()
     pairs = cfg1.pairs
-    lo = amann_iterate(cfg1.params, cfg1.reactions, pairs.u0, pairs.v_up,
-                       "from_lower", op=cfg1.op)
+    lo = amann_iterate(cfg1.reactions, cfg1.op, pairs.u0, pairs.v_up, "from_lower")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        up = amann_iterate(cfg1.params, cfg1.reactions, pairs.v0, pairs.u_up,
-                           "from_upper", op=cfg1.op)
-    res_lo = original_residual(cfg1.params, cfg1.reactions, lo.limit, cfg1.op)
-    res_up = original_residual(cfg1.params, cfg1.reactions, up.limit, cfg1.op)
+        up = amann_iterate(cfg1.reactions, cfg1.op, pairs.v0, pairs.u_up, "from_upper")
+    res_lo = original_residual(cfg1.reactions, lo.limit, cfg1.op)
+    res_up = original_residual(cfg1.reactions, up.limit, cfg1.op)
     gap = float(np.max(np.abs(lo.limit.values - up.limit.values)))
     # the descending leg starts at sup ~ 4.1e17, where one ulp is 64; its
     # node-wise shift is raised only where an image would stop being a
@@ -220,10 +215,8 @@ def test_criterion_8_solve_map_increasing(cfg1, capsys):
     for _ in range(100):
         base = _rand_profile(rng, cfg1.op.grid, cfg1.params.radius)
         bump = _rand_profile(rng, cfg1.op.grid, cfg1.params.radius)
-        w1 = that_map(cfg1.params, cfg1.reactions,
-                      GridFunction(cfg1.op.grid, base), op=cfg1.op)
-        w2 = that_map(cfg1.params, cfg1.reactions,
-                      GridFunction(cfg1.op.grid, base + bump), op=cfg1.op)
+        w1 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base), op=cfg1.op)
+        w2 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base + bump), op=cfg1.op)
         drop = float(np.min(w2.values - w1.values))
         worst = min(worst, drop / max(1.0, float(w2.sup_norm())))
     _gate(capsys, 8, "solve map preserves ordering on 100 random ordered pairs",
@@ -233,7 +226,7 @@ def test_criterion_8_solve_map_increasing(cfg1, capsys):
 
 def test_criterion_9_mesh_refinement_order(cfg1, capsys):
     t0 = time.perf_counter()
-    phis = {n: solve_radial(cfg1.params, cfg1.reactions, cfg1.window,
+    phis = {n: solve_radial(cfg1.reactions, cfg1.window,
                             DiscreteOperator.from_params(cfg1.params, n).grid).phi.values
             for n in (512, 1024, 2048)}
     d1 = float(np.max(np.abs(phis[512] - phis[1024][::2])))
@@ -242,11 +235,10 @@ def test_criterion_9_mesh_refinement_order(cfg1, capsys):
     u1 = {}
     for n in (256, 512, 1024):
         opn = DiscreteOperator.from_params(cfg1.params, n)
-        profn = solve_radial(cfg1.params, cfg1.reactions, cfg1.window, opn.grid)
-        pn = construct_pairs(cfg1.params, cfg1.spec, cfg1.reactions, cfg1.window,
-                             profn, op=opn)
-        u1[n] = amann_iterate(cfg1.params, cfg1.reactions, pn.u0, pn.v_up,
-                              "from_lower", op=opn, conv_factor=1e-12).limit.values
+        profn = solve_radial(cfg1.reactions, cfg1.window, opn.grid)
+        pn = construct_pairs(cfg1.reactions, cfg1.window, profn, op=opn)
+        u1[n] = amann_iterate(cfg1.reactions, opn, pn.u0, pn.v_up,
+                              "from_lower", conv_factor=1e-12).limit.values
     e1 = float(np.max(np.abs(u1[256] - u1[512][::2])))
     e2 = float(np.max(np.abs(u1[512] - u1[1024][::2])))
     order_u1 = float(np.log2(e1 / e2))

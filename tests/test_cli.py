@@ -89,6 +89,7 @@ def test_every_command_writes_its_stdout_with_warnings(command, tmp_path, capsys
     {"tolerances": {"budget": float("inf")}},           # as JSON Infinity
     {"params": {"lambda": float("inf")}},
     {"grid": {"n": 10 ** 400}},                         # an integer past the float range
+    {"tolerances": {"budget": 0}},                      # a leg needs at least one step
 ])
 def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))
@@ -305,6 +306,20 @@ def test_certify_input_validation(tmp_path, capsys):
     assert run("certify", str(SMALL), out=str(tmp_path),
                input_path=str(onecol), kind="subsolution") == 2
     capsys.readouterr()
+    # a non-finite value or node is refused by name, before any certificate
+    # (an inf value made the default ordering tolerance inf, so it passed)
+    good = tmp_path / "good.csv"
+    good.write_text("r,u\n0,1\n0.25,0.75\n0.5,0.5\n0.75,0.25\n1,0\n")
+    inf_value = tmp_path / "inf_value.csv"
+    inf_value.write_text("r,u\n0,1\n0.25,inf\n0.5,0.5\n0.75,0.25\n1,0\n")
+    nan_node = tmp_path / "nan_node.csv"
+    nan_node.write_text("r,u\n0,1\nnan,0.75\n0.5,0.5\n0.75,0.25\n1,0\n")
+    for bad, kind, u, other in ((inf_value, "ordering", inf_value, good),
+                                (inf_value, "ordering", good, inf_value),
+                                (nan_node, "subsolution", nan_node, None)):
+        assert run("certify", str(SMALL), out=str(tmp_path), input_path=str(u), kind=kind,
+                   other=other and str(other)) == 2
+        assert capsys.readouterr().err == f"config error: {bad} holds a non-finite node or value\n"
 
 
 def test_certify_nonordering_needs_a_common_grid(tmp_path, capsys):

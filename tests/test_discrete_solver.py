@@ -121,15 +121,40 @@ def test_stages_require_the_operator_grid(gentle):
     half = DiscreteOperator.from_params(env.params, env.n // 2)
     g = GridFunction(half.grid, np.ones(half.n + 1))
     with pytest.raises(ConfigurationError, match="operator grid"):
-        construct_pairs(env.params, env.spec, env.reactions, env.window, env.profile, half)
+        construct_pairs(env.reactions, env.window, env.profile, half)
     with pytest.raises(ConfigurationError, match="operator grid"):
-        build_first_pair(env.params, env.spec, env.reactions, env.op, fit_under=g)
+        build_first_pair(env.reactions, env.op, fit_under=g)
     with pytest.raises(ConfigurationError, match="operator grid"):
-        amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                      "from_lower", half)
+        amann_iterate(env.reactions, half, env.pairs.u0, env.pairs.v_up, "from_lower")
     with pytest.raises(ConfigurationError, match="operator grid"):
-        search_third_solution(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                              env.pairs, half)
+        search_third_solution(env.reactions, env.pairs.u0, env.pairs.v_up, env.pairs, half)
+
+
+@pytest.mark.parametrize("change", [{"q": 4.0}, {"gamma": 0.3}, {"dim": 3}, {"radius": 0.9}],
+                         ids=["q", "gamma", "dim", "radius"])
+def test_stages_refuse_an_operator_of_other_params(gentle, change):
+    # reactions carry the load's Params; an operator laid out for other
+    # exponents or geometry is refused, one for another load is not
+    env = gentle
+    other = DiscreteOperator.from_params(dataclasses.replace(env.params, **change), env.n)
+    u = GridFunction(other.grid, env.pairs.u0.values)
+    calls = {
+        "construct_pairs": lambda: construct_pairs(env.reactions, env.window, env.profile, other),
+        "build_first_pair": lambda: build_first_pair(env.reactions, other),
+        "certify": lambda: certify(env.reactions, u, "subsolution", op=other),
+        "original_residual": lambda: original_residual(env.reactions, u, other),
+        "that_map": lambda: that_map(env.reactions, u, other),
+        "amann_iterate": lambda: amann_iterate(env.reactions, other, u, u, "from_lower"),
+        "march": lambda: march(other, env.reactions, [20.0]),
+        "search_third_solution":
+            lambda: search_third_solution(env.reactions, u, u, env.pairs, other),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConfigurationError, match="does not match the reactions"):
+            call()
+    at_zero = DiscreteOperator.from_params(dataclasses.replace(env.params, lam=0.0), env.n)
+    w = that_map(env.reactions, env.pairs.u0, at_zero)
+    assert np.array_equal(w.values, that_map(env.reactions, env.pairs.u0, env.op).values)
 
 
 # ---------------------------------------------------------------- basic solves
@@ -216,7 +241,7 @@ def test_solve_banded_on_the_third_solution_polish(gentle, monkeypatch):
     real = discrete_solver.solve_banded
     monkeypatch.setattr(discrete_solver, "solve_banded",
                         lambda *a: systems.append(a) or real(*a))
-    search_third_solution(env.params, env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
+    search_third_solution(env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
     sub, diag, sup, rhs = systems[0]
     assert np.mean(np.abs(diag) >= np.abs(sub) + np.abs(sup)) < 0.05
     # condition number ~4e4: the two solutions agree to its multiple of eps
@@ -276,8 +301,7 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
     # only v0 (a Theta-shifted solve) still takes Newton steps
     env = gentle
     calls = _count_banded(monkeypatch)
-    pairs = construct_pairs(env.params, env.spec, env.reactions, env.window,
-                            env.profile, op=env.op)
+    pairs = construct_pairs(env.reactions, env.window, env.profile, op=env.op)
     assert len(calls) <= 20
     assert pairs.all_passed
 
@@ -474,7 +498,7 @@ def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, message)
     monkeypatch.setattr(discrete_solver, "_load_solution", corrupted)
     with pytest.raises(ConvergenceFailure, match=f"^{message} by scaled residual "
                                                  f".* \\(worst node {k}\\)$"):
-        construct_pairs(env.params, env.spec, env.reactions, env.window, env.profile, env.op)
+        construct_pairs(env.reactions, env.window, env.profile, env.op)
 
 
 # ---------------------------------------------------------------- certify
@@ -483,43 +507,40 @@ def test_certify_kinds_and_guards(gentle):
     env = gentle
     u0, v0 = env.pairs.u0, env.pairs.v0
     with pytest.raises(ValueError):
-        certify(env.params, env.reactions, u0, "everything", op=env.op)
-    sub = certify(env.params, env.reactions, u0, "subsolution", op=env.op)
+        certify(env.reactions, u0, "everything", op=env.op)
+    sub = certify(env.reactions, u0, "subsolution", op=env.op)
     assert sub.passed and sub.min_margin > 0.0
     # tail ratios u/(R-r) bracket the distance-growth constant from below
     assert 0.0 < sub.detail["cdelta_low"] <= sub.detail["cdelta_high"]
     # zero function is not a subsolution of a singular reaction
     zero = GridFunction(env.op.grid, np.zeros(env.op.n + 1))
     with pytest.raises(PositivityLoss):
-        certify(env.params, env.reactions, zero, "subsolution", op=env.op)
+        certify(env.reactions, zero, "subsolution", op=env.op)
 
 
 def test_certify_ordering_scaled_margins(gentle):
     env = gentle
     lo, hi = env.pairs.u0, env.pairs.v_up
-    cert = certify(env.params, env.reactions, lo, "ordering", other=hi, strict=True)
+    cert = certify(env.reactions, lo, "ordering", other=hi, strict=True)
     assert cert.passed
     # margins are (hi-lo)/((R-r)/R): finite and positive up to the boundary
     assert np.all(np.isfinite(cert.margins))
-    rev = certify(env.params, env.reactions, hi, "ordering", other=lo)
+    rev = certify(env.reactions, hi, "ordering", other=lo)
     assert not rev.passed
 
 
 def test_certify_nonordering(gentle):
     env = gentle
-    cert = certify(env.params, env.reactions, env.pairs.v0, "nonordering",
-                   other=env.pairs.v_up)
+    cert = certify(env.reactions, env.pairs.v0, "nonordering", other=env.pairs.v_up)
     assert cert.passed        # v0 exceeds v_up somewhere
-    below = certify(env.params, env.reactions, env.pairs.u0, "nonordering",
-                    other=env.pairs.v_up)
+    below = certify(env.reactions, env.pairs.u0, "nonordering", other=env.pairs.v_up)
     assert not below.passed   # u0 <= v_up everywhere, so no crossing
 
 
 # ---------------------------------------------------------------- pairs
 
 def test_first_pair_standalone(cfg1):
-    u0, u_up, marg = build_first_pair(cfg1.params, cfg1.spec, cfg1.reactions,
-                                      op=cfg1.op)
+    u0, u_up, marg = build_first_pair(cfg1.reactions, op=cfg1.op)
     # without bracketing constraints the smallness condition admits a small
     # amplitude; the certified margins stay positive
     assert marg["alpha_star"] == pytest.approx(4.0)
@@ -562,17 +583,16 @@ def test_pairs_gentle_all_green(gentle):
 def test_that_map_zero_input_positive(gentle):
     env = gentle
     zero = GridFunction(env.op.grid, np.zeros(env.op.n + 1))
-    w = that_map(env.params, env.reactions, zero, op=env.op)
+    w = that_map(env.reactions, zero, op=env.op)
     assert np.all(w.values[:-1] > 0.0)
     assert w.values[-1] == 0.0
 
 
 def test_that_map_fixed_point_residual(gentle):
     env = gentle
-    tr = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    tr = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     u = tr.limit
-    w = that_map(env.params, env.reactions, u, op=env.op)
+    w = that_map(env.reactions, u, op=env.op)
     assert float(np.max(np.abs(w.values - u.values))) <= 1e-7 * env.spec.theta2
 
 
@@ -581,10 +601,9 @@ def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):
     # map applied at its own fixed point needs at most one Newton step (the
     # load-sized seed, far above it, costs several)
     env = cfg1
-    up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                       "from_upper", op=env.op)
+    up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     steps = _count_banded(monkeypatch)
-    w = that_map(env.params, env.reactions, up.limit, op=env.op)
+    w = that_map(env.reactions, up.limit, op=env.op)
     assert len(steps) <= 1
     assert float(np.max(np.abs(w.values - up.limit.values))) <= \
         64.0 * np.spacing(up.limit.sup_norm())
@@ -596,13 +615,12 @@ def test_that_map_seeds_at_ascending_orbit_input(gentle, monkeypatch):
     # of its own image, so it seeds Newton (the load-sized paraboloid far
     # above it took 4 banded solves per map)
     env = gentle
-    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     assert lo.n_steps >= 3
     steps = _count_banded(monkeypatch)
     for before, after in zip(lo.iterates[2:], lo.iterates[3:]):
         steps.clear()
-        w = that_map(env.params, env.reactions, before, op=env.op, khat=lo.khat)
+        w = that_map(env.reactions, before, op=env.op, khat=lo.khat)
         assert len(steps) <= 2
         assert np.array_equal(w.values, after.values)   # the leg's own step
 
@@ -621,7 +639,7 @@ def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
         return real(op, w, *args)
 
     monkeypatch.setattr(discrete_solver, "_residual_scale", recorded)
-    that_map(env.params, env.reactions, u, op=env.op, khat=np.zeros(env.op.n))
+    that_map(env.reactions, u, op=env.op, khat=np.zeros(env.op.n))
     assert at_u[0] and not any(at_u[1:])
 
 
@@ -629,7 +647,7 @@ def test_that_map_rejects_negative(gentle):
     env = gentle
     bad = GridFunction(env.op.grid, -np.ones(env.op.n + 1))
     with pytest.raises(ConfigurationError):
-        that_map(env.params, env.reactions, bad, op=env.op)
+        that_map(env.reactions, bad, op=env.op)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -651,8 +669,8 @@ def test_that_map_increasing_property(seed):
     base = amp * (1.0 - x) * (1.0 + rng.uniform(0, 1) * np.sin(np.pi * rng.integers(1, 4) * x) ** 2)
     bump = rng.uniform(0, amp) * (1.0 - x) * (1.0 + rng.uniform(0, 1) * x)
     base[-1] = bump[-1] = 0.0
-    w1 = that_map(pr, rx, GridFunction(x, base), op=op)
-    w2 = that_map(pr, rx, GridFunction(x, base + bump), op=op)
+    w1 = that_map(rx, GridFunction(x, base), op=op)
+    w2 = that_map(rx, GridFunction(x, base + bump), op=op)
     tol = 1e-10 * max(1.0, float(w2.sup_norm()))
     assert np.all(w2.values - w1.values >= -tol)
 
@@ -661,22 +679,20 @@ def test_that_map_increasing_property(seed):
 
 def test_amann_gentle_both_legs(gentle):
     env = gentle
-    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     assert lo.converged
     assert all(lo.monotone)
     assert lo.n_steps == 4
     assert float(lo.limit.sup_norm()) == pytest.approx(0.12570737771518542, rel=1e-6)
-    assert original_residual(env.params, env.reactions, lo.limit, env.op) <= 1e-6
+    assert original_residual(env.reactions, lo.limit, env.op) <= 1e-6
     # ascending run never needed a shift: the visited range keeps fhat monotone
     assert lo.khat == 0.0
 
-    up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                       "from_upper", op=env.op)
+    up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     assert up.converged
     assert all(up.monotone)
     assert float(up.limit.sup_norm()) == pytest.approx(5822.071120854884, rel=1e-6)
-    assert original_residual(env.params, env.reactions, up.limit, env.op) <= 1e-6
+    assert original_residual(env.reactions, up.limit, env.op) <= 1e-6
     # descending from 1.3e4 the checked shift is raised to keep each image a supersolution
     assert up.khat > 0.0
 
@@ -686,8 +702,7 @@ def test_amann_gentle_both_legs(gentle):
 
 def test_amann_interval_endpoints_respected(gentle):
     env = gentle
-    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     assert np.all(lo.limit.values >= env.pairs.u0.values - 1e-9)
     assert np.all(lo.limit.values <= env.pairs.v_up.values + 1e-9)
     # iterates ascend from the lower endpoint
@@ -698,18 +713,16 @@ def test_amann_interval_endpoints_respected(gentle):
 def test_amann_rejects_unordered_interval(gentle):
     env = gentle
     with pytest.raises(ConfigurationError):
-        amann_iterate(env.params, env.reactions, env.pairs.v_up, env.pairs.u0,
-                      "from_lower", op=env.op)
+        amann_iterate(env.reactions, env.op, env.pairs.v_up, env.pairs.u0, "from_lower")
     with pytest.raises(ValueError):
-        amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                      "sideways", op=env.op)
+        amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "sideways")
 
 
 def test_amann_budget_warning(gentle):
     env = gentle
     with pytest.warns(IterationBudget):
-        tr = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op, budget=2)
+        tr = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up,
+                           "from_upper", budget=2)
     assert not tr.converged
     assert tr.n_steps == 2
 
@@ -718,11 +731,10 @@ def test_amann_descending_iterates_stay_supersolutions(cfg1):
     # the node-wise shift is checked after every solve so that each image
     # of a supersolution is again one; the run never leaves [v0, u_up]
     env = cfg1
-    up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                       "from_upper", op=env.op)
+    up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     assert up.converged and not up.stalled
     for it in up.iterates:
-        assert certify(env.params, env.reactions, it, "supersolution", op=env.op).passed
+        assert certify(env.reactions, it, "supersolution", op=env.op).passed
         assert np.all(it.values >= env.pairs.v0.values)
     assert float(up.limit.sup_norm()) == pytest.approx(8.874e16, rel=1e-3)
 
@@ -733,15 +745,14 @@ def test_amann_stall_branch(cfg1, monkeypatch):
     # is a float-level move that must read as a stall, not as convergence
     env = cfg1
 
-    def float_noise(params, reactions, u, op, K, ascending):
+    def float_noise(reactions, u, op, K, ascending):
         vals = u.values.copy()
         vals[:-1] = np.nextafter(vals[:-1], -np.inf)
         return GridFunction(u.nodes, vals), K
 
     monkeypatch.setattr(discrete_solver, "_checked_step", float_noise)
     with pytest.warns(IterationStall):
-        tr = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op)
+        tr = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     assert tr.converged is False
     assert tr.stalled is True
     assert tr.n_steps == 1
@@ -757,9 +768,9 @@ def test_global_shift_moves_u_up_by_float_noise(cfg1):
     env = cfg1
     u_up = env.pairs.u_up
     khat = choose_khat(env.spec, env.params, t_max=u_up.sup_norm())
-    w = that_map(env.params, env.reactions, u_up, op=env.op, khat=khat)
+    w = that_map(env.reactions, u_up, op=env.op, khat=khat)
     assert float(np.max(np.abs(w.values - u_up.values))) <= 64.0 * np.spacing(u_up.sup_norm())
-    assert original_residual(env.params, env.reactions, w, env.op) > 1.0
+    assert original_residual(env.reactions, w, env.op) > 1.0
 
 
 def test_amann_ascending_raises_the_checked_shift(gentle):
@@ -767,14 +778,13 @@ def test_amann_ascending_raises_the_checked_shift(gentle):
     # f, where fhat falls: the checked shift is raised there, and every
     # iterate stays a certified subsolution below u_up
     env = gentle
-    lo = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                       "from_lower", op=env.op)
+    lo = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_lower")
     assert lo.converged and not lo.stalled
     assert all(lo.monotone)
     assert lo.khat > 0.0
     assert float(lo.limit.sup_norm()) == pytest.approx(5822.071120854884, rel=1e-6)
     for it in lo.iterates:
-        assert certify(env.params, env.reactions, it, "subsolution", op=env.op).passed
+        assert certify(env.reactions, it, "subsolution", op=env.op).passed
         assert np.all(it.values <= env.pairs.u_up.values)
 
 
@@ -783,11 +793,10 @@ def test_amann_ascending_iterates_stay_subsolutions(name, request):
     # on the theorem interval [u0, v_up] of both shipped configs the check
     # never fires: the leg runs unshifted
     env = request.getfixturevalue(name)
-    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     assert lo.converged and lo.khat == 0.0
     for it in lo.iterates:
-        assert certify(env.params, env.reactions, it, "subsolution", op=env.op).passed
+        assert certify(env.reactions, it, "subsolution", op=env.op).passed
 
 
 def test_amann_limit_mesh_stability(gentle):
@@ -796,13 +805,10 @@ def test_amann_limit_mesh_stability(gentle):
     env = gentle
     n2 = env.n // 2
     op2 = DiscreteOperator.from_params(env.params, n=n2)
-    prof2 = solve_radial(env.params, env.reactions, env.window, op2.grid)
-    pairs2 = construct_pairs(env.params, env.spec, env.reactions, env.window,
-                             prof2, op=op2)
-    lo2 = amann_iterate(env.params, env.reactions, pairs2.u0, pairs2.v_up,
-                        "from_lower", op=op2)
-    lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                       "from_lower", op=env.op)
+    prof2 = solve_radial(env.reactions, env.window, op2.grid)
+    pairs2 = construct_pairs(env.reactions, env.window, prof2, op=op2)
+    lo2 = amann_iterate(env.reactions, op2, pairs2.u0, pairs2.v_up, "from_lower")
+    lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     diff = np.max(np.abs(lo2.limit.values - lo.limit.values[::2]))
     assert diff <= 5e-4 * float(lo.limit.sup_norm())
 
@@ -810,10 +816,8 @@ def test_amann_limit_mesh_stability(gentle):
 def _legs(env):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                           "from_lower", op=env.op)
-        up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op)
+        lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
+        up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     return lo, up
 
 
@@ -825,14 +829,11 @@ def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         calls = _count_banded(monkeypatch)
-        lo = amann_iterate(env.params, env.reactions, env.pairs.u0, env.pairs.v_up,
-                           "from_lower", op=env.op)
+        lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
         assert lo.converged and len(calls) <= 12
-        up = amann_iterate(env.params, env.reactions, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", op=env.op)
+        up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     calls.clear()
-    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                       env.pairs, op=env.op)
+    report, u3 = search_third_solution(env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
     assert report["status"] == "converged" and u3 is not None
     assert len(calls) == report["newton_steps"] <= 8
 
@@ -882,7 +883,7 @@ def test_march_reproduces_the_scheme(gentle):
     assert u[1, -1] == -np.inf                              # dies before it
     row = u[0]
     A = apply(env.op, row)[:-1]
-    react = env.reactions.lam * env.reactions.f(row[:-1]) * row[:-1] ** (-env.params.gamma)
+    react = env.params.lam * env.spec.f(row[:-1]) * row[:-1] ** (-env.params.gamma)
     assert np.max(np.abs(A - react) / (1.0 + react)) < 1e-9
 
 
@@ -890,15 +891,13 @@ def test_search_third_solution_failures_name_stage_and_node(gentle, monkeypatch)
     env = gentle
     lo, up = _legs(env)
     # no root between u1(0) and itself: the bracket stage fails, at node n
-    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, lo.limit,
-                                       env.pairs, op=env.op)
+    report, u3 = search_third_solution(env.reactions, lo.limit, lo.limit, env.pairs, op=env.op)
     assert u3 is None and report["status"] == "bracket_failed"
     assert report["message"].startswith("shooting bracket: 0 falling sign changes")
     assert "at node 64" in report["message"]
     # a Newton budget of one step: the polish fails and names its worst node
     monkeypatch.setattr(discrete_solver, "_NEWTON_BUDGET", 1)
-    report, u3 = search_third_solution(env.params, env.reactions, lo.limit, up.limit,
-                                       env.pairs, op=env.op)
+    report, u3 = search_third_solution(env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
     assert u3 is None and report["status"] == "polish_failed"
     assert report["message"].startswith("shooting polish from u(0) = ")
     assert "Newton budget exhausted" in report["message"]

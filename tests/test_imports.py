@@ -3,10 +3,13 @@ only the modules it runs, and no command loads scipy.
 
 Every diet check runs in a fresh interpreter, because this process has
 imported every module and scipy already (the port tests use scipy as their
-oracle).  The last two tests check the public surface: every exported name
-resolves, and the README's library quick start runs as written.
+oracle).  The last three tests check the public surface: every exported
+name resolves, each load has one carrier (its reactions), and the README's
+library quick start runs as written and gives `pqsing solve`'s numbers.
 """
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -14,9 +17,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pqsing
+from pqsing import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ROOT / "scripts" / "cfg_small.json"
@@ -187,8 +192,24 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_readme_library_quick_start_runs(capsys):
-    # the README's "Quick start (library)" block, executed as written
+def test_one_carrier_per_load():
+    # a stage reads the load's Params and reaction from its reactions alone:
+    # no public function takes a second copy beside them, and the reactions
+    # and the CLI's environment hold no copied field
+    for name in pqsing.__all__:
+        obj = getattr(pqsing, name)
+        if inspect.isfunction(obj):
+            args = set(inspect.signature(obj).parameters)
+            assert not ("reactions" in args and args & {"params", "spec"}), name
+    copied = {"f", "f0", "lam", "khat"}
+    assert not copied & {f.name for f in dataclasses.fields(pqsing.DerivedReactions)}
+    assert not {"params", "params0", "spec"} & {f.name for f in dataclasses.fields(cli._Env)}
+
+
+def test_readme_library_quick_start_runs(capsys, tmp_path):
+    # the README's "Quick start (library)" block, executed as written: the
+    # same numbers, bit for bit, as `pqsing solve` on cfg_small, whose data,
+    # n and load (the window midpoint) it spells out
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quick start (library)", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
@@ -197,4 +218,10 @@ def test_readme_library_quick_start_runs(capsys):
     assert namespace["pairs"].all_passed
     assert namespace["third"]["status"] == "converged"
     assert namespace["third"]["u_at_0"] == pytest.approx(31.757, rel=1e-4)
+    assert cli.run("solve", str(SMALL), out=str(tmp_path)) == 0
+    for name, u in (("lower", namespace["lo"].limit), ("upper", namespace["up"].limit),
+                    ("middle", namespace["u3"])):
+        table = np.loadtxt(tmp_path / f"solution_{name}.csv", delimiter=",", skiprows=1)
+        assert table[:, 0].tobytes() == u.nodes.tobytes(), name
+        assert table[:, 1].tobytes() == u.values.tobytes(), name
     capsys.readouterr()

@@ -202,7 +202,7 @@ def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
                         np.geomspace(1e-12, 2.0 * spec.theta2, 4001)])
     for name in ("h", "fhat"):
         assert getattr(moved, name)(t).tobytes() == getattr(fresh, name)(t).tobytes(), name
-    for name in ("Theta_lambda", "theta_star", "fbar", "lam", "params"):
+    for name in ("Theta_lambda", "theta_star", "fbar", "spec", "params"):
         assert getattr(moved, name) == getattr(fresh, name), name
     assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS)
 

@@ -1,6 +1,4 @@
 """Capacity constant, threshold map F, and the admissible load window."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -44,7 +42,7 @@ def test_F_of_branches():
 
 
 def test_reference_window_values(reactions0):
-    win = compute_window(P0, SPEC, reactions0)
+    win = compute_window(reactions0)
     assert win.capacity == pytest.approx(8.0)
     assert win.F_theta2 == pytest.approx(33.0)
     assert win.theta == pytest.approx(17.0)          # midpoint of (1, 33)
@@ -64,7 +62,7 @@ def test_reference_window_values(reactions0):
 
 def test_threshold_formulas_recomputed(reactions0):
     # independent recomputation of both thresholds from their definitions
-    win = compute_window(P0, SPEC, reactions0)
+    win = compute_window(reactions0)
     p, q, N, R = 2.0, 3.0, 2, 1.0
     th, h_th = win.theta, win.h_theta
     eps = N * R / (N + q - 1.0)
@@ -76,31 +74,31 @@ def test_threshold_formulas_recomputed(reactions0):
 
 
 def test_explicit_theta_and_bounds(reactions0):
-    win = compute_window(P0, SPEC, reactions0, theta=5.0)
+    win = compute_window(reactions0, theta=5.0)
     assert win.theta == 5.0
     with pytest.raises(ConfigurationError):
-        compute_window(P0, SPEC, reactions0, theta=0.5)    # below theta1
+        compute_window(reactions0, theta=0.5)    # below theta1
     with pytest.raises(ConfigurationError):
-        compute_window(P0, SPEC, reactions0, theta=40.0)   # above min(theta2, F)
+        compute_window(reactions0, theta=40.0)   # above min(theta2, F)
     with pytest.raises(ConfigurationError):
-        compute_window(P0, SPEC, reactions0, chi=1.0)
+        compute_window(reactions0, chi=1.0)
 
 
-def test_empty_theta_range(reactions0):
+def test_empty_theta_range():
     spec = NonlinearitySpec(kind="exp_saturating", theta1=40.0, theta2=176.0, k=100.0)
     with pytest.raises(EmptyThetaRange):
-        compute_window(P0, spec, reactions0)
+        compute_window(build_h(spec, P0))
 
 
 def test_window_shrinks_smoothly_with_theta(reactions0):
     # lambda_star is not monotone in theta in general, but the window stays
     # nonempty across the admissible range for the reference reaction
     for theta in np.linspace(1.5, 32.0, 20):
-        win = compute_window(P0, SPEC, reactions0, theta=float(theta))
+        win = compute_window(reactions0, theta=float(theta))
         assert win.nonempty
 
 
-def test_window_nonempty_across_geometries(reactions0):
+def test_window_nonempty_across_geometries():
     # q >= 2 sweep; q < 2 windows can genuinely close (the lower threshold
     # formula carries theta^{p-1} while the upper one scales with
     # theta2^{q-1}), so the guarantee is only exercised above q = 2
@@ -110,7 +108,7 @@ def test_window_nonempty_across_geometries(reactions0):
             for frac in (0.85, 0.6):
                 R = frac * (1.0 + N / (q - 1.0))
                 pr = Params(p=p, q=q, gamma=0.5, dim=N, radius=R, lam=0.0)
-                win = compute_window(pr, SPEC, reactions0)
+                win = compute_window(build_h(SPEC, pr))
                 assert win.lambda_star < win.lambda_upper
                 count += 1
     assert count == 30

@@ -1,5 +1,4 @@
 """Cutoff geometry, the nested-quadrature solver, and the comparison claim."""
-import dataclasses
 import os
 import warnings
 
@@ -10,9 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from pqsing import (
     DiscreteOperator,
     Params,
-    build_h,
     certify_radial_claim,
-    compute_window,
     construct_pairs,
     cutoff,
     cutoff_prime,
@@ -130,8 +127,7 @@ def test_radial_certificate(cfg1):
 def test_solver_against_independent_quadrature(cfg1):
     # same nodes, same rule, but assembled from scratch with the p=2,q=3
     # closed-form inverse instead of the generic scalar root-finder
-    prof = solve_radial(cfg1.params, cfg1.reactions, cfg1.window,
-                        radial_nodes(cfg1.params, 1024))
+    prof = solve_radial(cfg1.reactions, cfg1.window, radial_nodes(cfg1.params, 1024))
     nodes = prof.phi.nodes
     load = cfg1.params.lam * np.asarray(cfg1.reactions.h(prof.v.values), dtype=float)
     inner = cumulative_trapezoid(nodes * load, nodes, initial=0.0)
@@ -144,22 +140,20 @@ def test_solver_against_independent_quadrature(cfg1):
 
 
 def test_out_of_window_load_warns(cfg1):
-    pr = dataclasses.replace(cfg1.params, lam=10.0 * cfg1.window.lambda_upper)
-    rx = build_h(cfg1.spec, pr)
+    rx = cfg1.reactions.at_load(10.0 * cfg1.window.lambda_upper)
     with pytest.warns(WindowViolation):
-        solve_radial(pr, rx, cfg1.window, radial_nodes(pr, 256))
+        solve_radial(rx, cfg1.window, radial_nodes(rx.params, 256))
 
 
 def test_pairs_out_of_window_warn_once_per_stage(gentle):
     # the radial solve and the second pair each check the load against the
     # window; under the default filter both warnings are shown
-    pr = dataclasses.replace(gentle.params, lam=1.05 * gentle.window.lambda_upper)
-    rx = build_h(gentle.spec, pr)
+    rx = gentle.reactions.at_load(1.05 * gentle.window.lambda_upper)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        op = DiscreteOperator.from_params(pr, gentle.n)
-        prof = solve_radial(pr, rx, gentle.window, op.grid)
-        construct_pairs(pr, gentle.spec, rx, gentle.window, prof, op)
+        op = DiscreteOperator.from_params(rx.params, gentle.n)
+        prof = solve_radial(rx, gentle.window, op.grid)
+        construct_pairs(rx, gentle.window, prof, op)
     where = [os.path.basename(w.filename) for w in caught if w.category is WindowViolation]
     assert where == ["radial_solver.py", "discrete_solver.py"]
     with warnings.catch_warnings():
@@ -171,8 +165,8 @@ def test_pairs_out_of_window_warn_once_per_stage(gentle):
 def test_lambda_zero_gives_zero_profile(cfg1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WindowViolation)
-        prof = solve_radial(cfg1.params0, cfg1.reactions, cfg1.window,
-                            radial_nodes(cfg1.params0, 256))
+        prof = solve_radial(cfg1.reactions.at_load(0.0), cfg1.window,
+                            radial_nodes(cfg1.params, 256))
     assert prof.phi.sup_norm() == 0.0
 
 
