@@ -1,9 +1,10 @@
 """Multiplicity toolkit for the singular (p,q)-Laplacian on a ball.
 
-Pipeline: pq_core (the scalar operator algebra), nonlinearity (reaction
-assumptions and derived truncations), parameter_window (the admissible load
-interval), radial_solver (the comparison profile), barrier (the boundary
-collar supersolution), discrete_solver (finite differences, the four
+Pipeline: records (the problem's constants and its reaction), pq_core (the
+scalar operator algebra), nonlinearity (reaction assumptions and derived
+truncations), parameter_window (the admissible load interval),
+radial_solver (the comparison profile), barrier (the boundary collar
+supersolution), discrete_solver (finite differences, the four
 sub/supersolutions, the monotone iteration, shooting for the third
 solution), cli (the JSON-config command line).
 
@@ -18,10 +19,11 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports through the package
 _EXPORTS = {
-    "pq_core": ("Params", "lpq_scalar", "lpq_derivative", "lpq_inverse",
+    "records": ("Params", "NonlinearitySpec"),
+    "pq_core": ("lpq_scalar", "lpq_derivative", "lpq_inverse",
                 "simon_constant", "simon_gap", "simon_gap_sum"),
     "grid": ("GridFunction", "CertificateReport", "same_grid"),
-    "nonlinearity": ("NonlinearitySpec", "DerivedReactions", "ValidationReport", "validate",
+    "nonlinearity": ("DerivedReactions", "ValidationReport", "validate",
                      "build_fhat", "build_h", "choose_Theta_lambda", "choose_khat"),
     "parameter_window": ("WindowReport", "capacity_constant", "F_of", "compute_window"),
     "radial_solver": ("RadialProfile", "cutoff", "cutoff_prime",

@@ -21,9 +21,11 @@ a fixed order (sweeps ascend in lambda).  No step is random: the config's
 `seed` and the --seed flag are accepted and checked for backward
 compatibility, and seed nothing.
 
-Each command imports only the modules it runs: `window` loads no solver,
-radial or barrier module, `barrier` no solver or radial one, and the
-solver commands no barrier one.
+Each command imports only the modules it runs: `window` loads no numpy
+and only errors, records and parameter_window, `barrier` no solver or
+radial module, and the solver commands no barrier one.  `window` checks h
+above theta1 and h(theta); only the stage commands build and check the
+bridge h below theta1 and Theta_lambda at the load, which they read.
 
 A `pqsing` process (`python -m pqsing` or the installed script) runs
 process_main: it flushes stdout and stderr after the command and ends
@@ -44,8 +46,6 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-import numpy as np
-
 from .errors import (
     BridgeNotMonotone,
     ConfigurationError,
@@ -55,34 +55,33 @@ from .errors import (
     PositivityLoss,
     SearchExhausted,
 )
-from .nonlinearity import DerivedReactions, NonlinearitySpec, build_h, validate
 from .parameter_window import compute_window
-from .pq_core import Params
+from .records import NonlinearitySpec, Params
 
 if TYPE_CHECKING:
     from . import discrete_solver as ds
     from .grid import GridFunction
+    from .nonlinearity import DerivedReactions
 
 __all__ = ["main", "process_main", "run"]
 
-# the handlers call the radial and barrier stages as _self.<name>, so the
-# lookup sees this module's globals at call time (and a wrapper bound there)
+# the handlers call the stages as _self.<name>, so the lookup sees this
+# module's globals at call time (and a wrapper bound there)
 _self = sys.modules[__name__]
-_RADIAL = ("solve_radial", "certify_radial_claim")
-_BARRIER = ("solve_barrier", "conservation_residual", "certify_smallest_exponent",
-            "minimal_M", "certify_barrier_supersolution")
+_STAGES = {"nonlinearity": ("build_h", "validate"),  # home module -> stage functions
+           "radial_solver": ("solve_radial", "certify_radial_claim"),
+           "barrier": ("solve_barrier", "conservation_residual", "certify_smallest_exponent",
+                       "minimal_M", "certify_barrier_supersolution")}
+_HOME = {name: module for module, names in _STAGES.items() for name in names}
 
 
 def __getattr__(name):
-    """Import a radial or barrier stage function on its first lookup, so a
-    command loads only the modules it runs.  The name is bound with
-    setdefault: a binding already in place is never overwritten."""
-    if name in _RADIAL:
-        from . import radial_solver as home
-    elif name in _BARRIER:
-        from . import barrier as home
-    else:
+    """Import a stage function on its first lookup, so a command loads only
+    the modules it runs.  The name is bound with setdefault: a binding
+    already in place is never overwritten."""
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = __import__(f"{__package__}.{_HOME[name]}", fromlist=[name])
     return globals().setdefault(name, getattr(home, name))
 
 
@@ -193,7 +192,7 @@ class _Env:
     Params and reaction live in reactions alone."""
 
     window: object
-    reactions: DerivedReactions  # at the command's load
+    reactions: DerivedReactions | None  # at the command's load; None for window
     n: int
     outdir: Path
     tol_certify: float | None
@@ -225,7 +224,9 @@ def _at_load(env: _Env, lam: float) -> _Env:
     return dataclasses.replace(env, reactions=env.reactions.at_load(lam))
 
 
-def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _Env:
+def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
+               stages=True) -> _Env:
+    """With stages=False (window) h and the load's reactions are not built."""
     pc = cfg["params"]
     p = _number(pc, "params", "p", required=True)
     q = _number(pc, "params", "q", required=True)
@@ -265,8 +266,8 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
     chi = _number(wc, "window", "chi", default=1.01)
     kappa = _number(wc, "window", "kappa", default=1.01)
     theta = _number(wc, "window", "theta", default=None, allow_null=True)
-    reactions0 = build_h(spec, params0)
-    window = compute_window(reactions0, chi=chi, kappa=kappa, theta=theta)
+    reactions0 = _self.build_h(spec, params0) if stages else None
+    window = compute_window(spec, params0, chi=chi, kappa=kappa, theta=theta)
 
     if lam_flag is not None:
         lam = float(lam_flag)
@@ -287,7 +288,7 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None) -> _En
                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
                barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
                barrier_nu=barrier_nu, sweep_count=sweep_count)
-    return _at_load(env, lam)
+    return _at_load(env, lam) if stages else env
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +305,16 @@ def _write_csv_rows(path: Path, names, rows: str, values) -> None:
 def _write_csv(path: Path, names, columns) -> None:
     """A header line of names, then one row of repr-faithful %.17g numbers
     per entry of the columns."""
+    import numpy as np
+
     values = np.asarray(np.column_stack(columns), dtype=float).ravel().tolist()
     row = ",".join(["%.17g"] * len(names)) + "\n"
     _write_csv_rows(path, names, row * (len(values) // len(names)), values)
 
 
 def _read_grid_function(path: str) -> GridFunction:
+    import numpy as np
+
     from .grid import GridFunction
 
     try:
@@ -337,11 +342,11 @@ def _dumps(result: dict) -> str:
 
 
 @contextlib.contextmanager
-def _recorded_warnings(env: _Env):
+def _recorded_warnings(fired: list):
     """Catch every warning, in firing order and in every run, none on stderr.
 
     Yields a list that holds one {category, message} record per warning
-    once the block ends.  env.fired gets the same records even when the
+    once the block ends.  `fired` gets the same records even when the
     block raises, so that a failed run still reports them.
     """
     records: list = []
@@ -352,7 +357,7 @@ def _recorded_warnings(env: _Env):
         finally:
             records.extend({"category": w.category.__name__, "message": str(w.message)}
                            for w in caught)
-            env.fired.extend(records)
+            fired.extend(records)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +417,7 @@ def _cmd_barrier(env: _Env):
 def _pairs(env: _Env):
     from . import discrete_solver as ds
 
-    failed = [c.name for c in validate(env.spec, env.params).checks if not c.passed]
+    failed = [c.name for c in _self.validate(env.spec, env.params).checks if not c.passed]
     if failed:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: "
                                 + ", ".join(failed))
@@ -450,6 +455,8 @@ def _leg_report(leg: ds.IterationTrace) -> dict:
 
 
 def _cmd_solve(env: _Env):
+    import numpy as np
+
     from . import discrete_solver as ds
 
     op, _profile, rcert, pairs = _pairs(env)
@@ -505,6 +512,8 @@ def _cmd_certify(env: _Env, input_path, kind, other_path, tol):
 
 
 def _cmd_sweep(env: _Env):
+    import numpy as np
+
     count = env.sweep_count
     lams = np.linspace(env.window.lambda_star, env.window.lambda_upper, count)
     names = ("lambda", "all_passed", "m_lambda", "alpha_star", "chi_low",
@@ -514,7 +523,7 @@ def _cmd_sweep(env: _Env):
     fired = []
     ok = True
     for lam in lams:  # ascending, sequential: row order is part of the contract
-        with _recorded_warnings(env) as at_lam:
+        with _recorded_warnings(env.fired) as at_lam:
             _op, _profile, rcert, pairs = _pairs(_at_load(env, float(lam)))
         fired.extend({"lambda": float(lam), **w} for w in at_lam)
         passed = bool(pairs.all_passed and rcert.passed)
@@ -543,49 +552,52 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         seed=None, input_path=None, kind=None, other=None, tol=None) -> int:
     """Execute one command against a config; returns the process exit code.
 
-    The command's report, with the warnings it fired, is written to
-    <command>.json and printed as the same text.
+    The command's report, with the warnings that building its environment
+    and running it fired, is written to <command>.json and printed as the
+    same text.
     """
-    env = None
+    fired: list = []  # every warning the run records, in firing order
     try:
         if command not in _COMMANDS:
             _fail(f"unknown command {command!r}")
         cfg = _load_config(config_path)
-        env = _build_env(cfg, out=out, nodes=nodes, lam_flag=lam, seed=seed)
-        env.outdir.mkdir(parents=True, exist_ok=True)
         args = (input_path, kind, other, tol) if command == "certify" else ()
-        with _recorded_warnings(env) as fired:
+        with _recorded_warnings(fired) as built:
+            env = _build_env(cfg, out=out, nodes=nodes, lam_flag=lam, seed=seed,
+                             stages=command != "window")
+        env.fired = fired  # sweep records each row's warnings there too
+        env.outdir.mkdir(parents=True, exist_ok=True)
+        with _recorded_warnings(fired) as ran:
             report, code = _COMMANDS[command](env, *args)
-        report.setdefault("warnings", fired)
+        report.setdefault("warnings", built + ran)
         text = _dumps(report)
         (env.outdir / f"{command}.json").write_text(text, encoding="utf-8")
         sys.stdout.write(text)
         return code
     except EmptyThetaRange as exc:
-        return _refused(env, exc, "empty_window")
+        return _refused(fired, exc, "empty_window")
     except PositivityLoss as exc:
-        return _refused(env, exc, "positivity_loss")
+        return _refused(fired, exc, "positivity_loss")
     except FailedAssumptions as exc:
-        return _refused(env, exc, "failed_assumptions")
+        return _refused(fired, exc, "failed_assumptions")
     except (ValueError, BridgeNotMonotone) as exc:  # ConfigurationError among them
-        return _failed(env, f"config error: {exc}", 2)
+        return _failed(fired, f"config error: {exc}", 2)
     except (ConvergenceFailure, SearchExhausted) as exc:
-        return _failed(env, f"did not converge: {exc}", 3)
+        return _failed(fired, f"did not converge: {exc}", 3)
 
 
-def _refused(env: _Env | None, exc: Exception, kind: str) -> int:
+def _refused(fired: list, exc: Exception, kind: str) -> int:
     """Exit 1 with an error object on stdout, listing the warnings recorded
-    before the failure (none when it came before env)."""
-    sys.stdout.write(_dumps({"error": str(exc), "kind": kind,
-                             "warnings": env.fired if env else []}))
+    before the failure."""
+    sys.stdout.write(_dumps({"error": str(exc), "kind": kind, "warnings": fired}))
     return 1
 
 
-def _failed(env: _Env | None, message: str, code: int) -> int:
+def _failed(fired: list, message: str, code: int) -> int:
     """Exit `code` with the error line on stderr, then one line per warning
     recorded before the failure."""
     sys.stderr.write(message + "\n")
-    for w in env.fired if env else ():
+    for w in fired:
         sys.stderr.write(f"warning: {w['category']}: {w['message']}\n")
     return code
 

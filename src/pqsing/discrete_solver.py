@@ -65,20 +65,9 @@ from .parameter_window import WindowReport
 from .pq_core import Params, lpq_derivative, lpq_inverse, lpq_scalar
 from .radial_solver import RadialProfile
 
-__all__ = [
-    "DiscreteOperator",
-    "IterationTrace",
-    "PairsResult",
-    "build_first_pair",
-    "build_second_pair",
-    "construct_pairs",
-    "that_map",
-    "amann_iterate",
-    "certify",
-    "original_residual",
-    "march",
-    "search_third_solution",
-]
+__all__ = ["DiscreteOperator", "IterationTrace", "PairsResult", "build_first_pair",
+           "build_second_pair", "construct_pairs", "that_map", "amann_iterate",
+           "certify", "original_residual", "march", "search_third_solution"]
 
 _JAC_FLOOR = 1e-9       # |gradient| clip of F' (Jacobian, rounding floor), not of F
 _POS_FLOOR = 1e-12      # positivity safeguard for singular solves
@@ -1027,6 +1016,8 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
+    if budget < 1:
+        raise ConfigurationError(f"budget must be at least 1, got {budget}")
     _check_grid(op, reactions, lower, upper)
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):

@@ -17,99 +17,14 @@ import numpy as np
 
 from .errors import BridgeNotMonotone, ConfigurationError
 from .parameter_window import F_of
-from .pq_core import Params, lpq_scalar
+from .pq_core import lpq_scalar
+from .records import NonlinearitySpec, Params  # re-exported: their home is records
 
-__all__ = [
-    "NonlinearitySpec",
-    "DerivedReactions",
-    "AssumptionCheck",
-    "ValidationReport",
-    "validate",
-    "build_fhat",
-    "build_h",
-    "choose_Theta_lambda",
-    "choose_khat",
-]
+__all__ = ["NonlinearitySpec", "DerivedReactions", "AssumptionCheck",
+           "ValidationReport", "validate", "build_fhat", "build_h",
+           "choose_Theta_lambda", "choose_khat"]
 
-_KINDS = ("exp_saturating", "power", "table")
 _THETA_CAP = 1e8         # a larger Theta_lambda signals a misconfigured reaction
-
-
-@dataclasses.dataclass(frozen=True)
-class NonlinearitySpec:
-    """A reaction family plus its thresholds.
-
-    kinds:
-      exp_saturating  f(t) = exp(k t / (k + t)),  parameter k > 0
-      power           f(t) = t^m,                 parameter m > 0
-      table           piecewise-linear through (table_t, table_f),
-                      constant beyond the last abscissa
-    For t < 0 every family evaluates to f(0).
-    """
-
-    kind: str
-    theta1: float
-    theta2: float
-    khat: float = 0.0
-    k: float | None = None
-    m: float | None = None
-    table_t: tuple[float, ...] | None = None
-    table_f: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
-        if not (0.0 < self.theta1 < self.theta2):
-            raise ConfigurationError(
-                f"need 0 < theta1 < theta2, got {self.theta1}, {self.theta2}"
-            )
-        if self.khat < 0.0:
-            raise ConfigurationError(f"need khat >= 0, got {self.khat}")
-        if self.kind == "exp_saturating":
-            if self.k is None or self.k <= 0.0:
-                raise ConfigurationError("exp_saturating needs k > 0")
-        elif self.kind == "power":
-            if self.m is None or self.m <= 0.0:
-                raise ConfigurationError("power needs m > 0")
-        else:
-            if not self.table_t or not self.table_f or len(self.table_t) != len(self.table_f):
-                raise ConfigurationError("table needs matching table_t/table_f")
-            ts = np.asarray(self.table_t, dtype=float)
-            if np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
-                raise ConfigurationError("table_t must be strictly increasing and >= 0")
-            object.__setattr__(self, "table_t", tuple(float(t) for t in self.table_t))
-            object.__setattr__(self, "table_f", tuple(float(v) for v in self.table_f))
-
-    # ---- evaluation ------------------------------------------------------
-    def f(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        tpos = np.maximum(t_arr, 0.0)  # f(t) = f(0) for t < 0
-        if self.kind == "exp_saturating":
-            out = np.exp(self.k * tpos / (self.k + tpos))
-        elif self.kind == "power":
-            out = tpos ** self.m
-        else:
-            out = np.interp(tpos, self.table_t, self.table_f)
-        return float(out) if t_arr.ndim == 0 else out
-
-    def f_prime(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        tpos = np.maximum(t_arr, 0.0)
-        if self.kind == "exp_saturating":
-            out = np.exp(self.k * tpos / (self.k + tpos)) * self.k ** 2 / (self.k + tpos) ** 2
-        elif self.kind == "power":
-            out = self.m * tpos ** (self.m - 1.0)
-        else:
-            step = 1e-6 * max(1.0, float(np.max(tpos)) if tpos.size else 1.0)
-            out = (np.interp(tpos + step, self.table_t, self.table_f)
-                   - np.interp(np.maximum(tpos - step, 0.0), self.table_t, self.table_f)) / (
-                np.minimum(tpos, step) + step)
-        out = np.where(t_arr < 0.0, 0.0, out)
-        return float(out) if t_arr.ndim == 0 else out
-
-    @property
-    def f0(self) -> float:
-        return float(self.f(0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -378,9 +293,9 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
     continuous, constant (= fbar, the global minimum over (0, theta1])
     up to its argmin theta_star, nondecreasing, and <= curve pointwise —
     a chord between the endpoint values can cut above the curve when the
-    curve dips, so interpolation is not used.  The result is grid-checked
-    for monotonicity on [0, theta2]; a genuine violation (possible only
-    for inadmissible thresholds) raises BridgeNotMonotone.
+    curve dips, so interpolation is not used.  The bridge is grid-checked
+    for monotonicity on [0, theta1]; a violation raises BridgeNotMonotone.
+    Above theta1, h is the curve itself, which compute_window checks.
     """
     gamma = params.gamma
     curve = _curve(spec, gamma)
@@ -421,11 +336,11 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
         return float(out[0]) if scalar else out.reshape(t_arr.shape)
 
     check = np.linspace(0.0, spec.theta2, 10001)
-    hv = h(check)
+    hv = h(np.append(check[check < theta1], theta1))
     deficit = _monotone_deficit(hv)
     if deficit > 1e-9 * max(1.0, float(np.max(hv))):
         raise BridgeNotMonotone(
-            f"truncated reaction decreases by {deficit:.3e} on [0, theta2]; "
+            f"truncated reaction decreases by {deficit:.3e} on [0, theta1]; "
             "thresholds are inadmissible"
         )
 
@@ -438,8 +353,8 @@ def choose_Theta_lambda(spec: NonlinearitySpec, params: Params,
 
     Sampled on 10^4 points of [0, 2 theta2].  Since L is strictly
     increasing, the grid-optimal value is read off directly as
-    max(0, max(-lam dh / dL)); values beyond _THETA_CAP signal a
-    misconfigured reaction.
+    max(0, max(-lam dh / dL)); values beyond _THETA_CAP, or not finite,
+    signal a misconfigured reaction.
     """
     if h is None:
         h = build_h(spec, params).h
@@ -450,6 +365,8 @@ def choose_Theta_lambda(spec: NonlinearitySpec, params: Params,
     dL = np.diff(Lv)
     need = np.max(-dh / dL)
     Theta = 0.0 if need <= 0.0 else float(need) * (1.0 + 1e-9)
+    if not math.isfinite(Theta):
+        raise ConfigurationError(f"Theta_lambda = {Theta}: lam*h is not finite on [0, 2 theta2]")
     if Theta > _THETA_CAP:
         raise ConfigurationError(f"Theta_lambda = {Theta:.3e} exceeds cap {_THETA_CAP:.1e}")
     if _monotone_deficit(hv + Theta * Lv) > 1e-9 * max(1.0, float(np.max(np.abs(hv)))):

@@ -3,19 +3,30 @@
 Everything here is explicit arithmetic: the capacity-type constant
 C(N,q), the threshold map F(theta), the collar split eps = NR/(N+q-1),
 and the two load thresholds whose interval hosts both sub/supersolution
-pairs.  The truncated reaction h is taken from `nonlinearity` and never
-re-derived here.
+pairs.  Above theta1 the truncated reaction h is the curve f(t)/(2 t^gamma)
+itself, so the window reads h(theta) and checks that curve with `math`
+alone: this module imports no numpy.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import warnings
 
-from .errors import ConfigurationError, EmptyThetaRange, WindowViolation
-from .pq_core import Params, lpq_scalar
+from .errors import BridgeNotMonotone, ConfigurationError, EmptyThetaRange, WindowViolation
+from .records import NonlinearitySpec, Params
 
 __all__ = ["WindowReport", "capacity_constant", "F_of", "compute_window"]
+
+
+def __getattr__(name):
+    """pq_core's lpq_scalar on first lookup (perfbench wraps it here); the window uses math."""
+    if name != "lpq_scalar":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .pq_core import lpq_scalar
+
+    return globals().setdefault(name, lpq_scalar)
 
 
 def capacity_constant(N: int, q: float) -> float:
@@ -79,16 +90,31 @@ class WindowReport:
         return out
 
 
-def compute_window(reactions, chi: float = 1.01, kappa: float = 1.01,
-                   theta: float | None = None) -> WindowReport:
-    """Choose theta, evaluate both load thresholds, and sanity-check the cutoff bound.
+def _check_curve(spec: NonlinearitySpec, gamma: float) -> None:
+    """BridgeNotMonotone unless h = f(t)/(2 t^gamma) is nondecreasing on
+    the samples theta1, then the points of linspace(0, theta2, 10001) above
+    it.  An overflowed sample reads inf, and inf after inf is no decrease."""
+    step = spec.theta2 / 10000
+    first = bisect.bisect_right(range(10000), spec.theta1, key=step.__mul__)
+    hv = spec.curve_at([spec.theta1, *map(step.__mul__, range(first, 10000)), spec.theta2], gamma)
+    deficit = max((a - b for a, b in zip(hv, hv[1:]) if a > b), default=0.0)
+    if deficit > 1e-9 * max(1.0, max(hv)):
+        raise BridgeNotMonotone(f"truncated reaction decreases by {deficit:.3e} on "
+                                "[theta1, theta2]; thresholds are inadmissible")
+
+
+def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
+                   kappa: float = 1.01, theta: float | None = None) -> WindowReport:
+    """Check h above theta1, choose theta, evaluate both load thresholds,
+    and sanity-check the cutoff bound.
 
     theta defaults to the midpoint of (theta1, min(theta2, F(theta2))).
     chi and kappa are the cutoff shape exponents, "just above 1" by
-    default.  `reactions` supplies h, the thresholds and the geometry.
+    default; params.lam is not read.  h(theta) = f(theta)/(2 theta^gamma)
+    must be finite and positive.
     """
-    params, spec = reactions.params, reactions.spec
     p, q, N, R = params.p, params.q, params.dim, params.radius
+    _check_curve(spec, params.gamma)
     if chi <= 1.0 or kappa <= 1.0:
         raise ConfigurationError(f"need chi, kappa > 1, got chi={chi}, kappa={kappa}")
 
@@ -106,7 +132,9 @@ def compute_window(reactions, chi: float = 1.01, kappa: float = 1.01,
             f"theta={theta} outside the admissible interval ({spec.theta1}, {cap})"
         )
 
-    h_theta = float(reactions.h(theta))
+    h_theta = spec.curve_at((theta,), params.gamma)[0]
+    if not math.isfinite(h_theta):
+        raise ConfigurationError(f"h(theta) = {h_theta} is not finite at theta={theta}")
     if h_theta <= 0.0:
         raise ConfigurationError(f"h(theta) = {h_theta} must be positive")
     eps = N * R / (N + q - 1.0)
@@ -124,7 +152,7 @@ def compute_window(reactions, chi: float = 1.01, kappa: float = 1.01,
     # gives R-eps = R(q-1)/(N+q-1) <= 1 < chi*kappa, so the margin is positive.
     x = chi * kappa / (R - eps)
     cutoff_margin = 2.0 * (chi * kappa) ** (q - 1.0) / ((R - eps) ** (q - 1.0) * eps ** N) - (
-        lpq_scalar(x, params) / eps ** N
+        (x ** (p - 1.0) + x ** (q - 1.0)) / eps ** N
     )
     if cutoff_margin < 0.0:
         raise ConfigurationError(

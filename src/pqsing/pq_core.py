@@ -10,57 +10,13 @@ for the vector-field inequalities.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateInput, InfeasibleGeometry
+from .errors import ConvergenceFailure, DegenerateInput
+from .records import Params  # re-exported: its home is records
 
-__all__ = [
-    "Params",
-    "lpq_scalar",
-    "lpq_derivative",
-    "lpq_inverse",
-    "simon_constant",
-    "simon_gap",
-    "simon_gap_sum",
-]
-
-
-@dataclasses.dataclass(frozen=True)
-class Params:
-    """Problem constants: exponents, singularity, geometry, and load.
-
-    lam >= 0 is admitted (lam = 0 is a useful zero-load sanity case even
-    though the multiplicity theory itself needs lam > 0).
-    """
-
-    p: float
-    q: float
-    gamma: float
-    dim: int
-    radius: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (1.0 < self.p < self.q < np.inf):
-            raise ValueError(f"need 1 < p < q, got p={self.p}, q={self.q}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"need gamma in (0,1), got {self.gamma}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"need integer dim >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        if not (self.radius > 0.0):
-            raise ValueError(f"need radius > 0, got {self.radius}")
-        if not (self.lam >= 0.0):
-            raise ValueError(f"need lambda >= 0, got {self.lam}")
-        # the radial cutoff construction needs the collar [eps, R] to be
-        # narrower than 1; equivalently R <= 1 + N/(q-1)
-        rmax = 1.0 + self.dim / (self.q - 1.0)
-        if self.radius > rmax * (1.0 + 1e-12):
-            raise InfeasibleGeometry(
-                f"radius {self.radius} exceeds 1 + N/(q-1) = {rmax}"
-            )
+__all__ = ["Params", "lpq_scalar", "lpq_derivative", "lpq_inverse", "simon_constant",
+           "simon_gap", "simon_gap_sum"]
 
 
 def lpq_scalar(t, params: Params, alpha: float = 1.0, beta: float = 1.0):

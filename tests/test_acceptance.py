@@ -92,7 +92,7 @@ def test_criterion_3_window_nonempty_sweep(capsys):
             for frac in (0.85, 0.6):
                 radius = frac * (1.0 + dim / (q - 1.0))
                 p0 = Params(p=p, q=q, gamma=0.5, dim=dim, radius=radius, lam=0.0)
-                w = compute_window(build_h(spec, p0))
+                w = compute_window(spec, p0)
                 tuples += 1
                 admissible = w.theta <= min(w.theta2, w.F_theta2) + 1e-12
                 if not (admissible and w.lambda_star < w.lambda_upper):

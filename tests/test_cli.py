@@ -90,6 +90,10 @@ def test_every_command_writes_its_stdout_with_warnings(command, tmp_path, capsys
     {"params": {"lambda": float("inf")}},
     {"grid": {"n": 10 ** 400}},                         # an integer past the float range
     {"tolerances": {"budget": 0}},                      # a leg needs at least one step
+    {"nonlinearity": {"kind": "table", "table_t": [0, 1, float("nan")],
+                      "table_f": [1, 2, 3]}},           # non-finite table entries
+    {"nonlinearity": {"kind": "table", "table_t": [0, 1, 2],
+                      "table_f": [1, 2, float("inf")]}},
 ])
 def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))
@@ -149,6 +153,61 @@ def test_bad_theta_override_exit_2(tmp_path, capsys):
     cfg = small_cfg(window={"theta": 880.0})   # beyond min(theta2, F(theta2))
     assert run("window", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("nonlinearity, message", [
+    ({"kind": "table", "table_t": [0, 1, 2], "table_f": [3, 2, 1]},
+     "truncated reaction decreases by 7.803e-02 on [theta1, theta2]; "
+     "thresholds are inadmissible"),
+    ({"k": 3000.0, "theta2": 1e5}, "h(theta) = inf is not finite at theta=9375.500000000002"),
+    ({"kind": "table", "table_t": [0, 1, float("nan")], "table_f": [1, 2, 3]},
+     "table_t must hold finite numbers, got (0.0, 1.0, nan)"),
+    ({"kind": "table", "table_t": [0, 1, 2], "table_f": [1, 2, float("inf")]},
+     "table_f must hold finite numbers, got (1.0, 2.0, inf)"),
+], ids=["decreasing-table", "h-theta-overflows", "nan-table-t", "inf-table-f"])
+def test_window_refuses_a_bad_reaction_with_exit_2(tmp_path, capsys, nonlinearity, message):
+    # refused by the window's own checks: no report, no window.json, and no
+    # numpy warning on stderr
+    path = write_cfg(tmp_path, small_cfg(nonlinearity=nonlinearity))
+    assert run("window", path, out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_window_leaves_the_stage_inputs_to_the_stages(tmp_path, capsys, monkeypatch):
+    # exp(800 t / (800 + t)) is finite up to theta2 = 5000 but overflows on
+    # [0, 2 theta2], where Theta_lambda samples h.  window builds neither h
+    # nor Theta_lambda: it exits 0 and fires no warning.  pairs builds both
+    # and refuses the reaction, listing the warnings the build fired
+    path = write_cfg(tmp_path, small_cfg(nonlinearity={"k": 800.0, "theta2": 5000.0}))
+    monkeypatch.setattr(cli, "build_h", None)  # window must not call it
+    assert run("window", path, out=str(tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["warnings"] == []
+    monkeypatch.undo()
+    assert run("pairs", path, out=str(tmp_path)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: Theta_lambda = nan: lam*h is not finite on [0, 2 theta2]",
+        "warning: RuntimeWarning: overflow encountered in exp",
+        "warning: RuntimeWarning: invalid value encountered in multiply"]
+
+
+def test_warnings_of_the_build_are_recorded(tmp_path, capsys, monkeypatch):
+    # a warning fired while the environment is built is listed like one the
+    # command fires, and goes first
+    build_h = cli.build_h
+
+    def noisy(*args):
+        warnings.warn("from the build", RuntimeWarning)
+        return build_h(*args)
+
+    monkeypatch.setattr(cli, "build_h", noisy)
+    assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64, lam=0.29502) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    fired = json.loads(out)["warnings"]
+    assert fired[0] == {"category": "RuntimeWarning", "message": "from the build"}
+    assert [w["category"] for w in fired[1:]] == ["WindowViolation"] * 2
 
 
 # ---------------------------------------------------------------- commands

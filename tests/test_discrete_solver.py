@@ -727,6 +727,14 @@ def test_amann_budget_warning(gentle):
     assert tr.n_steps == 2
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_amann_rejects_a_budget_below_one(gentle, budget):
+    env = gentle
+    with pytest.raises(ConfigurationError, match="budget must be at least 1"):
+        amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up,
+                      "from_upper", budget=budget)
+
+
 def test_amann_descending_iterates_stay_supersolutions(cfg1):
     # the node-wise shift is checked after every solve so that each image
     # of a supersolution is again one; the run never leaves [v0, u_up]

@@ -92,7 +92,16 @@ def test_import_loads_no_stage_module(tmp_path):
 
 def test_window_loads_only_the_window_modules(tmp_path):
     assert loaded_pqsing(tmp_path, *command(tmp_path, "window")) == (
-        0, {"errors", "pq_core", "parameter_window", "nonlinearity", "cli"})
+        0, {"errors", "records", "parameter_window", "cli"})
+
+
+@pytest.mark.parametrize("config", ["cfg_small.json", "cfg_reference.json"])
+def test_window_loads_no_numpy(tmp_path, config):
+    # the window is closed-form arithmetic in the standard library
+    args = ("window", "--config", str(ROOT / "scripts" / config),
+            "--out", str(tmp_path / "out"))
+    code, modules = loaded(tmp_path, *args)
+    assert code == 0 and not {m for m in modules if m.partition(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("name, absent", [

@@ -12,6 +12,7 @@ from pqsing import (
     build_h,
     choose_Theta_lambda,
     choose_khat,
+    compute_window,
     lpq_scalar,
     validate,
 )
@@ -209,11 +210,16 @@ def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
 
 def test_bridge_rejects_impossible_thresholds():
     # f/t^gamma keeps dropping on (theta1, theta2) when f is constant,
-    # so no monotone bridge can sit below the curve and match it there
+    # so no monotone bridge can sit below the curve and match it there.
+    # Above theta1, h is that curve: compute_window checks it there, and
+    # build_h checks the bridge it builds below theta1
     flat = NonlinearitySpec(kind="table", theta1=1.0, theta2=100.0,
                             table_t=(0.0, 0.5), table_f=(1.0, 1.0))
-    with pytest.raises(BridgeNotMonotone):
-        build_h(flat, PARAMS)
+    with pytest.raises(BridgeNotMonotone, match=r"on \[theta1, theta2\]"):
+        compute_window(flat, PARAMS)
+    rx = build_h(flat, PARAMS)
+    bridge = rx.h(np.linspace(0.0, flat.theta1, 1001))
+    assert np.all(np.diff(bridge) >= 0.0)
 
 
 # ---------------------------------------------------------------- shifts
@@ -233,6 +239,24 @@ def test_choose_theta_lambda_compensates():
     grid = np.linspace(0.0, 2.0 * spec.theta2, 20001)
     g = pr.lam * np.asarray(rx.h(grid)) + Theta * lpq_scalar(grid, pr)
     assert np.all(np.diff(g) >= -1e-9 * np.max(np.abs(g)))
+
+
+def test_choose_theta_lambda_refuses_an_overflowing_reaction():
+    # f = exp(800 t / (800 + t)) overflows below 2 theta2 = 1e4, so lam h
+    # is not finite on the grid and no finite shift exists (build_h derives
+    # Theta_lambda at its own load)
+    spec = exp_spec(k=800.0, theta2=5000.0)
+    with np.errstate(all="ignore"):
+        for build in (choose_Theta_lambda, build_h):
+            with pytest.raises(ConfigurationError, match="Theta_lambda = nan: lam"):
+                build(spec, PARAMS)
+
+
+def test_table_entries_must_be_finite():
+    for t, f, key in (((0.0, 1.0, float("nan")), (1.0, 2.0, 3.0), "table_t"),
+                      ((0.0, 1.0, 2.0), (1.0, 2.0, float("inf")), "table_f")):
+        with pytest.raises(ConfigurationError, match=f"^{key} must hold finite numbers"):
+            NonlinearitySpec(kind="table", theta1=1.0, theta2=2.0, table_t=t, table_f=f)
 
 
 def test_choose_khat():
