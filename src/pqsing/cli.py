@@ -24,8 +24,9 @@ compatibility, and seed nothing.
 Each command imports only the modules it runs: `window` loads no numpy
 and only errors, records and parameter_window, `barrier` no solver or
 radial module, and the solver commands no barrier one.  `window` checks h
-above theta1 and h(theta); only the stage commands build and check the
-bridge h below theta1 and Theta_lambda at the load, which they read.
+above theta1, exactly over the curve's monotone pieces, and h(theta);
+only the stage commands build the bridge h below theta1, once, and
+derive Theta_lambda, sampled, once per load (sweep: per row).
 
 A `pqsing` process (`python -m pqsing` or the installed script) runs
 process_main: it flushes stdout and stderr after the command and ends
@@ -56,7 +57,7 @@ from .errors import (
     SearchExhausted,
 )
 from .parameter_window import compute_window
-from .records import NonlinearitySpec, Params
+from .records import _KINDS, NonlinearitySpec, Params
 
 if TYPE_CHECKING:
     from . import discrete_solver as ds
@@ -160,8 +161,8 @@ def _load_config(path: str) -> dict:
 def _build_spec(cfg: dict) -> NonlinearitySpec:
     nl = cfg["nonlinearity"]
     kind = nl.get("kind")
-    if kind not in ("exp_saturating", "power", "table"):
-        _fail(f"nonlinearity.kind must be one of exp_saturating/power/table, got {kind!r}")
+    if kind not in _KINDS:
+        _fail(f"nonlinearity.kind must be one of {'/'.join(_KINDS)}, got {kind!r}")
     kw = dict(
         kind=kind,
         theta1=_number(nl, "nonlinearity", "theta1", required=True),
@@ -225,8 +226,10 @@ def _at_load(env: _Env, lam: float) -> _Env:
 
 
 def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
-               stages=True) -> _Env:
-    """With stages=False (window) h and the load's reactions are not built."""
+               command: str = "solve") -> _Env:
+    """The command's environment.  window builds no reactions; every other
+    command builds them once, at its load, which for sweep is its first
+    row's, lambda_*."""
     pc = cfg["params"]
     p = _number(pc, "params", "p", required=True)
     q = _number(pc, "params", "q", required=True)
@@ -266,7 +269,6 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
     chi = _number(wc, "window", "chi", default=1.01)
     kappa = _number(wc, "window", "kappa", default=1.01)
     theta = _number(wc, "window", "theta", default=None, allow_null=True)
-    reactions0 = _self.build_h(spec, params0) if stages else None
     window = compute_window(spec, params0, chi=chi, kappa=kappa, theta=theta)
 
     if lam_flag is not None:
@@ -284,11 +286,14 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
     if isinstance(seed_val, bool) or not isinstance(seed_val, int):
         _fail(f"seed must be an integer, got {seed_val!r}")
 
-    env = _Env(window=window, reactions=reactions0, n=int(n), outdir=outdir,
-               tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
-               barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
-               barrier_nu=barrier_nu, sweep_count=sweep_count)
-    return _at_load(env, lam) if stages else env
+    if command == "sweep":
+        lam = window.lambda_star
+    reactions = (None if command == "window" else
+                 _self.build_h(spec, dataclasses.replace(params0, lam=lam)))
+    return _Env(window=window, reactions=reactions, n=int(n), outdir=outdir,
+                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
+                barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
+                barrier_nu=barrier_nu, sweep_count=sweep_count)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +569,7 @@ def run(command: str, config_path: str, out=None, nodes=None, lam=None,
         args = (input_path, kind, other, tol) if command == "certify" else ()
         with _recorded_warnings(fired) as built:
             env = _build_env(cfg, out=out, nodes=nodes, lam_flag=lam, seed=seed,
-                             stages=command != "window")
+                             command=command)
         env.fired = fired  # sweep records each row's warnings there too
         env.outdir.mkdir(parents=True, exist_ok=True)
         with _recorded_warnings(fired) as ran:

@@ -6,6 +6,10 @@ truncated reaction h(t) <= f(t)/(2 t^gamma) that drives the auxiliary
 nonsingular problem, the desingularized reaction
 fhat(t) = lam (f(t) - f(0))/t^gamma with fhat(0) = 0, and the
 monotonization constants Theta_lambda and khat.
+
+Assumptions (f0)-(f3), h, its argmin theta_star and its floor fbar are
+read exactly off the monotone pieces of f(t)/t^gamma (records'
+`pieces`).  (f4), Theta_lambda and khat are still sampled on grids.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BridgeNotMonotone, ConfigurationError
+from .errors import ConfigurationError
 from .parameter_window import F_of
 from .pq_core import lpq_scalar
 from .records import NonlinearitySpec, Params  # re-exported: their home is records
@@ -66,73 +70,38 @@ def _monotone_deficit(values: np.ndarray) -> float:
     return float(max(0.0, -np.min(d))) if d.size else 0.0
 
 
-def _tail_check(spec: NonlinearitySpec, exponent: float) -> AssumptionCheck:
-    """Sublinearity against t^exponent, probed on a deep tail.
-
-    The defining property is a limit, so any finite probe is heuristic:
-    we ask that f(T)/T^exponent decreases strictly along
-    T in {1e6, 1e8, 1e10, 1e12} and that the fitted log-log slope is
-    clearly negative.  (Saturating reactions can still be rising at
-    moderate T, so a shallow probe would misclassify them.)
-    """
-    T = np.array([1e6, 1e8, 1e10, 1e12])
-    with np.errstate(over="ignore"):
-        ratios = spec.f(T) / T ** exponent
-    finite = np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
-    if finite:
-        decreasing = bool(np.all(np.diff(ratios) < 0.0))
-        slope = float((np.log(ratios[-1]) - np.log(ratios[0])) / (np.log(T[-1]) - np.log(T[0])))
-        ok = decreasing and slope <= -0.05
-    else:
-        decreasing, slope, ok = False, float("nan"), False
-    return AssumptionCheck(
-        name="tail",  # renamed by the caller
-
-        passed=ok,
-        witness={
-            "exponent": float(exponent),
-            "ratios": tuple(float(r) for r in ratios),
-            "loglog_slope": slope,
-            "decreasing": decreasing,
-        },
-    )
-
-
 def validate(spec: NonlinearitySpec, params: Params) -> ValidationReport:
     """Check the admissibility assumptions; failures are reported, not raised.
 
-    f0: f(0) > 0.  f1: f nondecreasing on a dense grid.  f2/f2': deep-tail
-    sublinearity against t^{p-1+gamma} and t^{q-1+gamma}.  f3: the threshold
-    window 0 < theta1 < min(theta2, F(theta2)) plus monotonicity of
-    f(t)/t^gamma on (theta1, theta2).  f4: fhat(t) + khat*t nondecreasing.
+    f0: f(0) > 0.  f1: f nondecreasing, read off the table (the other
+    families increase).  f2/f2': f(t)/t^e -> 0 for e = p-1+gamma and
+    q-1+gamma, which holds iff sup f is finite or f = t^m with m < e.
+    f3: the threshold window 0 < theta1 < min(theta2, F(theta2)), and
+    f(t)/t^gamma nondecreasing on [theta1, theta2] (no drop over its
+    monotone pieces, the window's own check).  These four are exact; f4,
+    fhat(t) + khat*t nondecreasing, is checked on a grid of [0, 2 theta2].
     """
     checks: list[AssumptionCheck] = []
     f0 = spec.f0
     checks.append(AssumptionCheck("f0", f0 > 0.0, {"f_at_0": f0}))
 
-    grid = _distinct(np.linspace(0.0, 2.0 * spec.theta2, 2001), np.geomspace(1e-6, 1e6, 2001))
-    fv = spec.f(grid)
-    deficit = _monotone_deficit(fv)
-    scale = max(1.0, float(np.max(np.abs(fv))))
-    checks.append(AssumptionCheck("f1", deficit <= 1e-11 * scale, {"max_decrease": deficit}))
+    fs = spec.table_f or ()
+    decrease = max([a - b for a, b in zip(fs, fs[1:])] + [0.0])
+    checks.append(AssumptionCheck("f1", decrease == 0.0, {"max_decrease": decrease}))
 
-    c2 = _tail_check(spec, params.p - 1.0 + params.gamma)
-    checks.append(dataclasses.replace(c2, name="f2"))
-    c2p = _tail_check(spec, params.q - 1.0 + params.gamma)
-    checks.append(dataclasses.replace(c2p, name="f2prime"))
+    sup_f = spec.sup_f
+    for name, exponent in (("f2", params.p - 1.0 + params.gamma),
+                           ("f2prime", params.q - 1.0 + params.gamma)):
+        ok = math.isfinite(sup_f) or (spec.kind == "power" and spec.m < exponent)
+        checks.append(AssumptionCheck(name, ok, {"exponent": exponent, "sup_f": sup_f}))
 
     F2 = F_of(spec.theta2, params)
     cap = min(spec.theta2, F2)
     window_ok = 0.0 < spec.theta1 < cap
-    tgrid = np.linspace(spec.theta1, spec.theta2, 10001)[1:-1]
-    curve = spec.f(tgrid) / tgrid ** params.gamma
-    cdef = _monotone_deficit(curve)
-    cscale = max(1.0, float(np.max(np.abs(curve))))
-    mono_ok = cdef <= 1e-11 * cscale
+    drop = spec.drop(params.gamma, spec.theta1, spec.theta2)
     checks.append(AssumptionCheck(
-        "f3", window_ok and mono_ok,
-        {"F_theta2": float(F2), "theta_cap": float(cap),
-         "window_ok": window_ok, "max_decrease": cdef},
+        "f3", window_ok and drop == 0.0,
+        {"F_theta2": float(F2), "theta_cap": float(cap), "window_ok": window_ok, "drop": drop},
     ))
 
     fhat = build_fhat(spec, params)
@@ -185,7 +154,10 @@ class DerivedReactions:
     def at_load(self, lam: float) -> DerivedReactions:
         """These reactions moved to load lam.  h, theta_star and fbar do not
         depend on the load and are kept; fhat and Theta_lambda are derived
-        at lam, bit for bit as build_h would at that load."""
+        at lam, bit for bit as build_h would at that load (at their own load
+        the reactions are themselves, and nothing is derived)."""
+        if lam == self.params.lam:
+            return self
         return _at_load(self.spec, dataclasses.replace(self.params, lam=lam),
                         self.theta_star, self.fbar, self.h)
 
@@ -212,137 +184,51 @@ def _curve(spec: NonlinearitySpec, gamma: float):
     return curve
 
 
-def _fminbound(func: Callable, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """(argmin, min) of a scalar function on [a, b] by Brent's bounded search.
-
-    A step-for-step reproduction of scipy.optimize.minimize_scalar with
-    method="bounded" (scipy's _minimize_scalar_bounded, the Forsythe-Malcolm-
-    Moler fmin): the same golden-section/parabolic steps in the same float
-    order, so it returns the same bits without importing scipy.optimize.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:  # scipy's default maxiter
-            break
-    return xf, fx
-
-
 def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
-    """Construct the truncated reaction h and the derived constants.
+    """Construct the truncated reaction h and the derived constants at params.lam.
 
     With curve(t) = f(t)/(2 t^gamma):
       h(t) = inf over s in [t, theta1] of curve(s)   for t <= theta1,
       h(t) = curve(t)                                 for t >= theta1.
     This running future-minimum is the canonical monotone bridge: it is
-    continuous, constant (= fbar, the global minimum over (0, theta1])
-    up to its argmin theta_star, nondecreasing, and <= curve pointwise —
-    a chord between the endpoint values can cut above the curve when the
-    curve dips, so interpolation is not used.  The bridge is grid-checked
-    for monotonicity on [0, theta1]; a violation raises BridgeNotMonotone.
+    continuous, constant (= fbar, the minimum over (0, theta1]) up to its
+    argmin theta_star, nondecreasing, and <= curve pointwise.  The
+    curve's monotone pieces give it exactly: the infimum over [t, theta1]
+    is the curve at t, at a local minimum in [t, theta1] or at theta1, so
+    h(t) = min(curve(t), the suffix minimum of those points' values).
     Above theta1, h is the curve itself, which compute_window checks.
     """
-    gamma = params.gamma
+    gamma, theta1 = params.gamma, spec.theta1
     curve = _curve(spec, gamma)
-
-    ts = np.geomspace(spec.theta1 * 1e-9, spec.theta1, 32768)
-    cs = curve(ts)
-    if not np.all(np.isfinite(cs)):
+    pieces = spec.pieces(gamma)
+    # the local minima in (0, theta1), each the start of a rising piece, then theta1
+    points = np.array([start for start, rising in pieces if rising and 0.0 < start < theta1]
+                      + [theta1])
+    values = curve(points)
+    suffix = np.minimum.accumulate(values[::-1])[::-1]
+    i = int(np.argmin(values))
+    theta_star, fbar = float(points[i]), float(values[i])
+    if pieces[0][1]:  # f(0) <= 0: the curve rises from its limit at 0+, 0 or -inf
+        limit = 0.0 if spec.f0 == 0.0 else -math.inf
+        if limit <= fbar:
+            theta_star, fbar = 0.0, limit
+    if not (np.all(np.isfinite(values)) and math.isfinite(fbar)):
         raise ConfigurationError("reaction curve not finite on (0, theta1]")
-    suffix = np.minimum.accumulate(cs[::-1])[::-1]
-
-    i0 = int(np.argmin(cs))
-    lo = ts[max(i0 - 1, 0)]
-    hi = ts[min(i0 + 1, ts.size - 1)]
-    if hi > lo:
-        theta_star, fbar = _fminbound(lambda t: float(curve(t)), float(lo), float(hi),
-                                      xatol=1e-13 * spec.theta1)
-        if fbar > cs[i0]:  # refinement should never lose to the grid
-            theta_star, fbar = float(ts[i0]), float(cs[i0])
-    else:
-        theta_star, fbar = float(ts[i0]), float(cs[i0])
-
-    theta1 = spec.theta1
 
     def h(t):
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tt = np.atleast_1d(t_arr)
-        out = np.empty_like(tt)
-        flat = tt <= theta_star
-        out[flat] = fbar
-        mid = (~flat) & (tt <= theta1)
+        out = np.full_like(tt, fbar)
+        mid = (tt > theta_star) & (tt <= theta1)
         if np.any(mid):
             tm = tt[mid]
-            out[mid] = np.maximum(np.minimum(np.interp(tm, ts, suffix), curve(tm)), fbar)
+            out[mid] = np.maximum(np.minimum(curve(tm), suffix[np.searchsorted(points, tm)]),
+                                  fbar)
         tail = tt > theta1
         if np.any(tail):
             out[tail] = curve(tt[tail])
         return float(out[0]) if scalar else out.reshape(t_arr.shape)
-
-    check = np.linspace(0.0, spec.theta2, 10001)
-    hv = h(np.append(check[check < theta1], theta1))
-    deficit = _monotone_deficit(hv)
-    if deficit > 1e-9 * max(1.0, float(np.max(hv))):
-        raise BridgeNotMonotone(
-            f"truncated reaction decreases by {deficit:.3e} on [0, theta1]; "
-            "thresholds are inadmissible"
-        )
 
     return _at_load(spec, params, theta_star, fbar, h)
 

@@ -4,12 +4,12 @@ Everything here is explicit arithmetic: the capacity-type constant
 C(N,q), the threshold map F(theta), the collar split eps = NR/(N+q-1),
 and the two load thresholds whose interval hosts both sub/supersolution
 pairs.  Above theta1 the truncated reaction h is the curve f(t)/(2 t^gamma)
-itself, so the window reads h(theta) and checks that curve with `math`
+itself, so the window reads h(theta) and checks that the curve does not
+drop on [theta1, theta2] over its closed-form monotone pieces, with `math`
 alone: this module imports no numpy.
 """
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 import warnings
@@ -90,19 +90,6 @@ class WindowReport:
         return out
 
 
-def _check_curve(spec: NonlinearitySpec, gamma: float) -> None:
-    """BridgeNotMonotone unless h = f(t)/(2 t^gamma) is nondecreasing on
-    the samples theta1, then the points of linspace(0, theta2, 10001) above
-    it.  An overflowed sample reads inf, and inf after inf is no decrease."""
-    step = spec.theta2 / 10000
-    first = bisect.bisect_right(range(10000), spec.theta1, key=step.__mul__)
-    hv = spec.curve_at([spec.theta1, *map(step.__mul__, range(first, 10000)), spec.theta2], gamma)
-    deficit = max((a - b for a, b in zip(hv, hv[1:]) if a > b), default=0.0)
-    if deficit > 1e-9 * max(1.0, max(hv)):
-        raise BridgeNotMonotone(f"truncated reaction decreases by {deficit:.3e} on "
-                                "[theta1, theta2]; thresholds are inadmissible")
-
-
 def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
                    kappa: float = 1.01, theta: float | None = None) -> WindowReport:
     """Check h above theta1, choose theta, evaluate both load thresholds,
@@ -114,7 +101,10 @@ def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
     must be finite and positive.
     """
     p, q, N, R = params.p, params.q, params.dim, params.radius
-    _check_curve(spec, params.gamma)
+    drop = spec.drop(params.gamma, spec.theta1, spec.theta2)
+    if drop > 0.0:
+        raise BridgeNotMonotone(f"truncated reaction decreases by {drop:.3e} on "
+                                "[theta1, theta2]; thresholds are inadmissible")
     if chi <= 1.0 or kappa <= 1.0:
         raise ConfigurationError(f"need chi, kappa > 1, got chi={chi}, kappa={kappa}")
 
@@ -132,7 +122,7 @@ def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
             f"theta={theta} outside the admissible interval ({spec.theta1}, {cap})"
         )
 
-    h_theta = spec.curve_at((theta,), params.gamma)[0]
+    h_theta = spec.curve(theta, params.gamma)
     if not math.isfinite(h_theta):
         raise ConfigurationError(f"h(theta) = {h_theta} is not finite at theta={theta}")
     if h_theta <= 0.0:

@@ -2,6 +2,9 @@
 
 No numpy is imported here (the array methods f and f_prime import it in
 their bodies), so the load window runs in the standard library alone.
+The reaction's shape is read in closed form: `pieces` gives the monotone
+pieces of f(t)/t^gamma, from which the window's check, the bridge h and
+assumptions (f1)-(f3) are exact; nothing here samples a grid.
 """
 from __future__ import annotations
 
@@ -110,15 +113,14 @@ class NonlinearitySpec:
             out = np.interp(tpos, self.table_t, self.table_f)
         return float(out) if t_arr.ndim == 0 else out
 
-    def curve_at(self, ts, gamma: float) -> list:
-        """f(t)/(2 t^gamma), h above theta1, at the points ts > 0 in `math`; inf
-        where f overflows.  f's formulas (a table's as np.interp's): this
-        agrees with numpy's h to the rounding of exp and pow."""
-        if self.kind == "exp_saturating":  # the shipped family, in one pass
-            k = self.k
-            return [math.exp(x) / t ** gamma / 2.0 if (x := k * t / (k + t)) <= _EXP_MAX
-                    else math.inf for t in ts]
-        return [self._f_at(t) / t ** gamma / 2.0 for t in ts]
+    def curve(self, t: float, gamma: float) -> float:
+        """f(t)/(2 t^gamma), h above theta1, at t > 0 in `math`; inf where f
+        overflows.  f's formulas (a table's as np.interp's): this agrees with
+        numpy's h to the rounding of exp and pow."""
+        if self.kind == "exp_saturating":
+            x = self.k * t / (self.k + t)
+            return (math.exp(x) if x <= _EXP_MAX else math.inf) / t ** gamma / 2.0
+        return self._f_at(t) / t ** gamma / 2.0
 
     def _f_at(self, t: float) -> float:
         if self.kind == "power":
@@ -131,6 +133,73 @@ class NonlinearitySpec:
         if j < 0 or j == len(ts) - 1 or ts[j] == t:
             return fs[max(j, 0)]
         return (fs[j + 1] - fs[j]) / (ts[j + 1] - ts[j]) * (t - ts[j]) + fs[j]
+
+    def pieces(self, gamma: float) -> list:
+        """The monotone pieces of c(t) = f(t)/t^gamma on (0, inf), in closed form.
+
+        A list of (start, rising): each piece runs from its start to the next
+        one's (the last to inf), the first starts at 0, and neighbours
+        alternate.  A rising piece is nondecreasing, a falling one strictly
+        decreasing.  The sign of c' is that of t f'(t) - gamma f(t):
+          exp_saturating  k^2 t - gamma (k + t)^2, with roots t- < t+ and
+                          t- t+ = k^2; c falls everywhere when k <= 4 gamma
+          power           (m - gamma) t^m: c = t^(m - gamma) is monotone
+          table           on a piece f = a + b t, (1 - gamma) b t - gamma a,
+                          so at most one root; a constant stretch, also
+                          before the first and after the last abscissa,
+                          falls where f > 0
+        """
+        if self.kind == "exp_saturating":
+            k = self.k
+            if k <= 4.0 * gamma:
+                return [(0.0, False)]
+            root = k * math.sqrt(k * (k - 4.0 * gamma))
+            t_plus = (k * k - 2.0 * gamma * k + root) / (2.0 * gamma)
+            return [(0.0, False), (k * k / t_plus, True), (t_plus, False)]
+        if self.kind == "power":
+            return [(0.0, self.m >= gamma)]
+        ts, fs = self.table_t, self.table_f
+        raw = [(0.0, fs[0] <= 0.0)] if ts[0] > 0.0 else []
+        for t0, t1, f0, f1 in zip(ts, ts[1:], fs, fs[1:]):
+            b = (f1 - f0) / (t1 - t0)
+            a = f0 - b * t0
+            if b == 0.0:
+                raw.append((t0, a <= 0.0))
+                continue
+            root = gamma * a / ((1.0 - gamma) * b)  # c' has the sign of -b before, +b after
+            if root > t0:
+                raw.append((t0, b < 0.0))
+            if root < t1:
+                raw.append((max(root, t0), b > 0.0))
+        raw.append((ts[-1], fs[-1] <= 0.0))
+        out = raw[:1]
+        for start, rising in raw[1:]:
+            if rising != out[-1][1]:
+                out.append((start, rising))
+        return out
+
+    def drop(self, gamma: float, lo: float, hi: float) -> float:
+        """The whole decrease of h = f(t)/(2 t^gamma) on [lo, hi], 0 < lo: the
+        sum of h(a) - h(b) over the falling pieces [a, b] of the curve there.
+        It is 0 exactly when h is nondecreasing on [lo, hi] (in floats: inf
+        after inf is no decrease)."""
+        pieces = self.pieces(gamma)
+        total = 0.0
+        for (start, rising), (end, _) in zip(pieces, pieces[1:] + [(math.inf, None)]):
+            a, b = max(start, lo), min(end, hi)
+            if not rising and a < b:
+                ha, hb = self.curve(a, gamma), self.curve(b, gamma)
+                if ha > hb:
+                    total += ha - hb
+        return total
+
+    @property
+    def sup_f(self) -> float:
+        """sup f over t >= 0: e^k, inf, or the table's largest entry (inf
+        when e^k overflows)."""
+        if self.kind == "exp_saturating":
+            return math.exp(self.k) if self.k <= _EXP_MAX else math.inf
+        return math.inf if self.kind == "power" else max(self.table_f)
 
     def f_prime(self, t):
         import numpy as np

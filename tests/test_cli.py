@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsing import cli, nonlinearity
+from pqsing import Params, cli, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
 
@@ -157,7 +157,7 @@ def test_bad_theta_override_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("nonlinearity, message", [
     ({"kind": "table", "table_t": [0, 1, 2], "table_f": [3, 2, 1]},
-     "truncated reaction decreases by 7.803e-02 on [theta1, theta2]; "
+     "truncated reaction decreases by 9.832e-01 on [theta1, theta2]; "
      "thresholds are inadmissible"),
     ({"k": 3000.0, "theta2": 1e5}, "h(theta) = inf is not finite at theta=9375.500000000002"),
     ({"kind": "table", "table_t": [0, 1, float("nan")], "table_f": [1, 2, 3]},
@@ -178,7 +178,8 @@ def test_window_leaves_the_stage_inputs_to_the_stages(tmp_path, capsys, monkeypa
     # exp(800 t / (800 + t)) is finite up to theta2 = 5000 but overflows on
     # [0, 2 theta2], where Theta_lambda samples h.  window builds neither h
     # nor Theta_lambda: it exits 0 and fires no warning.  pairs builds both
-    # and refuses the reaction, listing the warnings the build fired
+    # at its load and refuses the reaction, listing the warnings the build
+    # fired (inf - inf between overflowed samples)
     path = write_cfg(tmp_path, small_cfg(nonlinearity={"k": 800.0, "theta2": 5000.0}))
     monkeypatch.setattr(cli, "build_h", None)  # window must not call it
     assert run("window", path, out=str(tmp_path)) == 0
@@ -189,7 +190,25 @@ def test_window_leaves_the_stage_inputs_to_the_stages(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err.splitlines() == [
         "config error: Theta_lambda = nan: lam*h is not finite on [0, 2 theta2]",
         "warning: RuntimeWarning: overflow encountered in exp",
-        "warning: RuntimeWarning: invalid value encountered in multiply"]
+        "warning: RuntimeWarning: invalid value encountered in subtract"]
+
+
+def test_window_refuses_what_f3_refuses(tmp_path, capsys):
+    # t- = 0.530 > theta1 = 0.0602: f/t^gamma falls on [theta1, t-], so (f3)
+    # fails; the window reads the same monotone pieces and refuses the
+    # config before any stage runs
+    params = {"p": 1.663, "q": 1.935, "gamma": 0.512, "dim": 2, "radius": 1.438}
+    cfg = {"schema": "v1", "params": params, "grid": {"n": 64},
+           "nonlinearity": {"kind": "exp_saturating", "k": 30.19, "theta1": 0.0602,
+                            "theta2": 79.81}}
+    f3 = nonlinearity.validate(cli._build_spec(cfg), Params(lam=0.0, **params)).check("f3")
+    assert f3.witness["window_ok"] and not f3.passed
+    path = write_cfg(tmp_path, cfg)
+    for command in ("window", "pairs"):
+        assert run(command, path, out=str(tmp_path)) == 2
+        assert capsys.readouterr() == ("", "config error: truncated reaction decreases by "
+                                       "1.073e+00 on [theta1, theta2]; thresholds are "
+                                       "inadmissible\n")
 
 
 def test_warnings_of_the_build_are_recorded(tmp_path, capsys, monkeypatch):
@@ -421,7 +440,7 @@ def test_sweep_rows_ascend(tmp_path, capsys):
 
 
 def test_sweep_builds_h_once(tmp_path, capsys, monkeypatch):
-    # the window's h, built at lam = 0, is moved to every row's load
+    # h is built at the first row's load, lambda_*, and moved to the others
     real, loads = nonlinearity.build_h, []
 
     def counted(spec, params):
@@ -432,7 +451,28 @@ def test_sweep_builds_h_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(nonlinearity, "build_h", counted)
     cfg = small_cfg(sweep={"count": 3}, grid={"n": 64})
     assert run("sweep", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-    assert loads == [0.0]
+    assert loads == [json.loads((tmp_path / "sweep.json").read_text())["lambda_star"]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("radial", 1), ("barrier", 1), ("pairs", 1), ("solve", 1), ("certify", 1), ("sweep", 3),
+])
+def test_each_load_derives_theta_lambda_once(tmp_path, capsys, monkeypatch, command, loads):
+    # Theta_lambda is sampled on 10^4 points: a command derives it once per
+    # load, and sweep once per row
+    path = write_cfg(tmp_path, small_cfg(sweep={"count": 3}, grid={"n": 64}))
+    assert run("pairs", path, out=str(tmp_path)) == 0  # certify's input
+    real, seen = nonlinearity.choose_Theta_lambda, []
+
+    def counted(spec, params, h=None):
+        seen.append(params.lam)
+        return real(spec, params, h=h)
+
+    monkeypatch.setattr(nonlinearity, "choose_Theta_lambda", counted)
+    assert run(command, path, out=str(tmp_path), input_path=str(tmp_path / "pairs.csv"),
+               kind="subsolution") == 0
+    assert len(seen) == len(set(seen)) == loads
     capsys.readouterr()
 
 

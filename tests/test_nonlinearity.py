@@ -1,5 +1,6 @@
 """Reaction admissibility, the truncated bridge h, and the two shift choices."""
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -195,8 +196,8 @@ def test_bridge_running_minimum():
 
 @FAMILIES
 def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
-    # h does not depend on the load, so the CLI builds it once, at lam = 0
-    # for the window, and moves it from load to load
+    # h does not depend on the load, so the CLI builds it once and moves it
+    # from load to load (sweep: row to row)
     moved = build_h(spec, dataclasses.replace(PARAMS, lam=0.0)).at_load(0.7).at_load(PARAMS.lam)
     fresh = build_h(spec, PARAMS)
     t = np.concatenate([np.linspace(0.0, 2.0 * spec.theta2, 20001),
@@ -206,6 +207,7 @@ def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
     for name in ("Theta_lambda", "theta_star", "fbar", "spec", "params"):
         assert getattr(moved, name) == getattr(fresh, name), name
     assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS)
+    assert fresh.at_load(PARAMS.lam) is fresh  # nothing to derive at its own load
 
 
 def test_bridge_rejects_impossible_thresholds():
@@ -274,46 +276,66 @@ def test_choose_khat():
     assert choose_khat(spec, pr, t_max=4.0 * spec.theta2) >= k
 
 
-# ---------------------------------------------------------------- bounded search
+# ---------------------------------------------------------------- monotone pieces
 
-SHIPPED_SPECS = [
-    NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67, k=25.0, khat=60000.0),
-    NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=176.0, k=100.0),
-]
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("k", [25.0, 100.0])
+def test_exp_curve_turns_at_the_closed_form_roots(k, gamma):
+    # f/t^gamma turns where gamma (k + t)^2 = k^2 t: both roots to 50 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    g, kk = mp.mpf(gamma), mp.mpf(k)
+    want = sorted(mp.polyroots([g, 2 * g * kk - kk ** 2, g * kk ** 2], maxsteps=200,
+                               extraprec=200))
+    spec = exp_spec(k=k)
+    assert [rising for _, rising in spec.pieces(gamma)] == [False, True, False]
+    for (start, _), root in zip(spec.pieces(gamma)[1:], want):
+        assert abs(start - root) <= 2 * math.ulp(float(root))
 
 
-def _scipy_bounded(f, lo, hi, xatol):
-    from scipy.optimize import minimize_scalar
+def test_table_curve_turns_at_each_pieces_root():
+    # on f = a + b t the curve turns at gamma a / ((1 - gamma) b): here inside
+    # [1, 3] and [3, 7]; it falls on the constant stretch past the table
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    gamma = 0.3
+    spec = NonlinearitySpec(kind="table", theta1=1.0, theta2=7.0,
+                            table_t=(0.0, 1.0, 3.0, 7.0), table_f=(5.0, 4.0, 6.0, 7.5))
+    pieces = spec.pieces(gamma)
+    assert [(start, rising) for start, rising in pieces[::2]] == [
+        (0.0, False), (3.0, False), (7.0, False)]
+    g = mp.mpf(gamma)
+    for (start, rising), j in zip(pieces[1::2], (1, 2)):
+        t0, t1 = (mp.mpf(x) for x in spec.table_t[j:j + 2])
+        f0, f1 = (mp.mpf(x) for x in spec.table_f[j:j + 2])
+        b = (f1 - f0) / (t1 - t0)
+        root = g * (f0 - b * t0) / ((1 - g) * b)
+        assert rising and abs(start - root) <= 2 * math.ulp(float(root))
 
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return res.x, res.fun
+
+def test_exp_curve_falls_everywhere_below_k_4gamma():
+    assert exp_spec(k=1.9).pieces(0.5) == [(0.0, False)]
+    assert exp_spec(k=2.0).pieces(0.5) == [(0.0, False)]
 
 
-@pytest.mark.parametrize("spec", SHIPPED_SPECS)
-def test_fminbound_matches_scipy_on_shipped_brackets(spec):
-    # the bracket build_h refines: the grid argmin of the curve and its neighbours
-    curve = nonlinearity._curve(spec, PARAMS.gamma)
-    ts = np.geomspace(spec.theta1 * 1e-9, spec.theta1, 32768)
-    i0 = int(np.argmin(curve(ts)))
-    lo, hi = float(ts[i0 - 1]), float(ts[i0 + 1])
-    f = lambda t: float(curve(t))
-    xatol = 1e-13 * spec.theta1
-    x, fx = nonlinearity._fminbound(f, lo, hi, xatol)
-    want_x, want_f = _scipy_bounded(f, lo, hi, xatol)
-    assert x == want_x and fx == want_f
+@FAMILIES
+def test_bridge_is_the_running_minimum_on_a_dense_grid(spec):
+    # h is nondecreasing on [0, theta2], at most the curve, the curve itself
+    # above theta1, and below theta1 the minimum of the curve over [t, theta1]
     rx = build_h(spec, PARAMS)
-    assert (rx.theta_star, rx.fbar) == (x, fx)
-
-
-@pytest.mark.parametrize("f, lo, hi", [
-    (lambda t: (t - 0.3) ** 2, 0.0, 1.0),
-    (np.cos, 2.0, 4.5),
-    (lambda t: np.exp(t) - 2.0 * t, -1.0, 3.0),
-    (lambda t: abs(t - 0.7) ** 1.5 + 0.1 * t, 0.0, 2.0),
-    (lambda t: t ** 3, 1.0, 2.0),               # minimum at the lower bound
-    (lambda t: -np.log(t), 0.5, 5.0),           # minimum at the upper bound
-])
-@pytest.mark.parametrize("xatol", [1e-5, 1e-12])
-def test_fminbound_matches_scipy_on_synthetic(f, lo, hi, xatol):
-    g = lambda t: float(f(t))
-    assert nonlinearity._fminbound(g, lo, hi, xatol) == _scipy_bounded(g, lo, hi, xatol)
+    curve = lambda t: spec.f(t) / t ** PARAMS.gamma / 2.0
+    ts = np.concatenate([np.linspace(1e-9, spec.theta2, 200001),
+                         np.geomspace(1e-9, spec.theta1, 200001)])
+    ts.sort()
+    hv = rx.h(ts)
+    cv = curve(ts)
+    assert np.all(np.diff(hv) >= -2.0 * np.spacing(hv[1:]))
+    assert np.all(hv <= cv * (1.0 + 1e-14))
+    above = ts > spec.theta1
+    assert hv[above].tobytes() == cv[above].tobytes()
+    below = ~above
+    suffix = np.minimum.accumulate(cv[below][::-1])[::-1]
+    assert np.all(hv[below] <= suffix * (1.0 + 1e-14))
+    assert np.allclose(hv[below], suffix, rtol=1e-8, atol=0.0)
+    assert rx.h(0.0) == rx.fbar <= np.min(cv[below])  # power's infimum is 0, at 0+
+    assert rx.fbar == pytest.approx(float(np.min(cv[below])), rel=1e-8, abs=1e-9)
