@@ -28,6 +28,12 @@ above theta1, exactly over the curve's monotone pieces, and h(theta);
 only the stage commands build the bridge h below theta1, once, and
 derive Theta_lambda, sampled, once per load (sweep: per row).
 
+Each reaction assumption is checked once, where its inputs meet, so every
+command refuses a config the same way: the reaction record (f0) and (f1)
+(exit 1) and an overflowing e^k (exit 2), the window (f3) (exit 2), and
+the commands that build the comparison profile (radial, pairs, solve,
+each sweep row) (f4) at their load (exit 1).
+
 A `pqsing` process (`python -m pqsing` or the installed script) runs
 process_main: it flushes stdout and stderr after the command and ends
 without the interpreter's teardown.  main() and run() return their exit
@@ -91,8 +97,7 @@ _SCHEMA = "v1"
 _SECTIONS = {
     "schema": None,
     "params": {"p", "q", "gamma", "dim", "radius", "lambda"},
-    "nonlinearity": {"kind", "theta1", "theta2", "khat", "k", "m",
-                     "table_t", "table_f"},
+    "nonlinearity": {"kind", "theta1", "theta2", "khat", "k", "table_t", "table_f"},
     "grid": {"n"},
     "window": {"chi", "kappa", "theta"},
     "barrier": {"tau", "n", "p", "nu"},
@@ -171,8 +176,6 @@ def _build_spec(cfg: dict) -> NonlinearitySpec:
     )
     if kind == "exp_saturating":
         kw["k"] = _number(nl, "nonlinearity", "k", required=True)
-    elif kind == "power":
-        kw["m"] = _number(nl, "nonlinearity", "m", required=True)
     else:
         for key in ("table_t", "table_f"):
             col = nl.get(key)
@@ -374,16 +377,22 @@ def _cmd_window(env: _Env):
     return env.window.as_dict(), 0 if env.window.nonempty else 1
 
 
-def _radial(env: _Env, op: ds.DiscreteOperator):
+def _radial(env: _Env):
+    """The load's one grid, and the comparison profile on it with its claim,
+    once (f4) holds at the load: the gate of every command that builds the
+    profile (radial, pairs, solve, each sweep row)."""
+    from . import discrete_solver as ds
+
+    if not _self.validate(env.spec, env.params).ok:
+        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
+    op =ds.DiscreteOperator.from_params(env.params, env.n)
     profile = _self.solve_radial(env.reactions, env.window, op.grid)
     cert = _self.certify_radial_claim(profile, env.params, env.window)
-    return profile, cert
+    return op, profile, cert
 
 
 def _cmd_radial(env: _Env):
-    from . import discrete_solver as ds
-
-    profile, cert = _radial(env, ds.DiscreteOperator.from_params(env.params, env.n))
+    _op, profile, cert = _radial(env)
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
                (profile.phi.nodes, profile.phi.values, profile.phi_prime.values,
@@ -422,12 +431,7 @@ def _cmd_barrier(env: _Env):
 def _pairs(env: _Env):
     from . import discrete_solver as ds
 
-    failed = [c.name for c in _self.validate(env.spec, env.params).checks if not c.passed]
-    if failed:
-        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: "
-                                + ", ".join(failed))
-    op = ds.DiscreteOperator.from_params(env.params, env.n)  # the load's one grid
-    profile, rcert = _radial(env, op)
+    op, profile, rcert = _radial(env)
     pairs = ds.construct_pairs(env.reactions, env.window, profile, op)
     return op, profile, rcert, pairs
 

@@ -567,7 +567,7 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     """
     params, f = reactions.params, reactions.spec.f
     if not validate(reactions.spec, params).ok:
-        raise ConfigurationError("nonlinearity assumptions (f0)-(f4) do not hold")
+        raise ConfigurationError("nonlinearity assumption (f4) does not hold")
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
     lam, gamma = params.lam, params.gamma
 

@@ -2,9 +2,12 @@
 
 No numpy is imported here (the array methods f and f_prime import it in
 their bodies), so the load window runs in the standard library alone.
-The reaction's shape is read in closed form: `pieces` gives the monotone
-pieces of f(t)/t^gamma, from which the window's check, the bridge h and
-assumptions (f1)-(f3) are exact; nothing here samples a grid.
+`NonlinearitySpec` refuses what the reaction alone decides: (f0) f(0) > 0
+and (f1) f nondecreasing, so that every reaction it admits is positone,
+and a supremum of f that overflows.  Every admitted f is bounded, so
+(f2)/(f2') hold.  The reaction's shape is read in closed form: `pieces`
+gives the monotone pieces of f(t)/t^gamma, from which the window's check
+and the bridge h are exact; nothing here samples a grid.
 """
 from __future__ import annotations
 
@@ -12,11 +15,11 @@ import bisect
 import dataclasses
 import math
 
-from .errors import ConfigurationError, InfeasibleGeometry
+from .errors import ConfigurationError, FailedAssumptions, InfeasibleGeometry
 
 __all__ = ["Params", "NonlinearitySpec"]
 
-_KINDS = ("exp_saturating", "power", "table")
+_KINDS = ("exp_saturating", "table")
 _EXP_MAX = 709.782712893384  # log of the largest float: exp(x) is finite exactly up to it
 
 
@@ -59,10 +62,11 @@ class NonlinearitySpec:
     """A reaction family plus its thresholds.
 
     kinds:
-      exp_saturating  f(t) = exp(k t / (k + t)),  parameter k > 0
-      power           f(t) = t^m,                 parameter m > 0
+      exp_saturating  f(t) = exp(k t / (k + t)),  parameter 0 < k <= log of
+                      the largest float, so that sup f = e^k is finite
       table           piecewise-linear through (table_t, table_f),
-                      constant beyond the last abscissa
+                      constant beyond the last abscissa; table_f must be
+                      positive at 0 (f0) and nondecreasing (f1)
     For t < 0 every family evaluates to f(0).
     """
 
@@ -71,7 +75,6 @@ class NonlinearitySpec:
     theta2: float
     khat: float = 0.0
     k: float | None = None
-    m: float | None = None
     table_t: tuple[float, ...] | None = None
     table_f: tuple[float, ...] | None = None
 
@@ -85,9 +88,9 @@ class NonlinearitySpec:
         if self.kind == "exp_saturating":
             if self.k is None or self.k <= 0.0:
                 raise ConfigurationError("exp_saturating needs k > 0")
-        elif self.kind == "power":
-            if self.m is None or self.m <= 0.0:
-                raise ConfigurationError("power needs m > 0")
+            if self.k > _EXP_MAX:
+                raise ConfigurationError(f"exp_saturating needs k <= {_EXP_MAX}: sup f = e^k "
+                                         f"overflows at k = {self.k}")
         else:
             if not self.table_t or not self.table_f or len(self.table_t) != len(self.table_f):
                 raise ConfigurationError("table needs matching table_t/table_f")
@@ -96,9 +99,14 @@ class NonlinearitySpec:
                 if not all(map(math.isfinite, column)):
                     raise ConfigurationError(f"{name} must hold finite numbers, got {column}")
                 object.__setattr__(self, name, column)
-            ts = self.table_t
+            ts, fs = self.table_t, self.table_f
             if ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ConfigurationError("table_t must be strictly increasing and >= 0")
+            if fs[0] <= 0.0:
+                _refuse("f0", f"f(0) = table_f[0] = {fs[0]} is not positive")
+            decrease = max([a - b for a, b in zip(fs, fs[1:])], default=0.0)
+            if decrease > 0.0:
+                _refuse("f1", f"table_f decreases by {decrease}")
 
     def f(self, t):
         import numpy as np
@@ -107,47 +115,41 @@ class NonlinearitySpec:
         tpos = np.maximum(t_arr, 0.0)  # f(t) = f(0) for t < 0
         if self.kind == "exp_saturating":
             out = np.exp(self.k * tpos / (self.k + tpos))
-        elif self.kind == "power":
-            out = tpos ** self.m
         else:
             out = np.interp(tpos, self.table_t, self.table_f)
         return float(out) if t_arr.ndim == 0 else out
 
     def curve(self, t: float, gamma: float) -> float:
-        """f(t)/(2 t^gamma), h above theta1, at t > 0 in `math`; inf where f
-        overflows.  f's formulas (a table's as np.interp's): this agrees with
-        numpy's h to the rounding of exp and pow."""
+        """f(t)/(2 t^gamma), h above theta1, at t > 0 in `math`; inf where exp
+        overflows (k t/(k + t) may round past k for t >> k).  f's formulas (a
+        table's as np.interp's): this agrees with numpy's h to the rounding
+        of exp and pow."""
         if self.kind == "exp_saturating":
             x = self.k * t / (self.k + t)
             return (math.exp(x) if x <= _EXP_MAX else math.inf) / t ** gamma / 2.0
-        return self._f_at(t) / t ** gamma / 2.0
-
-    def _f_at(self, t: float) -> float:
-        if self.kind == "power":
-            try:
-                return t ** self.m
-            except OverflowError:
-                return math.inf
         ts, fs = self.table_t, self.table_f
         j = bisect.bisect_right(ts, t) - 1
         if j < 0 or j == len(ts) - 1 or ts[j] == t:
-            return fs[max(j, 0)]
-        return (fs[j + 1] - fs[j]) / (ts[j + 1] - ts[j]) * (t - ts[j]) + fs[j]
+            f = fs[max(j, 0)]
+        else:
+            f = (fs[j + 1] - fs[j]) / (ts[j + 1] - ts[j]) * (t - ts[j]) + fs[j]
+        return f / t ** gamma / 2.0
 
     def pieces(self, gamma: float) -> list:
         """The monotone pieces of c(t) = f(t)/t^gamma on (0, inf), in closed form.
 
         A list of (start, rising): each piece runs from its start to the next
-        one's (the last to inf), the first starts at 0, and neighbours
-        alternate.  A rising piece is nondecreasing, a falling one strictly
-        decreasing.  The sign of c' is that of t f'(t) - gamma f(t):
+        one's (the last to inf), the first starts at 0 and falls (f > 0
+        there), and neighbours alternate.  A rising piece is nondecreasing, a
+        falling one strictly decreasing.  The sign of c' is that of
+        t f'(t) - gamma f(t):
           exp_saturating  k^2 t - gamma (k + t)^2, with roots t- < t+ and
                           t- t+ = k^2; c falls everywhere when k <= 4 gamma
-          power           (m - gamma) t^m: c = t^(m - gamma) is monotone
-          table           on a piece f = a + b t, (1 - gamma) b t - gamma a,
-                          so at most one root; a constant stretch, also
-                          before the first and after the last abscissa,
-                          falls where f > 0
+          table           on a piece f = a + b t with b >= 0,
+                          (1 - gamma) b t - gamma a, so at most one root,
+                          where c turns from falling to rising; a constant
+                          stretch, also before the first and after the
+                          last abscissa, falls
         """
         if self.kind == "exp_saturating":
             k = self.k
@@ -156,22 +158,16 @@ class NonlinearitySpec:
             root = k * math.sqrt(k * (k - 4.0 * gamma))
             t_plus = (k * k - 2.0 * gamma * k + root) / (2.0 * gamma)
             return [(0.0, False), (k * k / t_plus, True), (t_plus, False)]
-        if self.kind == "power":
-            return [(0.0, self.m >= gamma)]
         ts, fs = self.table_t, self.table_f
-        raw = [(0.0, fs[0] <= 0.0)] if ts[0] > 0.0 else []
+        raw = [(0.0, False)] if ts[0] > 0.0 else []
         for t0, t1, f0, f1 in zip(ts, ts[1:], fs, fs[1:]):
             b = (f1 - f0) / (t1 - t0)
-            a = f0 - b * t0
-            if b == 0.0:
-                raw.append((t0, a <= 0.0))
-                continue
-            root = gamma * a / ((1.0 - gamma) * b)  # c' has the sign of -b before, +b after
+            root = gamma * (f0 - b * t0) / ((1.0 - gamma) * b) if b else math.inf
             if root > t0:
-                raw.append((t0, b < 0.0))
+                raw.append((t0, False))
             if root < t1:
-                raw.append((max(root, t0), b > 0.0))
-        raw.append((ts[-1], fs[-1] <= 0.0))
+                raw.append((max(root, t0), True))
+        raw.append((ts[-1], False))
         out = raw[:1]
         for start, rising in raw[1:]:
             if rising != out[-1][1]:
@@ -193,31 +189,27 @@ class NonlinearitySpec:
                     total += ha - hb
         return total
 
-    @property
-    def sup_f(self) -> float:
-        """sup f over t >= 0: e^k, inf, or the table's largest entry (inf
-        when e^k overflows)."""
-        if self.kind == "exp_saturating":
-            return math.exp(self.k) if self.k <= _EXP_MAX else math.inf
-        return math.inf if self.kind == "power" else max(self.table_f)
-
     def f_prime(self, t):
+        """f'(t): a table's is the slope of the segment [t_j, t_j+1) that
+        holds t, and 0 before the first and from the last abscissa on."""
         import numpy as np
 
         t_arr = np.asarray(t, dtype=float)
         tpos = np.maximum(t_arr, 0.0)
         if self.kind == "exp_saturating":
             out = np.exp(self.k * tpos / (self.k + tpos)) * self.k ** 2 / (self.k + tpos) ** 2
-        elif self.kind == "power":
-            out = self.m * tpos ** (self.m - 1.0)
         else:
-            step = 1e-6 * max(1.0, float(np.max(tpos)) if tpos.size else 1.0)
-            out = (np.interp(tpos + step, self.table_t, self.table_f)
-                   - np.interp(np.maximum(tpos - step, 0.0), self.table_t, self.table_f)) / (
-                np.minimum(tpos, step) + step)
+            ts = np.array(self.table_t)
+            slopes = np.concatenate(((0.0,), np.diff(self.table_f) / np.diff(ts), (0.0,)))
+            out = slopes[np.searchsorted(ts, tpos, side="right")]
         out = np.where(t_arr < 0.0, 0.0, out)
         return float(out) if t_arr.ndim == 0 else out
 
     @property
     def f0(self) -> float:
         return float(self.f(0.0))
+
+
+def _refuse(name: str, why: str):
+    raise FailedAssumptions(f"{why}: nonlinearity assumptions (f0)-(f4) failed validation: "
+                            f"{name}")

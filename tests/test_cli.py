@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsing import Params, cli, nonlinearity
+from pqsing import cli, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
 
@@ -156,15 +156,16 @@ def test_bad_theta_override_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("nonlinearity, message", [
-    ({"kind": "table", "table_t": [0, 1, 2], "table_f": [3, 2, 1]},
-     "truncated reaction decreases by 9.832e-01 on [theta1, theta2]; "
+    ({"kind": "table", "table_t": [0, 1, 2], "table_f": [3, 3, 3]},
+     "truncated reaction decreases by 1.450e+00 on [theta1, theta2]; "
      "thresholds are inadmissible"),
-    ({"k": 3000.0, "theta2": 1e5}, "h(theta) = inf is not finite at theta=9375.500000000002"),
+    ({"k": 3000.0, "theta2": 1e5},
+     "exp_saturating needs k <= 709.782712893384: sup f = e^k overflows at k = 3000.0"),
     ({"kind": "table", "table_t": [0, 1, float("nan")], "table_f": [1, 2, 3]},
      "table_t must hold finite numbers, got (0.0, 1.0, nan)"),
     ({"kind": "table", "table_t": [0, 1, 2], "table_f": [1, 2, float("inf")]},
      "table_f must hold finite numbers, got (1.0, 2.0, inf)"),
-], ids=["decreasing-table", "h-theta-overflows", "nan-table-t", "inf-table-f"])
+], ids=["flat-table", "h-theta-overflows", "nan-table-t", "inf-table-f"])
 def test_window_refuses_a_bad_reaction_with_exit_2(tmp_path, capsys, nonlinearity, message):
     # refused by the window's own checks: no report, no window.json, and no
     # numpy warning on stderr
@@ -175,34 +176,70 @@ def test_window_refuses_a_bad_reaction_with_exit_2(tmp_path, capsys, nonlinearit
 
 
 def test_window_leaves_the_stage_inputs_to_the_stages(tmp_path, capsys, monkeypatch):
-    # exp(800 t / (800 + t)) is finite up to theta2 = 5000 but overflows on
-    # [0, 2 theta2], where Theta_lambda samples h.  window builds neither h
-    # nor Theta_lambda: it exits 0 and fires no warning.  pairs builds both
-    # at its load and refuses the reaction, listing the warnings the build
-    # fired (inf - inf between overflowed samples)
-    path = write_cfg(tmp_path, small_cfg(nonlinearity={"k": 800.0, "theta2": 5000.0}))
+    # cfg_small without its khat fails (f4), which reads fhat at the load.
+    # window builds neither h nor fhat: it exits 0 and fires no warning.
+    # pairs builds both at its load and refuses the reaction
+    cfg = small_cfg()
+    del cfg["nonlinearity"]["khat"]
+    path = write_cfg(tmp_path, cfg)
     monkeypatch.setattr(cli, "build_h", None)  # window must not call it
     assert run("window", path, out=str(tmp_path)) == 0
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["warnings"] == []
     monkeypatch.undo()
-    assert run("pairs", path, out=str(tmp_path)) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: Theta_lambda = nan: lam*h is not finite on [0, 2 theta2]",
-        "warning: RuntimeWarning: overflow encountered in exp",
-        "warning: RuntimeWarning: invalid value encountered in subtract"]
+    assert run("pairs", path, out=str(tmp_path)) == 1
+    assert json.loads(capsys.readouterr().out)["error"].endswith("failed validation: f4")
+
+
+_F0 = "f(0) = table_f[0] = 0.0 is not positive: "
+_F1 = "table_f decreases by 0.5: "
+_OVERFLOW = "exp_saturating needs k <= 709.782712893384: sup f = e^k overflows at k = 800.0"
+
+
+@pytest.mark.parametrize("nonlinearity, codes, message", [
+    ({"kind": "table", "table_t": [0, 1, 100], "table_f": [0, 2, 200]}, (1, 1, 1),
+     _F0 + "nonlinearity assumptions (f0)-(f4) failed validation: f0"),
+    ({"kind": "table", "table_t": [0, 0.5, 1, 100], "table_f": [1, 0.5, 2, 300]}, (1, 1, 1),
+     _F1 + "nonlinearity assumptions (f0)-(f4) failed validation: f1"),
+    ({"kind": "exp_saturating", "k": 800.0, "theta2": 5000.0}, (2, 2, 2), _OVERFLOW),
+    ({"kind": "power", "m": 0.5}, (2, 2, 2), "unknown key(s) in nonlinearity: m"),
+    ({"kind": "power"}, (2, 2, 2),
+     "nonlinearity.kind must be one of exp_saturating/table, got 'power'"),
+    (None, (0, 1, 1), "nonlinearity assumptions (f0)-(f4) failed validation: f4"),
+], ids=["f0-table", "decreasing-table", "exp-overflows", "power", "power-without-m",
+        "no-khat"])
+def test_each_assumption_is_refused_alike_by_every_command(tmp_path, capsys, nonlinearity,
+                                                           codes, message):
+    # each reaction assumption is checked once, where its inputs meet, so
+    # window, radial and pairs refuse a config with one code and one error:
+    # (f0)/(f1) by the reaction record, an overflowing e^k as a config error,
+    # and (f4), which needs the load, by every command that builds the profile
+    cfg = small_cfg(grid={"n": 64})
+    if nonlinearity is None:
+        del cfg["nonlinearity"]["khat"]
+    else:
+        cfg["nonlinearity"] = {"theta1": 1.0, "theta2": 50.0, **nonlinearity}
+    path = write_cfg(tmp_path, cfg)
+    for command, code in zip(("window", "radial", "pairs"), codes):
+        assert run(command, path, out=str(tmp_path / command)) == code, command
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert (out, err) == ("", f"config error: {message}\n"), command
+        elif code == 1:
+            assert err == "" and json.loads(out) == {
+                "error": message, "kind": "failed_assumptions", "warnings": []}, command
+        else:
+            assert json.loads(out)["nonempty"]
 
 
 def test_window_refuses_what_f3_refuses(tmp_path, capsys):
     # t- = 0.530 > theta1 = 0.0602: f/t^gamma falls on [theta1, t-], so (f3)
-    # fails; the window reads the same monotone pieces and refuses the
-    # config before any stage runs
+    # fails; the window, (f3)'s one home, reads the curve's monotone pieces
+    # and refuses the config before any stage runs
     params = {"p": 1.663, "q": 1.935, "gamma": 0.512, "dim": 2, "radius": 1.438}
     cfg = {"schema": "v1", "params": params, "grid": {"n": 64},
            "nonlinearity": {"kind": "exp_saturating", "k": 30.19, "theta1": 0.0602,
                             "theta2": 79.81}}
-    f3 = nonlinearity.validate(cli._build_spec(cfg), Params(lam=0.0, **params)).check("f3")
-    assert f3.witness["window_ok"] and not f3.passed
     path = write_cfg(tmp_path, cfg)
     for command in ("window", "pairs"):
         assert run(command, path, out=str(tmp_path)) == 2
@@ -681,8 +718,8 @@ def test_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
 
 
 def test_failed_assumptions_are_named(tmp_path, capsys):
-    cfg = small_cfg(nonlinearity={"kind": "power", "m": 0.5, "theta1": 1.0,
-                                  "theta2": 890.67})
+    cfg = small_cfg(nonlinearity={"kind": "table", "table_t": [0, 1, 100],
+                                  "table_f": [0, 2, 200], "theta1": 1.0, "theta2": 50.0})
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "failed_assumptions"

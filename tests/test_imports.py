@@ -95,13 +95,24 @@ def test_window_loads_only_the_window_modules(tmp_path):
         0, {"errors", "records", "parameter_window", "cli"})
 
 
-@pytest.mark.parametrize("config", ["cfg_small.json", "cfg_reference.json"])
-def test_window_loads_no_numpy(tmp_path, config):
-    # the window is closed-form arithmetic in the standard library
-    args = ("window", "--config", str(ROOT / "scripts" / config),
-            "--out", str(tmp_path / "out"))
-    code, modules = loaded(tmp_path, *args)
-    assert code == 0 and not {m for m in modules if m.partition(".")[0] == "numpy"}
+@pytest.mark.parametrize("config, code", [
+    ("cfg_small.json", 0), ("cfg_reference.json", 0), (None, 1),
+], ids=["cfg_small.json", "cfg_reference.json", "f0-table"])
+def test_window_loads_no_numpy(tmp_path, config, code):
+    # the window is closed-form arithmetic in the standard library, and so
+    # are the reaction record's checks: a table with f(0) = 0 is refused
+    # with exit 1 before numpy loads
+    if config is None:
+        cfg = json.loads(SMALL.read_text())
+        cfg["nonlinearity"] = {"kind": "table", "theta1": 1.0, "theta2": 50.0,
+                               "table_t": [0, 1, 100], "table_f": [0, 2, 200]}
+        path = tmp_path / "f0_table.json"
+        path.write_text(json.dumps(cfg))
+    else:
+        path = ROOT / "scripts" / config
+    args = ("window", "--config", str(path), "--out", str(tmp_path / "out"))
+    got, modules = loaded(tmp_path, *args)
+    assert got == code and not {m for m in modules if m.partition(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("name, absent", [

@@ -18,7 +18,8 @@ from pqsing import (
     validate,
 )
 from pqsing import nonlinearity
-from pqsing.errors import BridgeNotMonotone, ConfigurationError
+from pqsing.errors import (BridgeNotMonotone, ConfigurationError, EmptyThetaRange,
+                           FailedAssumptions)
 
 PARAMS = Params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3)
 
@@ -41,7 +42,7 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         exp_spec(khat=-1.0)
     with pytest.raises(ConfigurationError):
-        NonlinearitySpec(kind="power", theta1=1.0, theta2=2.0)   # missing m
+        NonlinearitySpec(kind="power", theta1=1.0, theta2=2.0)   # no longer a kind
     with pytest.raises(ConfigurationError):
         NonlinearitySpec(kind="table", theta1=1.0, theta2=2.0,
                          table_t=(0.0, 1.0), table_f=(1.0,))
@@ -55,42 +56,56 @@ def test_families_evaluate():
     assert s.f0 == 1.0
     assert s.f(100.0) == pytest.approx(np.exp(50.0))
     assert s.f(-3.0) == s.f0                      # clamped below zero
-    p = NonlinearitySpec(kind="power", theta1=0.5, theta2=2.0, m=2.0)
-    assert p.f(3.0) == 9.0
-    assert p.f_prime(3.0) == pytest.approx(6.0)
     t = NonlinearitySpec(kind="table", theta1=0.5, theta2=2.0,
                          table_t=(0.0, 1.0, 2.0), table_f=(1.0, 3.0, 4.0))
     assert t.f(0.5) == pytest.approx(2.0)
     assert t.f(10.0) == 4.0                       # constant beyond the table
-    # derivative consistency on the smooth families
-    for sp, t0 in ((s, 7.0), (p, 1.3)):
-        fd = (sp.f(t0 + 1e-6) - sp.f(t0 - 1e-6)) / 2e-6
-        assert sp.f_prime(t0) == pytest.approx(fd, rel=1e-5)
+    # derivative consistency on the smooth family
+    fd = (s.f(7.0 + 1e-6) - s.f(7.0 - 1e-6)) / 2e-6
+    assert s.f_prime(7.0) == pytest.approx(fd, rel=1e-5)
+
+
+def test_table_slope_is_its_segments_wherever_it_is_read():
+    # each t reads the exact slope of the segment [t_j, t_j+1) that holds it,
+    # 0 before the first and from the last abscissa on, whatever else the
+    # array holds
+    spec = NonlinearitySpec(kind="table", theta1=1.0, theta2=50.0,
+                            table_t=(0.0, 1.0, 100.0), table_f=(1.0, 3.0, 200.0))
+    assert spec.f_prime(0.5) == 2.0
+    t = np.array([-1.0, 0.0, 0.5, 1.0, 50.0, 100.0, 1e6])
+    assert spec.f_prime(t).tolist() == [0.0, 2.0, 2.0, 197.0 / 99.0, 197.0 / 99.0, 0.0, 0.0]
+    late = NonlinearitySpec(kind="table", theta1=1.0, theta2=50.0,
+                            table_t=(2.0, 4.0), table_f=(1.0, 5.0))
+    assert late.f_prime(np.array([0.0, 1.0, 3.0, 4.0])).tolist() == [0.0, 0.0, 2.0, 0.0]
 
 
 # ---------------------------------------------------------------- validate
 
 def test_validate_reference_spec_ok():
+    # (f4) is the one assumption that needs the load: the spec checks (f0),
+    # (f1) and a bounded f, the window (f3)
     rep = validate(exp_spec(), PARAMS)
     assert rep.ok
-    assert {c.name for c in rep.checks} == {"f0", "f1", "f2", "f2prime", "f3", "f4"}
-    assert rep.passed("f3")
-    assert rep.check("f3").witness["F_theta2"] == pytest.approx(33.0)
+    assert {c.name for c in rep.checks} == {"f4"}
 
 
 def test_validate_rejects_decreasing_table():
-    bad = NonlinearitySpec(kind="table", theta1=0.5, theta2=2.0,
-                           table_t=(0.0, 1.0, 2.0), table_f=(2.0, 1.0, 1.0))
-    rep = validate(bad, PARAMS)
-    assert not rep.ok
-    assert not rep.passed("f1")
+    # (f1) is the reaction's alone: the spec refuses a decreasing table
+    with pytest.raises(FailedAssumptions, match=r"^table_f decreases by 1\.0: .* validation: f1$"):
+        NonlinearitySpec(kind="table", theta1=0.5, theta2=2.0,
+                         table_t=(0.0, 1.0, 2.0), table_f=(2.0, 1.0, 1.0))
+    with pytest.raises(FailedAssumptions, match=r"validation: f0$"):
+        NonlinearitySpec(kind="table", theta1=0.5, theta2=2.0,
+                         table_t=(0.5, 1.0), table_f=(0.0, 1.0))
 
 
-def test_validate_rejects_supercritical_power():
-    # t^3 grows faster than t^{q-1+gamma} = t^{2.5}
-    sup = NonlinearitySpec(kind="power", theta1=0.5, theta2=2.0, m=3.0)
-    rep = validate(sup, PARAMS)
-    assert not rep.passed("f2prime")
+def test_spec_refuses_an_overflowing_exp():
+    # sup f = e^k overflows above k = log(max float): a representability
+    # error, not a failed assumption; at the bound f is still finite
+    with pytest.raises(ConfigurationError, match=r"^exp_saturating needs k <= .*e\^k overflows"):
+        exp_spec(k=800.0)
+    edge = exp_spec(k=math.log(np.finfo(float).max))
+    assert math.isfinite(edge.f(1e6)) and edge.pieces(0.5)[0] == (0.0, False)
 
 
 def test_validate_f4_needs_khat_for_early_saturation():
@@ -107,9 +122,10 @@ def test_validate_f4_needs_khat_for_early_saturation():
 
 
 def test_validate_f3_window_failure():
-    # theta1 above min(theta2, F(theta2)) = 33 breaks the threshold window
-    rep = validate(exp_spec(theta1=40.0), PARAMS)
-    assert not rep.passed("f3")
+    # theta1 above min(theta2, F(theta2)) = 33 breaks the threshold window:
+    # compute_window, (f3)'s one home, refuses it
+    with pytest.raises(EmptyThetaRange, match=r"min\(theta2, F\(theta2\)\)=33\.0"):
+        compute_window(exp_spec(theta1=40.0), PARAMS)
 
 
 # ---------------------------------------------------------------- fhat
@@ -143,10 +159,12 @@ def _masked_fhat(spec, params, t):
 FAMILIES = pytest.mark.parametrize("spec", [
     exp_spec(),                                          # cfg_reference's reaction
     exp_spec(theta2=890.67, k=25.0, khat=6e4),           # cfg_small's
-    NonlinearitySpec(kind="power", theta1=1.0, theta2=5.0, m=1.5),
     NonlinearitySpec(kind="table", theta1=1.0, theta2=4.0,
                      table_t=(0.0, 1.0, 4.0), table_f=(1.0, 2.0, 9.0)),
-], ids=["exp_reference", "exp_small", "power", "table"])
+    NonlinearitySpec(kind="table", theta1=3.0, theta2=10.0,       # two local minima
+                     table_t=(0.5, 1.0, 2.0, 3.0, 10.0),          # below theta1, the
+                     table_f=(1.0, 3.0, 3.0, 4.0, 40.0)),         # first the lower
+], ids=["exp_reference", "exp_small", "table", "table_kinked"])
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.3])
@@ -244,14 +262,14 @@ def test_choose_theta_lambda_compensates():
 
 
 def test_choose_theta_lambda_refuses_an_overflowing_reaction():
-    # f = exp(800 t / (800 + t)) overflows below 2 theta2 = 1e4, so lam h
+    # f is bounded by e^k, but lam h overflows at a load of 1e308, so lam h
     # is not finite on the grid and no finite shift exists (build_h derives
     # Theta_lambda at its own load)
-    spec = exp_spec(k=800.0, theta2=5000.0)
+    huge = dataclasses.replace(PARAMS, lam=1e308)
     with np.errstate(all="ignore"):
         for build in (choose_Theta_lambda, build_h):
             with pytest.raises(ConfigurationError, match="Theta_lambda = nan: lam"):
-                build(spec, PARAMS)
+                build(exp_spec(), huge)
 
 
 def test_table_entries_must_be_finite():
@@ -295,12 +313,13 @@ def test_exp_curve_turns_at_the_closed_form_roots(k, gamma):
 
 def test_table_curve_turns_at_each_pieces_root():
     # on f = a + b t the curve turns at gamma a / ((1 - gamma) b): here inside
-    # [1, 3] and [3, 7]; it falls on the constant stretch past the table
+    # [1, 3] and [3, 7]; it falls on the constant stretches [0, 1] and past
+    # the table
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     gamma = 0.3
     spec = NonlinearitySpec(kind="table", theta1=1.0, theta2=7.0,
-                            table_t=(0.0, 1.0, 3.0, 7.0), table_f=(5.0, 4.0, 6.0, 7.5))
+                            table_t=(0.0, 1.0, 3.0, 7.0), table_f=(4.0, 4.0, 6.0, 7.5))
     pieces = spec.pieces(gamma)
     assert [(start, rising) for start, rising in pieces[::2]] == [
         (0.0, False), (3.0, False), (7.0, False)]
@@ -337,5 +356,5 @@ def test_bridge_is_the_running_minimum_on_a_dense_grid(spec):
     suffix = np.minimum.accumulate(cv[below][::-1])[::-1]
     assert np.all(hv[below] <= suffix * (1.0 + 1e-14))
     assert np.allclose(hv[below], suffix, rtol=1e-8, atol=0.0)
-    assert rx.h(0.0) == rx.fbar <= np.min(cv[below])  # power's infimum is 0, at 0+
+    assert rx.h(0.0) == rx.fbar <= np.min(cv[below])
     assert rx.fbar == pytest.approx(float(np.min(cv[below])), rel=1e-8, abs=1e-9)

@@ -144,11 +144,9 @@ def test_h_theta_is_build_h_bit_for_bit(config, pq):
 def _random_config(rng):
     theta1 = rng.uniform(0.1, 5.0)
     theta2 = theta1 * rng.uniform(5.0, 500.0)
-    kind = rng.choice(["exp_saturating", "power", "table"])
+    kind = rng.choice(["exp_saturating", "table"])
     if kind == "exp_saturating":
         spec = NonlinearitySpec(kind=kind, theta1=theta1, theta2=theta2, k=rng.uniform(1.0, 200.0))
-    elif kind == "power":
-        spec = NonlinearitySpec(kind=kind, theta1=theta1, theta2=theta2, m=rng.uniform(0.6, 3.0))
     else:
         ts = [0.0] + sorted(rng.uniform(0.0, 2.0 * theta2) for _ in range(5))
         fs = sorted(rng.uniform(0.5, 1e3) for _ in range(6))
@@ -165,9 +163,11 @@ def _random_config(rng):
 def test_h_theta_is_build_h_within_4_ulp():
     # numpy's vectorized exp and pow may round differently from libm: the
     # two agree to a few ulp, and every command reads the window's value
+    # (150 draws of the two families admit about as many configs as 100
+    # draws did when the power family, whose curve always rose, was a third)
     rng = random.Random(20261019)
     checked = 0
-    for _ in range(100):
+    for _ in range(150):
         spec, params = _random_config(rng)
         try:
             win = compute_window(spec, params)
