@@ -406,18 +406,17 @@ def conservation_residual(profile: BarrierProfile) -> float:
     return float(np.max(np.abs(resid[1:])))
 
 
-def certify_smallest_exponent(profile: BarrierProfile, p: float,
-                              tol: float | None = None) -> CertificateReport:
+def certify_smallest_exponent(profile: BarrierProfile, p: float) -> CertificateReport:
     """Check -d/dr (Xi')^{p-1} >= 0 at all cells, for a lower exponent p.
 
     Because Xi' is positive and decreasing, the p-flux inherits the sign of
     the q-flux derivative for every 1 < p <= q; the margins are the
-    per-cell decrements of (Xi')^{p-1} divided by the step.
+    per-cell decrements of (Xi')^{p-1} divided by the step, held to
+    -1e-12 max(1, tau^{p-1}).
     """
     if not (1.0 < p <= profile.q):
         raise ConfigurationError(f"need 1 < p <= q={profile.q}, got p={p}")
-    if tol is None:
-        tol = 1e-12 * max(1.0, profile.tau ** (p - 1.0))
+    tol = 1e-12 * max(1.0, profile.tau ** (p - 1.0))
     flux = profile.xi_prime.values ** (p - 1.0)
     margins = -np.diff(flux) / profile.xi.h
     passed = bool(np.min(margins) >= -tol)
@@ -468,11 +467,11 @@ class ScalingReport:
             "R_tau1", "R_tau2", "xi_max1", "xi_max2")}
 
 
-def _solve_past_blowdown(tau: float, q: float, gamma: float, n: int) -> BarrierProfile:
+def _solve_past_blowdown(tau: float, q: float, gamma: float) -> BarrierProfile:
     r_max = 1.02 * blowdown_radius(tau, q, gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BlowDown)
-        prof = solve_barrier(tau, q, gamma, r_max, n=n)
+        prof = solve_barrier(tau, q, gamma, r_max, n=4096)
     if prof.R_tau is None:  # pragma: no cover - r_max sits beyond blow-down
         raise ConfigurationError("blow-down not reached past its exact radius")
     return prof
@@ -491,22 +490,21 @@ def _identity_residual(prof: BarrierProfile, base: BarrierProfile,
                  / np.max(prof.xi.values))
 
 
-def check_scaling(tau1: float, tau2: float, q: float, gamma: float,
-                  n: int = 4096) -> ScalingReport:
+def check_scaling(tau1: float, tau2: float, q: float, gamma: float) -> ScalingReport:
     """Fit (a, b) in Xi_tau(r) = tau^a Xi_1(tau^b r) from computed profiles.
 
-    Solves each tau (and the tau=1 baseline) just past blow-down, fits the
-    amplitude exponent from log Xi_max and the argument exponent from
-    log R_tau, and reports sup-norm identity residuals for the fitted pair
-    and both closed-form candidates.
+    Solves each tau (and the tau=1 baseline) on 4096 cells just past
+    blow-down, fits the amplitude exponent from log Xi_max and the argument
+    exponent from log R_tau, and reports sup-norm identity residuals for the
+    fitted pair and both closed-form candidates.
     """
     _check_exponents(tau1, q, gamma)
     _check_exponents(tau2, q, gamma)
-    base = _solve_past_blowdown(1.0, q, gamma, n)
+    base = _solve_past_blowdown(1.0, q, gamma)
     profs = {1.0: base}
     for t in (tau1, tau2):
         if t not in profs:
-            profs[t] = _solve_past_blowdown(t, q, gamma, n)
+            profs[t] = _solve_past_blowdown(t, q, gamma)
     p1, p2 = profs[tau1], profs[tau2]
 
     taus = np.array(sorted(profs))
@@ -541,38 +539,35 @@ def check_scaling(tau1: float, tau2: float, q: float, gamma: float,
     )
 
 
-def minimal_M(lam: float, beta: float, q: float, gamma: float) -> float:
-    """Smallest amplitude (floored at 1) with beta * M^{q-1+gamma} >= lam."""
-    if beta <= 0.0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+def minimal_M(lam: float, q: float, gamma: float) -> float:
+    """Smallest amplitude (floored at 1) with M^{q-1+gamma} >= lam."""
     if lam < 0.0:
         raise ConfigurationError(f"lam must be nonnegative, got {lam}")
-    return max(1.0, (lam / beta) ** (1.0 / (q - 1.0 + gamma)))
+    return max(1.0, lam ** (1.0 / (q - 1.0 + gamma)))
 
 
 def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
-                                  M_lambda: float, alpha: float = 1.0,
-                                  beta: float = 1.0, nu: float | None = None,
-                                  tol: float = 1e-10) -> CertificateReport:
-    """Certify -L^{alpha,beta} w >= lam / w^gamma for w = M * Xi(R - r) on a collar.
+                                  M_lambda: float, nu: float | None = None) -> CertificateReport:
+    """Certify -L w >= lam / w^gamma for w = M * Xi(R - r) on a collar.
 
     The collar is {R - nu < r < R}.  Admissibility of nu is the condition
 
-        Xi(nu)^{-gamma} >= (1/2) * ||D|| * tau^{p-1} (beta tau^{q-p} + alpha),
+        Xi(nu)^{-gamma} >= (1/2) * ||D|| * tau^{p-1} (tau^{q-p} + 1),
 
     with ||D|| = (N-1)/(R-nu) the worst boundary-distance Laplacian on the
     collar; otherwise CollarTooWide.  The operator value at each node uses
     the profile identities
 
-        -L w = beta M^{q-1} [Xi^{-g} + (N-1) Xi'^{q-1}/r]
-             + alpha M^{p-1} [(p-1)/(q-1) Xi'^{p-q} Xi^{-g} + (N-1) Xi'^{p-1}/r]
+        -L w = M^{q-1} [Xi^{-g} + (N-1) Xi'^{q-1}/r]
+             + M^{p-1} [(p-1)/(q-1) Xi'^{p-q} Xi^{-g} + (N-1) Xi'^{p-1}/r]
 
     (all four terms nonnegative on the ball), where the only numerical
     input is the computed (Xi, Xi') pair -- honest to the profile's own
     conservation defect and immune to the O(h^{-gamma}) noise a divided
     difference would pick up against the singular edge.  A divided-
     difference cross-check is still run away from the edge (s >= 16h) and
-    recorded in detail as ``fd_agreement``; it does not gate the pass.
+    recorded in detail as ``fd_agreement``; it does not gate the pass.  A
+    margin passes down to -1e-10 max(1, lam / w^gamma).
     """
     p, q, gamma, N, R, lam = (params.p, params.q, params.gamma,
                               params.dim, params.radius, params.lam)
@@ -580,8 +575,8 @@ def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
         raise ConfigurationError(
             f"profile solved for (q={profile.q}, gamma={profile.gamma}) but "
             f"params carry (q={q}, gamma={gamma})")
-    if M_lambda <= 0.0 or alpha <= 0.0 or beta <= 0.0:
-        raise ConfigurationError("M_lambda, alpha, beta must all be positive")
+    if M_lambda <= 0.0:
+        raise ConfigurationError("M_lambda must be positive")
     tau = profile.tau
     s_nodes = profile.xi.nodes
     cover = s_nodes[-1] if profile.R_tau is None else min(s_nodes[-1], profile.R_tau)
@@ -595,11 +590,11 @@ def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
 
     norm_dd = (N - 1.0) / (R - nu)
     cond_lhs = float(profile.value(nu)) ** (-gamma)
-    cond_rhs = 0.5 * norm_dd * tau ** (p - 1.0) * (beta * tau ** (q - p) + alpha)
+    cond_rhs = 0.5 * norm_dd * tau ** (p - 1.0) * (tau ** (q - p) + 1.0)
     if cond_lhs < cond_rhs * (1.0 - 1e-12):
         raise CollarTooWide(
             f"1/Xi^gamma(nu) = {cond_lhs:.6g} < {cond_rhs:.6g} "
-            f"= ||D|| tau^(p-1)(beta tau^(q-p)+alpha)/2 at nu={nu:.6g}")
+            f"= ||D|| tau^(p-1)(tau^(q-p)+1)/2 at nu={nu:.6g}")
 
     sel = (s_nodes > 0.0) & (s_nodes <= nu * (1.0 + 1e-12))
     s = s_nodes[sel]
@@ -608,12 +603,13 @@ def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
     r = R - s
     Mq = M_lambda ** (q - 1.0)
     Mp = M_lambda ** (p - 1.0)
-    op_val = (beta * Mq * (x ** (-gamma) + (N - 1.0) * xp ** (q - 1.0) / r)
-              + alpha * Mp * ((p - 1.0) / (q - 1.0) * xp ** (p - q) * x ** (-gamma)
-                              + (N - 1.0) * xp ** (p - 1.0) / r))
+    op_val = (Mq * (x ** (-gamma) + (N - 1.0) * xp ** (q - 1.0) / r)
+              + Mp * ((p - 1.0) / (q - 1.0) * xp ** (p - q) * x ** (-gamma)
+                      + (N - 1.0) * xp ** (p - 1.0) / r))
     reaction = lam * (M_lambda * x) ** (-gamma)
     margins = op_val - reaction
     scale = np.maximum(1.0, reaction)
+    tol = 1e-10
     passed = bool(np.all(margins >= -tol * scale))
 
     # divided-difference cross-check away from the singular edge
@@ -628,8 +624,8 @@ def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
         r_at = R - s_nodes[chk]
         r_plus = r_at + 0.5 * h                        # half node toward origin-facing side
         r_minus = r_at - 0.5 * h
-        F_plus = lpq_scalar(d_lo, params, alpha, beta)   # flux at r+h/2 is -F(d_lo); signs folded below
-        F_minus = lpq_scalar(d_hi, params, alpha, beta)
+        F_plus = lpq_scalar(d_lo, params)   # flux at r+h/2 is -F(d_lo); signs folded below
+        F_minus = lpq_scalar(d_hi, params)
         fd_val = (r_plus ** (N - 1.0) * F_plus - r_minus ** (N - 1.0) * F_minus) \
             / (h * r_at ** (N - 1.0))
         ana = np.interp(s_nodes[chk], s, op_val)
@@ -640,9 +636,9 @@ def certify_barrier_supersolution(profile: BarrierProfile, params: Params,
         tolerance=float(tol),
         detail={
             "nu": float(nu), "M_lambda": float(M_lambda),
-            "alpha": float(alpha), "beta": float(beta), "lam": float(lam),
+            "lam": float(lam),
             "collar_condition_lhs": cond_lhs, "collar_condition_rhs": cond_rhs,
-            "amplitude_ok": bool(beta * M_lambda ** (q - 1.0 + gamma) >= lam * (1.0 - 1e-12)),
+            "amplitude_ok": bool(M_lambda ** (q - 1.0 + gamma) >= lam * (1.0 - 1e-12)),
             "n_collar_nodes": int(len(s)),
             "min_margin": float(np.min(margins)),
             "fd_agreement": fd_agreement,

@@ -385,7 +385,7 @@ def _radial(env: _Env):
 
     if not _self.validate(env.spec, env.params).ok:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
-    op =ds.DiscreteOperator.from_params(env.params, env.n)
+    op = ds.DiscreteOperator.from_params(env.params, env.n)
     profile = _self.solve_radial(env.reactions, env.window, op.grid)
     cert = _self.certify_radial_claim(profile, env.params, env.window)
     return op, profile, cert
@@ -413,7 +413,7 @@ def _cmd_barrier(env: _Env):
                                   r_max=env.params.radius, n=env.barrier_n)
     audit = _self.conservation_residual(profile)
     exp_cert = _self.certify_smallest_exponent(profile, env.barrier_p)
-    M = _self.minimal_M(env.lam, 1.0, env.params.q, env.params.gamma)
+    M = _self.minimal_M(env.lam, env.params.q, env.params.gamma)
     sup_cert = _self.certify_barrier_supersolution(profile, env.params, M, nu=env.barrier_nu)
     _write_csv(env.outdir / "barrier.csv", ("s", "xi", "xi_prime"),
                (profile.xi.nodes, profile.xi.values, profile.xi_prime.values))

@@ -9,11 +9,11 @@ load's DerivedReactions (its one copy of Params and reaction), and refuses
 a grid function that lives elsewhere or an operator of other exponents or
 geometry.  All nonlinear systems go through one damped-Newton core, whose
 tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
-The constant-load problems behind both pairs -- w_eta, and u_alpha, u_beta*
-of the paper's weighted -L^{alpha,beta} -- need no Newton: the flux form
-gives their exact discrete solution by two cumulative sums (_load_solution;
-the weights enter only in _load_sums, whose last sum alone is the norm the
-m probes read), checked once per load where a reported margin relies on it.
+The constant-load problems behind both pairs -- w_eta, u_up and v_up, each
+a plain solve of -L u = const -- need no Newton: the flux form gives their
+exact discrete solution by two cumulative sums (_load_solution, or
+_flux_solution from fluxes at hand, whose value at node 0 is the norm the m
+probes read), checked once per load where a reported margin relies on it.
 The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
 node by node from u(0) (march); u3 is the root of u_n between u1(0) and
 u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ConvergenceFailure,
+    FailedAssumptions,
     IterationBudget,
     IterationStall,
     MonotonicityViolation,
@@ -415,28 +416,23 @@ def _load_flux(op: DiscreteOperator, rhs) -> np.ndarray:
     return -np.cumsum(op.vol * rhs) / op.area
 
 
-def _load_sums(op: DiscreteOperator, flux: np.ndarray, alpha: float,
-               beta: float) -> np.ndarray:
-    """Sums of the gradients g = F^{-1}(flux) from node n-1 down to node i,
-    in reverse node order, for F = alpha L_p + beta L_q: the one place the
-    weights of the auxiliary problems -L^{alpha,beta} u = 1 enter.  u_i is
-    -h times the sum from i."""
-    return np.cumsum(lpq_inverse(flux, op.params, alpha, beta)[::-1])
-
-
-def _load_solution(op: DiscreteOperator, rhs, alpha: float = 1.0,
-                   beta: float = 1.0) -> np.ndarray:
-    """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular
-    or theta term), with the flux F = alpha L_p + beta L_q.
-
-    _load_flux gives the fluxes, lpq_inverse the gradients, and a reverse
-    cumulative sum from the Dirichlet node the values (_load_sums).  This
-    is the discrete analogue of the divergence theorem on the ball, exact up
-    to rounding, so Newton accepts it without taking a step.
-    """
+def _flux_solution(op: DiscreteOperator, flux: np.ndarray) -> np.ndarray:
+    """The grid function, u_n = 0, whose fluxes at the n half nodes are
+    `flux`: lpq_inverse gives the gradients g = F^{-1}(flux), and u_i is -h
+    times their sum from node n-1 down to node i, a reverse cumulative sum
+    from the Dirichlet node."""
     u = np.zeros(op.n + 1)
-    u[:-1] = -op.h * _load_sums(op, _load_flux(op, rhs), alpha, beta)[::-1]
+    u[:-1] = -op.h * np.cumsum(lpq_inverse(flux, op.params)[::-1])[::-1]
     return u
+
+
+def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
+    """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular
+    or theta term): the _flux_solution of _load_flux's fluxes.  This is the
+    discrete analogue of the divergence theorem on the ball, exact up to
+    rounding, so Newton accepts it without taking a step.
+    """
+    return _flux_solution(op, _load_flux(op, rhs))
 
 
 def _check_exact(op: DiscreteOperator, u: np.ndarray, rhs: float, what: str) -> None:
@@ -553,21 +549,28 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
                      fit_under: GridFunction | None = None, dominate: GridFunction | None = None):
     """Outer pair: u0 = w_eta (small) and u_up = alpha_* u_alpha (large).
 
-    w_eta solves -L w = eta and u_alpha solves -L^{alpha,1} u = 1 with
-    alpha = alpha_*^{p-q}, both by _load_solution.  eta is halved until
-    eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes w_eta a strict
-    subsolution with margin chi_low; chi_low takes -L w_eta = eta as exact,
-    which is checked once, at the accepted eta.  alpha_* is doubled until
-    the smallness condition lam f(alpha_*||u_alpha||) <= alpha_*^{q+gamma-1}
-    holds AND the pointwise supersolution certificate has a positive margin
-    chi_high (the scalar condition alone controls only the sup norm; the
-    grid's near-boundary nodes need the extra doublings).  `fit_under` /
-    `dominate` tighten the searches so the pair brackets a given inner pair.
-    u_up needs no exactness check: its certificate is pointwise.
+    Both are plain constant-load solves by _load_solution: w_eta of -L w =
+    eta, u_up of -L u = alpha_*^{q-1}.  The paper's u_alpha solves the
+    weighted -L^{alpha,1} u = 1 with alpha = alpha_*^{p-q}; as L(s t) =
+    s^{q-1} (s^{p-q} L_p(t) + L_q(t)) = s^{p-1} (L_p(t) + s^{q-p} L_q(t)),
+    alpha_* u_alpha is the plain solve at load alpha_*^{q-1}, and the second
+    pair's m u_{beta*} (beta* = m^{q-p}) the plain solve at m^{p-1}.
+
+    eta is halved until eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes
+    w_eta a strict subsolution with margin chi_low; chi_low takes -L w_eta =
+    eta as exact, which is checked once, at the accepted eta.  alpha_* is
+    doubled until the smallness condition lam f(alpha_*||u_alpha||) <=
+    alpha_*^{q+gamma-1} holds AND the pointwise supersolution certificate
+    has a positive margin chi_high (the scalar condition alone controls only
+    the sup norm; the grid's near-boundary nodes need the extra doublings).
+    `fit_under` / `dominate` tighten the searches so the pair brackets a
+    given inner pair.  Out of doublings, SearchExhausted names the conditions
+    the last try failed (and u_up's worst node, if pointwise).  u_up needs
+    no exactness check: its certificate is pointwise.
     """
     params, f = reactions.params, reactions.spec.f
     if not validate(reactions.spec, params).ok:
-        raise ConfigurationError("nonlinearity assumption (f4) does not hold")
+        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
     lam, gamma = params.lam, params.gamma
 
@@ -606,13 +609,10 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
             break
         alpha_star *= 2.0
 
-    u_up = None
-    chi_high = None
     for _ in range(_GEOM_BUDGET):
-        ua = _load_solution(op, 1.0, alpha_star ** (params.p - params.q), 1.0)
-        norm = float(np.max(ua))
-        scalar_ok = lam * float(f(alpha_star * norm)) <= alpha_star ** (params.q + gamma - 1.0)
-        U = alpha_star * ua
+        U = _load_solution(op, alpha_star ** (params.q - 1.0))
+        top = float(np.max(U))
+        scalar_ok = lam * float(f(top)) <= alpha_star ** (params.q + gamma - 1.0)
         margins = _unshifted(reactions, op, U)[0]
         point_ok = bool(np.min(margins) > 0.0)
         dom_ok = dominate is None or bool(np.all(U[:-1] >= dominate.values[:-1] * (1.0 + 1e-9)))
@@ -622,7 +622,11 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
             break
         alpha_star *= 2.0
     else:
-        raise SearchExhausted("first pair: no admissible alpha_* within the doubling budget")
+        failed = [name for name, ok in (("scalar", scalar_ok), ("pointwise", point_ok),
+                                        ("domination", dom_ok)) if not ok]
+        worst = "" if point_ok else f" (u_up's worst margin at node {int(np.argmin(margins))})"
+        raise SearchExhausted("first pair: no admissible alpha_* within the doubling budget; "
+                              f"last failed: {', '.join(failed)}{worst}")
 
     u0 = GridFunction(op.grid, w)
     if np.any(u0.values[:-1] > u_up.values[:-1]):
@@ -632,7 +636,7 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
         "alpha_star": float(alpha_star),
         "chi_low": chi_low,
         "chi_high": chi_high,
-        "u_alpha_norm": norm,
+        "u_alpha_norm": top / alpha_star,
     }
     return u0, u_up, margins
 
@@ -641,17 +645,17 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
                       profile: RadialProfile, op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
-    u_beta solves -L^{1,beta} u = 1 with beta = m^{q-p}, by _load_solution.
-    The probes of m read only C = ||u_beta|| = u_beta(0): one lpq_inverse of
-    the load's fluxes, shared by every probe, and one sum each; only the
-    chosen m's profile is built.  m is located by two
-    bisections: the growth condition m^{p-1+gamma} >= lam f(m C)
-    (C = ||u_{beta*}||) gives the lower edge m_min, the cap m C <= theta1
-    gives the upper edge m_max; their geometric mean is used.  The
-    supersolution margin eps_high is the slack in those two scalar
-    inequalities -- the paper's own certificate for v_up.  It takes
-    v_up = m u_{beta*} as an exact solution of -L v = m^{p-1} (by scaling),
-    which is checked once, at the chosen m.  The raw
+    v_up is the plain solve of -L v = m^{p-1} (the paper's m u_{beta*}, by
+    the scaling identity of build_first_pair).  Its fluxes are m^{p-1} times
+    the unit load's, which every probe of m shares; a probe reads only
+    v_m(0) = m C(m), C = ||u_{beta*}||, and the chosen m's v_up(0) is the
+    same bits.  m is located by two bisections: the growth condition
+    m^{p-1+gamma} >= lam f(m C) gives the lower edge m_min, the cap
+    m C <= theta1 gives the upper edge m_max; their geometric mean is used.
+    The supersolution margin eps_high is the slack in those two scalar
+    inequalities -- the paper's own certificate for v_up.  It takes v_up as
+    an exact solution of -L v = m^{p-1}, which is checked once, at the
+    chosen m.  The raw
     pointwise singular margin is negative on the last boundary cells at any
     admissible m (the cap forbids compensating the (R-r)^{-gamma} blow-up);
     its worst value is recorded as collar_deficit, not asserted.
@@ -672,18 +676,18 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
     flux = _load_flux(op, 1.0)
     cache: dict[float, float] = {}
 
-    def norm(m: float) -> float:
-        # the load is positive, so every flux is < 0 and u_beta decreases:
-        # its max is u_beta(0), -h times the last sum, the profile's own bits
+    def top(m: float) -> float:
+        # the load is positive, so every flux is < 0 and v_m decreases: its
+        # max m C(m) is v_m(0)
         if m not in cache:
-            cache[m] = float(-op.h * _load_sums(op, flux, 1.0, m ** (q - p))[-1])
+            cache[m] = float(_flux_solution(op, m ** (p - 1.0) * flux)[0])
         return cache[m]
 
     def cond_growth(m: float) -> bool:   # true from m_min upward
-        return m ** (p - 1.0 + gamma) >= lam * float(f(m * norm(m)))
+        return m ** (p - 1.0 + gamma) >= lam * float(f(top(m)))
 
     def cond_cap(m: float) -> bool:      # true up to m_max
-        return m * norm(m) <= theta1
+        return top(m) <= theta1
 
     def bisect(cond, lo, hi, rising):
         # cond flips once between lo and hi; returns the edge
@@ -737,12 +741,10 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
     if not (cond_growth(m) and cond_cap(m)):
         raise SearchExhausted("second pair: bisection landed outside the admissible interval")
 
-    c_norm = norm(m)
-    v_up = GridFunction(op.grid, m * _load_solution(op, 1.0, 1.0, m ** (q - p)))
-    _check_exact(op, v_up.values, m ** (p - 1.0),
-                 "second pair: v_up = m u_beta misses -L v = m^(p-1)")
-    eps_cap = theta1 - m * c_norm
-    eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(m * c_norm))
+    v_up = GridFunction(op.grid, _flux_solution(op, m ** (p - 1.0) * flux))
+    _check_exact(op, v_up.values, m ** (p - 1.0), "second pair: v_up misses -L v = m^(p-1)")
+    eps_cap = theta1 - top(m)
+    eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(top(m)))
     collar_deficit = float(np.min(_unshifted(reactions, op, v_up.values)[0]))
 
     # --- v0 = psi ------------------------------------------------------------
@@ -766,7 +768,7 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
         "m_min": float(m_min),
         "m_max": float(m_max),
         "beta_star": float(m ** (q - p)),
-        "u_beta_norm": c_norm,
+        "u_beta_norm": top(m) / m,
         "eps_low": eps_low,
         "eps_cap": float(eps_cap),
         "eps_growth": float(eps_growth),

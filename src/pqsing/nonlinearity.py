@@ -199,17 +199,15 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
     return _at_load(spec, params, theta_star, fbar, h)
 
 
-def choose_Theta_lambda(spec: NonlinearitySpec, params: Params,
-                        h: Callable | None = None) -> float:
-    """Smallest Theta >= 0 making g(t) = lam h(t) + Theta L_{p,q}(t) grid-nondecreasing.
+def choose_Theta_lambda(spec: NonlinearitySpec, params: Params, h: Callable) -> float:
+    """Smallest Theta >= 0 making g(t) = lam h(t) + Theta L_{p,q}(t) grid-nondecreasing,
+    for build_h's load-free bridge h.
 
     Sampled on 10^4 points of [0, 2 theta2].  Since L is strictly
     increasing, the grid-optimal value is read off directly as
     max(0, max(-lam dh / dL)); values beyond _THETA_CAP, or not finite,
     signal a misconfigured reaction.
     """
-    if h is None:
-        h = build_h(spec, params).h
     grid = np.linspace(0.0, 2.0 * spec.theta2, 10001)
     hv = params.lam * np.asarray(h(grid), dtype=float)
     Lv = lpq_scalar(grid, params)

@@ -4,9 +4,8 @@ The building block everywhere else is the strictly increasing odd map
 
     L_{p,q}(t) = |t|^{p-2} t + |t|^{q-2} t,       1 < p < q,
 
-its weighted variant  alpha|t|^{p-2}t + beta|t|^{q-2}t, their inverses,
-and the two-point monotonicity gaps that serve as numerical ground truth
-for the vector-field inequalities.
+its inverse, and the two-point monotonicity gaps that serve as numerical
+ground truth for the vector-field inequalities.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ __all__ = ["Params", "lpq_scalar", "lpq_derivative", "lpq_inverse", "simon_const
            "simon_gap", "simon_gap_sum"]
 
 
-def lpq_scalar(t, params: Params, alpha: float = 1.0, beta: float = 1.0):
-    """alpha|t|^{p-2}t + beta|t|^{q-2}t, continued by 0 at t = 0.
+def lpq_scalar(t, params: Params):
+    """|t|^{p-2}t + |t|^{q-2}t, continued by 0 at t = 0.
 
     Since p-1 > 0 the map has no singularity at the origin even for
     p < 2; sign(t)|t|^{p-1} realizes the continuous continuation.
@@ -28,37 +27,37 @@ def lpq_scalar(t, params: Params, alpha: float = 1.0, beta: float = 1.0):
     """
     t_arr = np.asarray(t, dtype=float)
     at = np.abs(t_arr)
-    out = np.sign(t_arr) * (alpha * at ** (params.p - 1.0) + beta * at ** (params.q - 1.0))
+    out = np.sign(t_arr) * (at ** (params.p - 1.0) + at ** (params.q - 1.0))
     return float(out) if t_arr.ndim == 0 else out
 
 
 def lpq_derivative(t, params: Params, floor: float = 0.0):
-    """d/dt of the unweighted lpq_scalar.  `floor` clips |t| from below (Jacobian
+    """d/dt of lpq_scalar.  `floor` clips |t| from below (Jacobian
     regularization for p < 2; the residual itself is never clipped)."""
     at = np.maximum(np.abs(np.asarray(t, dtype=float)), floor)
     out = (params.p - 1.0) * at ** (params.p - 2.0) + (params.q - 1.0) * at ** (params.q - 2.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float) -> np.ndarray:
-    """Solve alpha t^{p-1} + beta t^{q-1} = s elementwise for s > 0, t > 0."""
+def _inverse_positive(s: np.ndarray, params: Params) -> np.ndarray:
+    """Solve t^{p-1} + t^{q-1} = s elementwise for s > 0, t > 0."""
     p1 = params.p - 1.0
     q1 = params.q - 1.0
 
     def F(t):
-        return alpha * t ** p1 + beta * t ** q1
+        return t ** p1 + t ** q1
 
     if q1 == 2.0 * p1:
-        # x = t^{p-1} solves beta x^2 + alpha x = s; this root form has no
-        # cancellation, and hypot keeps alpha^2 + 4 beta s from overflowing
-        disc = np.hypot(alpha, 2.0 * np.sqrt(beta) * np.sqrt(s))
-        t = (s / (0.5 * (alpha + disc))) ** (1.0 / p1)
+        # x = t^{p-1} solves x^2 + x = s; this root form has no
+        # cancellation, and hypot keeps 1 + 4 s from overflowing
+        disc = np.hypot(1.0, 2.0 * np.sqrt(s))
+        t = (s / (0.5 * (1.0 + disc))) ** (1.0 / p1)
     else:
         # a bracket term can overflow (the smaller one stays finite), and a
         # root that underflows to t = 0 makes t^{p-2} infinite for p < 2
         # (its Newton step is then 0)
         with np.errstate(over="ignore", divide="ignore"):
-            t = _inverse_iterative(s, F, p1, q1, alpha, beta)
+            t = _inverse_iterative(s, F, p1, q1)
     # relative to s itself: an absolute floor would pass any t with F(t)
     # below it, however wrong for a tiny load.  A root below the smallest
     # normal float underflows (to a subnormal or 0) and cannot meet a
@@ -73,14 +72,14 @@ def _inverse_positive(s: np.ndarray, params: Params, alpha: float, beta: float) 
     return t
 
 
-def _inverse_iterative(s, F, p1, q1, alpha, beta):
-    # bracket: the root lies above min(t1, t2), t1 = (s/2a)^{1/(p-1)} and
-    # t2 = (s/2b)^{1/(q-1)}, where one term alone contributes exactly s/2; and
+def _inverse_iterative(s, F, p1, q1):
+    # bracket: the root lies above min(t1, t2), t1 = (s/2)^{1/(p-1)} and
+    # t2 = (s/2)^{1/(q-1)}, where one term alone contributes exactly s/2; and
     # below each one-term inverse, where one term alone is already s.  The
     # smaller one-term inverse is finite whenever either is, so the bracket
     # does not overflow.
-    lo = np.minimum((s / (2.0 * alpha)) ** (1.0 / p1), (s / (2.0 * beta)) ** (1.0 / q1))
-    hi = np.minimum((s / alpha) ** (1.0 / p1), (s / beta) ** (1.0 / q1))
+    lo = np.minimum((s / 2.0) ** (1.0 / p1), (s / 2.0) ** (1.0 / q1))
+    hi = np.minimum(s ** (1.0 / p1), s ** (1.0 / q1))
     # geometric bisection: the bracket ratio can be astronomically wide for
     # extreme s, but its logarithm shrinks by half each step
     for _ in range(90):
@@ -97,7 +96,7 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta):
         high = f > 0
         hi = np.where(high, t, hi)
         lo = np.where(high, lo, t)
-        df = alpha * p1 * t ** (p1 - 1.0) + beta * q1 * t ** (q1 - 1.0)
+        df = p1 * t ** (p1 - 1.0) + q1 * t ** (q1 - 1.0)
         step = f / df
         t_new = t - step
         # a step onto the bracket end it came from is the converged root,
@@ -115,35 +114,33 @@ def _inverse_iterative(s, F, p1, q1, alpha, beta):
     return t
 
 
-def lpq_inverse(s, params: Params, alpha: float = 1.0, beta: float = 1.0):
-    """Inverse of the (weighted) scalar map; odd, strictly increasing.
+def lpq_inverse(s, params: Params):
+    """Inverse of the scalar map; odd, strictly increasing.
 
     When q-1 = 2(p-1) (p=2, q=3 among them) x = t^{p-1} solves the quadratic
-    beta x^2 + alpha x = s, and the inverse is the closed form
-    t = (2s / (alpha + sqrt(alpha^2 + 4 beta s)))^{1/(p-1)}.  Other (p,q)
+    x^2 + x = s, and the inverse is the closed form
+    t = (2s / (1 + sqrt(1 + 4s)))^{1/(p-1)}.  Other (p,q)
     take a bracketed geometric bisection refined by safeguarded Newton (at
     most 60 steps, until a step moves t by less than 1e-12 relative).
     Either way the residual relative to s must end below 1e-8, or the root
     must underflow below the smallest normal float where the exact one lies
     too, else ConvergenceFailure.  For s >= 0 the
-    result also satisfies lpq_inverse(s) <= (s/beta)^{1/(q-1)} (the q-term
+    result also satisfies lpq_inverse(s) <= s^{1/(q-1)} (the q-term
     alone already overshoots s at that point).
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("weights must be positive")
     s_arr = np.asarray(s, dtype=float)
     scalar_in = s_arr.ndim == 0
     s_flat = np.atleast_1d(s_arr)
     neg = s_flat < 0.0
     if s_flat.size and np.all(neg):  # the fluxes of every solver caller
-        out = -_inverse_positive(-s_flat, params, alpha, beta)
+        out = -_inverse_positive(-s_flat, params)
     else:
         out = np.zeros_like(s_flat)
         pos = s_flat > 0.0
         if np.any(pos):
-            out[pos] = _inverse_positive(s_flat[pos], params, alpha, beta)
+            out[pos] = _inverse_positive(s_flat[pos], params)
         if np.any(neg):
-            out[neg] = -_inverse_positive(-s_flat[neg], params, alpha, beta)
+            out[neg] = -_inverse_positive(-s_flat[neg], params)
     if scalar_in:
         return float(out[0])
     return out.reshape(s_arr.shape)

@@ -118,19 +118,17 @@ def solve_radial(reactions, window: WindowReport, nodes: np.ndarray) -> RadialPr
     )
 
 
-def certify_radial_claim(profile: RadialProfile, params: Params, window: WindowReport,
-                         tol: float | None = None) -> CertificateReport:
+def certify_radial_claim(profile: RadialProfile, params: Params,
+                         window: WindowReport) -> CertificateReport:
     """Pointwise certificate of the comparison claim.
 
     Three checks on the computed profile: Phi >= v, max Phi <= theta2, and
     Phi' <= v' on the collar [eps, R].  Dominance is checked at nodes
     0..n-1 and scaled by the boundary distance (R - r)/R, as the ordering
     certificates are: at r = R both vanish, so its margin is 0 by
-    construction.  The default tolerance is 1e-8 * theta2 (scale-aware
-    absolute).
+    construction.  The tolerance is 1e-8 * theta2 (scale-aware absolute).
     """
-    if tol is None:
-        tol = 1e-8 * window.theta2
+    tol = 1e-8 * window.theta2
     nodes = profile.phi.nodes
     R = params.radius
     dominance = (profile.phi.values - profile.v.values)[:-1] / ((R - nodes[:-1]) / R)

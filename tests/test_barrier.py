@@ -115,17 +115,15 @@ def test_scaling_report():
 
 
 def test_minimal_M():
-    assert minimal_M(0.5, 1.0, 3.0, 0.5) == 1.0                 # floored
-    assert minimal_M(32.0, 1.0, 3.0, 0.5) == pytest.approx(32.0 ** 0.4)
+    assert minimal_M(0.5, 3.0, 0.5) == 1.0                 # floored
+    assert minimal_M(32.0, 3.0, 0.5) == pytest.approx(32.0 ** 0.4)
     with pytest.raises(ConfigurationError):
-        minimal_M(1.0, 0.0, 3.0, 0.5)
-    with pytest.raises(ConfigurationError):
-        minimal_M(-1.0, 1.0, 3.0, 0.5)
+        minimal_M(-1.0, 3.0, 0.5)
 
 
 def test_barrier_supersolution_certificate(cfg1):
     prof = solve_quiet(1.0, 3.0, 0.5, r_max=1.0)
-    M = minimal_M(cfg1.params.lam, 1.0, 3.0, 0.5)
+    M = minimal_M(cfg1.params.lam, 3.0, 0.5)
     assert M == 1.0
     cert = certify_barrier_supersolution(prof, cfg1.params, M)
     assert cert.passed

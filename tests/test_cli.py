@@ -502,9 +502,9 @@ def test_each_load_derives_theta_lambda_once(tmp_path, capsys, monkeypatch, comm
     assert run("pairs", path, out=str(tmp_path)) == 0  # certify's input
     real, seen = nonlinearity.choose_Theta_lambda, []
 
-    def counted(spec, params, h=None):
+    def counted(spec, params, h):
         seen.append(params.lam)
-        return real(spec, params, h=h)
+        return real(spec, params, h)
 
     monkeypatch.setattr(nonlinearity, "choose_Theta_lambda", counted)
     assert run(command, path, out=str(tmp_path), input_path=str(tmp_path / "pairs.csv"),
@@ -736,10 +736,11 @@ def test_failed_f4_is_not_a_positivity_loss(tmp_path, capsys):
 
 
 def _cap_holds(env, m):
-    # m C(m) <= theta1 with C(m) = max u_beta, beta = m^(q-p): the inner pair's cap
+    # m C(m) = max v_m <= theta1, v_m the plain solve of -L v = m^(p-1): the
+    # inner pair's cap
     op = ds.DiscreteOperator.from_params(env.params, n=env.n)
-    u = ds._load_solution(op, 1.0, 1.0, m ** (env.params.q - env.params.p))
-    return m * float(np.max(u)) <= env.spec.theta1
+    v = ds._load_solution(op, m ** (env.params.p - 1.0))
+    return float(np.max(v)) <= env.spec.theta1
 
 
 def test_second_pair_reports_the_cap_edge(tmp_path, capsys):

@@ -29,10 +29,12 @@ from pqsing import discrete_solver
 from pqsing.errors import (
     ConfigurationError,
     ConvergenceFailure,
+    FailedAssumptions,
     IterationBudget,
     IterationStall,
     MonotonicityViolation,
     PositivityLoss,
+    SearchExhausted,
 )
 from quadrature_oracle import quadrature_solve
 
@@ -70,8 +72,8 @@ def test_operator_exact_on_affine(dim):
     pr = make_params(dim=dim)
     op = DiscreteOperator.from_params(pr, n=128)
     out = apply(op, pr.radius - op.grid)
-    # -L(u) with |u'| = 1: flux F(-1) = -(alpha+beta); divergence of
-    # r^{N-1} F over r^{N-1} gives (N-1)/r * (alpha+beta)
+    # -L(u) with |u'| = 1: flux F(-1) = -2; divergence of r^{N-1} F over
+    # r^{N-1} gives (N-1)/r * 2
     interior = np.arange(1, op.n)
     expect = (dim - 1.0) / op.grid[interior] * 2.0
     assert np.max(np.abs(out[interior] - expect)) <= 1e-11
@@ -79,18 +81,12 @@ def test_operator_exact_on_affine(dim):
 
 
 def _p2_part(pr, n, u_of_grid):
-    # the flux alpha L_p + beta L_q is linear in (alpha, beta) for a fixed
-    # function, so two divergences isolate the p=2 contribution without
-    # zero weights
+    # the p = 2 part of the flux L_p + L_q is the gradient itself, so the
+    # scheme's divergence of g is that part of -L
+    assert pr.p == 2.0
     op = DiscreteOperator.from_params(pr, n=n)
-    u = u_of_grid(op.grid)
-    g = np.diff(u) / op.h
-
-    def weighted(beta):
-        return np.append(discrete_solver._divergence(op, lpq_scalar(g, pr, 1.0, beta)), 0.0)
-
-    q_part = weighted(2.0) - weighted(1.0)
-    return weighted(1.0) - q_part
+    g = np.diff(u_of_grid(op.grid)) / op.h
+    return np.append(discrete_solver._divergence(op, g), 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -176,15 +172,37 @@ def test_eta_problem_against_quadrature():
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_probe_norm_is_the_profile_max_bitwise(pq, dim):
-    # the m probes of the second pair read ||u_beta|| off the load's shared
-    # fluxes without forming u_beta: the same bits as the profile's max
+    # the m probes of the second pair read v_m(0) = m C(m) off the plain
+    # solve of -L v = m^(p-1) from the load's shared unit fluxes, while the
+    # cap bounds the profile's max: the same bits
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=256)
     flux = discrete_solver._load_flux(op, 1.0)
-    for beta in np.geomspace(1e-6, 1e6, 37):
-        u = discrete_solver._load_solution(op, 1.0, 1.0, beta)
-        sums = discrete_solver._load_sums(op, flux, 1.0, beta)
-        assert float(-op.h * sums[-1]) == float(np.max(u))
+    for m in np.geomspace(1e-3, 1e3, 37):
+        v = discrete_solver._flux_solution(op, m ** (pr.p - 1.0) * flux)
+        assert float(v[0]) == float(np.max(v))
+
+
+def test_shipped_v_up_is_the_accepted_probe(gentle, monkeypatch):
+    # the second pair ships the profile of the accepted probe: its v_up(0)
+    # is the probe value the cap and growth margins were read from
+    env, probes = gentle, {}
+    real = discrete_solver._flux_solution
+
+    def recorded(op, flux):
+        v = real(op, flux)
+        probes.setdefault(float(flux[0]), float(v[0]))  # the probe's, before v_up's
+        return v
+
+    monkeypatch.setattr(discrete_solver, "_flux_solution", recorded)
+    _v0, v_up, second = discrete_solver.build_second_pair(env.reactions, env.window,
+                                                          env.profile, env.op)
+    m, theta1 = second["m_lambda"], env.spec.theta1
+    probe = probes[float(m ** (env.params.p - 1.0) * discrete_solver._load_flux(env.op, 1.0)[0])]
+    assert float(v_up.values[0]) == probe == float(np.max(v_up.values))
+    assert second["eps_cap"] == theta1 - probe
+    assert second["u_beta_norm"] == probe / m
+    assert np.array_equal(v_up.values, env.pairs.v_up.values)
 
 
 def _count_banded(monkeypatch):
@@ -278,18 +296,16 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     # the flux-integrated seed solves the scheme itself, not the continuum
     # problem: Newton's 1e-12 rounding-aware check passes at once, for the
     # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike.
-    # With weights (alpha, beta) = (0.37, 2.9) it does so after scaling: for
-    # s^{q-p} = beta/alpha, s u solves the plain scheme with load
-    # s^{p-1} rhs / alpha, as v_up = m u_beta does in the second pair
+    # So does the solve from a load's fluxes scaled by c, at the load c rhs,
+    # as v_up from the unit load's fluxes does in the second pair
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=256)
-    alpha, beta = 0.37, 2.9
-    s = (beta / alpha) ** (1.0 / (pr.q - pr.p))
+    c = 7.3
     calls = _count_banded(monkeypatch)
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         seed = discrete_solver._load_solution(op, rhs)
-        scaled = s * discrete_solver._load_solution(op, rhs, alpha, beta)
-        for u0, load in ((seed, rhs), (scaled, s ** (pr.p - 1.0) / alpha * rhs)):
+        scaled = discrete_solver._flux_solution(op, c * discrete_solver._load_flux(op, rhs))
+        for u0, load in ((seed, rhs), (scaled, c * rhs)):
             assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
             u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), load, u0)
             assert np.array_equal(u, u0) and steps == 0
@@ -458,44 +474,49 @@ def test_rounding_floor_finite_on_a_flat_core():
     assert discrete_solver._scaled_err(res, scale, rnd) > 0.999
 
 
-@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["p2-q3", "p1.5-q4"])
-def test_scaling_identities_through_the_closed_form(pq):
-    # A_{1,1}(m u) = m^{p-1} A^{1,beta}(u) with beta = m^{q-p}, and
-    # A_{1,1}(alpha_* u) = alpha_*^{q-1} A^{alpha,1}(u) with alpha = alpha_*^{p-q}:
-    # so m u_beta and alpha_* u_alpha solve the plain scheme with the loads
-    # m^{p-1} and alpha_*^{q-1}, which the second pair's check relies on
-    pr = make_params(p=pq[0], q=pq[1])
-    op = DiscreteOperator.from_params(pr, n=256)
-    load = discrete_solver._load_solution
-    for scale in (3.0, 17.0, 0.2):
-        pairs = ((scale * load(op, 1.0, 1.0, scale ** (pr.q - pr.p)),
-                  load(op, scale ** (pr.p - 1.0))),
-                 (scale * load(op, 1.0, scale ** (pr.p - pr.q), 1.0),
-                  load(op, scale ** (pr.q - 1.0))))
-        for scaled, plain in pairs:
-            assert np.max(np.abs(scaled - plain)) <= 1e-12 * np.max(np.abs(plain))
+def _weighted_unit_solve(op, alpha, beta):
+    # the paper's auxiliary -L^{alpha,beta} u = 1 on the scheme, u_n = 0, for
+    # p = 2, q = 3: the flux alpha g + beta |g| g inverts in closed form
+    s = -discrete_solver._load_flux(op, 1.0)    # every flux is negative
+    g = 2.0 * s / (alpha + np.sqrt(alpha * alpha + 4.0 * beta * s))
+    u = np.zeros(op.n + 1)
+    u[:-1] = op.h * np.cumsum(g[::-1])[::-1]
+    return u
 
 
-@pytest.mark.parametrize("pair, message", [
-    ("second", "second pair: v_up = m u_beta misses -L v = m\\^\\(p-1\\)"),
-    ("first", "first pair: w_eta misses -L w = eta"),
+def test_scaling_identities_through_the_closed_form(gentle, cfg1):
+    # L(s t) = s^{q-1} (s^{p-q} L_p(t) + L_q(t)) = s^{p-1} (L_p(t) + s^{q-p} L_q(t)):
+    # the plain solves that ship as u_up and v_up are the paper's alpha_* u_alpha
+    # (alpha = alpha_*^{p-q}) and m u_beta* (beta* = m^{q-p})
+    for env in (gentle, cfg1):
+        pr, op = env.params, env.op
+        assert (pr.p, pr.q) == (2.0, 3.0)
+        a_star, m = env.pairs.first_margins["alpha_star"], env.pairs.second_margins["m_lambda"]
+        for shipped, paper in (
+                (env.pairs.u_up.values, a_star * _weighted_unit_solve(op, a_star ** -1.0, 1.0)),
+                (env.pairs.v_up.values, m * _weighted_unit_solve(op, 1.0, m))):
+            assert np.max(np.abs(shipped - paper)) <= 1e-12 * np.max(np.abs(paper))
+
+
+@pytest.mark.parametrize("pair, solve, message", [
+    ("second", "_flux_solution", "second pair: v_up misses -L v = m\\^\\(p-1\\)"),
+    ("first", "_load_solution", "first pair: w_eta misses -L w = eta"),
 ], ids=["second", "first"])
-def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, message):
-    # one node of u_beta (beta != 1), or of w_eta (the one unit-weight load on
-    # this config: alpha_* and m differ from 1), off by 1e-6 relative: the
-    # searches still run, and the check at the chosen m or eta names the
-    # pair and that node
+def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, solve, message):
+    # one node of v_up (from the unit load's fluxes), or of w_eta (the first
+    # load solve), off by 1e-6 relative: the searches still run (the m
+    # probes read node 0 alone), and the check at the chosen m or eta names
+    # the pair and that node
     env = gentle
     k = env.op.n // 2
-    real = discrete_solver._load_solution
+    real = getattr(discrete_solver, solve)
 
-    def corrupted(op, rhs, alpha=1.0, beta=1.0):
-        u = real(op, rhs, alpha, beta)
-        if (beta != 1.0) if pair == "second" else (alpha == beta == 1.0):
-            u[k] *= 1.0 + 1e-6
+    def corrupted(op, arg):
+        u = real(op, arg)
+        u[k] *= 1.0 + 1e-6
         return u
 
-    monkeypatch.setattr(discrete_solver, "_load_solution", corrupted)
+    monkeypatch.setattr(discrete_solver, solve, corrupted)
     with pytest.raises(ConvergenceFailure, match=f"^{message} by scaled residual "
                                                  f".* \\(worst node {k}\\)$"):
         construct_pairs(env.reactions, env.window, env.profile, env.op)
@@ -550,6 +571,33 @@ def test_first_pair_standalone(cfg1):
     assert float(u0.sup_norm()) == pytest.approx(0.10947570897613822, rel=1e-8)
     assert float(u_up.sup_norm()) == pytest.approx(1.4642768087202704, rel=1e-8)
     assert np.all(u0.values <= u_up.values)
+
+
+def test_pairs_refuse_a_failed_f4_as_the_cli_does(gentle):
+    # cfg_small without its khat shift fails (f4): a library caller gets the
+    # CLI gate's FailedAssumptions, not a configuration error
+    reactions = build_h(dataclasses.replace(gentle.spec, khat=0.0), gentle.params)
+    with pytest.raises(FailedAssumptions,
+                       match=r"^nonlinearity assumptions \(f0\)-\(f4\) failed validation: f4$"):
+        construct_pairs(reactions, gentle.window, gentle.profile, gentle.op)
+
+
+def test_alpha_star_exhaustion_names_the_failed_condition(gentle, monkeypatch):
+    # the pointwise margin is the condition that fails in the doubling loop
+    # on the shipped configurations; failing it at node 7 for every alpha_*
+    # runs the budget out (the scalar condition holds from the seed on)
+    real = discrete_solver._unshifted
+
+    def failing(reactions, op, uv):
+        res, A, react = real(reactions, op, uv)
+        res[7] = -np.inf
+        return res, A, react
+
+    monkeypatch.setattr(discrete_solver, "_unshifted", failing)
+    with pytest.raises(SearchExhausted, match=(
+            r"^first pair: no admissible alpha_\* within the doubling budget; "
+            r"last failed: pointwise \(u_up's worst margin at node 7\)$")):
+        build_first_pair(gentle.reactions, gentle.op)
 
 
 def test_pairs_reference_geometry(cfg1):

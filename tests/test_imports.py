@@ -3,9 +3,10 @@ only the modules it runs, and no command loads scipy.
 
 Every diet check runs in a fresh interpreter, because this process has
 imported every module and scipy already (the port tests use scipy as their
-oracle).  The last three tests check the public surface: every exported
-name resolves, each load has one carrier (its reactions), and the README's
-library quick start runs as written and gives `pqsing solve`'s numbers.
+oracle).  The last four tests check the public surface: every exported
+name resolves, each load has one carrier (its reactions), no function takes
+the auxiliary weights alpha, beta, and the README's library quick start
+runs as written and gives `pqsing solve`'s numbers.
 """
 import dataclasses
 import importlib
@@ -224,6 +225,20 @@ def test_one_carrier_per_load():
     copied = {"f", "f0", "lam", "khat"}
     assert not copied & {f.name for f in dataclasses.fields(pqsing.DerivedReactions)}
     assert not {"params", "params0", "spec"} & {f.name for f in dataclasses.fields(cli._Env)}
+
+
+def test_no_function_takes_the_weights():
+    # both upper functions are plain constant-load solves, so the weights of
+    # the auxiliary problems -L^{alpha,beta} u = 1 are nobody's parameter:
+    # not of the public surface, nor of any module-level function
+    names = [m.name for m in pkgutil.iter_modules(pqsing.__path__) if m.name != "__main__"]
+    modules = [importlib.import_module(f"pqsing.{n}") for n in names]
+    functions = [(name, getattr(pqsing, name)) for name in pqsing.__all__]
+    functions += [(f"{m.__name__}.{name}", obj) for m in modules
+                  for name, obj in vars(m).items() if getattr(obj, "__module__", None) == m.__name__]
+    for name, obj in functions:
+        if inspect.isfunction(obj):
+            assert not {"alpha", "beta"} & set(inspect.signature(obj).parameters), name
 
 
 def test_readme_library_quick_start_runs(capsys, tmp_path):

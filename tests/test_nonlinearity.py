@@ -224,7 +224,7 @@ def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
         assert getattr(moved, name)(t).tobytes() == getattr(fresh, name)(t).tobytes(), name
     for name in ("Theta_lambda", "theta_star", "fbar", "spec", "params"):
         assert getattr(moved, name) == getattr(fresh, name), name
-    assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS)
+    assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS, fresh.h)
     assert fresh.at_load(PARAMS.lam) is fresh  # nothing to derive at its own load
 
 
@@ -253,9 +253,9 @@ def test_choose_theta_lambda_compensates():
     spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67,
                             k=25.0, khat=60000.0)
     pr = dataclasses.replace(PARAMS, lam=0.15825952111377303)
-    Theta = choose_Theta_lambda(spec, pr)
-    assert Theta == pytest.approx(2.389892543619752, rel=1e-9)
     rx = build_h(spec, pr)
+    Theta = choose_Theta_lambda(spec, pr, rx.h)
+    assert Theta == pytest.approx(2.389892543619752, rel=1e-9)
     grid = np.linspace(0.0, 2.0 * spec.theta2, 20001)
     g = pr.lam * np.asarray(rx.h(grid)) + Theta * lpq_scalar(grid, pr)
     assert np.all(np.diff(g) >= -1e-9 * np.max(np.abs(g)))
@@ -264,10 +264,11 @@ def test_choose_theta_lambda_compensates():
 def test_choose_theta_lambda_refuses_an_overflowing_reaction():
     # f is bounded by e^k, but lam h overflows at a load of 1e308, so lam h
     # is not finite on the grid and no finite shift exists (build_h derives
-    # Theta_lambda at its own load)
+    # Theta_lambda at its own load; its bridge h does not depend on the load)
     huge = dataclasses.replace(PARAMS, lam=1e308)
+    h = build_h(exp_spec(), PARAMS).h
     with np.errstate(all="ignore"):
-        for build in (choose_Theta_lambda, build_h):
+        for build in (lambda spec, pr: choose_Theta_lambda(spec, pr, h), build_h):
             with pytest.raises(ConfigurationError, match="Theta_lambda = nan: lam"):
                 build(exp_spec(), huge)
 

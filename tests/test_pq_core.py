@@ -45,8 +45,6 @@ def test_lpq_scalar_values():
     assert lpq_scalar(2.0, pr) == pytest.approx(2.0 + 4.0)
     assert lpq_scalar(-2.0, pr) == pytest.approx(-6.0)      # odd
     assert lpq_scalar(0.0, pr) == 0.0
-    # weights scale the two branches independently
-    assert lpq_scalar(2.0, pr, alpha=3.0, beta=0.5) == pytest.approx(3.0 * 2.0 + 0.5 * 4.0)
 
 
 def test_lpq_derivative_matches_fd():
@@ -100,49 +98,45 @@ def test_lpq_inverse_monotone_on_grid():
     # q-1 != 2(p-1): the bracketed bisection + Newton branch
     pr = make_params(1.5, 4.0)
     s = np.geomspace(1e-10, 1e10, 401)
-    t = lpq_inverse(s, pr, 0.37, 2.9)
+    t = lpq_inverse(s, pr)
     assert np.all(np.diff(t) > 0.0)
-    assert np.max(np.abs(lpq_scalar(t, pr, 0.37, 2.9) - s) / s) <= 1e-12
+    assert np.max(np.abs(lpq_scalar(t, pr) - s) / s) <= 1e-12
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.0), (3.0, 5.0)])
-@pytest.mark.parametrize("ab", [(0.37, 2.9), (5e3, 1e-4)])
-def test_lpq_inverse_closed_form_branch(pq, ab):
+def test_lpq_inverse_closed_form_branch(pq):
     # q-1 = 2(p-1): the quadratic closed form, across the whole float range
     pr = make_params(*pq)
-    alpha, beta = ab
     s = np.geomspace(1e-300, 1e300, 2001)
-    t = lpq_inverse(s, pr, alpha, beta)
+    t = lpq_inverse(s, pr)
     # for p < 2 the inverse of the smallest loads lies below the smallest
     # normal float; compare only where it is representable
     normal = t >= np.finfo(float).tiny
     assert np.count_nonzero(normal) >= 1000
     assert np.all(t[~normal] >= 0.0)
     ts, ss = t[normal], s[normal]
-    assert np.max(np.abs(lpq_scalar(ts, pr, alpha, beta) - ss) / ss) <= 1e-13
+    assert np.max(np.abs(lpq_scalar(ts, pr) - ss) / ss) <= 1e-13
     assert np.all(np.diff(ts) > 0.0)
-    assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
+    assert np.array_equal(lpq_inverse(-s, pr), -t)
 
 
-@pytest.mark.parametrize("ab", [(0.37, 2.9), (5e3, 1e-4)])
-def test_lpq_inverse_iterative_branch_whole_float_range(ab):
+def test_lpq_inverse_iterative_branch_whole_float_range():
     # q-1 != 2(p-1): the bracket stays finite for every finite load, so the
     # largest loads invert too
     pr = make_params(1.5, 4.0)
-    alpha, beta = ab
     s = np.geomspace(1e-300, 1e300, 2001)
-    t = lpq_inverse(s, pr, alpha, beta)
+    t = lpq_inverse(s, pr)
     # the root lies between the half-load and the full-load one-term inverses
     with np.errstate(over="ignore"):
-        lower = np.minimum((s / (2.0 * alpha)) ** 2.0, (s / (2.0 * beta)) ** (1.0 / 3.0))
-        upper = np.minimum((s / alpha) ** 2.0, (s / beta) ** (1.0 / 3.0))
+        lower = np.minimum((s / 2.0) ** 2.0, (s / 2.0) ** (1.0 / 3.0))
+        upper = np.minimum(s ** 2.0, s ** (1.0 / 3.0))
     assert np.all((t >= lower) & (t <= upper))
     normal = lower >= np.finfo(float).tiny   # the exact inverse is a normal float
     assert np.count_nonzero(normal) >= 1400
     ts, ss = t[normal], s[normal]
-    assert np.max(np.abs(lpq_scalar(ts, pr, alpha, beta) - ss) / ss) <= 1e-12
+    assert np.max(np.abs(lpq_scalar(ts, pr) - ss) / ss) <= 1e-12
     assert np.all(np.diff(ts) > 0.0)
-    assert np.array_equal(lpq_inverse(-s, pr, alpha, beta), -t)
+    assert np.array_equal(lpq_inverse(-s, pr), -t)
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
@@ -152,24 +146,24 @@ def test_lpq_inverse_one_sign_array_matches_mixed(pq):
     # signs hold the same magnitudes, so each branch sees the same array)
     pr = make_params(*pq)
     s = -np.geomspace(1e-200, 1e200, 401)
-    t = lpq_inverse(s, pr, 0.37, 2.9)
+    t = lpq_inverse(s, pr)
     mixed = np.stack((s, np.zeros_like(s), -s), axis=1).ravel()
-    want = lpq_inverse(mixed, pr, 0.37, 2.9).reshape(-1, 3)
+    want = lpq_inverse(mixed, pr).reshape(-1, 3)
     assert np.array_equal(t, want[:, 0]) and np.all(want[:, 1] == 0.0)
-    assert np.array_equal(lpq_inverse(-s, pr, 0.37, 2.9), want[:, 2])
+    assert np.array_equal(lpq_inverse(-s, pr), want[:, 2])
     assert np.array_equal(want[:, 2], -t)
 
 
 def test_lpq_inverse_rejects_a_wrong_root_of_a_tiny_load(monkeypatch):
-    # F(2.7e-177) = 1.9e-89 misses s = 1e-100 by eleven orders of magnitude
-    # (the exact root is 7.3e-200), yet it is below any absolute 1e-8 floor
+    # F(2.7e-177) = 5.2e-89 misses s = 1e-100 by eleven orders of magnitude
+    # (the exact root is 1e-200), yet it is below any absolute 1e-8 floor
     pr = make_params(1.5, 4.0)
-    exact = lpq_inverse(1e-100, pr, 0.37, 2.9)
-    assert exact == pytest.approx(7.3e-200, rel=1e-2)
+    exact = lpq_inverse(1e-100, pr)
+    assert exact == pytest.approx(1e-200, rel=1e-2)
     monkeypatch.setattr(pq_core, "_inverse_iterative",
                         lambda s, *args: np.full_like(s, 2.7e-177))
     with pytest.raises(ConvergenceFailure):
-        lpq_inverse(1e-100, pr, 0.37, 2.9)
+        lpq_inverse(1e-100, pr)
 
 
 def test_lpq_inverse_overflow_raises():
