@@ -474,20 +474,53 @@ def test_rounding_floor_finite_on_a_flat_core():
     assert discrete_solver._scaled_err(res, scale, rnd) > 0.999
 
 
+def _weighted_inverse(s, pr, alpha, beta):
+    # alpha t^{p-1} + beta t^{q-1} = s > 0: the quadratic in t^{p-1} for
+    # q - 1 = 2(p - 1), else bisection between the half-load and the
+    # full-load one-term inverses
+    p1, q1 = pr.p - 1.0, pr.q - 1.0
+    if q1 == 2.0 * p1:
+        return (2.0 * s / (alpha + np.sqrt(alpha * alpha + 4.0 * beta * s))) ** (1.0 / p1)
+    lo = np.minimum((s / (2.0 * alpha)) ** (1.0 / p1), (s / (2.0 * beta)) ** (1.0 / q1))
+    hi = np.minimum((s / alpha) ** (1.0 / p1), (s / beta) ** (1.0 / q1))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = alpha * mid ** p1 + beta * mid ** q1 < s
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _weighted_unit_solve(op, alpha, beta):
-    # the paper's auxiliary -L^{alpha,beta} u = 1 on the scheme, u_n = 0, for
-    # p = 2, q = 3: the flux alpha g + beta |g| g inverts in closed form
+    # the paper's auxiliary -L^{alpha,beta} u = 1 on the scheme, u_n = 0:
+    # the unit load's fluxes through the weighted inverse
     s = -discrete_solver._load_flux(op, 1.0)    # every flux is negative
-    g = 2.0 * s / (alpha + np.sqrt(alpha * alpha + 4.0 * beta * s))
+    g = _weighted_inverse(s, op.params, alpha, beta)
     u = np.zeros(op.n + 1)
     u[:-1] = op.h * np.cumsum(g[::-1])[::-1]
     return u
 
 
-def test_scaling_identities_through_the_closed_form(gentle, cfg1):
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["p2-q3", "p1.5-q4"])
+def test_scaling_identities_through_the_closed_form(pq):
     # L(s t) = s^{q-1} (s^{p-q} L_p(t) + L_q(t)) = s^{p-1} (L_p(t) + s^{q-p} L_q(t)):
-    # the plain solves that ship as u_up and v_up are the paper's alpha_* u_alpha
-    # (alpha = alpha_*^{p-q}) and m u_beta* (beta* = m^{q-p})
+    # the plain load solves at m^{p-1} and alpha_*^{q-1} are m u_beta
+    # (beta = m^{q-p}) and alpha_* u_alpha (alpha = alpha_*^{p-q}), the
+    # paper's weighted solves, which the two upper functions rely on
+    pr = make_params(p=pq[0], q=pq[1])
+    op = DiscreteOperator.from_params(pr, n=256)
+    load = discrete_solver._load_solution
+    for scale in (3.0, 17.0, 0.2):
+        pairs = ((scale * _weighted_unit_solve(op, 1.0, scale ** (pr.q - pr.p)),
+                  load(op, scale ** (pr.p - 1.0))),
+                 (scale * _weighted_unit_solve(op, scale ** (pr.p - pr.q), 1.0),
+                  load(op, scale ** (pr.q - 1.0))))
+        for paper, plain in pairs:
+            assert np.max(np.abs(paper - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_shipped_upper_functions_are_the_papers_scaled_solutions(gentle, cfg1):
+    # the plain solves that ship as u_up and v_up are the paper's
+    # alpha_* u_alpha (alpha = alpha_*^{p-q}) and m u_beta* (beta* = m^{q-p})
     for env in (gentle, cfg1):
         pr, op = env.params, env.op
         assert (pr.p, pr.q) == (2.0, 3.0)

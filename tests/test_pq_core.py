@@ -103,40 +103,67 @@ def test_lpq_inverse_monotone_on_grid():
     assert np.max(np.abs(lpq_scalar(t, pr) - s) / s) <= 1e-12
 
 
+def _unit_load(s, pr, alpha, beta):
+    # the paper's weighted alpha t^{p-1} + beta t^{q-1} = s is the unit-weight
+    # one by scaling: for c^{q-p} = alpha/beta, t = c tau with
+    # tau^{p-1} + tau^{q-1} = s / (alpha c^{p-1}); unit weights give c = 1, s
+    c = (alpha / beta) ** (1.0 / (pr.q - pr.p))
+    return c, s / (alpha * c ** (pr.p - 1.0))
+
+
+def _weighted(t, pr, alpha, beta):
+    return alpha * t ** (pr.p - 1.0) + beta * t ** (pr.q - 1.0)
+
+
+# the paper's two weighted problems, and the unit weights the package solves
+WEIGHTS = [(0.37, 2.9), (5e3, 1e-4), (1.0, 1.0)]
+
+
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.0), (3.0, 5.0)])
-def test_lpq_inverse_closed_form_branch(pq):
+@pytest.mark.parametrize("ab", WEIGHTS)
+def test_lpq_inverse_closed_form_branch(pq, ab):
     # q-1 = 2(p-1): the quadratic closed form, across the whole float range
     pr = make_params(*pq)
+    alpha, beta = ab
     s = np.geomspace(1e-300, 1e300, 2001)
-    t = lpq_inverse(s, pr)
+    c, s1 = _unit_load(s, pr, alpha, beta)
+    tau = lpq_inverse(s1, pr)
+    t = c * tau
     # for p < 2 the inverse of the smallest loads lies below the smallest
-    # normal float; compare only where it is representable
-    normal = t >= np.finfo(float).tiny
+    # normal float; compare only where it, the scaled load and the
+    # unit-weight root are representable
+    tiny = np.finfo(float).tiny
+    normal = (t >= tiny) & (s1 >= tiny) & (tau >= tiny)
     assert np.count_nonzero(normal) >= 1000
     assert np.all(t[~normal] >= 0.0)
     ts, ss = t[normal], s[normal]
-    assert np.max(np.abs(lpq_scalar(ts, pr) - ss) / ss) <= 1e-13
+    assert np.max(np.abs(_weighted(ts, pr, alpha, beta) - ss) / ss) <= 1e-13
     assert np.all(np.diff(ts) > 0.0)
-    assert np.array_equal(lpq_inverse(-s, pr), -t)
+    assert np.array_equal(lpq_inverse(-s1, pr), -tau)
 
 
-def test_lpq_inverse_iterative_branch_whole_float_range():
+@pytest.mark.parametrize("ab", WEIGHTS)
+def test_lpq_inverse_iterative_branch_whole_float_range(ab):
     # q-1 != 2(p-1): the bracket stays finite for every finite load, so the
     # largest loads invert too
     pr = make_params(1.5, 4.0)
+    alpha, beta = ab
     s = np.geomspace(1e-300, 1e300, 2001)
-    t = lpq_inverse(s, pr)
+    c, s1 = _unit_load(s, pr, alpha, beta)
+    tau = lpq_inverse(s1, pr)
+    t = c * tau
     # the root lies between the half-load and the full-load one-term inverses
     with np.errstate(over="ignore"):
-        lower = np.minimum((s / 2.0) ** 2.0, (s / 2.0) ** (1.0 / 3.0))
-        upper = np.minimum(s ** 2.0, s ** (1.0 / 3.0))
-    assert np.all((t >= lower) & (t <= upper))
-    normal = lower >= np.finfo(float).tiny   # the exact inverse is a normal float
+        lower = np.minimum((s1 / 2.0) ** 2.0, (s1 / 2.0) ** (1.0 / 3.0))
+        upper = np.minimum(s1 ** 2.0, s1 ** (1.0 / 3.0))
+    assert np.all((tau >= lower) & (tau <= upper))
+    tiny = np.finfo(float).tiny
+    normal = (lower >= tiny) & (s1 >= tiny) & (t >= tiny)   # the exact inverses are normal floats
     assert np.count_nonzero(normal) >= 1400
     ts, ss = t[normal], s[normal]
-    assert np.max(np.abs(lpq_scalar(ts, pr) - ss) / ss) <= 1e-12
+    assert np.max(np.abs(_weighted(ts, pr, alpha, beta) - ss) / ss) <= 1e-12
     assert np.all(np.diff(ts) > 0.0)
-    assert np.array_equal(lpq_inverse(-s, pr), -t)
+    assert np.array_equal(lpq_inverse(-s1, pr), -tau)
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
