@@ -23,7 +23,7 @@ _EXPORTS = {
     "pq_core": ("lpq_scalar", "lpq_derivative", "lpq_inverse",
                 "simon_constant", "simon_gap", "simon_gap_sum"),
     "grid": ("GridFunction", "CertificateReport", "same_grid"),
-    "nonlinearity": ("DerivedReactions", "ValidationReport", "validate",
+    "nonlinearity": ("DerivedReactions", "validate",
                      "build_fhat", "build_h", "choose_Theta_lambda", "choose_khat"),
     "parameter_window": ("WindowReport", "capacity_constant", "F_of", "compute_window"),
     "radial_solver": ("RadialProfile", "cutoff", "cutoff_prime",

@@ -25,14 +25,14 @@ Each command imports only the modules it runs: `window` loads no numpy
 and only errors, records and parameter_window, `barrier` no solver or
 radial module, and the solver commands no barrier one.  `window` checks h
 above theta1, exactly over the curve's monotone pieces, and h(theta);
-only the stage commands build the bridge h below theta1, once, and
-derive Theta_lambda, sampled, once per load (sweep: per row).
+only the stage commands build the bridge h below theta1, once.  The inner
+pair alone derives Theta_lambda, sampled, once per load (sweep: per row).
 
 Each reaction assumption is checked once, where its inputs meet, so every
 command refuses a config the same way: the reaction record (f0) and (f1)
 (exit 1) and an overflowing e^k (exit 2), the window (f3) (exit 2), and
-the commands that build the comparison profile (radial, pairs, solve,
-each sweep row) (f4) at their load (exit 1).
+(f4) at the load (exit 1), once per load: by radial, and by
+construct_pairs for pairs, solve and each sweep row.
 
 A `pqsing` process (`python -m pqsing` or the installed script) runs
 process_main: it flushes stdout and stderr after the command and ends
@@ -378,13 +378,9 @@ def _cmd_window(env: _Env):
 
 
 def _radial(env: _Env):
-    """The load's one grid, and the comparison profile on it with its claim,
-    once (f4) holds at the load: the gate of every command that builds the
-    profile (radial, pairs, solve, each sweep row)."""
+    """The load's one grid, and the comparison profile on it with its claim."""
     from . import discrete_solver as ds
 
-    if not _self.validate(env.spec, env.params).ok:
-        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
     op = ds.DiscreteOperator.from_params(env.params, env.n)
     profile = _self.solve_radial(env.reactions, env.window, op.grid)
     cert = _self.certify_radial_claim(profile, env.params, env.window)
@@ -392,6 +388,9 @@ def _radial(env: _Env):
 
 
 def _cmd_radial(env: _Env):
+    # (f4) at the load, as construct_pairs checks it for pairs, solve and sweep
+    if not _self.validate(env.reactions).passed:
+        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
     _op, profile, cert = _radial(env)
     _write_csv(env.outdir / "radial.csv",
                ("r", "phi", "phi_prime", "v", "v_prime"),
@@ -432,7 +431,7 @@ def _pairs(env: _Env):
     from . import discrete_solver as ds
 
     op, profile, rcert = _radial(env)
-    pairs = ds.construct_pairs(env.reactions, env.window, profile, op)
+    pairs = ds.construct_pairs(env.reactions, profile, op)
     return op, profile, rcert, pairs
 
 

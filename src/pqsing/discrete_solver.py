@@ -59,10 +59,9 @@ from .errors import (
     SearchExhausted,
 )
 from .grid import CertificateReport, GridFunction, same_grid
-from .nonlinearity import DerivedReactions, validate
+from .nonlinearity import DerivedReactions, choose_Theta_lambda, validate
 # not called here: the benchmark's tracer (perfbench/run.py) wraps it by this module's name
 from .nonlinearity import choose_khat  # noqa: F401
-from .parameter_window import WindowReport
 from .pq_core import Params, lpq_derivative, lpq_inverse, lpq_scalar
 from .radial_solver import RadialProfile
 
@@ -260,7 +259,8 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     part of the Jacobian's diagonal and, over -h, its off-diagonals
     (_jac_bands).  Every temporary is formed in place, in the operation
     order of the plain expressions (residual = div - rhs + theta L(u) +
-    khat drift - mu u^{-gamma}, and so on).
+    khat (u - anchor) - mu u^{-gamma}, and so on); a nonzero khat needs its
+    anchor, which only the solve map passes.
     """
     p = op.params
     ui = u[:-1]
@@ -288,19 +288,18 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
         res += Lu
         scale += np.abs(Lu, out=Lu)
     if np.any(khat):
-        # anchored shift: khat (w - anchor) keeps the two khat terms of the
-        # solve map out of the scale -- they cancel at the solution, and a
+        # the solve map's anchored shift: khat (w - anchor) keeps its two
+        # khat terms out of the scale -- they cancel at the solution, and a
         # large khat would otherwise declare victory at the initial iterate
-        drift = ui if anchor is None else ui - anchor
+        drift = ui - anchor
         res += np.multiply(khat, drift, out=term)
         scale += np.multiply(khat, np.abs(drift, out=term), out=term)
-        if anchor is not None:
-            # forming w - anchor loses eps * |w|; when khat times that noise
-            # tops the other scales, steps below an ulp of the iterate are
-            # unrepresentable and the anchor is the converged answer
-            noise = np.abs(anchor)
-            np.maximum(np.abs(ui, out=term), noise, out=noise)
-            rnd += np.multiply(_RND_SLACK * np.finfo(float).eps * khat, noise, out=noise)
+        # forming w - anchor loses eps * |w|; when khat times that noise
+        # tops the other scales, steps below an ulp of the iterate are
+        # unrepresentable and the anchor is the converged answer
+        noise = np.abs(anchor)
+        np.maximum(np.abs(ui, out=term), noise, out=noise)
+        rnd += np.multiply(_RND_SLACK * np.finfo(float).eps * khat, noise, out=noise)
     if singular:
         sing = np.power(ui, -p.gamma, out=term)
         res -= np.multiply(mu, sing, out=term)
@@ -569,8 +568,6 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     no exactness check: its certificate is pointwise.
     """
     params, f = reactions.params, reactions.spec.f
-    if not validate(reactions.spec, params).ok:
-        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
     lam, gamma = params.lam, params.gamma
 
@@ -641,8 +638,8 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     return u0, u_up, margins
 
 
-def build_second_pair(reactions: DerivedReactions, window: WindowReport,
-                      profile: RadialProfile, op: DiscreteOperator):
+def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
+                      op: DiscreteOperator):
     """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
 
     v_up is the plain solve of -L v = m^{p-1} (the paper's m u_{beta*}, by
@@ -661,17 +658,22 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
     its worst value is recorded as collar_deficit, not asserted.
 
     v0 = psi solves -L psi + Theta L(psi) = lam h(zeta) + Theta L(zeta) with
-    zeta = phi from the radial profile, which must live on op's grid;
-    eps_low is psi's pointwise subsolution margin against the original
-    reaction.
+    zeta = phi from the radial profile, which must live on op's grid, and
+    Theta = Theta_lambda, derived here at the load (choose_Theta_lambda;
+    reported as the margin Theta_lambda); eps_low is psi's pointwise
+    subsolution margin against the original reaction.  The load is not
+    checked against the window: the radial solve that made the profile
+    warned already.
     """
     params, f = reactions.params, reactions.spec.f
     lam, gamma = params.lam, params.gamma
     p, q = params.p, params.q
     theta1 = reactions.spec.theta1
-    window.warn_outside(lam)
     _check_grid(op, reactions, profile.phi)
     R, N = params.radius, params.dim
+    # psi's shift, the one reader of Theta_lambda: derived first, so a load
+    # with no finite shift is refused before the m search
+    Theta = choose_Theta_lambda(reactions.spec, params, reactions.h)
 
     flux = _load_flux(op, 1.0)
     cache: dict[float, float] = {}
@@ -750,7 +752,6 @@ def build_second_pair(reactions: DerivedReactions, window: WindowReport,
     # --- v0 = psi ------------------------------------------------------------
     zeta = profile.phi
     zi = np.maximum(zeta.values[:-1], 0.0)
-    Theta = reactions.Theta_lambda
     rhs = lam * np.asarray(reactions.h(zi), dtype=float)
     if Theta != 0.0:
         rhs = rhs + Theta * lpq_scalar(zi, params)
@@ -796,17 +797,21 @@ class PairsResult:
         return all(c.passed for c in self.certificates.values())
 
 
-def construct_pairs(reactions: DerivedReactions, window: WindowReport,
-                    profile: RadialProfile, op: DiscreteOperator) -> PairsResult:
+def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
+                    op: DiscreteOperator) -> PairsResult:
     """Build (u0, u_up), (v0, v_up) on op's grid, the radial profile's too,
     and certify the Theorem-2.5 geometry.
 
-    The inner pair is built first; the outer searches then take envelopes so
-    that u0 fits strictly under both inner functions and u_up dominates both.
+    (f4) is checked first, at the reactions' load (FailedAssumptions if it
+    fails): the pairs' one check of it, for every caller.  The inner pair is
+    built first; the outer searches then take envelopes so that u0 fits
+    strictly under both inner functions and u_up dominates both.
     v_up's supersolution certificate carries the paper's scalar slack as its
     margins (see build_second_pair).
     """
-    v0, v_up, second = build_second_pair(reactions, window, profile, op=op)
+    if not validate(reactions).passed:
+        raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
+    v0, v_up, second = build_second_pair(reactions, profile, op=op)
     inner_min = GridFunction(op.grid, np.minimum(v0.values, v_up.values))
     inner_max = GridFunction(op.grid, np.maximum(v0.values, v_up.values))
     u0, u_up, first = build_first_pair(reactions, op=op,
@@ -863,12 +868,12 @@ def _fixed_point_residual(op, reactions, uv):
 
 
 def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
-             khat: float | np.ndarray | None = None) -> GridFunction:
+             khat: float | np.ndarray) -> GridFunction:
     """One application of the shifted solve map.
 
-    w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u  with
-    khat = reactions.spec.khat unless overridden; khat is a scalar or one shift
-    per node 0..n-1.  Increasing in u where fhat + khat t is; fixed points
+    w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u;  khat
+    is a scalar or one shift per node 0..n-1 (the Amann legs pass their
+    node-wise K).  Increasing in u where fhat + khat t is; fixed points
     solve the original equation.
 
     Newton has two seed candidates: the load-sized paraboloid, and u itself.
@@ -890,8 +895,6 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     """
     _check_grid(op, reactions, u)
     params = reactions.params
-    if khat is None:
-        khat = reactions.spec.khat
     uv = u.values
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")

@@ -1,17 +1,19 @@
 """Reaction-term machinery.
 
 A reaction f enters the theory through four derived objects: the
-admissibility report for (f4), the one assumption that needs the load,
-the truncated reaction h(t) <= f(t)/(2 t^gamma) that drives the auxiliary
+admissibility check of (f4), the one assumption that needs the load, the
+truncated reaction h(t) <= f(t)/(2 t^gamma) that drives the auxiliary
 nonsingular problem, the desingularized reaction
 fhat(t) = lam (f(t) - f(0))/t^gamma with fhat(0) = 0, and the
 monotonization constants Theta_lambda and khat.
 
 Each assumption is checked once, where its inputs meet: (f0), (f1) and a
-bounded f by NonlinearitySpec, (f3) by compute_window, (f4) here.  h, its
+bounded f by NonlinearitySpec, (f3) by compute_window, (f4) by validate,
+once per load (by construct_pairs, and by the radial command).  h, its
 argmin theta_star and its floor fbar are read exactly off the monotone
 pieces of f(t)/t^gamma (records' `pieces`).  (f4), Theta_lambda and khat
-are still sampled on grids.
+are still sampled on grids; Theta_lambda is derived by the inner pair
+alone, the one stage that reads it.
 """
 from __future__ import annotations
 
@@ -25,9 +27,8 @@ from .errors import ConfigurationError
 from .pq_core import lpq_scalar
 from .records import NonlinearitySpec, Params  # re-exported: their home is records
 
-__all__ = ["NonlinearitySpec", "DerivedReactions", "AssumptionCheck",
-           "ValidationReport", "validate", "build_fhat", "build_h",
-           "choose_Theta_lambda", "choose_khat"]
+__all__ = ["NonlinearitySpec", "DerivedReactions", "AssumptionCheck", "validate",
+           "build_fhat", "build_h", "choose_Theta_lambda", "choose_khat"]
 
 _THETA_CAP = 1e8         # a larger Theta_lambda signals a misconfigured reaction
 
@@ -37,24 +38,6 @@ class AssumptionCheck:
     name: str
     passed: bool
     witness: dict
-
-
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def passed(self, name: str) -> bool:
-        return self.check(name).passed
 
 
 def _distinct(*parts: np.ndarray) -> np.ndarray:
@@ -71,19 +54,20 @@ def _monotone_deficit(values: np.ndarray) -> float:
     return float(max(0.0, -np.min(d))) if d.size else 0.0
 
 
-def validate(spec: NonlinearitySpec, params: Params) -> ValidationReport:
-    """Check (f4), fhat(t) + khat*t nondecreasing, on a grid of
-    [0, 2 theta2]; a failure is reported, not raised.  (f0), (f1) and a
-    bounded f (so (f2)/(f2')) hold for every spec, and compute_window checks
-    (f3): (f4) is the one assumption that needs the load.
+def validate(reactions: DerivedReactions) -> AssumptionCheck:
+    """Check (f4) at the reactions' load: their fhat(t) + khat*t
+    nondecreasing on a grid of [0, 2 theta2]; a failure is reported, not
+    raised.  (f0), (f1) and a bounded f (so (f2)/(f2')) hold for every spec,
+    and compute_window checks (f3): (f4) is the one assumption that needs
+    the load.
     """
-    fhat = build_fhat(spec, params)
+    spec = reactions.spec
     ggrid = np.linspace(0.0, 2.0 * spec.theta2, 10001)
-    gv = fhat(ggrid) + spec.khat * ggrid
+    gv = reactions.fhat(ggrid) + spec.khat * ggrid
     gdef = _monotone_deficit(gv)
     gscale = max(1.0, float(np.max(np.abs(gv))))
-    return ValidationReport((AssumptionCheck(
-        "f4", gdef <= 1e-11 * gscale, {"khat": float(spec.khat), "max_decrease": gdef}),))
+    return AssumptionCheck("f4", gdef <= 1e-11 * gscale,
+                           {"khat": float(spec.khat), "max_decrease": gdef})
 
 
 def build_fhat(spec: NonlinearitySpec, params: Params) -> Callable:
@@ -117,34 +101,18 @@ class DerivedReactions:
     fbar: float
     h: Callable
     fhat: Callable
-    Theta_lambda: float
     spec: NonlinearitySpec
     params: Params
 
     def at_load(self, lam: float) -> DerivedReactions:
         """These reactions moved to load lam.  h, theta_star and fbar do not
-        depend on the load and are kept; fhat and Theta_lambda are derived
-        at lam, bit for bit as build_h would at that load (at their own load
-        the reactions are themselves, and nothing is derived)."""
+        depend on the load and are kept; fhat is built at lam, bit for bit
+        as build_h would at that load (at their own load the reactions are
+        themselves, and nothing is built)."""
         if lam == self.params.lam:
             return self
-        return _at_load(self.spec, dataclasses.replace(self.params, lam=lam),
-                        self.theta_star, self.fbar, self.h)
-
-
-def _at_load(spec: NonlinearitySpec, params: Params, theta_star: float, fbar: float,
-             h: Callable) -> DerivedReactions:
-    """The reactions at params.lam around the load-free bridge h: the one
-    place that derives the load's fhat and Theta_lambda."""
-    return DerivedReactions(
-        theta_star=theta_star,
-        fbar=fbar,
-        h=h,
-        fhat=build_fhat(spec, params),
-        Theta_lambda=choose_Theta_lambda(spec, params, h=h),
-        spec=spec,
-        params=params,
-    )
+        params = dataclasses.replace(self.params, lam=lam)
+        return dataclasses.replace(self, fhat=build_fhat(self.spec, params), params=params)
 
 
 def _curve(spec: NonlinearitySpec, gamma: float):
@@ -155,7 +123,7 @@ def _curve(spec: NonlinearitySpec, gamma: float):
 
 
 def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
-    """Construct the truncated reaction h and the derived constants at params.lam.
+    """Construct the truncated reaction h, its constants and fhat at params.lam.
 
     With curve(t) = f(t)/(2 t^gamma):
       h(t) = inf over s in [t, theta1] of curve(s)   for t <= theta1,
@@ -167,6 +135,8 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
     is the curve at t, at a local minimum in [t, theta1] or at theta1, so
     h(t) = min(curve(t), the suffix minimum of those points' values).
     Above theta1, h is the curve itself, which compute_window checks.
+    Nothing here samples a grid: Theta_lambda and (f4) are left to the
+    stages that read them.
     """
     gamma, theta1 = params.gamma, spec.theta1
     curve = _curve(spec, gamma)
@@ -196,12 +166,14 @@ def build_h(spec: NonlinearitySpec, params: Params) -> DerivedReactions:
             out[tail] = curve(tt[tail])
         return float(out[0]) if scalar else out.reshape(t_arr.shape)
 
-    return _at_load(spec, params, theta_star, fbar, h)
+    return DerivedReactions(theta_star=theta_star, fbar=fbar, h=h,
+                            fhat=build_fhat(spec, params), spec=spec, params=params)
 
 
 def choose_Theta_lambda(spec: NonlinearitySpec, params: Params, h: Callable) -> float:
     """Smallest Theta >= 0 making g(t) = lam h(t) + Theta L_{p,q}(t) grid-nondecreasing,
-    for build_h's load-free bridge h.
+    for build_h's load-free bridge h: the shift of the inner pair's psi
+    equation, which build_second_pair derives at its load.
 
     Sampled on 10^4 points of [0, 2 theta2].  Since L is strictly
     increasing, the grid-optimal value is read off directly as

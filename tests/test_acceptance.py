@@ -158,7 +158,7 @@ def test_criterion_5_barrier_certificates(capsys):
 
 def test_criterion_6_certified_pairs(cfg1, capsys):
     t0 = time.perf_counter()
-    pairs = construct_pairs(cfg1.reactions, cfg1.window, cfg1.profile, op=cfg1.op)
+    pairs = construct_pairs(cfg1.reactions, cfg1.profile, op=cfg1.op)
     margin_ok = all(pairs.certificates[k].passed and
                     pairs.certificates[k].min_margin > 0.0
                     for k in ("sub_u0", "super_u_up", "sub_v0", "super_v_up"))
@@ -212,11 +212,13 @@ def test_criterion_8_solve_map_increasing(cfg1, capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = np.inf
+    khat = cfg1.spec.khat
     for _ in range(100):
         base = _rand_profile(rng, cfg1.op.grid, cfg1.params.radius)
         bump = _rand_profile(rng, cfg1.op.grid, cfg1.params.radius)
-        w1 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base), op=cfg1.op)
-        w2 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base + bump), op=cfg1.op)
+        w1 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base), op=cfg1.op, khat=khat)
+        w2 = that_map(cfg1.reactions, GridFunction(cfg1.op.grid, base + bump), op=cfg1.op,
+                      khat=khat)
         drop = float(np.min(w2.values - w1.values))
         worst = min(worst, drop / max(1.0, float(w2.sup_norm())))
     _gate(capsys, 8, "solve map preserves ordering on 100 random ordered pairs",
@@ -236,7 +238,7 @@ def test_criterion_9_mesh_refinement_order(cfg1, capsys):
     for n in (256, 512, 1024):
         opn = DiscreteOperator.from_params(cfg1.params, n)
         profn = solve_radial(cfg1.reactions, cfg1.window, opn.grid)
-        pn = construct_pairs(cfg1.reactions, cfg1.window, profn, op=opn)
+        pn = construct_pairs(cfg1.reactions, profn, op=opn)
         u1[n] = amann_iterate(cfg1.reactions, opn, pn.u0, pn.v_up,
                               "from_lower", conv_factor=1e-12).limit.values
     e1 = float(np.max(np.abs(u1[256] - u1[512][::2])))

@@ -263,7 +263,7 @@ def test_warnings_of_the_build_are_recorded(tmp_path, capsys, monkeypatch):
     assert err == ""
     fired = json.loads(out)["warnings"]
     assert fired[0] == {"category": "RuntimeWarning", "message": "from the build"}
-    assert [w["category"] for w in fired[1:]] == ["WindowViolation"] * 2
+    assert [w["category"] for w in fired[1:]] == ["WindowViolation"]
 
 
 # ---------------------------------------------------------------- commands
@@ -492,25 +492,54 @@ def test_sweep_builds_h_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, loads", [
-    ("radial", 1), ("barrier", 1), ("pairs", 1), ("solve", 1), ("certify", 1), ("sweep", 3),
+@pytest.mark.parametrize("command, checks, derivations", [
+    ("radial", 1, 0), ("barrier", 0, 0), ("pairs", 1, 1), ("solve", 1, 1), ("certify", 0, 0),
+    ("sweep", 3, 3),
 ])
-def test_each_load_derives_theta_lambda_once(tmp_path, capsys, monkeypatch, command, loads):
-    # Theta_lambda is sampled on 10^4 points: a command derives it once per
-    # load, and sweep once per row
+def test_each_stage_checks_f4_and_derives_theta_lambda_once_per_load(
+        tmp_path, capsys, monkeypatch, command, checks, derivations):
+    # both are sampled on 10^4 points, and only the stages that read them
+    # pay: (f4) is checked by radial and by construct_pairs, Theta_lambda
+    # derived by the inner pair alone, each once per load (sweep: per row)
     path = write_cfg(tmp_path, small_cfg(sweep={"count": 3}, grid={"n": 64}))
     assert run("pairs", path, out=str(tmp_path)) == 0  # certify's input
-    real, seen = nonlinearity.choose_Theta_lambda, []
+    loads = {"validate": [], "choose_Theta_lambda": []}
 
-    def counted(spec, params, h):
-        seen.append(params.lam)
-        return real(spec, params, h)
+    def count(name):
+        real = getattr(nonlinearity, name)
 
-    monkeypatch.setattr(nonlinearity, "choose_Theta_lambda", counted)
+        def counted(*args, **kwargs):
+            # the call's load, read off its Params or its reactions' Params
+            carriers = [getattr(a, "params", a) for a in args]
+            loads[name].append(next(c.lam for c in carriers if hasattr(c, "lam")))
+            return real(*args, **kwargs)
+
+        for module in (cli, ds, nonlinearity):  # wherever a caller looks it up
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    count("validate")
+    count("choose_Theta_lambda")
     assert run(command, path, out=str(tmp_path), input_path=str(tmp_path / "pairs.csv"),
                kind="subsolution") == 0
-    assert len(seen) == len(set(seen)) == loads
+    assert len(loads["validate"]) == len(set(loads["validate"])) == checks
+    assert len(loads["choose_Theta_lambda"]) == len(set(loads["choose_Theta_lambda"])) \
+        == derivations
     capsys.readouterr()
+
+
+def test_stages_refuse_only_a_load_they_read(tmp_path, capsys):
+    # lam h overflows at a load of 1e300, so Theta_lambda is not finite
+    # there; barrier reads no reaction and runs (M_lambda = lam^(2/5)),
+    # while pairs, whose inner pair needs the shift, is refused
+    assert run("barrier", str(SMALL), out=str(tmp_path), lam=1e300) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["M_lambda"] == pytest.approx(1e120, rel=1e-12)
+    assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64, lam=1e300) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "config error: Theta_lambda = nan: lam*h is not finite on [0, 2 theta2]")
 
 
 def test_sweep_tags_each_warning_with_its_load(tmp_path, capsys, monkeypatch):
@@ -583,11 +612,11 @@ def test_solve_records_the_warnings_that_fired(tmp_path, capsys):
 
 
 def test_solve_records_the_pairs_warnings(tmp_path, capsys):
-    # above lambda^* the radial profile and the second pair each warn
-    # WindowViolation; the report lists both, and stderr stays quiet
+    # above lambda^* the radial profile warns WindowViolation, once per
+    # load; the report lists it, and stderr stays quiet
     assert run("solve", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
     rep = json.loads((tmp_path / "solve.json").read_text())
-    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"] * 2
+    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"]
     assert rep["warnings"][0]["message"].startswith("lambda=0.29502 outside [")
     assert capsys.readouterr().err == ""
 
@@ -627,10 +656,10 @@ def test_one_operator_per_load(config, tmp_path, capsys, monkeypatch):
 
 
 def test_pairs_records_its_warnings(tmp_path, capsys):
-    # the same load as above: pairs.json lists both WindowViolation warnings
+    # the same load as above: pairs.json lists its one WindowViolation warning
     assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 0
     rep = json.loads((tmp_path / "pairs.json").read_text())
-    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"] * 2
+    assert [w["category"] for w in rep["warnings"]] == ["WindowViolation"]
     assert rep["warnings"][0]["message"].startswith("lambda=0.29502 outside [")
     assert capsys.readouterr().err == ""
     assert run("pairs", str(SMALL), out=str(tmp_path)) == 0
@@ -690,8 +719,8 @@ def test_newton_failure_in_a_leg_names_the_leg_and_step(tmp_path, capsys, monkey
 
 
 def test_failed_run_keeps_its_warnings(tmp_path, capsys, monkeypatch):
-    # above lambda^* the pairs stage warns WindowViolation twice before a NaN
-    # residual at node 17 stops it: both warnings follow the error line
+    # above lambda^* the radial profile warns WindowViolation before a NaN
+    # residual at node 17 stops the pairs: the warning follows the error line
     real = ds._residual_scale
 
     def faulty(*args, **kwargs):
@@ -704,9 +733,8 @@ def test_failed_run_keeps_its_warnings(tmp_path, capsys, monkeypatch):
     assert run("pairs", str(SMALL), out=str(tmp_path), lam=0.29502) == 3
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "did not converge: second pair: v0 = psi: Newton system not finite at row 17"
-    assert len(err) == 3
-    for line in err[1:]:
-        assert line.startswith("warning: WindowViolation: lambda=0.29502 outside [")
+    assert len(err) == 2
+    assert err[1].startswith("warning: WindowViolation: lambda=0.29502 outside [")
 
 
 def test_seed_is_accepted_and_changes_nothing(tmp_path, capsys):

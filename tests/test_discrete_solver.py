@@ -117,7 +117,7 @@ def test_stages_require_the_operator_grid(gentle):
     half = DiscreteOperator.from_params(env.params, env.n // 2)
     g = GridFunction(half.grid, np.ones(half.n + 1))
     with pytest.raises(ConfigurationError, match="operator grid"):
-        construct_pairs(env.reactions, env.window, env.profile, half)
+        construct_pairs(env.reactions, env.profile, half)
     with pytest.raises(ConfigurationError, match="operator grid"):
         build_first_pair(env.reactions, env.op, fit_under=g)
     with pytest.raises(ConfigurationError, match="operator grid"):
@@ -135,11 +135,11 @@ def test_stages_refuse_an_operator_of_other_params(gentle, change):
     other = DiscreteOperator.from_params(dataclasses.replace(env.params, **change), env.n)
     u = GridFunction(other.grid, env.pairs.u0.values)
     calls = {
-        "construct_pairs": lambda: construct_pairs(env.reactions, env.window, env.profile, other),
+        "construct_pairs": lambda: construct_pairs(env.reactions, env.profile, other),
         "build_first_pair": lambda: build_first_pair(env.reactions, other),
         "certify": lambda: certify(env.reactions, u, "subsolution", op=other),
         "original_residual": lambda: original_residual(env.reactions, u, other),
-        "that_map": lambda: that_map(env.reactions, u, other),
+        "that_map": lambda: that_map(env.reactions, u, other, env.spec.khat),
         "amann_iterate": lambda: amann_iterate(env.reactions, other, u, u, "from_lower"),
         "march": lambda: march(other, env.reactions, [20.0]),
         "search_third_solution":
@@ -149,8 +149,9 @@ def test_stages_refuse_an_operator_of_other_params(gentle, change):
         with pytest.raises(ConfigurationError, match="does not match the reactions"):
             call()
     at_zero = DiscreteOperator.from_params(dataclasses.replace(env.params, lam=0.0), env.n)
-    w = that_map(env.reactions, env.pairs.u0, at_zero)
-    assert np.array_equal(w.values, that_map(env.reactions, env.pairs.u0, env.op).values)
+    w = that_map(env.reactions, env.pairs.u0, at_zero, env.spec.khat)
+    assert np.array_equal(w.values,
+                          that_map(env.reactions, env.pairs.u0, env.op, env.spec.khat).values)
 
 
 # ---------------------------------------------------------------- basic solves
@@ -195,8 +196,7 @@ def test_shipped_v_up_is_the_accepted_probe(gentle, monkeypatch):
         return v
 
     monkeypatch.setattr(discrete_solver, "_flux_solution", recorded)
-    _v0, v_up, second = discrete_solver.build_second_pair(env.reactions, env.window,
-                                                          env.profile, env.op)
+    _v0, v_up, second = discrete_solver.build_second_pair(env.reactions, env.profile, env.op)
     m, theta1 = second["m_lambda"], env.spec.theta1
     probe = probes[float(m ** (env.params.p - 1.0) * discrete_solver._load_flux(env.op, 1.0)[0])]
     assert float(v_up.values[0]) == probe == float(np.max(v_up.values))
@@ -317,7 +317,7 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
     # only v0 (a Theta-shifted solve) still takes Newton steps
     env = gentle
     calls = _count_banded(monkeypatch)
-    pairs = construct_pairs(env.reactions, env.window, env.profile, op=env.op)
+    pairs = construct_pairs(env.reactions, env.profile, op=env.op)
     assert len(calls) <= 20
     assert pairs.all_passed
 
@@ -344,11 +344,9 @@ def _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
         res = res + theta * Lu
         scale = scale + np.abs(theta * Lu)
     if np.any(khat):
-        drift = ui if anchor is None else ui - anchor
-        res = res + khat * drift
-        scale = scale + khat * np.abs(drift)
-        if anchor is not None:
-            rnd = rnd + slack * khat * np.maximum(np.abs(ui), np.abs(anchor))
+        res = res + khat * (ui - anchor)
+        scale = scale + khat * np.abs(ui - anchor)
+        rnd = rnd + slack * khat * np.maximum(np.abs(ui), np.abs(anchor))
     if singular:
         sing = mu * ui ** (-pr.gamma)
         res = res - sing
@@ -374,7 +372,7 @@ def _fresh_bands(op, u, theta, khat, mu, singular):
     return sub, diag, sup
 
 
-_TERMS = [(0.0, 0.0, False, False), (0.3, 0.0, False, False), (0.0, 2.0, False, False),
+_TERMS = [(0.0, 0.0, False, False), (0.3, 0.0, False, False), (0.0, 2.0, False, True),
           (0.0, 2.0, True, True), (0.3, 2.0, True, True)]  # theta, khat, singular, anchor
 
 
@@ -552,7 +550,7 @@ def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, solve, m
     monkeypatch.setattr(discrete_solver, solve, corrupted)
     with pytest.raises(ConvergenceFailure, match=f"^{message} by scaled residual "
                                                  f".* \\(worst node {k}\\)$"):
-        construct_pairs(env.reactions, env.window, env.profile, env.op)
+        construct_pairs(env.reactions, env.profile, env.op)
 
 
 # ---------------------------------------------------------------- certify
@@ -612,7 +610,7 @@ def test_pairs_refuse_a_failed_f4_as_the_cli_does(gentle):
     reactions = build_h(dataclasses.replace(gentle.spec, khat=0.0), gentle.params)
     with pytest.raises(FailedAssumptions,
                        match=r"^nonlinearity assumptions \(f0\)-\(f4\) failed validation: f4$"):
-        construct_pairs(reactions, gentle.window, gentle.profile, gentle.op)
+        construct_pairs(reactions, gentle.profile, gentle.op)
 
 
 def test_alpha_star_exhaustion_names_the_failed_condition(gentle, monkeypatch):
@@ -664,7 +662,7 @@ def test_pairs_gentle_all_green(gentle):
 def test_that_map_zero_input_positive(gentle):
     env = gentle
     zero = GridFunction(env.op.grid, np.zeros(env.op.n + 1))
-    w = that_map(env.reactions, zero, op=env.op)
+    w = that_map(env.reactions, zero, op=env.op, khat=env.spec.khat)
     assert np.all(w.values[:-1] > 0.0)
     assert w.values[-1] == 0.0
 
@@ -673,7 +671,7 @@ def test_that_map_fixed_point_residual(gentle):
     env = gentle
     tr = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     u = tr.limit
-    w = that_map(env.reactions, u, op=env.op)
+    w = that_map(env.reactions, u, op=env.op, khat=env.spec.khat)
     assert float(np.max(np.abs(w.values - u.values))) <= 1e-7 * env.spec.theta2
 
 
@@ -684,7 +682,7 @@ def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):
     env = cfg1
     up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     steps = _count_banded(monkeypatch)
-    w = that_map(env.reactions, up.limit, op=env.op)
+    w = that_map(env.reactions, up.limit, op=env.op, khat=env.spec.khat)
     assert len(steps) <= 1
     assert float(np.max(np.abs(w.values - up.limit.values))) <= \
         64.0 * np.spacing(up.limit.sup_norm())
@@ -728,7 +726,7 @@ def test_that_map_rejects_negative(gentle):
     env = gentle
     bad = GridFunction(env.op.grid, -np.ones(env.op.n + 1))
     with pytest.raises(ConfigurationError):
-        that_map(env.reactions, bad, op=env.op)
+        that_map(env.reactions, bad, op=env.op, khat=env.spec.khat)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -750,8 +748,8 @@ def test_that_map_increasing_property(seed):
     base = amp * (1.0 - x) * (1.0 + rng.uniform(0, 1) * np.sin(np.pi * rng.integers(1, 4) * x) ** 2)
     bump = rng.uniform(0, amp) * (1.0 - x) * (1.0 + rng.uniform(0, 1) * x)
     base[-1] = bump[-1] = 0.0
-    w1 = that_map(rx, GridFunction(x, base), op=op)
-    w2 = that_map(rx, GridFunction(x, base + bump), op=op)
+    w1 = that_map(rx, GridFunction(x, base), op=op, khat=spec.khat)
+    w2 = that_map(rx, GridFunction(x, base + bump), op=op, khat=spec.khat)
     tol = 1e-10 * max(1.0, float(w2.sup_norm()))
     assert np.all(w2.values - w1.values >= -tol)
 
@@ -895,7 +893,7 @@ def test_amann_limit_mesh_stability(gentle):
     n2 = env.n // 2
     op2 = DiscreteOperator.from_params(env.params, n=n2)
     prof2 = solve_radial(env.reactions, env.window, op2.grid)
-    pairs2 = construct_pairs(env.reactions, env.window, prof2, op=op2)
+    pairs2 = construct_pairs(env.reactions, prof2, op=op2)
     lo2 = amann_iterate(env.reactions, op2, pairs2.u0, pairs2.v_up, "from_lower")
     lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     diff = np.max(np.abs(lo2.limit.values - lo.limit.values[::2]))

@@ -227,6 +227,21 @@ def test_one_carrier_per_load():
     assert not {"params", "params0", "spec"} & {f.name for f in dataclasses.fields(cli._Env)}
 
 
+def test_reactions_carry_no_sampled_constant():
+    # Theta_lambda is the inner pair's to derive, and (f4) construct_pairs'
+    # to check: the reactions hold the bridge, fhat and the load's one copy
+    # of spec and params, and nothing derived on a grid
+    assert {f.name for f in dataclasses.fields(pqsing.DerivedReactions)} == {
+        "theta_star", "fbar", "h", "fhat", "spec", "params"}
+
+
+def test_pair_builders_take_no_window():
+    # the radial solve checks the load against the window; the pairs built
+    # on its profile read nothing else of it
+    for builder in (pqsing.construct_pairs, pqsing.build_second_pair):
+        assert "window" not in inspect.signature(builder).parameters, builder.__name__
+
+
 def test_no_function_takes_the_weights():
     # both upper functions are plain constant-load solves, so the weights of
     # the auxiliary problems -L^{alpha,beta} u = 1 are nobody's parameter:

@@ -11,6 +11,7 @@ from pqsing import (
     Params,
     build_fhat,
     build_h,
+    build_second_pair,
     choose_Theta_lambda,
     choose_khat,
     compute_window,
@@ -84,9 +85,9 @@ def test_table_slope_is_its_segments_wherever_it_is_read():
 def test_validate_reference_spec_ok():
     # (f4) is the one assumption that needs the load: the spec checks (f0),
     # (f1) and a bounded f, the window (f3)
-    rep = validate(exp_spec(), PARAMS)
-    assert rep.ok
-    assert {c.name for c in rep.checks} == {"f4"}
+    check = validate(build_h(exp_spec(), PARAMS))
+    assert check.name == "f4" and check.passed
+    assert check.witness == {"khat": 0.0, "max_decrease": 0.0}
 
 
 def test_validate_rejects_decreasing_table():
@@ -114,11 +115,12 @@ def test_validate_f4_needs_khat_for_early_saturation():
     lam_hi = 0.2809752558439424
     pr = dataclasses.replace(PARAMS, lam=lam_hi)
     bare = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67, k=25.0)
-    rep = validate(bare, pr)
-    assert not rep.passed("f4")
+    check = validate(build_h(bare, pr))
+    assert not check.passed
+    assert check.witness["khat"] == 0.0 and check.witness["max_decrease"] > 0.0
     shifted = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67,
                                k=25.0, khat=60000.0)
-    assert validate(shifted, pr).ok
+    assert validate(build_h(shifted, pr)).passed
 
 
 def test_validate_f3_window_failure():
@@ -222,9 +224,8 @@ def test_reactions_moved_to_a_load_match_a_fresh_build(spec):
                         np.geomspace(1e-12, 2.0 * spec.theta2, 4001)])
     for name in ("h", "fhat"):
         assert getattr(moved, name)(t).tobytes() == getattr(fresh, name)(t).tobytes(), name
-    for name in ("Theta_lambda", "theta_star", "fbar", "spec", "params"):
+    for name in ("theta_star", "fbar", "spec", "params"):
         assert getattr(moved, name) == getattr(fresh, name), name
-    assert moved.Theta_lambda == choose_Theta_lambda(spec, PARAMS, fresh.h)
     assert fresh.at_load(PARAMS.lam) is fresh  # nothing to derive at its own load
 
 
@@ -246,31 +247,42 @@ def test_bridge_rejects_impossible_thresholds():
 
 def test_choose_theta_lambda_zero_when_monotone():
     rx = build_h(exp_spec(), PARAMS)
-    assert rx.Theta_lambda == 0.0
+    assert choose_Theta_lambda(rx.spec, rx.params, rx.h) == 0.0
 
 
-def test_choose_theta_lambda_compensates():
+def test_choose_theta_lambda_compensates(gentle):
+    # cfg_small's reaction at its midpoint load; the inner pair derives the
+    # same Theta_lambda and reports it as a margin
     spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=890.67,
                             k=25.0, khat=60000.0)
     pr = dataclasses.replace(PARAMS, lam=0.15825952111377303)
     rx = build_h(spec, pr)
     Theta = choose_Theta_lambda(spec, pr, rx.h)
     assert Theta == pytest.approx(2.389892543619752, rel=1e-9)
+    assert (gentle.spec, gentle.params) == (spec, pr)
+    assert gentle.pairs.second_margins["Theta_lambda"] == Theta
     grid = np.linspace(0.0, 2.0 * spec.theta2, 20001)
     g = pr.lam * np.asarray(rx.h(grid)) + Theta * lpq_scalar(grid, pr)
     assert np.all(np.diff(g) >= -1e-9 * np.max(np.abs(g)))
 
 
-def test_choose_theta_lambda_refuses_an_overflowing_reaction():
+def test_choose_theta_lambda_refuses_an_overflowing_reaction(gentle):
     # f is bounded by e^k, but lam h overflows at a load of 1e308, so lam h
-    # is not finite on the grid and no finite shift exists (build_h derives
-    # Theta_lambda at its own load; its bridge h does not depend on the load)
+    # is not finite on the grid and no finite shift exists.  The inner pair
+    # derives Theta_lambda at its load, before its m search, and refuses the
+    # load with the same message; build_h derives none (its bridge h does
+    # not depend on the load)
     huge = dataclasses.replace(PARAMS, lam=1e308)
     h = build_h(exp_spec(), PARAMS).h
     with np.errstate(all="ignore"):
-        for build in (lambda spec, pr: choose_Theta_lambda(spec, pr, h), build_h):
+        with pytest.raises(ConfigurationError, match="Theta_lambda = nan: lam"):
+            choose_Theta_lambda(exp_spec(), huge, h)
+        assert build_h(exp_spec(), huge).params is huge
+        rx = gentle.reactions.at_load(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             with pytest.raises(ConfigurationError, match="Theta_lambda = nan: lam"):
-                build(exp_spec(), huge)
+                build_second_pair(rx, gentle.profile, gentle.op)
 
 
 def test_table_entries_must_be_finite():

@@ -145,17 +145,18 @@ def test_out_of_window_load_warns(cfg1):
         solve_radial(rx, cfg1.window, radial_nodes(rx.params, 256))
 
 
-def test_pairs_out_of_window_warn_once_per_stage(gentle):
-    # the radial solve and the second pair each check the load against the
-    # window; under the default filter both warnings are shown
+def test_pairs_out_of_window_warn_once_per_load(gentle):
+    # the radial solve checks the load against the window; the pairs built
+    # on its profile do not check it again, so the one warning shown under
+    # the default filter is the radial solve's
     rx = gentle.reactions.at_load(1.05 * gentle.window.lambda_upper)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         op = DiscreteOperator.from_params(rx.params, gentle.n)
         prof = solve_radial(rx, gentle.window, op.grid)
-        construct_pairs(rx, gentle.window, prof, op)
+        construct_pairs(rx, prof, op)
     where = [os.path.basename(w.filename) for w in caught if w.category is WindowViolation]
-    assert where == ["radial_solver.py", "discrete_solver.py"]
+    assert where == ["radial_solver.py"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gentle.window.warn_outside(gentle.window.lambda_upper * (1.0 + 1e-13))
