@@ -19,17 +19,18 @@ Beta integral:
     r(Xi) = Xi_max / ((1-gamma) tau) * B(1/(1-gamma), (q-1)/q)
             * I(1/(1-gamma), (q-1)/q; (Xi/Xi_max)^{1-gamma})
 
-with I the regularized incomplete Beta.  We use the closed form to start the
-integrator off the r=0 singularity (where Xi^{-gamma} is not Lipschitz) and
-as the oracle for R_tau = r(Xi_max).  Both Beta functions are computed here
-in plain floating point: B(a, b) from math.gamma (from math.lgamma and a
-Stirling difference once Gamma(a+b) would overflow), and B * I by the
-continued fraction of DLMF 8.17.22, evaluated by the modified Lentz method
-(Thompson & Barnett, J. Comput. Phys. 64, 1986), with the symmetry
-I_y(a, b) = 1 - I_{1-y}(b, a) above y = (a+1)/(a+b+2), where the fraction
-converges fastest.  The conservation audit, by contrast, never touches the
-energy identity: it integrates Xi^{-gamma} cell by cell with a fitted
-power-law rule, so it is an independent check on the profile.
+with I the regularized incomplete Beta.  The profile is this closed form
+and nothing else: Xi at any radius below R_tau inverts r(Xi) by Newton's
+method, Xi' follows from the energy identity, and R_tau = r(Xi_max)
+exactly.  Both Beta functions are computed here in plain floating point:
+B(a, b) from math.gamma (from math.lgamma and a Stirling difference once
+Gamma(a+b) would overflow), and B * I by the continued fraction of DLMF
+8.17.22, evaluated by the modified Lentz method (Thompson & Barnett,
+J. Comput. Phys. 64, 1986), with the symmetry I_y(a, b) = 1 - I_{1-y}(b, a)
+above y = (a+1)/(a+b+2), where the fraction converges fastest.  The
+conservation audit, by contrast, never touches the energy identity: it
+integrates Xi^{-gamma} cell by cell with a fitted power-law rule, so it is
+an independent check on the profile.
 """
 
 from __future__ import annotations
@@ -108,110 +109,100 @@ def _beta(a: float, b: float) -> float:
     return ga / gs * gb
 
 
-def _beta_fraction(a: float, b: float, y: float) -> float:
-    """The continued fraction of I_y(a, b) (DLMF 8.17.22) by modified Lentz."""
-    def clamp(v):
-        return v if abs(v) >= _CF_TINY else _CF_TINY
+def _beta_fraction(a: float, b: float, y: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_y(a, b) (DLMF 8.17.22) by modified Lentz.
 
-    c = 1.0
+    Elementwise over y; each entry stops at its own last term.
+    """
+    def clamp(v):
+        return np.where(np.abs(v) >= _CF_TINY, v, _CF_TINY)
+
+    c = np.ones_like(y)
     d = 1.0 / clamp(1.0 - (a + b) * y / (a + 1.0))
     frac = d
+    done = np.zeros(y.shape, dtype=bool)
     for m in range(1, _CF_TERMS + 1):
         # even term d_{2m}, then odd term d_{2m+1}
         num = m * (b - m) * y / ((a - 1.0 + 2 * m) * (a + 2 * m))
         d = 1.0 / clamp(1.0 + num * d)
         c = clamp(1.0 + num / c)
-        frac *= d * c
+        even = d * c
         num = -(a + m) * (a + b + m) * y / ((a + 2 * m) * (a + 1.0 + 2 * m))
         d = 1.0 / clamp(1.0 + num * d)
         c = clamp(1.0 + num / c)
         step = d * c
-        frac *= step
-        if abs(step - 1.0) <= 2.0 ** -52:
+        frac = np.where(done, frac, frac * even * step)
+        done |= np.abs(step - 1.0) <= 2.0 ** -52
+        if done.all():
             return frac
     raise ConvergenceFailure(
         f"incomplete Beta continued fraction did not converge in {_CF_TERMS} "
-        f"terms at a={a:.17g}, b={b:.17g}, y={y:.17g}")
+        f"terms at a={a:.17g}, b={b:.17g}, y={y[np.argmin(done)]:.17g}")
 
 
-def _incomplete_beta(a: float, b: float, y: float, beta_ab: float) -> float:
-    """B_y(a, b) = int_0^y t^(a-1) (1-t)^(b-1) dt; beta_ab = B(a, b).
+def _incomplete_beta(a: float, b: float, y: np.ndarray, beta_ab: float) -> np.ndarray:
+    """B_y(a, b) = int_0^y t^(a-1) (1-t)^(b-1) dt, elementwise; beta_ab = B(a, b).
 
     The regularized I_y(a, b) is B_y(a, b) / B(a, b).  Below the switch
     point the fraction gives B_y directly, so no B enters; above it,
     B_y(a, b) = B(a, b) - B_{1-y}(b, a).
     """
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return beta_ab
-    front = y ** a * (1.0 - y) ** b
-    if y < (a + 1.0) / (a + b + 2.0):
-        return front / a * _beta_fraction(a, b, y)
-    return beta_ab - front / b * _beta_fraction(b, a, 1.0 - y)
+    out = np.where(y <= 0.0, 0.0, beta_ab)
+    inside = (y > 0.0) & (y < 1.0)
+    below = inside & (y < (a + 1.0) / (a + b + 2.0))
+    above = inside & ~below
+    yb, ya = y[below], y[above]
+    out[below] = yb ** a * (1.0 - yb) ** b / a * _beta_fraction(a, b, yb)
+    out[above] = beta_ab - ya ** a * (1.0 - ya) ** b / b * _beta_fraction(b, a, 1.0 - ya)
+    return out
 
 
-def _radius_of_xi(xi: float, tau: float, q: float, gamma: float,
-                  beta_ab: float) -> float:
-    """r(Xi) on the rising branch, exact up to the Beta evaluation.
+# Newton's budget in the Beta inversion; it takes 4-5 steps
+_NEWTON_STEPS = 50
 
-    beta_ab is B(1/(1-gamma), (q-1)/q), computed once by the caller.
+
+def _beta_inverse(a: float, b: float, t: np.ndarray, beta_ab: float) -> np.ndarray:
+    """y in [0, 1] with B_y(a, b) = t, elementwise for 0 <= t <= beta_ab = B(a, b).
+
+    Here a > 1 > b, so y -> B_y(a, b) is increasing and convex, and both
+    B_y >= y^a / a and B_y >= B(a, b) - (1-y)^b / b hold; as b B(a, b) < 1,
+    the smaller of the points where these bounds reach t lies in [0, 1]
+    and at or above the root.  Newton's steps, with dB_y/dy = y^(a-1)
+    (1-y)^(b-1), fall monotonically from there onto the root.  They stop
+    one step after every step is below 1e-13 relative: near y = 1 the value
+    B - B_{1-y}(b, a) cancels, so its residual is no stopping test.
     """
-    a = 1.0 / (1.0 - gamma)
-    b = (q - 1.0) / q
+    y = np.where(t >= beta_ab, 1.0, 0.0)
+    inner = (t > 0.0) & (t < beta_ab)
+    ti = t[inner]
+    yi = np.minimum((a * ti) ** (1.0 / a), 1.0 - (b * (beta_ab - ti)) ** (1.0 / b))
+    small = ti.size == 0
+    for _ in range(_NEWTON_STEPS):
+        with np.errstate(divide="ignore"):  # infinite slope at y = 1: no step
+            step = (_incomplete_beta(a, b, yi, beta_ab) - ti) \
+                / (yi ** (a - 1.0) * (1.0 - yi) ** (b - 1.0))
+        yi = np.clip(yi - step, 0.0, 1.0)
+        if small:
+            break
+        small = bool(np.all(np.abs(step) <= 1e-13 * yi))
+    else:
+        raise ConvergenceFailure(f"Beta inversion did not converge in {_NEWTON_STEPS} steps")
+    y[inner] = yi
+    return y
+
+
+def _xi_of_radius(s, tau: float, q: float, gamma: float):
+    """Xi at radii s >= 0 by inverting the closed-form r(Xi) (Xi_max from R_tau on).
+
+    With a = 1/(1-gamma) and b = (q-1)/q, Xi = Xi_max y^a where
+    B_y(a, b) = s (1-gamma) tau / Xi_max.
+    """
+    a, b = 1.0 / (1.0 - gamma), (q - 1.0) / q
     xm = xi_max(tau, q, gamma)
-    y = (xi / xm) ** (1.0 - gamma)
-    return xm / ((1.0 - gamma) * tau) * _incomplete_beta(a, b, y, beta_ab)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
-
-    A step-for-step reproduction of scipy.optimize.brentq (scipy's C brentq:
-    inverse quadratic interpolation, secant or bisection on the same
-    tests in the same float order), so it returns the same bits without
-    importing scipy.optimize.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConfigurationError("f(a) and f(b) must have different signs")
-    for _ in range(100):  # scipy's default maxiter
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # scipy's C code gets inf or nan: rejected below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise ConvergenceFailure("brentq did not converge in 100 iterations")
+    s_arr = np.asarray(s, dtype=float)
+    t = np.atleast_1d(s_arr) * ((1.0 - gamma) * tau / xm)
+    out = xm * _beta_inverse(a, b, t, _beta(a, b)) ** a
+    return float(out[0]) if s_arr.ndim == 0 else out
 
 
 def _slope_from_xi(xi, tau: float, q: float, gamma: float):
@@ -225,7 +216,7 @@ class BarrierProfile:
     """Computed barrier: values, slopes, and (if reached) the blow-down radius.
 
     Invariants: xi(0)=0, xi'(0)=tau, xi strictly increasing, xi' strictly
-    decreasing on the retained nodes; all retained fluxes are positive.
+    decreasing on the retained nodes; all retained slopes are positive.
     """
 
     tau: float
@@ -236,20 +227,19 @@ class BarrierProfile:
     R_tau: float | None
 
     def value(self, s):
-        return self.xi.interp(s)
+        """Xi at boundary distances s, by the inversion that gives the nodes."""
+        return _xi_of_radius(s, self.tau, self.q, self.gamma)
 
 
 def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
                   n: int = 10_000) -> BarrierProfile:
-    """Integrate the barrier IVP on [0, r_max] with n uniform cells.
+    """The barrier on the nodes of [0, r_max] with n uniform cells.
 
-    The first few nodes (up to 16, fewer if blow-down is close) come from
-    inverting the exact r(Xi); from there a classical fourth-order step
-    advances (Xi, z) with z = (Xi')^{q-1}, z' = -Xi^{-gamma}.  If z hits
-    zero before r_max the profile is truncated at the last positive-flux
-    node, R_tau is estimated by linear interpolation in z (z' tends to the
-    constant -Xi_max^{-gamma} there, so z is locally linear), and a
-    BlowDown warning is emitted.
+    Every node r < R_tau gets Xi(r) from the closed-form inverse r(Xi), in
+    one vectorized Newton solve (see _beta_inverse), and Xi'(r) from the
+    energy identity.  If the flux is exhausted before r_max, the profile is
+    truncated at the last node with a positive slope, R_tau is reported
+    (exactly: blowdown_radius) and a BlowDown warning is emitted.
     """
     _check_exponents(tau, q, gamma)
     if not (r_max > 0.0):
@@ -257,64 +247,30 @@ def solve_barrier(tau: float, q: float, gamma: float, r_max: float,
     n = int(n)
     if n < 8:
         raise ConfigurationError(f"need at least 8 cells, got {n}")
-    h = r_max / n
     xm = xi_max(tau, q, gamma)
-    beta_ab = _beta(1.0 / (1.0 - gamma), (q - 1.0) / q)
-    R_exact = xm / ((1.0 - gamma) * tau) * beta_ab
+    if not (np.finfo(float).tiny <= xm < math.inf):
+        raise ConfigurationError(f"Xi_max = {xm:.3e} is not a normal double")
+    h = r_max / n
+    R_exact = blowdown_radius(tau, q, gamma)
     if h >= 0.25 * R_exact:
         raise ConfigurationError(
             f"step {h:.3e} too coarse for blow-down radius {R_exact:.3e}; "
             "raise n or shrink r_max")
 
     nodes = np.linspace(0.0, r_max, n + 1)
-    inv_exp = 1.0 / (q - 1.0)
-
-    xi = np.zeros(n + 1)
-    z = np.zeros(n + 1)
-    z[0] = tau ** (q - 1.0)
-
-    # exact start: invert r(Xi) at the first K nodes
-    K = min(16, n - 1, max(2, int(0.25 * R_exact / h)))
-    for i in range(1, K + 1):
-        ri = nodes[i]
-        f = lambda x: _radius_of_xi(x, tau, q, gamma, beta_ab) - ri
-        xi[i] = _brentq(f, 0.0, xm * (1.0 - 1e-15), xtol=1e-300, rtol=8.9e-16)
-        z[i] = _slope_from_xi(xi[i], tau, q, gamma) ** (q - 1.0)
-
-    def rhs(x, zz):
-        dz = -max(x, 1e-300) ** (-gamma)
-        dx = max(zz, 0.0) ** inv_exp
-        return dx, dz
-
-    truncate_at = None
+    xi = _xi_of_radius(nodes[nodes < R_exact], tau, q, gamma)
+    xi_prime = _slope_from_xi(xi, tau, q, gamma)
+    kept = int(np.flatnonzero(xi_prime > 0.0)[-1]) + 1
     R_tau = None
-    for i in range(K, n):
-        x0, z0 = xi[i], z[i]
-        k1x, k1z = rhs(x0, z0)
-        k2x, k2z = rhs(x0 + 0.5 * h * k1x, z0 + 0.5 * h * k1z)
-        k3x, k3z = rhs(x0 + 0.5 * h * k2x, z0 + 0.5 * h * k2z)
-        k4x, k4z = rhs(x0 + h * k3x, z0 + h * k3z)
-        x1 = x0 + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        z1 = z0 + h / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        if z1 <= 0.0:
-            R_tau = nodes[i] + h * z0 / (z0 - z1)
-            truncate_at = i
-            break
-        xi[i + 1], z[i + 1] = x1, z1
-
-    if truncate_at is not None:
+    if kept < n + 1:
+        R_tau = R_exact
         warnings.warn(
             f"flux exhausted at r ~ {R_tau:.6g} < r_max={r_max:.6g}; "
             "profile truncated", BlowDown)
-        nodes = nodes[: truncate_at + 1]
-        xi = xi[: truncate_at + 1]
-        z = z[: truncate_at + 1]
-
-    xi_prime = z ** inv_exp
     return BarrierProfile(
         tau=float(tau), q=float(q), gamma=float(gamma),
-        xi=GridFunction(nodes, xi),
-        xi_prime=GridFunction(nodes, xi_prime),
+        xi=GridFunction(nodes[:kept], xi[:kept]),
+        xi_prime=GridFunction(nodes[:kept], xi_prime[:kept]),
         R_tau=R_tau,
     )
 
@@ -329,7 +285,8 @@ def conservation_residual(profile: BarrierProfile) -> float:
     recorded initial slope for the zero cell) is integrated by
     Gauss-Legendre.  Away from the origin a fitted power-law rule is ample
     because the log-width of a cell is tiny.  Nothing is borrowed from the
-    energy identity, so the audit is independent of the start-up scheme.
+    energy identity or the Beta inversion, so the audit checks the ODE's
+    integrated form independently of how the profile was computed.
     The resolution of the zero cell degrades as gamma -> 1 (w compresses
     toward a point and most of the flux dies in the first cell); by
     gamma ~ 0.9 the audit, not the profile, is the accuracy floor.
@@ -471,10 +428,7 @@ def _solve_past_blowdown(tau: float, q: float, gamma: float) -> BarrierProfile:
     r_max = 1.02 * blowdown_radius(tau, q, gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BlowDown)
-        prof = solve_barrier(tau, q, gamma, r_max, n=4096)
-    if prof.R_tau is None:  # pragma: no cover - r_max sits beyond blow-down
-        raise ConfigurationError("blow-down not reached past its exact radius")
-    return prof
+        return solve_barrier(tau, q, gamma, r_max, n=4096)
 
 
 def _identity_residual(prof: BarrierProfile, base: BarrierProfile,

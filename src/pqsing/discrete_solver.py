@@ -563,9 +563,12 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     has a positive margin chi_high (the scalar condition alone controls only
     the sup norm; the grid's near-boundary nodes need the extra doublings).
     `fit_under` / `dominate` tighten the searches so the pair brackets a
-    given inner pair.  Out of doublings, SearchExhausted names the conditions
-    the last try failed (and u_up's worst node, if pointwise).  u_up needs
-    no exactness check: its certificate is pointwise.
+    given inner pair.  Out of halvings, SearchExhausted names the condition
+    the last eta failed and its deciding node (the minimizer of the
+    smallness bound, or the node where w_eta comes closest to the inner
+    pair); out of doublings, the conditions the last alpha_* failed (and
+    u_up's worst node, if pointwise).  u_up needs no exactness check: its
+    certificate is pointwise.
     """
     params, f = reactions.params, reactions.spec.f
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
@@ -576,15 +579,18 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     for _ in range(_GEOM_BUDGET):
         w = _load_solution(op, eta)
         wi = w[:-1]
-        cond = 0.5 * lam * float(np.min(np.asarray(f(wi), dtype=float) * wi ** (-gamma)))
-        ok = eta <= cond
-        if ok and fit_under is not None:
-            ok = bool(np.all(wi <= 0.5 * fit_under.values[:-1]))
-        if ok:
+        small = np.asarray(f(wi), dtype=float) * wi ** (-gamma)
+        if not eta <= 0.5 * lam * float(np.min(small)):
+            failed = f"smallness eta <= (lam/2) min f(w) w^-gamma, at node {int(np.argmin(small))}"
+        elif fit_under is not None and not np.all(wi <= 0.5 * fit_under.values[:-1]):
+            failed = ("fit under the inner pair, at node "
+                      f"{int(np.argmax(wi / fit_under.values[:-1]))}")
+        else:
             break
         eta *= 0.5
     else:
-        raise SearchExhausted("first pair: no admissible eta within the halving budget")
+        raise SearchExhausted("first pair: no admissible eta within the halving budget; "
+                              f"last failed: {failed}")
     _check_exact(op, w, eta, "first pair: w_eta misses -L w = eta")
     chi_low = float(np.min(_reaction_values(reactions, wi))) - eta
 

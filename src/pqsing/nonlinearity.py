@@ -49,15 +49,19 @@ def _distinct(*parts: np.ndarray) -> np.ndarray:
 
 
 def _monotone_deficit(values: np.ndarray) -> float:
-    """Largest decrease between consecutive samples (0 if nondecreasing)."""
+    """Largest decrease between consecutive samples (0 if nondecreasing,
+    inf if a difference is not finite, as those next to a sample that is
+    not finite are)."""
     d = np.diff(values)
+    if not np.all(np.isfinite(d)):
+        return math.inf
     return float(max(0.0, -np.min(d))) if d.size else 0.0
 
 
 def validate(reactions: DerivedReactions) -> AssumptionCheck:
-    """Check (f4) at the reactions' load: their fhat(t) + khat*t
-    nondecreasing on a grid of [0, 2 theta2]; a failure is reported, not
-    raised.  (f0), (f1) and a bounded f (so (f2)/(f2')) hold for every spec,
+    """Check (f4) at the reactions' load: their fhat(t) + khat*t finite
+    and nondecreasing on a grid of [0, 2 theta2]; a failure is reported,
+    not raised.  (f0), (f1) and a bounded f (so (f2)/(f2')) hold for every spec,
     and compute_window checks (f3): (f4) is the one assumption that needs
     the load.
     """
@@ -66,7 +70,7 @@ def validate(reactions: DerivedReactions) -> AssumptionCheck:
     gv = reactions.fhat(ggrid) + spec.khat * ggrid
     gdef = _monotone_deficit(gv)
     gscale = max(1.0, float(np.max(np.abs(gv))))
-    return AssumptionCheck("f4", gdef <= 1e-11 * gscale,
+    return AssumptionCheck("f4", math.isfinite(gdef) and gdef <= 1e-11 * gscale,
                            {"khat": float(spec.khat), "max_decrease": gdef})
 
 

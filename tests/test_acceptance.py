@@ -151,7 +151,7 @@ def test_criterion_5_barrier_certificates(capsys):
               f"fit residual {d['residual_fit']:.2e}, alternative-pair residual "
               f"{d['residual_alt']:.2e}) -- reported, not asserted", flush=True)
     _gate(capsys, 5, "barrier conservation, sign certificate, scaling report", t0, 10.0,
-          [(f"shooting conservation {cons:.2e} <= 1e-6", cons <= 1e-6),
+          [(f"barrier conservation audit {cons:.2e} <= 1e-6", cons <= 1e-6),
            ("smallest-exponent certificate at p=1.5 and 2.5", exp_ok),
            ("scaling report finite", finite)])
 

@@ -529,17 +529,17 @@ def test_each_stage_checks_f4_and_derives_theta_lambda_once_per_load(
 
 
 def test_stages_refuse_only_a_load_they_read(tmp_path, capsys):
-    # lam h overflows at a load of 1e300, so Theta_lambda is not finite
-    # there; barrier reads no reaction and runs (M_lambda = lam^(2/5)),
-    # while pairs, whose inner pair needs the shift, is refused
+    # lam fhat overflows at a load of 1e300; barrier reads no reaction and
+    # runs (M_lambda = lam^(2/5)), while radial and pairs, which check (f4)
+    # at the load, refuse it there (pairs before deriving Theta_lambda)
     assert run("barrier", str(SMALL), out=str(tmp_path), lam=1e300) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["M_lambda"] == pytest.approx(1e120, rel=1e-12)
-    assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64, lam=1e300) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines()[0] == (
-        "config error: Theta_lambda = nan: lam*h is not finite on [0, 2 theta2]")
+    for command in ("radial", "pairs"):
+        assert run(command, str(SMALL), out=str(tmp_path), nodes=64, lam=1e300) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["kind"] == "failed_assumptions"
+        assert out["error"] == "nonlinearity assumptions (f0)-(f4) failed validation: f4"
 
 
 def test_sweep_tags_each_warning_with_its_load(tmp_path, capsys, monkeypatch):
@@ -808,11 +808,13 @@ def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
 
 
 def test_first_pair_names_its_stage(tmp_path, capsys, monkeypatch):
-    # with no halvings left the eta search of the first pair gives up at once
-    monkeypatch.setattr(ds, "_GEOM_BUDGET", 0)
+    # with one try left the eta search of the first pair gives up after its
+    # first eta, naming the condition it failed and the node that decided it
+    monkeypatch.setattr(ds, "_GEOM_BUDGET", 1)
     assert run("pairs", str(SMALL), out=str(tmp_path), nodes=64) == 3
     assert capsys.readouterr().err == (
-        "did not converge: first pair: no admissible eta within the halving budget\n")
+        "did not converge: first pair: no admissible eta within the halving budget; "
+        "last failed: smallness eta <= (lam/2) min f(w) w^-gamma, at node 0\n")
 
 
 def test_barrier_command(tmp_path, capsys):

@@ -631,6 +631,17 @@ def test_alpha_star_exhaustion_names_the_failed_condition(gentle, monkeypatch):
         build_first_pair(gentle.reactions, gentle.op)
 
 
+def test_first_pair_names_the_node_that_stops_eta(gentle):
+    # an inner pair pinned near zero at node 5: eta is halved until it is
+    # small enough, and every w_eta still fails to fit under node 5
+    vals = np.ones(gentle.n + 1)
+    vals[5] = 1e-300
+    with pytest.raises(SearchExhausted, match=(
+            r"^first pair: no admissible eta within the halving budget; "
+            r"last failed: fit under the inner pair, at node 5$")):
+        build_first_pair(gentle.reactions, gentle.op, fit_under=GridFunction(gentle.op.grid, vals))
+
+
 def test_pairs_reference_geometry(cfg1):
     pairs = cfg1.pairs
     assert pairs.all_passed

@@ -2,7 +2,7 @@
 only the modules it runs, and no command loads scipy.
 
 Every diet check runs in a fresh interpreter, because this process has
-imported every module and scipy already (the port tests use scipy as their
+imported every module and scipy already (the oracle tests use scipy as their
 oracle).  The last four tests check the public surface: every exported
 name resolves, each load has one carrier (its reactions), no function takes
 the auxiliary weights alpha, beta, and the README's library quick start

@@ -90,6 +90,19 @@ def test_validate_reference_spec_ok():
     assert check.witness == {"khat": 0.0, "max_decrease": 0.0}
 
 
+def test_validate_fails_an_overflowing_fhat():
+    # at a load of 1e300 lam (f - f(0)) overflows on cfg_small's reaction,
+    # and inf - inf puts NaN among the differences of fhat + khat t: that
+    # fails (f4) instead of reading as no decrease
+    small = exp_spec(theta2=890.67, k=25.0, khat=60000.0)
+    with np.errstate(all="ignore"):
+        check = validate(build_h(small, dataclasses.replace(PARAMS, lam=1e300)))
+        # a difference that overflows between finite samples counts the same
+        assert nonlinearity._monotone_deficit(np.array([1e308, -1e308])) == math.inf
+    assert not check.passed
+    assert check.witness["max_decrease"] == math.inf
+
+
 def test_validate_rejects_decreasing_table():
     # (f1) is the reaction's alone: the spec refuses a decreasing table
     with pytest.raises(FailedAssumptions, match=r"^table_f decreases by 1\.0: .* validation: f1$"):
