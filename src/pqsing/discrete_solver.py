@@ -14,14 +14,15 @@ a plain solve of -L u = const -- need no Newton: the flux form gives their
 exact discrete solution by two cumulative sums (_load_solution, or
 _flux_solution from fluxes at hand, whose value at node 0 is the norm the m
 probes read), checked once per load where a reported margin relies on it.
-The same telescoping with the load lam f(u_i) u_i^{-gamma} marches the rows
-node by node from u(0) (march); u3 is the root of u_n between u1(0) and
-u2(0), bracketed on a coarse grid and polished by Newton on the unshifted
-system (search_third_solution).  The solve map seeds Newton at its input
-when the input's residual is sign-definite (a supersolution, or a
-subsolution within the load's scale) and beats the load-sized paraboloid's,
-so the long orbits of both Amann legs start each solve next to its answer
-(that_map).
+psi's Newton starts at the load solve of its right-hand side, which at
+Theta_lambda = 0 is psi itself.  The same telescoping with the load
+lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0) (march); u3
+is the root of u_n between u1(0) and u2(0), bracketed on a coarse grid and
+polished by Newton on the unshifted system (search_third_solution).  The
+solve map seeds Newton at a supersolution input, at a subsolution input
+within the load's scale that beats the load-sized paraboloid, and after a
+shift raise at the image it rejected, so every solve of both Amann legs
+starts next to its answer (that_map).
 
 Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
 cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
@@ -400,10 +401,6 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None):
                              f"worst node {_worst_node(res, scale, rnd)})")
 
 
-def _paraboloid(nodes: np.ndarray, R: float, amp: float) -> np.ndarray:
-    return amp * (1.0 - (nodes / R) ** 2)
-
-
 def _load_flux(op: DiscreteOperator, rhs) -> np.ndarray:
     """F(g_i) = Phi_i / area_i of the scheme's exact solution of A(u) = rhs.
 
@@ -666,17 +663,17 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     v0 = psi solves -L psi + Theta L(psi) = lam h(zeta) + Theta L(zeta) with
     zeta = phi from the radial profile, which must live on op's grid, and
     Theta = Theta_lambda, derived here at the load (choose_Theta_lambda;
-    reported as the margin Theta_lambda); eps_low is psi's pointwise
-    subsolution margin against the original reaction.  The load is not
-    checked against the window: the radial solve that made the profile
-    warned already.
+    reported as the margin Theta_lambda).  Newton starts at the load solve
+    of that right-hand side (_load_solution), which at Theta = 0 is psi:
+    no step.  eps_low is psi's pointwise subsolution margin against the
+    original reaction.  The load is not checked against the window: the
+    radial solve that made the profile warned already.
     """
     params, f = reactions.params, reactions.spec.f
     lam, gamma = params.lam, params.gamma
     p, q = params.p, params.q
     theta1 = reactions.spec.theta1
     _check_grid(op, reactions, profile.phi)
-    R, N = params.radius, params.dim
     # psi's shift, the one reader of Theta_lambda: derived first, so a load
     # with no finite shift is refused before the m search
     Theta = choose_Theta_lambda(reactions.spec, params, reactions.h)
@@ -756,15 +753,12 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     collar_deficit = float(np.min(_unshifted(reactions, op, v_up.values)[0]))
 
     # --- v0 = psi ------------------------------------------------------------
-    zeta = profile.phi
-    zi = np.maximum(zeta.values[:-1], 0.0)
+    zi = np.maximum(profile.phi.values[:-1], 0.0)
     rhs = lam * np.asarray(reactions.h(zi), dtype=float)
     if Theta != 0.0:
         rhs = rhs + Theta * lpq_scalar(zi, params)
-    amp = 0.5 * R * lpq_inverse(float(np.max(rhs)) * R / N, params)
-    init = np.maximum(_paraboloid(op.grid, R, amp), zeta.values)
     try:
-        psi = _newton(op, Theta, 0.0, 0.0, rhs, init)[0]
+        psi = _newton(op, Theta, 0.0, 0.0, rhs, _load_solution(op, rhs))[0]
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"second pair: v0 = psi: {exc}") from exc
     v0 = GridFunction(op.grid, psi)
@@ -874,7 +868,7 @@ def _fixed_point_residual(op, reactions, uv):
 
 
 def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
-             khat: float | np.ndarray) -> GridFunction:
+             khat: float | np.ndarray, *, seed: GridFunction | None = None) -> GridFunction:
     """One application of the shifted solve map.
 
     w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u;  khat
@@ -882,53 +876,51 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     node-wise K).  Increasing in u where fhat + khat t is; fixed points
     solve the original equation.
 
-    Newton has two seed candidates: the load-sized paraboloid, and u itself.
-    At w = u the shift terms vanish, so the system's residual there is the
-    unshifted equation's.  u is the seed when that residual is sign-definite
-    against its rounding floor and beats the paraboloid's: a supersolution
-    (then w <= u and the solve only descends), or a subsolution whose scaled
-    residual is at most 1, i.e. |A(u) - load| within the load's own scale.
-    Such a u is near-(p,q)-superharmonic, as the map's images are.  On both
-    shipped configurations (n = 256 to 16384) u is sign-definite at every
-    map, and every map seeds at u except two kinds.  The first ascending
+    Newton starts at `seed` when one is given (_checked_step passes the
+    image it rejected), evaluated once and alone.  Else u is evaluated
+    first: at w = u the shift terms vanish, so its residual is the
+    unshifted equation's.  A supersolution u (every residual at least minus
+    its rounding floor) is the seed, and w <= u.  Otherwise the load-sized
+    paraboloid is evaluated too, and u is the seed only as a subsolution of
+    scaled residual at most 1 (|A(u) - load| within the load's own scale)
+    that beats the paraboloid's.  On both shipped configurations (n = 256
+    to 16384) every map seeds at u except two kinds: the first ascending
     map seeds at the paraboloid, whose scaled error is lower (0.62-0.94
-    against u's 0.85-0.99).  The first two or three descending maps are
-    ties: the paraboloid lies under u, so init is u, evaluated once.
-    Without the guard a far-off subsolution (a sin^2 shape with scaled
+    against u's 0.85-0.99), and a shift re-solve at the image it rejected.
+    Without the guard at 1 a far-off subsolution (a sin^2 shape with scaled
     residual 4.7e3, say) would seed Newton far below its answer, and the
     damped search exhausts its budget climbing the degenerate region.  The
     chosen seed's residual is Newton's first evaluation.
     """
-    _check_grid(op, reactions, u)
+    _check_grid(op, reactions, *(g for g in (u, seed) if g is not None))
     params = reactions.params
     uv = u.values
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
     lam_f0, rhs, singular = _map_terms(reactions, uv)
-    base = 0.5 * lam_f0 ** (1.0 / (params.q - 1.0 + params.gamma))
-    init = np.maximum(uv, _paraboloid(op.grid, params.radius, base))
-    # seed at the amplitude the reaction load dictates: far-below starts
-    # make the damped Newton crawl through the degenerate region (the khat
-    # drift pins w near u, which init already contains, so it stays out)
-    load = float(np.max(rhs)) + lam_f0
-    if load > 0.0:
-        slope = lpq_inverse(load * params.radius / params.dim, params)
-        init = np.maximum(
-            init, _paraboloid(op.grid, params.radius, 0.5 * slope * params.radius))
 
-    def evaluated(seed):
-        seed = _newton_start(seed, singular)
-        return seed, _residual_scale(op, seed, 0.0, khat, lam_f0, rhs, singular, uv[:-1])
+    def evaluated(start):
+        start = _newton_start(start, singular)
+        return start, _residual_scale(op, start, 0.0, khat, lam_f0, rhs, singular, uv[:-1])
 
-    chosen = evaluated(init)
-    if float(np.min(uv[:-1])) > 0.0 and not np.array_equal(init, uv):
-        at_u = evaluated(uv)
-        res, scale, rnd, _ = at_u[1]
-        err_u = _scaled_err(res, scale, rnd)
-        definite = bool(np.all(res >= -rnd)) or (bool(np.all(res <= rnd)) and err_u <= 1.0)
-        if definite and err_u < _scaled_err(*chosen[1][:3]):
-            chosen = at_u
+    if seed is not None:
+        chosen = evaluated(seed.values)
+    else:
+        chosen = at_u = evaluated(uv) if float(np.min(uv[:-1])) > 0.0 else None
+        if at_u is None or not np.all(at_u[1][0] >= -at_u[1][2]):
+            # seed at the amplitude the reaction load dictates: far-below
+            # starts make the damped Newton crawl through the degenerate
+            # region (the khat drift pins w near u, which init contains)
+            R, load = params.radius, float(np.max(rhs)) + lam_f0
+            amp = max(lam_f0 ** (1.0 / (params.q - 1.0 + params.gamma)),
+                      R * lpq_inverse(load * R / params.dim, params))
+            chosen = evaluated(np.maximum(uv, 0.5 * amp * (1.0 - (op.grid / R) ** 2)))
+            if at_u is not None:
+                res, scale, rnd, _ = at_u[1]
+                err_u = _scaled_err(res, scale, rnd)
+                if np.all(res <= rnd) and err_u <= 1.0 and err_u < _scaled_err(*chosen[1][:3]):
+                    chosen = at_u
     w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], anchor=uv[:-1], first=chosen[1])[0]
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
@@ -939,8 +931,9 @@ _SHIFT_RAISES = 40  # shift re-solves allowed per step
 _ULP_BAND = 64.0    # a move within this many ulps of the iterate is float noise
 
 
-def _checked_step(reactions, u, op, K, ascending):
-    """Apply the map to u with a checked node-wise shift K.
+def _checked_step(reactions, u, op, K, ascending, fu):
+    """Apply the map to u with a checked node-wise shift K; fu is fhat(u)
+    at nodes 0..n-1.
 
     The image w satisfies A(w) - lam f(w) w^{-gamma} = K (u - w) -
     (fhat(w) - fhat(u)), and by comparison w >= u from a subsolution, w <= u
@@ -950,21 +943,22 @@ def _checked_step(reactions, u, op, K, ascending):
     At a node that moved against it the inequality only bounds K_i from
     above, which raising K cannot mend, so it stays out of the test.  K is
     raised to twice the secant wherever it falls short and the map is
-    applied again.  Returns (w, K).
+    applied again, seeded at the image it rejected.  Returns (w, K,
+    fhat(w)), the last the next step's fu.
     """
     ui = u.values[:-1]
-    fu = np.asarray(reactions.fhat(ui), dtype=float)
+    w = None
     for _ in range(_SHIFT_RAISES):
-        w = that_map(reactions, u, op=op, khat=K)
+        w = that_map(reactions, u, op=op, khat=K, seed=w)
         wi = w.values[:-1]
+        fw = np.asarray(reactions.fhat(wi), dtype=float)
         drop = ui - wi
         moved = drop < 0.0 if ascending else drop > 0.0
         need = np.zeros_like(K)
-        need[moved] = (np.asarray(reactions.fhat(wi[moved]), dtype=float)
-                       - fu[moved]) / drop[moved]
+        need[moved] = (fw[moved] - fu[moved]) / drop[moved]
         short = need > K
         if not np.any(short):
-            return w, K
+            return w, K, fw
         K = np.where(short, 2.0 * need, K)
     raise ConvergenceFailure(
         f"shift still short at {int(np.sum(short))} nodes "
@@ -1036,6 +1030,7 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     ascending = start == "from_lower"
     cur = lower if ascending else upper
     K = np.zeros(op.n)
+    fu = np.asarray(reactions.fhat(cur.values[:-1]), dtype=float)
     ctol = conv_factor * reactions.spec.theta2
     iterates = [cur]
     monotone: list[bool] = []
@@ -1043,7 +1038,7 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     converged = stalled = False
     for k in range(1, budget + 1):
         try:
-            nxt, K = _checked_step(reactions, cur, op, K, ascending)
+            nxt, K, fu = _checked_step(reactions, cur, op, K, ascending, fu)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(f"{start} step {k}: {exc}") from exc
         delta = nxt.values - cur.values

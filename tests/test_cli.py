@@ -4,15 +4,17 @@ Everything runs in-process through pqsing.cli.run / main so coverage tools
 see it and failures carry tracebacks instead of subprocess noise.
 """
 import json
+import random
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pqsing import cli, nonlinearity
+from pqsing import cli, compute_window, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
+from test_parameter_window import _random_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ROOT / "scripts" / "cfg_small.json"
@@ -805,6 +807,39 @@ def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
     assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=512) == 3
     assert capsys.readouterr().err.startswith(
         "did not converge: second pair: no admissible m")
+
+
+def _random_cfg(draw):
+    """Draw `draw` of _random_config from random.Random(1), as a config,
+    and its window."""
+    rng = random.Random(1)
+    for _ in range(draw + 1):
+        spec, params = _random_config(rng)
+    reaction = {"kind": spec.kind, "theta1": spec.theta1, "theta2": spec.theta2}
+    if spec.kind == "exp_saturating":
+        reaction["k"] = spec.k
+    else:
+        reaction.update(table_t=list(spec.table_t), table_f=list(spec.table_f))
+    cfg = {"schema": "v1", "nonlinearity": reaction,
+           "params": {"p": params.p, "q": params.q, "gamma": params.gamma,
+                      "dim": params.dim, "radius": params.radius, "lambda": None}}
+    return cfg, compute_window(spec, params)
+
+
+@pytest.mark.parametrize("draw, share", [
+    (7, 0.3), (7, 0.5), (7, 0.7), (30, 0.3), (30, 0.5), (30, 0.7), (33, 0.7),
+    (38, 0.3), (38, 0.5), (38, 0.7), (64, 0.3)])
+def test_psi_converges_on_random_configs(draw, share, tmp_path, capsys):
+    # psi's Newton starts at the load solve of its right-hand side; from a
+    # load-sized paraboloid it ran out of budget (at scaled residuals up to
+    # 1e41) or stalled its line search on every one of these loads
+    cfg, win = _random_cfg(draw)
+    lam = win.lambda_star + share * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
+    assert rep["third_solution"]["status"] == "converged"
+    capsys.readouterr()
 
 
 def test_first_pair_names_its_stage(tmp_path, capsys, monkeypatch):

@@ -314,12 +314,27 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
 
 def test_construct_pairs_banded_solves(gentle, monkeypatch):
     # the constant-load auxiliaries behind both pairs start at their answer;
-    # only v0 (a Theta-shifted solve) still takes Newton steps
+    # only v0 (a Theta-shifted solve) still takes Newton steps, from the load
+    # solve of its right-hand side (8 from the load-sized paraboloid)
     env = gentle
+    assert env.pairs.second_margins["Theta_lambda"] > 0.0
     calls = _count_banded(monkeypatch)
     pairs = construct_pairs(env.reactions, env.profile, op=env.op)
-    assert len(calls) <= 20
+    assert len(calls) <= 4
     assert pairs.all_passed
+
+
+def test_psi_at_zero_shift_is_its_load_solve(cfg1, monkeypatch):
+    # at Theta_lambda = 0 psi solves -L psi = lam h(phi), a given load: its
+    # Newton starts at the load solve, which it accepts without a step
+    env = cfg1
+    assert env.pairs.second_margins["Theta_lambda"] == 0.0
+    zi = np.maximum(env.profile.phi.values[:-1], 0.0)
+    rhs = env.params.lam * np.asarray(env.reactions.h(zi), dtype=float)
+    assert np.array_equal(env.pairs.v0.values, discrete_solver._load_solution(env.op, rhs))
+    calls = _count_banded(monkeypatch)
+    construct_pairs(env.reactions, env.profile, op=env.op)
+    assert calls == []
 
 
 def _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
@@ -733,6 +748,59 @@ def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
     assert at_u[0] and not any(at_u[1:])
 
 
+def test_that_map_evaluates_only_a_supersolution_input(gentle, monkeypatch):
+    # past the ties the load-sized paraboloid no longer lies under the
+    # descending leg's iterates; a supersolution is the seed whatever the
+    # paraboloid's error, so it is neither built nor evaluated: one
+    # evaluation, at u, before Newton's first step
+    env = gentle
+    up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
+    u = up.iterates[1]
+    assert certify(env.reactions, u, "supersolution", op=env.op).passed
+    events = []
+    real_scale, real_banded = discrete_solver._residual_scale, discrete_solver.solve_banded
+    monkeypatch.setattr(discrete_solver, "_residual_scale",
+                        lambda *a: events.append("residual") or real_scale(*a))
+    monkeypatch.setattr(discrete_solver, "solve_banded",
+                        lambda *a: events.append("step") or real_banded(*a))
+    that_map(env.reactions, u, op=env.op, khat=up.khat)
+    assert "step" in events
+    assert events[:events.index("step")] == ["residual"]
+
+
+def test_shift_resolve_starts_from_the_rejected_image(gentle, monkeypatch):
+    # the first descending step on cfg_small at n = 4096 raises its shift
+    # twice; each re-solve starts from the image it rejected, which takes
+    # fewer Newton steps than the same solve from u (5 each), and lands on
+    # the same image to the solve tolerance
+    env = gentle
+    op = DiscreteOperator.from_params(env.params, n=4096)
+    pairs = construct_pairs(env.reactions, solve_radial(env.reactions, env.window, op.grid),
+                            op=op)
+    u = pairs.u_up
+    steps = _count_banded(monkeypatch)
+    maps = []
+    real = discrete_solver.that_map
+
+    def counted(reactions, u, op, khat, seed=None):
+        before = len(steps)
+        w = real(reactions, u, op, khat, seed=seed)
+        maps.append((khat, seed is not None, len(steps) - before))
+        return w
+
+    monkeypatch.setattr(discrete_solver, "that_map", counted)
+    w, K, fw = discrete_solver._checked_step(
+        env.reactions, u, op, np.zeros(op.n), False, env.reactions.fhat(u.values[:-1]))
+    assert len(maps) >= 2
+    assert [seeded for _khat, seeded, _n in maps] == [False] + [True] * (len(maps) - 1)
+    assert np.array_equal(fw, env.reactions.fhat(w.values[:-1]))
+    for khat, _seeded, solves in maps[1:]:
+        before = len(steps)
+        from_u = that_map(env.reactions, u, op=op, khat=khat)
+        assert solves < len(steps) - before
+    assert np.max(np.abs(w.values - from_u.values)) <= 1e-12 * w.sup_norm()
+
+
 def test_that_map_rejects_negative(gentle):
     env = gentle
     bad = GridFunction(env.op.grid, -np.ones(env.op.n + 1))
@@ -843,10 +911,10 @@ def test_amann_stall_branch(cfg1, monkeypatch):
     # is a float-level move that must read as a stall, not as convergence
     env = cfg1
 
-    def float_noise(reactions, u, op, K, ascending):
+    def float_noise(reactions, u, op, K, ascending, fu):
         vals = u.values.copy()
         vals[:-1] = np.nextafter(vals[:-1], -np.inf)
-        return GridFunction(u.nodes, vals), K
+        return GridFunction(u.nodes, vals), K, fu
 
     monkeypatch.setattr(discrete_solver, "_checked_step", float_noise)
     with pytest.warns(IterationStall):
