@@ -178,29 +178,41 @@ def solve_banded(sub, diag, sup, rhs):
     pivoting: that is stable on diagonally dominant rows, whose dominance
     every level inherits, and the tests check the indefinite Jacobians of the
     u3 polish against LAPACK.  A singular or non-finite system raises
-    ConvergenceFailure naming the row it fails at.
+    ConvergenceFailure naming the row it fails at.  The levels run in place
+    in one workspace per call, in the plain expressions' operation order.
     """
     n = diag.size
     levels = 0
     while n + 1 > (_CR_DENSE + 1) << levels:
         levels += 1
     blocks = -(-(n + 1) >> levels)  # ceil((n + 1) / 2^levels) <= _CR_DENSE + 1
-    size = (blocks << levels) - 1
+    # level j's rows a, b, c, d lie side by side from starts[j], taking level
+    # j-1's multipliers first and its back substitution last; scratch is last
+    sizes = [(blocks << j) - 1 for j in range(levels, -1, -1)]
+    starts = [4 * sum(sizes[:j]) for j in range(levels + 2)]
+    work = np.empty(starts[-1] + (sizes[0] + 1) // 2)
+    bands = [[work[o + i * s:o + (i + 1) * s] for i in range(4)] for o, s in zip(starts, sizes)]
+    scratch = work[starts[-1]:]
     # row i reads b_i x_i - a_i x_{i-1} - c_i x_{i+1} = d_i: with the signs
     # of the off-diagonals flipped, no level negates them again
-    a, b, c, d = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
+    a, b, c, d = bands[0]
+    work[:starts[1]] = 0.0
+    b[n:] = 1.0
     np.negative(sub[1:], out=a[1:n])
     np.negative(sup[:-1], out=c[:n - 1])
     b[:n], d[:n] = diag, rhs
-    eliminated = []
     with np.errstate(all="ignore"):  # a zero pivot surfaces as a non-finite row
-        for _ in range(levels):
+        for (a, b, c, d), (left, bk, right, dk) in zip(bands, bands[1:]):
             ae, be, ce, de = a[::2], b[::2], c[::2], d[::2]
-            left, right = a[1::2] / be[:-1], c[1::2] / be[1:]
-            a, c = left * ae[:-1], right * ce[1:]
-            b = b[1::2] - left * ce[:-1] - right * ae[1:]
-            d = d[1::2] + left * de[:-1] + right * de[1:]
-            eliminated.append((ae, be, ce, de))
+            np.divide(a[1::2], be[:-1], out=left)
+            np.divide(c[1::2], be[1:], out=right)
+            np.subtract(b[1::2], np.multiply(left, ce[:-1], out=bk), out=bk)
+            bk -= np.multiply(right, ae[1:], out=scratch[:bk.size])
+            np.add(d[1::2], np.multiply(left, de[:-1], out=dk), out=dk)
+            dk += np.multiply(right, de[1:], out=scratch[:dk.size])
+            left *= ae[:-1]  # the next level's a and c
+            right *= ce[1:]
+        a, b, c, d = bands[-1]
         m = b.size
         dense = np.zeros((m, m))
         dense.flat[::m + 1] = b
@@ -210,14 +222,18 @@ def solve_banded(sub, diag, sup, rhs):
             x = np.linalg.solve(dense, d)
         except np.linalg.LinAlgError:
             x = np.full(m, np.nan)
-        for ae, be, ce, de in reversed(eliminated):
+        for (a, b, c, d), start in zip(bands[-2::-1], starts[-2:0:-1]):
             # full holds rows -1..2k+1 of this level (k = x.size), the two
             # ends 0: the kept rows at its even slots, the eliminated at the odd
-            full = np.zeros(2 * x.size + 3)
+            full = work[start:start + 2 * x.size + 3]
+            full[0] = full[-1] = 0.0
             full[2:-1:2] = x
-            full[1::2] = (de + ae * full[:-1:2] + ce * full[2::2]) / be
+            odd = full[1::2]
+            np.add(d[::2], np.multiply(a[::2], full[:-1:2], out=odd), out=odd)
+            odd += np.multiply(c[::2], full[2::2], out=scratch[:odd.size])
+            odd /= b[::2]
             x = full[1:-1]
-    x = x[:n]
+    x = x[:n].copy()
     if not np.all(np.isfinite(x)):
         raise ConvergenceFailure(_no_solution(sub, diag, sup, rhs))
     return x

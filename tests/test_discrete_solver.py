@@ -288,6 +288,28 @@ def test_solve_banded_names_the_failing_row():
         discrete_solver.solve_banded(sub, diag, sup, rhs)
 
 
+@pytest.mark.parametrize("n", [5, 1024])
+def test_solve_banded_returns_a_new_array(n):
+    # the reduction runs in one workspace per call: two calls in a row leave
+    # their inputs as they were, and the second result does not write over
+    # the first (no view into a workspace escapes)
+    rng = np.random.default_rng(n)
+    systems = []
+    for _ in range(2):
+        sub, sup = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
+        systems.append((sub, np.abs(sub) + np.abs(sup) + 1.0, sup, rng.normal(size=n)))
+    copies = [[a.copy() for a in system] for system in systems]
+    first = discrete_solver.solve_banded(*systems[0])
+    kept = first.copy()
+    second = discrete_solver.solve_banded(*systems[1])
+    for system, copy in zip(systems, copies):
+        assert all(np.array_equal(a, b) for a, b in zip(system, copy))
+    assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+    assert first.shape == second.shape == (n,)
+    assert _backward_error(*systems[0], first) <= 1e-14
+    assert _backward_error(*systems[1], second) <= 1e-14
+
+
 @pytest.mark.parametrize("dim, pq", [
     *(pytest.param(dim, (2.0, 3.0), id=f"{dim}") for dim in (1, 2, 3)),
     *(pytest.param(dim, (1.5, 2.5), id=f"{dim}-p1.5") for dim in (1, 2, 3)),
