@@ -19,10 +19,10 @@ Theta_lambda = 0 is psi itself.  The same telescoping with the load
 lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0) (march); u3
 is the root of u_n between u1(0) and u2(0), bracketed on a coarse grid and
 polished by Newton on the unshifted system (search_third_solution).  The
-solve map seeds Newton at a supersolution input, at a subsolution input
-within the load's scale that beats the load-sized paraboloid, and after a
-shift raise at the image it rejected, so every solve of both Amann legs
-starts next to its answer (that_map).
+solve map seeds Newton at a supersolution input or, far above its image,
+at its load solve; at a subsolution input within the load's scale that
+beats the load-sized paraboloid; and after a shift raise at the image it
+rejected: every solve of both Amann legs starts next to its answer (that_map).
 
 Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
 cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
@@ -896,17 +896,19 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     image it rejected), evaluated once and alone.  Else u is evaluated
     first: at w = u the shift terms vanish, so its residual is the
     unshifted equation's.  A supersolution u (every residual at least minus
-    its rounding floor) is the seed, and w <= u.  Otherwise the load-sized
-    paraboloid is evaluated too, and u is the seed only as a subsolution of
-    scaled residual at most 1 (|A(u) - load| within the load's own scale)
-    that beats the paraboloid's.  On both shipped configurations (n = 256
-    to 16384) every map seeds at u except two kinds: the first ascending
-    map seeds at the paraboloid, whose scaled error is lower (0.62-0.94
-    against u's 0.85-0.99), and a shift re-solve at the image it rejected.
-    Without the guard at 1 a far-off subsolution (a sin^2 shape with scaled
-    residual 4.7e3, say) would seed Newton far below its answer, and the
-    damped search exhausts its budget climbing the degenerate region.  The
-    chosen seed's residual is Newton's first evaluation.
+    its rounding floor) is the seed, and w <= u; past scaled residual 1
+    (|A(u) - load| beyond the load's own scale) the load solve P of A(P) =
+    lam f(u) u^{-gamma} is evaluated next, and wins if its residual is lower.
+    Otherwise the load-sized paraboloid is evaluated too, and u is the seed
+    only as a subsolution of scaled residual at most 1 that beats it.  On
+    both shipped configurations (n = 256 to 16384) the first descending map
+    seeds at P and takes no Newton step (4-8 from u), on most rungs the
+    second too; the first ascending map at the paraboloid (scaled error
+    0.62-0.94 against u's 0.85-0.99), a shift re-solve at the image it
+    rejected, and every other map at u.  Without the guard at 1 a far-off
+    subsolution (a sin^2 shape, scaled residual 4.7e3) would seed Newton far
+    below its answer, and the damped search exhausts its budget climbing
+    the degenerate region.  Newton reuses the chosen seed's residual.
     """
     _check_grid(op, reactions, *(g for g in (u, seed) if g is not None))
     params = reactions.params
@@ -924,6 +926,7 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
         chosen = evaluated(seed.values)
     else:
         chosen = at_u = evaluated(uv) if float(np.min(uv[:-1])) > 0.0 else None
+        err_u = np.inf if at_u is None else _scaled_err(*at_u[1][:3])
         if at_u is None or not np.all(at_u[1][0] >= -at_u[1][2]):
             # seed at the amplitude the reaction load dictates: far-below
             # starts make the damped Newton crawl through the degenerate
@@ -932,11 +935,12 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
             amp = max(lam_f0 ** (1.0 / (params.q - 1.0 + params.gamma)),
                       R * lpq_inverse(load * R / params.dim, params))
             chosen = evaluated(np.maximum(uv, 0.5 * amp * (1.0 - (op.grid / R) ** 2)))
-            if at_u is not None:
-                res, scale, rnd, _ = at_u[1]
-                err_u = _scaled_err(res, scale, rnd)
-                if np.all(res <= rnd) and err_u <= 1.0 and err_u < _scaled_err(*chosen[1][:3]):
-                    chosen = at_u
+            if err_u <= 1.0 and np.all(at_u[1][0] <= at_u[1][2]):
+                chosen = at_u if err_u < _scaled_err(*chosen[1][:3]) else chosen
+        elif err_u > 1.0:
+            # far above its image: the map's system but for its singular and shift terms
+            at_p = evaluated(_load_solution(op, _reaction_values(reactions, uv[:-1])))
+            chosen = at_p if _scaled_err(*at_p[1][:3]) < err_u else at_u
     w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], anchor=uv[:-1], first=chosen[1])[0]
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")

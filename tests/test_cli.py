@@ -842,6 +842,20 @@ def test_psi_converges_on_random_configs(draw, share, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.7])
+def test_descending_leg_converges_on_draw_26(share, tmp_path, capsys):
+    # u_up lies far above its first image here; Newton from u_up stalled its
+    # line search at scaled residual 1.000 (node 0) or 5.736 (node 116), and
+    # the first map now starts at its load solve.  u3's polish still fails
+    # on this draw, so only the legs are asserted
+    cfg, win = _random_cfg(26)
+    lam = win.lambda_star + share * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
+    capsys.readouterr()
+
+
 def test_first_pair_names_its_stage(tmp_path, capsys, monkeypatch):
     # with one try left the eta search of the first pair gives up after its
     # first eta, naming the condition it failed and the node that decided it

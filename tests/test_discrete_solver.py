@@ -753,9 +753,9 @@ def test_that_map_seeds_at_ascending_orbit_input(gentle, monkeypatch):
 
 
 def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
-    # the descending leg's first input lies above the load-sized paraboloid,
-    # so both seed candidates are u itself: one evaluation, which Newton
-    # reuses, and no second one at u
+    # the descending leg's first input is evaluated once: after it only the
+    # load solve is (it lies above the load-sized paraboloid, which would
+    # be u itself), and Newton reuses the chosen evaluation, not a second at u
     env = gentle
     u = env.pairs.u_up
     at_u = []
@@ -771,14 +771,16 @@ def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
 
 
 def test_that_map_evaluates_only_a_supersolution_input(gentle, monkeypatch):
-    # past the ties the load-sized paraboloid no longer lies under the
-    # descending leg's iterates; a supersolution is the seed whatever the
-    # paraboloid's error, so it is neither built nor evaluated: one
-    # evaluation, at u, before Newton's first step
+    # a supersolution within the load's scale of its image is the seed
+    # whatever the paraboloid's error, so neither the paraboloid nor the load
+    # solve is built or evaluated: one evaluation, at u, before Newton's
+    # first step.  The descending leg's second iterate on cfg_small has
+    # scaled residual 0.60
     env = gentle
     up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
-    u = up.iterates[1]
+    u = up.iterates[2]
     assert certify(env.reactions, u, "supersolution", op=env.op).passed
+    assert discrete_solver._fixed_point_residual(env.op, env.reactions, u.values) <= 1.0
     events = []
     real_scale, real_banded = discrete_solver._residual_scale, discrete_solver.solve_banded
     monkeypatch.setattr(discrete_solver, "_residual_scale",
@@ -793,8 +795,8 @@ def test_that_map_evaluates_only_a_supersolution_input(gentle, monkeypatch):
 def test_shift_resolve_starts_from_the_rejected_image(gentle, monkeypatch):
     # the first descending step on cfg_small at n = 4096 raises its shift
     # twice; each re-solve starts from the image it rejected, which takes
-    # fewer Newton steps than the same solve from u (5 each), and lands on
-    # the same image to the solve tolerance
+    # fewer Newton steps than the same solve seeded at u (5 each), and lands
+    # on the same image to the solve tolerance
     env = gentle
     op = DiscreteOperator.from_params(env.params, n=4096)
     pairs = construct_pairs(env.reactions, solve_radial(env.reactions, env.window, op.grid),
@@ -818,9 +820,34 @@ def test_shift_resolve_starts_from_the_rejected_image(gentle, monkeypatch):
     assert np.array_equal(fw, env.reactions.fhat(w.values[:-1]))
     for khat, _seeded, solves in maps[1:]:
         before = len(steps)
-        from_u = that_map(env.reactions, u, op=op, khat=khat)
+        from_u = that_map(env.reactions, u, op=op, khat=khat, seed=u)
         assert solves < len(steps) - before
     assert np.max(np.abs(w.values - from_u.values)) <= 1e-12 * w.sup_norm()
+
+
+@pytest.mark.parametrize("name", ["gentle", "cfg1"])
+def test_that_map_starts_a_far_supersolution_at_its_load_solve(name, request, monkeypatch):
+    # u_up lies far above its image (scaled residual 291 on cfg_small, 56 on
+    # cfg_reference).  After u the map evaluates P, the load solve of A(w) =
+    # lam f(u) u^{-gamma}, which at K = 0 misses the map's system by its
+    # singular term only and meets the solve tolerance: no Newton step.  It
+    # agrees with the image seeded at u to 4.3e-12 of its sup on cfg_small
+    # (3.0e-15 on cfg_reference), two answers within the rounding floor
+    env = request.getfixturevalue(name)
+    u, K = env.pairs.u_up, np.zeros(env.op.n)
+    from_u = that_map(env.reactions, u, op=env.op, khat=K, seed=u)
+    load = discrete_solver._load_solution(
+        env.op, discrete_solver._reaction_values(env.reactions, u.values[:-1]))
+    starts = []
+    real = discrete_solver._residual_scale
+    monkeypatch.setattr(discrete_solver, "_residual_scale",
+                        lambda op, w, *a: starts.append(w.copy()) or real(op, w, *a))
+    steps = _count_banded(monkeypatch)
+    w = that_map(env.reactions, u, op=env.op, khat=K)
+    assert len(starts) == 2
+    assert np.array_equal(starts[0], u.values) and np.array_equal(starts[1], load)
+    assert steps == [] and np.array_equal(w.values, load)
+    assert np.max(np.abs(w.values - from_u.values)) <= 1e-11 * from_u.sup_norm()
 
 
 def test_that_map_rejects_negative(gentle):
