@@ -45,7 +45,19 @@ def F_of(theta: float, params: Params) -> float:
         raise ValueError(f"need theta > 0, got {theta}")
     C = capacity_constant(params.dim, params.q)
     y = params.q * theta / (2.0 * C)
-    return y * min(1.0, y ** ((params.q - params.p) / (params.p - 1.0)))
+    # the minimum is 1 from y = 1 on, where the power overflows for p near 1
+    return y if y >= 1.0 else y * y ** ((params.q - params.p) / (params.p - 1.0))
+
+
+def _finite(name: str, compute) -> float:
+    """compute(), or a ConfigurationError naming it if it overflows or is not finite."""
+    try:
+        value = float(compute())
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} = {value} is not finite")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +121,7 @@ def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
         raise ConfigurationError(f"need chi, kappa > 1, got chi={chi}, kappa={kappa}")
 
     C = capacity_constant(N, q)
-    F2 = F_of(spec.theta2, params)
+    F2 = _finite("F(theta2)", lambda: F_of(spec.theta2, params))
     cap = min(spec.theta2, F2)
     if spec.theta1 >= cap:
         raise EmptyThetaRange(
@@ -129,12 +141,10 @@ def compute_window(spec: NonlinearitySpec, params: Params, chi: float = 1.01,
         raise ConfigurationError(f"h(theta) = {h_theta} must be positive")
     eps = N * R / (N + q - 1.0)
 
-    lam_star = (
-        max(theta ** (p - 1.0), theta ** (q - 1.0))
-        * 2.0 * R ** (N - 1) * N
-        / ((R - eps) ** (q - 1.0) * eps ** N * h_theta)
-    )
-    lam_upper = (spec.theta2 * q / (q - 1.0)) ** (q - 1.0) * N / (h_theta * R ** q)
+    lam_star = _finite("lambda_*", lambda: max(theta ** (p - 1.0), theta ** (q - 1.0))
+                       * 2.0 * R ** (N - 1) * N / ((R - eps) ** (q - 1.0) * eps ** N * h_theta))
+    lam_upper = _finite("lambda^*", lambda: (spec.theta2 * q / (q - 1.0)) ** (q - 1.0) * N
+                        / (h_theta * R ** q))
 
     # amplitude bound used in the lambda_* derivation:
     #   (1/eps^N) L_{p,q}(chi*kappa/(R-eps)) <= 2 (chi*kappa)^{q-1} / ((R-eps)^{q-1} eps^N),

@@ -177,6 +177,23 @@ def test_window_refuses_a_bad_reaction_with_exit_2(tmp_path, capsys, nonlinearit
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params, nonlinearity, code, stderr", [
+    ({"p": 1.0001, "q": 2.0, "dim": 1}, {"theta2": 100.0}, 0, ""),
+    ({"p": 59.0, "q": 60.0, "dim": 1}, {"k": 700.0, "theta1": 1e4, "theta2": 5e5}, 2,
+     "config error: lambda^* = inf is not finite\n"),
+], ids=["F-power-overflows", "lambda-upper-overflows"])
+def test_window_does_not_overflow(tmp_path, capsys, params, nonlinearity, code, stderr):
+    # both raised an uncaught OverflowError: F(theta2) at p near 1, whose
+    # y^{(q-p)/(p-1)} is not needed at y >= 1, and a lambda^* beyond float64,
+    # which is refused by name
+    path = write_cfg(tmp_path, small_cfg(params=params, nonlinearity=nonlinearity))
+    assert run("window", path, out=str(tmp_path / "out")) == code
+    out, err = capsys.readouterr()
+    assert err == stderr
+    if code == 0:
+        assert json.loads(out)["F_theta2"] == 25.0
+
+
 def test_window_leaves_the_stage_inputs_to_the_stages(tmp_path, capsys, monkeypatch):
     # cfg_small without its khat fails (f4), which reads fhat at the load.
     # window builds neither h nor fhat: it exits 0 and fires no warning.
@@ -831,7 +848,7 @@ def _random_cfg(draw):
     (38, 0.3), (38, 0.5), (38, 0.7), (64, 0.3)])
 def test_psi_converges_on_random_configs(draw, share, tmp_path, capsys):
     # psi's Newton starts at the load solve of its right-hand side; from a
-    # load-sized paraboloid it ran out of budget (at scaled residuals up to
+    # start far from it, Newton ran out of budget (at scaled residuals up to
     # 1e41) or stalled its line search on every one of these loads
     cfg, win = _random_cfg(draw)
     lam = win.lambda_star + share * (win.lambda_upper - win.lambda_star)
