@@ -200,7 +200,6 @@ class _Env:
     n: int
     outdir: Path
     tol_certify: float | None
-    conv_factor: float
     budget: int
     barrier_tau: float
     barrier_n: int
@@ -250,7 +249,7 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
 
     tol = cfg.get("tolerances", {})
     tol_certify = _number(tol, "tolerances", "certify", default=None, allow_null=True)
-    conv_factor = _number(tol, "tolerances", "conv_factor", default=1e-8)
+    _number(tol, "tolerances", "conv_factor", default=1e-8)  # validated; no stage reads it
     budget = _number(tol, "tolerances", "budget", default=200, integer=True)
 
     bc = cfg.get("barrier", {})
@@ -294,7 +293,7 @@ def _build_env(cfg: dict, out=None, nodes=None, lam_flag=None, seed=None,
     reactions = (None if command == "window" else
                  _self.build_h(spec, dataclasses.replace(params0, lam=lam)))
     return _Env(window=window, reactions=reactions, n=int(n), outdir=outdir,
-                tol_certify=tol_certify, conv_factor=conv_factor, budget=int(budget),
+                tol_certify=tol_certify, budget=int(budget),
                 barrier_tau=barrier_tau, barrier_n=barrier_n, barrier_p=barrier_p,
                 barrier_nu=barrier_nu, sweep_count=sweep_count)
 
@@ -457,9 +456,9 @@ def _cmd_pairs(env: _Env):
 
 
 def _leg_report(leg: ds.IterationTrace) -> dict:
-    return {"converged": leg.converged, "steps": leg.n_steps, "residual": leg.residual,
-            "scaled_residual": leg.scaled_residual, "sup": leg.limit.sup_norm(),
-            "monotone": bool(all(leg.monotone)), "khat": leg.khat, "stalled": leg.stalled}
+    return {"converged": leg.converged, "steps": leg.n_steps, "newton_steps": leg.newton_steps,
+            "residual": leg.residual, "scaled_residual": leg.scaled_residual,
+            "sup": leg.limit.sup_norm(), "monotone": bool(all(leg.monotone)), "khat": leg.khat}
 
 
 def _cmd_solve(env: _Env):
@@ -474,9 +473,9 @@ def _cmd_solve(env: _Env):
     # the two theorem intervals: u1 is minimal in [u0, v_up], u2 maximal in
     # [v0, u_up]
     lo = ds.amann_iterate(env.reactions, op, pairs.u0, pairs.v_up, "from_lower",
-                          budget=env.budget, conv_factor=env.conv_factor)
+                          budget=env.budget)
     up = ds.amann_iterate(env.reactions, op, pairs.v0, pairs.u_up, "from_upper",
-                          budget=env.budget, conv_factor=env.conv_factor)
+                          budget=env.budget)
     third, u3 = ds.search_third_solution(env.reactions, lo.limit, up.limit, pairs, op)
     # the three solutions share the grid, so its column is formatted once
     rows = "".join(map("%.17g,%%.17g\n".__mod__, lo.limit.nodes.tolist()))
@@ -486,7 +485,15 @@ def _cmd_solve(env: _Env):
                             u.values.tolist())
     gap = float(np.max(np.abs(up.limit.values - lo.limit.values)))
     distinct = bool(gap >= 0.1 * env.spec.theta1)
+    intervals = {
+        "order_u0_u1": ds.certify(env.reactions, pairs.u0, "ordering", other=lo.limit),
+        "order_u1_vup": ds.certify(env.reactions, lo.limit, "ordering", other=pairs.v_up),
+        "order_v0_u2": ds.certify(env.reactions, pairs.v0, "ordering", other=up.limit),
+        "order_u2_uup": ds.certify(env.reactions, up.limit, "ordering", other=pairs.u_up),
+    }
+    report["certificates"].update({k: c.summary() for k, c in intervals.items()})
     report.update({
+        "all_passed": report["all_passed"] and all(c.passed for c in intervals.values()),
         "from_lower": _leg_report(lo),
         "from_upper": _leg_report(up),
         "gap": gap,
@@ -494,8 +501,8 @@ def _cmd_solve(env: _Env):
         "third_solution": third,
     })
     if not (lo.converged and up.converged):
-        return report, 3
-    return report, 0 if distinct else 1
+        return report, 3 if report["all_passed"] else 1
+    return report, 0 if distinct and report["all_passed"] else 1
 
 
 def _cmd_certify(env: _Env, input_path, kind, other_path, tol):

@@ -3,11 +3,11 @@
 One uniform grid on [0, R], laid out by DiscreteOperator.from_params, carries
 everything: the flux-form operator, the auxiliary constant-load solves, the
 four sub/supersolution constructors, the shifted solve map T-hat, the Amann
-iteration between ordered endpoints (u1, u2), and discrete shooting for the
-third solution u3 between them.  Every stage takes that operator and the
-load's DerivedReactions (its one copy of Params and reaction), and refuses
-a grid function that lives elsewhere or an operator of other exponents or
-geometry.  All nonlinear systems go through one damped-Newton core, whose
+legs to u1 and u2 (one checked map step, then Newton on the unshifted
+system), and shooting for the third solution u3.  Every stage takes that
+operator and the load's DerivedReactions (its one copy of Params and
+reaction), and refuses a grid function that lives elsewhere or an operator
+of other exponents or geometry.  All nonlinear systems go through one damped-Newton core, whose
 tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
 The constant-load problems behind both pairs -- w_eta, u_up and v_up, each
 a plain solve of -L u = const -- need no Newton: the flux form gives their
@@ -54,7 +54,6 @@ from .errors import (
     ConvergenceFailure,
     FailedAssumptions,
     IterationBudget,
-    IterationStall,
     MonotonicityViolation,
     PositivityLoss,
     SearchExhausted,
@@ -360,14 +359,17 @@ def _newton_start(init, singular):
     return u
 
 
-def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None):
+def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None,
+            polish=False):
     """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
     mu u^{-gamma} = rhs + load(u); mu and rhs are scalars or one value per
     node 0..n-1.  `load`, when given, maps u at nodes 0..n-1 to the values
     and the derivative of a u-dependent load.  `first` is the
     _residual_scale of the same system at init, when the caller has
     evaluated it already to choose the seed; init must then be a
-    _newton_start, and load None.  Returns (u, the number of Newton steps)."""
+    _newton_start, and load None.  `polish` takes one full step more once
+    the tolerance is met, kept if it meets it too: the rounding floor passes
+    smooth errors of 1e-10 of the sup.  Returns (u, the Newton steps)."""
     n = op.n
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
@@ -391,7 +393,9 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None):
     err = _scaled_err(res, scale, rnd)
     for steps in range(_NEWTON_BUDGET):
         if err <= _SOLVE_TOL:
-            return u, steps
+            if not polish:
+                return u, steps
+            polish = False
         sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
         d = solve_banded(sub, diag if slope is None else diag - slope, sup, -res)
         step = 1.0
@@ -402,10 +406,12 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None):
                 trial[:-1] = np.maximum(trial[:-1], _POS_FLOOR)
             (tres, tscale, trnd, tkept), tslope = evaluate(trial)
             terr = _scaled_err(tres, tscale, trnd)
-            if np.isfinite(terr) and terr < err:
+            if np.isfinite(terr) and (terr < err or terr <= _SOLVE_TOL):
                 u, res, scale, rnd, err, kept, slope = (trial, tres, tscale, trnd, terr,
                                                         tkept, tslope)
                 break
+            if err <= _SOLVE_TOL:  # the polish step missed: keep the solved u
+                return u, steps + 1
             step *= 0.5
         else:
             raise ConvergenceFailure(
@@ -935,12 +941,10 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
 
 
 _SHIFT_RAISES = 40  # shift re-solves allowed per step
-_ULP_BAND = 64.0    # a move within this many ulps of the iterate is float noise
 
 
-def _checked_step(reactions, u, op, K, ascending, fu):
-    """Apply the map to u with a checked node-wise shift K; fu is fhat(u)
-    at nodes 0..n-1.
+def _checked_step(reactions, u, op, ascending):
+    """Apply the map to u with a checked node-wise shift K, 0 to start.
 
     The image w satisfies A(w) - lam f(w) w^{-gamma} = K (u - w) -
     (fhat(w) - fhat(u)), and by comparison w >= u from a subsolution, w <= u
@@ -950,39 +954,58 @@ def _checked_step(reactions, u, op, K, ascending, fu):
     At a node that moved against it the inequality only bounds K_i from
     above, which raising K cannot mend, so it stays out of the test.  K is
     raised to twice the secant wherever it falls short and the map is
-    applied again, seeded at the image it rejected.  Returns (w, K,
-    fhat(w)), the last the next step's fu.
+    applied again, seeded at the image it rejected.  Returns (w, K).
     """
     ui = u.values[:-1]
-    w = None
+    fu = np.asarray(reactions.fhat(ui), dtype=float)
+    w, K = None, np.zeros(op.n)
     for _ in range(_SHIFT_RAISES):
         w = that_map(reactions, u, op=op, khat=K, seed=w)
         wi = w.values[:-1]
-        fw = np.asarray(reactions.fhat(wi), dtype=float)
         drop = ui - wi
         moved = drop < 0.0 if ascending else drop > 0.0
         need = np.zeros_like(K)
-        need[moved] = (fw[moved] - fu[moved]) / drop[moved]
+        need[moved] = (np.asarray(reactions.fhat(wi[moved]), dtype=float)
+                       - fu[moved]) / drop[moved]
         short = need > K
         if not np.any(short):
-            return w, K, fw
+            return w, K
         K = np.where(short, 2.0 * need, K)
     raise ConvergenceFailure(
         f"shift still short at {int(np.sum(short))} nodes "
         f"(first {int(np.argmax(short))}) after {_SHIFT_RAISES} raises")
 
 
+def _solve_unshifted(reactions, op, init, polish=False):
+    """(u, Newton steps): damped Newton (_newton, with its `polish`) from
+    init on the unshifted system A(u) - lam f(0) u^{-gamma} = fhat(u),
+    whose load fhat and its derivative are evaluated at each iterate.
+    PositivityLoss names the node of a result on the positivity floor."""
+    lam, gamma = reactions.params.lam, reactions.params.gamma
+
+    def fhat_load(ui):
+        value = np.asarray(reactions.fhat(ui), dtype=float)
+        fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
+        return value, lam * fp * ui ** (-gamma) - gamma * value / ui
+
+    w, steps = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init, load=fhat_load,
+                       polish=polish)
+    low = int(np.argmin(w[:-1]))
+    if w[low] <= 2.0 * _POS_FLOOR:
+        raise PositivityLoss(f"collapsed onto the positivity floor at node {low}")
+    return w, steps
+
+
 @dataclasses.dataclass(frozen=True)
 class IterationTrace:
-    """Record of one monotone run: every iterate plus per-step diagnostics.
+    """Record of one leg: its iterates (the endpoint, the checked map step,
+    the Newton finish) plus per-step diagnostics.
 
-    khat is the largest node-wise shift K_i of the last step.  stalled
-    marks a run that stopped on a move within a few ulps of the iterate
-    while the iterate was not yet a fixed point: float64 cannot take the
-    step the shift asks for.  residual is the plain original_residual of
-    the limit, which counts flux-cancellation rounding; scaled_residual is
-    the rounding-aware residual of the unshifted equation there (what
-    Newton and the stall test judge by).
+    khat is the largest node-wise shift K_i of the map step; newton_steps
+    counts the finish's Newton steps.  residual is the plain
+    original_residual of the limit, which counts flux-cancellation
+    rounding; scaled_residual is the rounding-aware residual of the
+    unshifted equation there (what Newton judges by).
     """
 
     iterates: tuple
@@ -992,8 +1015,8 @@ class IterationTrace:
     start: str
     khat: float
     increments: tuple
-    stalled: bool
     scaled_residual: float
+    newton_steps: int
 
     @property
     def limit(self) -> GridFunction:
@@ -1007,24 +1030,22 @@ class IterationTrace:
 def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
                   lower: GridFunction, upper: GridFunction, start: str,
                   budget: int = 200, conv_factor: float = 1e-8) -> IterationTrace:
-    """Iterate the solve map from one endpoint of a certified interval.
+    """Amann's iteration from one endpoint of a certified interval, ended
+    by Newton on the equation of its limit.
 
-    from_lower ascends, from_upper descends.  Every step is _checked_step:
-    a node-wise shift K, carried from step to step and raised only where an
-    image fails the check, so each iterate stays a sub- (ascending) or
-    supersolution (descending).  The shift never moves the fixed points,
-    only the path.  A global shift that keeps fhat + khat t nondecreasing
-    up to the upper endpoint would make the steps microscopic: on the
-    reference configuration each would be one ulp of the 4e17 iterate.
-
-    Convergence is declared when the sup increment drops below
-    conv_factor * theta2, or when it is at most 64 ulps of the iterate's
-    sup norm and the rounding-aware residual of the unshifted equation at
-    the input is within the inner solve's tolerance.  A float-level move at
-    any larger residual ends the run as stalled (IterationStall), not
-    converged.  A monotonicity failure beyond 1e-9 * sup|iterate| is a
-    discretization artifact: reported as a MonotonicityViolation warning,
-    iteration continues.
+    from_lower ascends, from_upper descends.  One _checked_step (a node-wise
+    shift K, raised only where the image fails the check; a global shift
+    would move the 4e17 reference endpoint by an ulp) makes a sub-
+    (ascending) or supersolution (descending) between the endpoint and the
+    limit.  _solve_unshifted, polished, solves the limit's equation from
+    there; the orbit's further maps would only approach it.  The finish
+    must lie on the leg's side of that iterate to 1e-9 * sup and off the
+    positivity floor, or ConvergenceFailure names the leg, `finish` and the
+    worst node.  budget counts map applications, the finish as one: budget
+    1 stops before the finish, not converged (IterationBudget).
+    conv_factor changes nothing; it set the increment test the finish
+    replaced.  A map step against the leg by more than 1e-9 * sup warns
+    MonotonicityViolation.
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
@@ -1035,61 +1056,46 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     if gap < -1e-9 * max(1.0, upper.sup_norm()):
         raise ConfigurationError("endpoints are not ordered")
     ascending = start == "from_lower"
-    cur = lower if ascending else upper
-    K = np.zeros(op.n)
-    fu = np.asarray(reactions.fhat(cur.values[:-1]), dtype=float)
-    ctol = conv_factor * reactions.spec.theta2
-    iterates = [cur]
-    monotone: list[bool] = []
-    increments: list[float] = []
-    converged = stalled = False
-    for k in range(1, budget + 1):
+    sign, cur = (1.0, lower) if ascending else (-1.0, upper)
+    try:
+        first, K = _checked_step(reactions, cur, op, ascending)
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"{start} step 1: {exc}") from exc
+    rise = sign * (first.values - cur.values)
+    monotone = [bool(np.min(rise) >= -1e-9 * max(1.0, first.sup_norm()))]
+    if not monotone[0]:
+        warnings.warn(f"monotone step violated by {float(np.max(np.abs(rise))):.3e}",
+                      MonotonicityViolation)
+    iterates, steps = [cur, first], 0
+    if budget > 1:
         try:
-            nxt, K, fu = _checked_step(reactions, cur, op, K, ascending, fu)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"{start} step {k}: {exc}") from exc
-        delta = nxt.values - cur.values
-        mtol = 1e-9 * max(1.0, nxt.sup_norm())
-        ok = bool(np.min(delta) >= -mtol) if ascending else bool(np.max(delta) <= mtol)
-        if not ok:
-            warnings.warn(
-                f"monotone step violated by {float(np.max(np.abs(delta))):.3e}",
-                MonotonicityViolation,
-            )
-        inc = float(np.max(np.abs(delta)))
-        iterates.append(nxt)
-        monotone.append(ok)
-        increments.append(inc)
-        if inc < ctol:
-            converged = True
-            break
-        if inc <= _ULP_BAND * float(np.spacing(max(cur.sup_norm(), nxt.sup_norm()))):
-            err = _fixed_point_residual(op, reactions, cur.values)
-            converged = err <= _SOLVE_TOL
-            stalled = not converged
-            if stalled:
-                warnings.warn(
-                    f"{start} run stalled at step {len(increments)}: increment {inc:.3e} "
-                    f"is within {_ULP_BAND:g} ulps of the iterate, scaled residual "
-                    f"{err:.3e}", IterationStall)
-            break
-        cur = nxt
-    if not (converged or stalled):
-        warnings.warn(
-            f"{start} run used the full budget of {budget} iterations "
-            f"(last increment {increments[-1]:.3e}, target {ctol:.3e})",
-            IterationBudget,
-        )
+            w, steps = _solve_unshifted(reactions, op, first.values, polish=True)
+        except (ConvergenceFailure, PositivityLoss) as exc:
+            raise ConvergenceFailure(f"{start} finish: {exc}") from exc
+        rise = sign * (w - first.values)
+        worst = int(np.argmin(rise))
+        if rise[worst] < -1e-9 * max(1.0, float(np.max(w))):
+            raise ConvergenceFailure(
+                f"{start} finish: Newton result lies {-rise[worst]:.3e} "
+                f"{'below' if ascending else 'above'} the first iterate "
+                f"(worst node {worst})")
+        iterates.append(GridFunction(op.grid, w))
+        monotone.append(True)
+    else:
+        warnings.warn(f"{start} run used the full budget of 1 iteration before its "
+                      f"Newton finish", IterationBudget)
+    increments = tuple(float(np.max(np.abs(b.values - a.values)))
+                       for a, b in zip(iterates, iterates[1:]))
     return IterationTrace(
         iterates=tuple(iterates),
         residual=original_residual(reactions, iterates[-1], op=op),
         monotone=tuple(monotone),
-        converged=converged,
+        converged=budget > 1,
         start=start,
         khat=float(np.max(K)),
-        increments=tuple(increments),
-        stalled=stalled,
+        increments=increments,
         scaled_residual=_fixed_point_residual(op, reactions, iterates[-1].values),
+        newton_steps=steps,
     )
 
 
@@ -1180,21 +1186,9 @@ def search_third_solution(reactions: DerivedReactions, u1: GridFunction, u2: Gri
         coarse, seed = _shoot_middle(op, reactions, a1, a2)
     except (SearchExhausted, ConvergenceFailure) as exc:
         return {"status": "bracket_failed", "message": f"shooting bracket: {exc}"}, None
-    lam, gamma = reactions.params.lam, reactions.params.gamma
-
-    def fhat_load(ui):
-        """(fhat, fhat') at positive ui: the solve map's load, now a Newton load."""
-        value = np.asarray(reactions.fhat(ui), dtype=float)
-        fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
-        return value, lam * fp * ui ** (-gamma) - gamma * value / ui
-
     init = np.interp(op.grid, coarse.grid, seed)
     try:
-        w, steps = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init,
-                           load=fhat_load)
-        low = int(np.argmin(w[:-1]))
-        if w[low] <= 2.0 * _POS_FLOOR:
-            raise PositivityLoss(f"collapsed onto the positivity floor at node {low}")
+        w, steps = _solve_unshifted(reactions, op, init)
     except (ConvergenceFailure, PositivityLoss) as exc:
         return {"status": "polish_failed",
                 "message": f"shooting polish from u(0) = {seed[0]:.6g}: {exc}"}, None

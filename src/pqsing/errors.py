@@ -59,11 +59,7 @@ class MonotonicityViolation(RuntimeWarning):
 
 
 class IterationBudget(RuntimeWarning):
-    """A monotone iteration hit its step budget before the increment tolerance."""
-
-
-class IterationStall(RuntimeWarning):
-    """A monotone iteration moved by a few ulps while its iterate was not a fixed point."""
+    """A monotone iteration hit its step budget before its Newton finish."""
 
 
 class BlowDown(RuntimeWarning):

@@ -39,8 +39,14 @@ class PipelineEnv:
         return self.reactions.params
 
 
-def _build_env(config: str) -> PipelineEnv:
-    env = cli._build_env(cli._load_config(str(SCRIPTS / config)))
+def _build_env(config: str, share: float | None = None) -> PipelineEnv:
+    """The pipeline at the config's load, or at `share` of its window."""
+    cfg = cli._load_config(str(SCRIPTS / config))
+    env = cli._build_env(cfg)
+    if share is not None:
+        win = env.window
+        env = cli._build_env(
+            cfg, lam_flag=win.lambda_star + share * (win.lambda_upper - win.lambda_star))
     op, profile, _rcert, pairs = cli._pairs(env)
     return PipelineEnv(window=env.window, reactions=env.reactions, profile=profile,
                        op=op, pairs=pairs, n=env.n)

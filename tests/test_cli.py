@@ -318,6 +318,12 @@ def test_solve_small_all_green(tmp_path, capsys):
     # descending leg needed a positive shift, ascending leg did not
     assert rep["from_upper"]["khat"] > 0.0
     assert rep["from_lower"]["khat"] == 0.0
+    # each leg: one checked map step, then a Newton finish of a few steps
+    for leg in ("from_lower", "from_upper"):
+        assert rep[leg]["steps"] == 2 and 1 <= rep[leg]["newton_steps"] <= 6
+    # u1 and u2 are certified in the theorem's intervals
+    for name in ("order_u0_u1", "order_u1_vup", "order_v0_u2", "order_u2_uup"):
+        assert rep["certificates"][name]["passed"] is True
     third = rep["third_solution"]
     assert set(third) == {"status", "u_at_0", "sup", "residual", "scaled_residual",
                           "newton_steps", "dist_to_u1", "dist_to_u2", "certificates",
@@ -329,6 +335,7 @@ def test_solve_small_all_green(tmp_path, capsys):
     # the rounding-aware residual discounts flux-cancellation rounding, which
     # the plain one counts
     for leg in ("from_lower", "from_upper"):
+        assert rep[leg]["scaled_residual"] <= 1e-12
         assert rep[leg]["scaled_residual"] <= rep[leg]["residual"] <= 1e-6
     for name in ("solution_lower.csv", "solution_upper.csv", "solution_middle.csv"):
         header, data = read_csv(tmp_path / name)
@@ -383,20 +390,20 @@ def test_solve_outputs_deterministic(tmp_path, capsys):
 
 
 def test_solve_budget_exhaustion_exit_3(tmp_path, capsys):
-    # at nodes=512 the reference problem's ascending leg converges in 5
-    # steps and its descending leg in 14; a budget of 8 steps lies between
-    # them, so the descending leg runs out of budget on purpose
+    # each leg is one checked map step and a Newton finish, two map
+    # applications by the budget's count; a budget of 1 stops both legs
+    # before their finish on purpose, inside their theorem intervals
     cfg = json.loads(REFERENCE.read_text())
-    cfg["tolerances"] = {"budget": 8}
+    cfg["tolerances"] = {"budget": 1}
     out = tmp_path / "out"
     code = run("solve", write_cfg(tmp_path, cfg), out=str(out), nodes=512)
     assert code == 3
     rep = json.loads((out / "solve.json").read_text())
-    assert rep["from_lower"]["converged"] is True
-    assert rep["from_upper"]["converged"] is False
-    assert rep["from_upper"]["stalled"] is False
-    assert rep["from_upper"]["steps"] == 8
-    assert rep["from_upper"]["monotone"] is True   # cut short, never overshoots
+    assert rep["all_passed"] is True
+    for leg in ("from_lower", "from_upper"):
+        assert rep[leg]["converged"] is False
+        assert rep[leg]["steps"] == 1 and rep[leg]["newton_steps"] == 0
+        assert rep[leg]["monotone"] is True   # cut short, never overshoots
     capsys.readouterr()
 
 
@@ -843,6 +850,15 @@ def _random_cfg(draw):
     return cfg, compute_window(spec, params)
 
 
+def _failed_certificates(rep):
+    return sorted(k for k, c in rep["certificates"].items() if not c["passed"])
+
+
+# loads whose u1 leaves [u0, v_up]: v_up is no supersolution at the nodes
+# there (ROADMAP item 14), and solve refuses them with exit 1
+_U1_ESCAPES = {(64, 0.3)}
+
+
 @pytest.mark.parametrize("draw, share", [
     (7, 0.3), (7, 0.5), (7, 0.7), (30, 0.3), (30, 0.5), (30, 0.7), (33, 0.7),
     (38, 0.3), (38, 0.5), (38, 0.7), (64, 0.3)])
@@ -852,11 +868,43 @@ def test_psi_converges_on_random_configs(draw, share, tmp_path, capsys):
     # 1e41) or stalled its line search on every one of these loads
     cfg, win = _random_cfg(draw)
     lam = win.lambda_star + share * (win.lambda_upper - win.lambda_star)
-    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
+    escape = (draw, share) in _U1_ESCAPES
+    code = run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam)
+    assert code == (1 if escape else 0)
     rep = json.loads((tmp_path / "solve.json").read_text())
     assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
     assert rep["third_solution"]["status"] == "converged"
+    assert _failed_certificates(rep) == (["order_u1_vup"] if escape else [])
     capsys.readouterr()
+
+
+def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys):
+    # draw 16 at 50 %: both legs converge and u3 with them, but u1 lies
+    # above v_up at every node, so the theorem's interval [u0, v_up] fails
+    cfg, win = _random_cfg(16)
+    lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 1
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["all_passed"] is False
+    assert _failed_certificates(rep) == ["order_u1_vup"]
+    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
+    assert rep["certificates"]["order_u1_vup"]["min_margin"] < 0.0
+    capsys.readouterr()
+
+
+def test_solve_finish_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a Newton finish that fails ends the run with exit 3 and a message
+    # naming the leg, the finish and the worst node; no report is written
+    def stalled(reactions, op, init, polish=False):
+        raise ds.ConvergenceFailure(
+            "Newton line search stalled at scaled residual 1.000e+00 (worst node 7)")
+
+    monkeypatch.setattr(ds, "_solve_unshifted", stalled)
+    assert run("solve", str(SMALL), out=str(tmp_path), nodes=64) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: from_lower finish: Newton line search stalled at scaled "
+        "residual 1.000e+00 (worst node 7)\n")
+    assert not (tmp_path / "solve.json").exists()
 
 
 @pytest.mark.parametrize("share", [0.3, 0.5, 0.7])

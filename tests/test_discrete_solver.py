@@ -31,11 +31,11 @@ from pqsing.errors import (
     ConvergenceFailure,
     FailedAssumptions,
     IterationBudget,
-    IterationStall,
     MonotonicityViolation,
     PositivityLoss,
     SearchExhausted,
 )
+from conftest import _build_env
 from quadrature_oracle import quadrature_solve
 
 
@@ -736,27 +736,33 @@ def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):
 
 
 def test_that_map_starts_an_ascending_iterate_at_its_load_solve(gentle, monkeypatch):
-    # every iterate of the ascending leg is a subsolution below its image,
-    # which lies between u and P, the load solve of A(P) = lam f(u)
-    # u^{-gamma}: the map evaluates u, then P, and Newton starts at P
+    # every iterate of the ascending orbit from u0 is a subsolution below
+    # its image, which lies between u and P, the load solve of A(P) = lam
+    # f(u) u^{-gamma}: the map evaluates u, then P, and Newton starts at P.
+    # The orbit is unshifted on [u0, v_up], and its first image is the leg's
+    # checked step
     env = gentle
     lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
-    assert lo.n_steps >= 3
+    assert lo.khat == 0.0
     starts, inits = [], []
     real_scale, real_newton = discrete_solver._residual_scale, discrete_solver._newton
     monkeypatch.setattr(discrete_solver, "_residual_scale",
                         lambda op, w, *a: starts.append(w.copy()) or real_scale(op, w, *a))
     monkeypatch.setattr(discrete_solver, "_newton",
                         lambda *a, **k: inits.append(a[5].copy()) or real_newton(*a, **k))
-    for before, after in zip(lo.iterates, lo.iterates[1:]):
+    before = env.pairs.u0
+    for step in range(3):
         starts.clear()
         inits.clear()
-        w = that_map(env.reactions, before, op=env.op, khat=lo.khat)
+        w = that_map(env.reactions, before, op=env.op, khat=0.0)
         load = discrete_solver._load_solution(
             env.op, discrete_solver._reaction_values(env.reactions, before.values[:-1]))
         assert np.array_equal(starts[0], before.values) and np.array_equal(starts[1], load)
         assert len(inits) == 1 and np.array_equal(inits[0], load)
-        assert np.array_equal(w.values, after.values)   # the leg's own step
+        assert np.all(w.values >= before.values)
+        if step == 0:
+            assert np.array_equal(w.values, lo.iterates[1].values)   # the leg's own step
+        before = w
 
 
 def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
@@ -780,11 +786,12 @@ def test_that_map_evaluates_a_tie_once(gentle, monkeypatch):
 def test_that_map_evaluates_only_a_supersolution_input(gentle, monkeypatch):
     # a supersolution within the load's scale of its image is the seed, so
     # the load solve is neither built nor evaluated: one evaluation, at u,
-    # before Newton's first step.  The descending leg's second iterate on
-    # cfg_small has scaled residual 0.60
+    # before Newton's first step.  Two checked descending steps from u_up
+    # on cfg_small reach scaled residual 0.57
     env = gentle
-    up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
-    u = up.iterates[2]
+    u = env.pairs.u_up
+    for _ in range(2):
+        u, K = discrete_solver._checked_step(env.reactions, u, env.op, False)
     assert certify(env.reactions, u, "supersolution", op=env.op).passed
     assert discrete_solver._fixed_point_residual(env.op, env.reactions, u.values) <= 1.0
     events = []
@@ -793,7 +800,7 @@ def test_that_map_evaluates_only_a_supersolution_input(gentle, monkeypatch):
                         lambda *a: events.append("residual") or real_scale(*a))
     monkeypatch.setattr(discrete_solver, "solve_banded",
                         lambda *a: events.append("step") or real_banded(*a))
-    that_map(env.reactions, u, op=env.op, khat=up.khat)
+    that_map(env.reactions, u, op=env.op, khat=K)
     assert "step" in events
     assert events[:events.index("step")] == ["residual"]
 
@@ -819,11 +826,9 @@ def test_shift_resolve_starts_from_the_rejected_image(gentle, monkeypatch):
         return w
 
     monkeypatch.setattr(discrete_solver, "that_map", counted)
-    w, K, fw = discrete_solver._checked_step(
-        env.reactions, u, op, np.zeros(op.n), False, env.reactions.fhat(u.values[:-1]))
+    w, K = discrete_solver._checked_step(env.reactions, u, op, False)
     assert len(maps) >= 2
     assert [seeded for _khat, seeded, _n in maps] == [False] + [True] * (len(maps) - 1)
-    assert np.array_equal(fw, env.reactions.fhat(w.values[:-1]))
     for khat, _seeded, solves in maps[1:]:
         before = len(steps)
         from_u = that_map(env.reactions, u, op=op, khat=khat, seed=u)
@@ -900,7 +905,8 @@ def test_amann_gentle_both_legs(gentle):
     lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
     assert lo.converged
     assert all(lo.monotone)
-    assert lo.n_steps == 4
+    assert lo.n_steps == 2          # one checked map step, then the Newton finish
+    assert 1 <= lo.newton_steps <= 4
     assert float(lo.limit.sup_norm()) == pytest.approx(0.12570737771518542, rel=1e-6)
     assert original_residual(env.reactions, lo.limit, env.op) <= 1e-6
     # ascending run never needed a shift: the visited range keeps fhat monotone
@@ -938,11 +944,12 @@ def test_amann_rejects_unordered_interval(gentle):
 
 def test_amann_budget_warning(gentle):
     env = gentle
+    # a budget of one map application stops the leg before its finish
     with pytest.warns(IterationBudget):
         tr = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up,
-                           "from_upper", budget=2)
+                           "from_upper", budget=1)
     assert not tr.converged
-    assert tr.n_steps == 2
+    assert tr.n_steps == 1 and tr.newton_steps == 0
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -954,36 +961,43 @@ def test_amann_rejects_a_budget_below_one(gentle, budget):
 
 
 def test_amann_descending_iterates_stay_supersolutions(cfg1):
-    # the node-wise shift is checked after every solve so that each image
-    # of a supersolution is again one; the run never leaves [v0, u_up]
+    # the node-wise shift is checked after the map's solve so that the image
+    # of a supersolution is again one, and the finish is a solution below
+    # it; the run never leaves [v0, u_up]
     env = cfg1
     up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
-    assert up.converged and not up.stalled
+    assert up.converged
     for it in up.iterates:
         assert certify(env.reactions, it, "supersolution", op=env.op).passed
         assert np.all(it.values >= env.pairs.v0.values)
     assert float(up.limit.sup_norm()) == pytest.approx(8.874e16, rel=1e-3)
 
 
-def test_amann_stall_branch(cfg1, monkeypatch):
-    # a step that moves the 4e17 endpoint by one ulp per node (64 at the
-    # top, above the conv_factor target) while it is far from a fixed point
-    # is a float-level move that must read as a stall, not as convergence
-    env = cfg1
+@pytest.mark.parametrize("start", ["from_lower", "from_upper"])
+def test_amann_finish_failure_names_the_leg_and_node(gentle, monkeypatch, start):
+    # a finish that lands on the wrong side of the first iterate is refused:
+    # ConvergenceFailure names the leg, the finish and the worst node
+    env = gentle
+    real = discrete_solver._solve_unshifted
 
-    def float_noise(reactions, u, op, K, ascending, fu):
-        vals = u.values.copy()
-        vals[:-1] = np.nextafter(vals[:-1], -np.inf)
-        return GridFunction(u.nodes, vals), K, fu
+    def off_side(reactions, op, init, polish=False):
+        w, steps = real(reactions, op, init, polish)
+        w[17] = init[17] - 1e-3 if start == "from_lower" else init[17] + 1e-3
+        return w, steps
 
-    monkeypatch.setattr(discrete_solver, "_checked_step", float_noise)
-    with pytest.warns(IterationStall):
-        tr = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
-    assert tr.converged is False
-    assert tr.stalled is True
-    assert tr.n_steps == 1
-    assert 0.0 < tr.increments[0] <= 64.0 * np.spacing(env.pairs.u_up.sup_norm())
-    assert tr.residual > 1.0
+    monkeypatch.setattr(discrete_solver, "_solve_unshifted", off_side)
+    lower, upper = ((env.pairs.u0, env.pairs.v_up) if start == "from_lower"
+                    else (env.pairs.v0, env.pairs.u_up))
+    with pytest.raises(ConvergenceFailure, match=rf"^{start} finish: Newton result lies "
+                       r"1\.000e-03 (below|above) the first iterate \(worst node 17\)$"):
+        amann_iterate(env.reactions, env.op, lower, upper, start)
+    # a finish whose Newton fails names its worst node the same way
+    monkeypatch.setattr(discrete_solver, "_NEWTON_BUDGET", 0)
+    monkeypatch.setattr(discrete_solver, "_checked_step",
+                        lambda reactions, u, op, ascending: (u, np.zeros(op.n)))
+    with pytest.raises(ConvergenceFailure, match=rf"^{start} finish: Newton budget "
+                       r"exhausted \(scaled residual .*, worst node \d+\)$"):
+        amann_iterate(env.reactions, env.op, lower, upper, start)
 
 
 def test_global_shift_moves_u_up_by_float_noise(cfg1):
@@ -1005,7 +1019,7 @@ def test_amann_ascending_raises_the_checked_shift(gentle):
     # iterate stays a certified subsolution below u_up
     env = gentle
     lo = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_lower")
-    assert lo.converged and not lo.stalled
+    assert lo.converged
     assert all(lo.monotone)
     assert lo.khat > 0.0
     assert float(lo.limit.sup_norm()) == pytest.approx(5822.071120854884, rel=1e-6)
@@ -1064,6 +1078,30 @@ def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
     assert len(calls) == report["newton_steps"] <= 8
 
 
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("config", ["cfg_small.json", "cfg_reference.json"])
+def test_finished_u1_is_the_limit_of_the_plain_orbit(config, share):
+    # the orbit the finish replaces: the solve map at K = 0 from u0, run
+    # until its increment is below 1e-12 theta2, climbs to the minimal
+    # solution from below.  The finished u1 lies above it at every node and
+    # agrees with it to 1e-9 of its sup; both legs end solved to the
+    # solve tolerance
+    env = _build_env(config, share)
+    lo, up = _legs(env)
+    assert lo.scaled_residual <= 1e-12 and up.scaled_residual <= 1e-12
+    u = env.pairs.u0
+    for _ in range(100):
+        w = that_map(env.reactions, u, op=env.op, khat=0.0)
+        inc = float(np.max(np.abs(w.values - u.values)))
+        u = w
+        if inc < 1e-12 * env.spec.theta2:
+            break
+    else:
+        pytest.fail(f"orbit increment {inc:.3e} after 100 maps")
+    assert np.max(np.abs(lo.limit.values - u.values)) <= 1e-9 * lo.limit.sup_norm()
+    assert np.all(lo.limit.values >= u.values)
+
+
 def _march_root(op, reactions, a, band, count=64):
     """The start where u_n(start) rises through 0 within a (1 +- 1e-5), by
     nested uniform grids of starts until the bracket is below band / 100."""
@@ -1081,18 +1119,13 @@ def _march_root(op, reactions, a, band, count=64):
 def test_march_roots_are_the_amann_limits(name, request):
     # shooting is an oracle for both legs that shares no Newton, shift or
     # order interval with them: the march from u(0) = u1(0) or u2(0) must
-    # reach the boundary at 0.  The ascending leg stops on an increment
-    # below conv_factor * theta2, 4e-7 relative on gentle; the descending
-    # leg on cfg1 (sup 8.9e16) stops where the map cannot move its iterate
-    # any more, so its limit is known only to its last nonzero increment
+    # reach the boundary at 0.  Both legs end on a Newton solve of the
+    # unshifted system, so both limits are the march root to 1e-9 of u(0)
     env = request.getfixturevalue(name)
     lo, up = _legs(env)
     for leg in (lo, up):
         a = float(leg.limit.values[0])
-        band = 1e-6 * a
-        if name == "cfg1" and leg is up:
-            band = min(inc for inc in up.increments if inc > 0.0)
-            assert band < 1e-9 * a
+        band = 1e-9 * a
         root = _march_root(env.op, env.reactions, a, band)
         assert abs(root - a) <= band, (leg.start, root, a)
     # every node of the march from the limit's own u(0) stays positive

@@ -49,9 +49,9 @@ def _invalid_config(tmp_path):
 
 
 def _budget_exhausted(tmp_path):
-    # as in test_solve_budget_exhaustion_exit_3: the descending leg runs out
-    # of its 8 steps; the report is written and printed
-    path = _config(tmp_path, REFERENCE, tolerances={"budget": 8})
+    # as in test_solve_budget_exhaustion_exit_3: both legs stop at their
+    # one budgeted map step, before the finish; the report is written and printed
+    path = _config(tmp_path, REFERENCE, tolerances={"budget": 1})
     return ("solve", "--config", str(path), "--nodes", "512"), 3, ""
 
 
