@@ -20,9 +20,9 @@ lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0) (march); u3
 is the root of u_n between u1(0) and u2(0), bracketed on a coarse grid and
 polished by Newton on the unshifted system (search_third_solution).  The
 image of the solve map lies between its input u and the load solve of
-lam f(u) u^{-gamma}, so Newton starts at a supersolution input near its
-image and at that load solve otherwise, or after a shift raise at the
-image it rejected (that_map).
+lam f(u) u^{-gamma}, so Newton starts at a solved input and at that load
+solve otherwise, or after a shift raise at the image it rejected
+(that_map).
 
 Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
 cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
@@ -53,7 +53,6 @@ from .errors import (
     ConfigurationError,
     ConvergenceFailure,
     FailedAssumptions,
-    IterationBudget,
     MonotonicityViolation,
     PositivityLoss,
     SearchExhausted,
@@ -359,17 +358,14 @@ def _newton_start(init, singular):
     return u
 
 
-def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None,
-            polish=False):
+def _newton(op, theta, khat, mu, rhs, init, anchor=None, load=None, polish=False):
     """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
     mu u^{-gamma} = rhs + load(u); mu and rhs are scalars or one value per
     node 0..n-1.  `load`, when given, maps u at nodes 0..n-1 to the values
-    and the derivative of a u-dependent load.  `first` is the
-    _residual_scale of the same system at init, when the caller has
-    evaluated it already to choose the seed; init must then be a
-    _newton_start, and load None.  `polish` takes one full step more once
-    the tolerance is met, kept if it meets it too: the rounding floor passes
-    smooth errors of 1e-10 of the sup.  Returns (u, the Newton steps)."""
+    and the derivative of a u-dependent load.  `polish` takes one full step
+    more once the tolerance is met, kept if it meets it too: the rounding
+    floor passes smooth errors of 1e-10 of the sup.  Returns (u, the Newton
+    steps)."""
     n = op.n
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
@@ -384,12 +380,8 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, first=None, load=None,
         value, slope = load(u[:-1])
         return _residual_scale(op, u, theta, khat, mu, rhs + value, singular, anchor), slope
 
-    if first is None:
-        u = _newton_start(init, singular)
-        first, slope = evaluate(u)
-    else:
-        u, slope = init, None
-    res, scale, rnd, kept = first
+    u = _newton_start(init, singular)
+    (res, scale, rnd, kept), slope = evaluate(u)
     err = _scaled_err(res, scale, rnd)
     for steps in range(_NEWTON_BUDGET):
         if err <= _SOLVE_TOL:
@@ -902,16 +894,15 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     between u and P, the load solve of A(P) = lam f(u) u^{-gamma}
     (_load_solution: the map's system without its singular and shift
     terms).  So Newton starts at u when u is solved already (the image is
-    u, bit for bit) or is a supersolution (every residual at least minus
-    its rounding floor) of scaled residual at most 1, which Newton descends
-    from; at P for every other input, with no residual comparison; and at
-    the load solve of fhat(u) + lam f(0) for an input with a non-positive
-    interior node.  u is evaluated first (at w = u the shift terms vanish),
-    P only when it is the start, and Newton reuses the start's evaluation.
-    `seed`, when given, is the start instead (_checked_step passes the
-    image it rejected).  Comparing u and P by residual stalls Newton at
-    scaled residual 0.93-0.98 on 8 of the map's property-test inputs
-    (seeds 391 and 1044 among them), which converge from P in 5 steps.
+    u, bit for bit), judged on the shifted system at w = u, whose rounding
+    floor carries the anchor's noise; at P for every other positive input,
+    with no residual comparison; and at the load solve of fhat(u) + lam
+    f(0) for an input with a non-positive interior node.  `seed`, when
+    given, is the start instead (_checked_step passes the image it
+    rejected).  The solved-input start is load-bearing: a strict
+    subsolution of sup 3.6e-8 reads scaled residual 1.2e-16 against the
+    scale floor of 1, and its image from P lies 4e-9 above the leg's
+    Newton finish, which the leg then refuses.
     """
     _check_grid(op, reactions, *(g for g in (u, seed) if g is not None))
     uv = u.values
@@ -919,22 +910,16 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
     lam_f0, rhs, singular = _map_terms(reactions, uv)
-
-    def evaluated(start):
-        start = _newton_start(start, singular)
-        return start, _residual_scale(op, start, 0.0, khat, lam_f0, rhs, singular, uv[:-1])
-
     if seed is not None:
-        chosen = evaluated(seed.values)
+        start = seed.values
     elif float(np.min(uv[:-1])) <= 0.0:
-        chosen = evaluated(_load_solution(op, rhs + lam_f0))
+        start = _load_solution(op, rhs + lam_f0)
     else:
-        chosen = evaluated(uv)
-        res, scale, rnd, _ = chosen[1]
-        err = _scaled_err(res, scale, rnd)
-        if err > _SOLVE_TOL and not (err <= 1.0 and np.all(res >= -rnd)):
-            chosen = evaluated(_load_solution(op, _reaction_values(reactions, uv[:-1])))
-    w = _newton(op, 0.0, khat, lam_f0, rhs, chosen[0], anchor=uv[:-1], first=chosen[1])[0]
+        at_u = _residual_scale(op, _newton_start(uv, singular), 0.0, khat, lam_f0, rhs,
+                               singular, uv[:-1])
+        solved = _scaled_err(*at_u[:3]) <= _SOLVE_TOL
+        start = uv if solved else _load_solution(op, _reaction_values(reactions, uv[:-1]))
+    w = _newton(op, 0.0, khat, lam_f0, rhs, start, anchor=uv[:-1])[0]
     if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
         raise PositivityLoss("solve map output collapsed onto the positivity floor")
     return GridFunction(op.grid, w)
@@ -1005,7 +990,8 @@ class IterationTrace:
     counts the finish's Newton steps.  residual is the plain
     original_residual of the limit, which counts flux-cancellation
     rounding; scaled_residual is the rounding-aware residual of the
-    unshifted equation there (what Newton judges by).
+    unshifted equation there (what Newton judges by).  converged is always
+    true (a leg that does not finish raises); solve.json reports it.
     """
 
     iterates: tuple
@@ -1028,8 +1014,7 @@ class IterationTrace:
 
 
 def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
-                  lower: GridFunction, upper: GridFunction, start: str,
-                  budget: int = 200, conv_factor: float = 1e-8) -> IterationTrace:
+                  lower: GridFunction, upper: GridFunction, start: str) -> IterationTrace:
     """Amann's iteration from one endpoint of a certified interval, ended
     by Newton on the equation of its limit.
 
@@ -1041,16 +1026,12 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     there; the orbit's further maps would only approach it.  The finish
     must lie on the leg's side of that iterate to 1e-9 * sup and off the
     positivity floor, or ConvergenceFailure names the leg, `finish` and the
-    worst node.  budget counts map applications, the finish as one: budget
-    1 stops before the finish, not converged (IterationBudget).
-    conv_factor changes nothing; it set the increment test the finish
-    replaced.  A map step against the leg by more than 1e-9 * sup warns
-    MonotonicityViolation.
+    worst node, so a returned trace is always converged.  A map step
+    against the leg by more than 1e-9 * sup warns MonotonicityViolation
+    with the violation and its worst node.
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
-    if budget < 1:
-        raise ConfigurationError(f"budget must be at least 1, got {budget}")
     _check_grid(op, reactions, lower, upper)
     gap = float(np.min(upper.values - lower.values))
     if gap < -1e-9 * max(1.0, upper.sup_norm()):
@@ -1062,39 +1043,34 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"{start} step 1: {exc}") from exc
     rise = sign * (first.values - cur.values)
-    monotone = [bool(np.min(rise) >= -1e-9 * max(1.0, first.sup_norm()))]
-    if not monotone[0]:
-        warnings.warn(f"monotone step violated by {float(np.max(np.abs(rise))):.3e}",
-                      MonotonicityViolation)
-    iterates, steps = [cur, first], 0
-    if budget > 1:
-        try:
-            w, steps = _solve_unshifted(reactions, op, first.values, polish=True)
-        except (ConvergenceFailure, PositivityLoss) as exc:
-            raise ConvergenceFailure(f"{start} finish: {exc}") from exc
-        rise = sign * (w - first.values)
-        worst = int(np.argmin(rise))
-        if rise[worst] < -1e-9 * max(1.0, float(np.max(w))):
-            raise ConvergenceFailure(
-                f"{start} finish: Newton result lies {-rise[worst]:.3e} "
-                f"{'below' if ascending else 'above'} the first iterate "
-                f"(worst node {worst})")
-        iterates.append(GridFunction(op.grid, w))
-        monotone.append(True)
-    else:
-        warnings.warn(f"{start} run used the full budget of 1 iteration before its "
-                      f"Newton finish", IterationBudget)
-    increments = tuple(float(np.max(np.abs(b.values - a.values)))
-                       for a, b in zip(iterates, iterates[1:]))
+    worst = int(np.argmin(rise))
+    monotone = bool(rise[worst] >= -1e-9 * max(1.0, first.sup_norm()))
+    if not monotone:
+        warnings.warn(f"{start} step 1 moved against the leg by {-rise[worst]:.3e} "
+                      f"(worst node {worst})", MonotonicityViolation)
+    try:
+        w, steps = _solve_unshifted(reactions, op, first.values, polish=True)
+    except (ConvergenceFailure, PositivityLoss) as exc:
+        raise ConvergenceFailure(f"{start} finish: {exc}") from exc
+    rise = sign * (w - first.values)
+    worst = int(np.argmin(rise))
+    if rise[worst] < -1e-9 * max(1.0, float(np.max(w))):
+        raise ConvergenceFailure(
+            f"{start} finish: Newton result lies {-rise[worst]:.3e} "
+            f"{'below' if ascending else 'above'} the first iterate "
+            f"(worst node {worst})")
+    limit = GridFunction(op.grid, w)
+    iterates = (cur, first, limit)
     return IterationTrace(
-        iterates=tuple(iterates),
-        residual=original_residual(reactions, iterates[-1], op=op),
-        monotone=tuple(monotone),
-        converged=budget > 1,
+        iterates=iterates,
+        residual=original_residual(reactions, limit, op=op),
+        monotone=(monotone, True),
+        converged=True,
         start=start,
         khat=float(np.max(K)),
-        increments=increments,
-        scaled_residual=_fixed_point_residual(op, reactions, iterates[-1].values),
+        increments=tuple(float(np.max(np.abs(b.values - a.values)))
+                         for a, b in zip(iterates, iterates[1:])),
+        scaled_residual=_fixed_point_residual(op, reactions, w),
         newton_steps=steps,
     )
 

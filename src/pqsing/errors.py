@@ -58,9 +58,5 @@ class MonotonicityViolation(RuntimeWarning):
     """A monotone iteration step moved the wrong way (discretization artifact)."""
 
 
-class IterationBudget(RuntimeWarning):
-    """A monotone iteration hit its step budget before its Newton finish."""
-
-
 class BlowDown(RuntimeWarning):
     """The barrier slope hit zero inside the requested range; profile truncated."""

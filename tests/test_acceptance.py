@@ -239,8 +239,7 @@ def test_criterion_9_mesh_refinement_order(cfg1, capsys):
         opn = DiscreteOperator.from_params(cfg1.params, n)
         profn = solve_radial(cfg1.reactions, cfg1.window, opn.grid)
         pn = construct_pairs(cfg1.reactions, profn, op=opn)
-        u1[n] = amann_iterate(cfg1.reactions, opn, pn.u0, pn.v_up,
-                              "from_lower", conv_factor=1e-12).limit.values
+        u1[n] = amann_iterate(cfg1.reactions, opn, pn.u0, pn.v_up, "from_lower").limit.values
     e1 = float(np.max(np.abs(u1[256] - u1[512][::2])))
     e2 = float(np.max(np.abs(u1[512] - u1[1024][::2])))
     order_u1 = float(np.log2(e1 / e2))

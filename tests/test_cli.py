@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsing import cli, compute_window, nonlinearity
+from pqsing import GridFunction, cli, compute_window, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
+from pqsing.errors import BridgeNotMonotone
 from test_parameter_window import _random_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,16 +83,17 @@ def test_every_command_writes_its_stdout_with_warnings(command, tmp_path, capsys
     {"grid": {"n": 4}},                                 # grid too coarse
     {"seed": 1.5},                                      # fractional seed
     {"nonlinearity": {"kind": "mystery"}},              # unsupported family
-    {"tolerances": {"conv_factor": None}},              # null where number due
-    {"tolerances": {"solver": 1e-12}},                  # removed key
+    {"window": {"chi": None}},                          # null where number due
+    {"tolerances": {"solver": 1e-12}},                  # removed keys
+    {"tolerances": {"conv_factor": 1e-8}},
+    {"tolerances": {"budget": 200}},
     # sections `window` does not use are checked all the same
     {"sweep": {"count": "x"}, "barrier": {"n": 2.5}},   # wrong types
     {"sweep": {"count": 1}},                            # a sweep needs two loads
     {"grid": {"n": float("inf")}},                      # non-finite numbers, written
-    {"tolerances": {"budget": float("inf")}},           # as JSON Infinity
+    {"tolerances": {"certify": float("inf")}},          # as JSON Infinity
     {"params": {"lambda": float("inf")}},
     {"grid": {"n": 10 ** 400}},                         # an integer past the float range
-    {"tolerances": {"budget": 0}},                      # a leg needs at least one step
     {"nonlinearity": {"kind": "table", "table_t": [0, 1, float("nan")],
                       "table_f": [1, 2, 3]}},           # non-finite table entries
     {"nonlinearity": {"kind": "table", "table_t": [0, 1, 2],
@@ -101,6 +103,15 @@ def test_config_rejections_exit_2(tmp_path, mangle, capsys):
     path = write_cfg(tmp_path, small_cfg(**mangle))
     assert run("window", path, out=str(tmp_path)) == 2
     capsys.readouterr()
+
+
+def test_removed_tolerances_name_themselves(tmp_path, capsys):
+    # a config that still sets the legs' former map budget or increment
+    # factor is refused with the keys named, not run with them ignored
+    path = write_cfg(tmp_path, small_cfg(tolerances={"budget": 200, "conv_factor": 1e-8}))
+    assert run("solve", path, out=str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key(s) in tolerances: budget, conv_factor\n")
 
 
 def test_missing_or_broken_file_exit_2(tmp_path, capsys):
@@ -389,24 +400,6 @@ def test_solve_outputs_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_budget_exhaustion_exit_3(tmp_path, capsys):
-    # each leg is one checked map step and a Newton finish, two map
-    # applications by the budget's count; a budget of 1 stops both legs
-    # before their finish on purpose, inside their theorem intervals
-    cfg = json.loads(REFERENCE.read_text())
-    cfg["tolerances"] = {"budget": 1}
-    out = tmp_path / "out"
-    code = run("solve", write_cfg(tmp_path, cfg), out=str(out), nodes=512)
-    assert code == 3
-    rep = json.loads((out / "solve.json").read_text())
-    assert rep["all_passed"] is True
-    for leg in ("from_lower", "from_upper"):
-        assert rep[leg]["converged"] is False
-        assert rep[leg]["steps"] == 1 and rep[leg]["newton_steps"] == 0
-        assert rep[leg]["monotone"] is True   # cut short, never overshoots
-    capsys.readouterr()
-
-
 def test_pairs_then_certify_roundtrip(tmp_path, capsys):
     assert run("pairs", str(SMALL), out=str(tmp_path)) == 0
     rep = json.loads((tmp_path / "pairs.json").read_text())
@@ -624,16 +617,30 @@ def test_solve_finds_the_third_solution(config, nodes, u_at_0, tmp_path, capsys)
     capsys.readouterr()
 
 
-def test_solve_records_the_warnings_that_fired(tmp_path, capsys):
-    # a one-step budget stops both legs early: each warns IterationBudget,
-    # and the report lists the warnings in the order they fired
-    cfg = small_cfg(tolerances={"budget": 1})
-    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 3
+def test_solve_records_the_warnings_that_fired(tmp_path, capsys, monkeypatch):
+    # one node of each leg's checked step bent against the leg by 1e-6 of
+    # its sup: each leg warns MonotonicityViolation with that violation and
+    # its node, the finishes still converge, and the report lists the
+    # warnings in the order they fired
+    real = ds._checked_step
+    bends = []
+
+    def bent(reactions, u, op, ascending):
+        w, K = real(reactions, u, op, ascending)
+        bends.append(1e-6 * w.sup_norm())
+        values = w.values.copy()
+        values[17] = u.values[17] + (-bends[-1] if ascending else bends[-1])
+        return GridFunction(op.grid, values), K
+
+    monkeypatch.setattr(ds, "_checked_step", bent)
+    assert run("solve", str(SMALL), out=str(tmp_path), nodes=64) == 0
     rep = json.loads((tmp_path / "solve.json").read_text())
-    fired = rep["warnings"]
-    assert [w["category"] for w in fired] == ["IterationBudget", "IterationBudget"]
-    assert fired[0]["message"].startswith("from_lower run used the full budget of 1")
-    assert fired[1]["message"].startswith("from_upper run used the full budget of 1")
+    assert rep["warnings"] == [
+        {"category": "MonotonicityViolation",
+         "message": f"{leg} step 1 moved against the leg by {bend:.3e} (worst node 17)"}
+        for leg, bend in zip(("from_lower", "from_upper"), bends)]
+    for leg in ("from_lower", "from_upper"):
+        assert rep[leg]["converged"] and rep[leg]["monotone"] is False
     capsys.readouterr()
 
 
@@ -833,21 +840,25 @@ def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
         "did not converge: second pair: no admissible m")
 
 
+def _as_cfg(spec, params):
+    """A draw of _random_config as a config, at the window's midpoint load."""
+    reaction = {"kind": spec.kind, "theta1": spec.theta1, "theta2": spec.theta2}
+    if spec.kind == "exp_saturating":
+        reaction["k"] = spec.k
+    else:
+        reaction.update(table_t=list(spec.table_t), table_f=list(spec.table_f))
+    return {"schema": "v1", "nonlinearity": reaction,
+            "params": {"p": params.p, "q": params.q, "gamma": params.gamma,
+                       "dim": params.dim, "radius": params.radius, "lambda": None}}
+
+
 def _random_cfg(draw):
     """Draw `draw` of _random_config from random.Random(1), as a config,
     and its window."""
     rng = random.Random(1)
     for _ in range(draw + 1):
         spec, params = _random_config(rng)
-    reaction = {"kind": spec.kind, "theta1": spec.theta1, "theta2": spec.theta2}
-    if spec.kind == "exp_saturating":
-        reaction["k"] = spec.k
-    else:
-        reaction.update(table_t=list(spec.table_t), table_f=list(spec.table_f))
-    cfg = {"schema": "v1", "nonlinearity": reaction,
-           "params": {"p": params.p, "q": params.q, "gamma": params.gamma,
-                      "dim": params.dim, "radius": params.radius, "lambda": None}}
-    return cfg, compute_window(spec, params)
+    return _as_cfg(spec, params), compute_window(spec, params)
 
 
 def _failed_certificates(rep):
@@ -890,6 +901,50 @@ def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys):
     assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
     assert rep["certificates"]["order_u1_vup"]["min_margin"] < 0.0
     capsys.readouterr()
+
+
+def test_solve_starts_a_solved_input_at_itself(tmp_path, capsys):
+    # draw 55 at 50 %: u0 has sup 3.6e-8 and subsolution margin 1.3e-17,
+    # yet its scaled residual reads 1.2e-16 against the scale floor of 1,
+    # so the map starts at u0 and returns it.  Started at its load solve
+    # instead, the image lies 4e-9 above the Newton finish at node 0 and
+    # the ascending leg exits 3
+    cfg, win = _random_cfg(55)
+    lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
+    capsys.readouterr()
+
+
+def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
+    # draws 0-79 of random.Random(1), every one, at 50 % of its window (the
+    # midpoint where there is none, so the run itself refuses the draw) on
+    # 64 cells: each exit code is one of the contract's, an exit 3 writes no
+    # report and says why, and an exit 0 passed every certificate with both
+    # legs converged
+    rng = random.Random(1)
+    codes = []
+    for draw in range(80):
+        spec, params = _random_config(rng)
+        try:
+            win = compute_window(spec, params)
+            lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
+        except (ValueError, BridgeNotMonotone):
+            lam = None
+        out = tmp_path / str(draw)
+        code = run("solve", write_cfg(tmp_path, _as_cfg(spec, params)), out=str(out),
+                   nodes=64, lam=lam)
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert code in (0, 1, 2, 3), draw
+        if code == 3:
+            assert err.startswith("did not converge: ") and not (out / "solve.json").exists()
+        if code == 0:
+            rep = json.loads((out / "solve.json").read_text())
+            assert rep["all_passed"], draw
+            assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"], draw
+    assert 0 in codes and 3 in codes
 
 
 def test_solve_finish_failure_exits_3(tmp_path, capsys, monkeypatch):

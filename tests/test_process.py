@@ -48,27 +48,26 @@ def _invalid_config(tmp_path):
     return ("window", "--config", str(path)), 2, "config error: grid.n must be at least 8, got 4\n"
 
 
-def _budget_exhausted(tmp_path):
-    # as in test_solve_budget_exhaustion_exit_3: both legs stop at their
-    # one budgeted map step, before the finish; the report is written and printed
-    path = _config(tmp_path, REFERENCE, tolerances={"budget": 1})
-    return ("solve", "--config", str(path), "--nodes", "512"), 3, ""
-
-
-def _search_exhausted(tmp_path):
+def _search_exhausted(tmp_path, command="pairs"):
     # no admissible m for the second pair, at a load above the window: the
     # error line, then the radial profile's WindowViolation fired before it
     path = _config(tmp_path, REFERENCE, params={"p": 3.0, "q": 5.0})
     warning = ("warning: WindowViolation: lambda=2000.0 outside "
                "[6.889266243722097, 803.2112770580061]\n")
-    return (("pairs", "--config", str(path), "--nodes", "128", "--lambda", "2000"), 3,
+    return ((command, "--config", str(path), "--nodes", "128", "--lambda", "2000"), 3,
             "did not converge: second pair: no admissible m: growth fails at every "
             "m <= 1.09951e+12, and the cap already fails there\n" + warning)
 
 
+def _solve_search_exhausted(tmp_path):
+    # the same search inside solve: every exit 3 of solve is a stage that
+    # did not converge, with no report
+    return _search_exhausted(tmp_path, "solve")
+
+
 @pytest.mark.parametrize("case", [_window, _failing_certify, _invalid_config,
-                                  _budget_exhausted, _search_exhausted],
-                         ids=["exit_0", "exit_1", "exit_2", "exit_3_budget", "exit_3_search"])
+                                  _solve_search_exhausted, _search_exhausted],
+                         ids=["exit_0", "exit_1", "exit_2", "exit_3_solve", "exit_3_search"])
 @pytest.mark.parametrize("stdout_to", ["pipe", "file"])
 def test_process_contract(tmp_path, case, stdout_to):
     args, code, stderr = case(tmp_path)
