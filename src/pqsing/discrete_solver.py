@@ -136,26 +136,21 @@ def _check_grid(op: DiscreteOperator, reactions: DerivedReactions, *functions) -
 
 def _faces(op: DiscreteOperator, x: np.ndarray):
     """(cplus_i x_{i+1/2}, cminus_i x_{i-1/2}) at rows 0..n-1 of a quantity x
-    given at the n half nodes, as two new arrays.  Row 0 reads 0: cminus_0 =
-    0 drops x_{-1/2} anyway, and a 0 keeps row 0 free of -0.0 and NaN."""
-    inner = np.empty_like(x)
-    inner[0] = 0.0
-    np.multiply(op.cminus[1:], x[:-1], out=inner[1:])
-    return op.cplus * x, inner
+    given at the n half nodes.  Row 0 reads 0: cminus_0 = 0 drops x_{-1/2}
+    anyway, and a 0 keeps row 0 free of -0.0 and NaN."""
+    return op.cplus * x, op.cminus * np.concatenate(((0.0,), x[:-1]))
 
 
 def _fluxes(op: DiscreteOperator, u: np.ndarray):
     """(g, F(g)): the gradients and fluxes of u at the n half nodes."""
-    g = np.diff(u)
-    g /= op.h
+    g = np.diff(u) / op.h
     return g, lpq_scalar(g, op.params)
 
 
 def _divergence(op: DiscreteOperator, F: np.ndarray) -> np.ndarray:
     """The scheme's -div at nodes 0..n-1 of the fluxes F at the n half nodes."""
     out, inner = _faces(op, F)
-    out -= inner
-    return np.negative(out, out=out)
+    return -(out - inner)
 
 
 def _apply_values(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
@@ -176,41 +171,29 @@ def solve_banded(sub, diag, sup, rhs):
     pivoting: that is stable on diagonally dominant rows, whose dominance
     every level inherits, and the tests check the indefinite Jacobians of the
     u3 polish against LAPACK.  A singular or non-finite system raises
-    ConvergenceFailure naming the row it fails at.  The levels run in place
-    in one workspace per call, in the plain expressions' operation order.
+    ConvergenceFailure naming the row it fails at.
     """
     n = diag.size
     levels = 0
     while n + 1 > (_CR_DENSE + 1) << levels:
         levels += 1
     blocks = -(-(n + 1) >> levels)  # ceil((n + 1) / 2^levels) <= _CR_DENSE + 1
-    # level j's rows a, b, c, d lie side by side from starts[j], taking level
-    # j-1's multipliers first and its back substitution last; scratch is last
-    sizes = [(blocks << j) - 1 for j in range(levels, -1, -1)]
-    starts = [4 * sum(sizes[:j]) for j in range(levels + 2)]
-    work = np.empty(starts[-1] + (sizes[0] + 1) // 2)
-    bands = [[work[o + i * s:o + (i + 1) * s] for i in range(4)] for o, s in zip(starts, sizes)]
-    scratch = work[starts[-1]:]
+    size = (blocks << levels) - 1
     # row i reads b_i x_i - a_i x_{i-1} - c_i x_{i+1} = d_i: with the signs
     # of the off-diagonals flipped, no level negates them again
-    a, b, c, d = bands[0]
-    work[:starts[1]] = 0.0
-    b[n:] = 1.0
+    a, b, c, d = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
     np.negative(sub[1:], out=a[1:n])
     np.negative(sup[:-1], out=c[:n - 1])
     b[:n], d[:n] = diag, rhs
+    eliminated = []
     with np.errstate(all="ignore"):  # a zero pivot surfaces as a non-finite row
-        for (a, b, c, d), (left, bk, right, dk) in zip(bands, bands[1:]):
+        for _ in range(levels):
             ae, be, ce, de = a[::2], b[::2], c[::2], d[::2]
-            np.divide(a[1::2], be[:-1], out=left)
-            np.divide(c[1::2], be[1:], out=right)
-            np.subtract(b[1::2], np.multiply(left, ce[:-1], out=bk), out=bk)
-            bk -= np.multiply(right, ae[1:], out=scratch[:bk.size])
-            np.add(d[1::2], np.multiply(left, de[:-1], out=dk), out=dk)
-            dk += np.multiply(right, de[1:], out=scratch[:dk.size])
-            left *= ae[:-1]  # the next level's a and c
-            right *= ce[1:]
-        a, b, c, d = bands[-1]
+            left, right = a[1::2] / be[:-1], c[1::2] / be[1:]
+            a, c = left * ae[:-1], right * ce[1:]
+            b = b[1::2] - left * ce[:-1] - right * ae[1:]
+            d = d[1::2] + left * de[:-1] + right * de[1:]
+            eliminated.append((ae, be, ce, de))
         m = b.size
         dense = np.zeros((m, m))
         dense.flat[::m + 1] = b
@@ -220,18 +203,14 @@ def solve_banded(sub, diag, sup, rhs):
             x = np.linalg.solve(dense, d)
         except np.linalg.LinAlgError:
             x = np.full(m, np.nan)
-        for (a, b, c, d), start in zip(bands[-2::-1], starts[-2:0:-1]):
+        for ae, be, ce, de in reversed(eliminated):
             # full holds rows -1..2k+1 of this level (k = x.size), the two
             # ends 0: the kept rows at its even slots, the eliminated at the odd
-            full = work[start:start + 2 * x.size + 3]
-            full[0] = full[-1] = 0.0
+            full = np.zeros(2 * x.size + 3)
             full[2:-1:2] = x
-            odd = full[1::2]
-            np.add(d[::2], np.multiply(a[::2], full[:-1:2], out=odd), out=odd)
-            odd += np.multiply(c[::2], full[2::2], out=scratch[:odd.size])
-            odd /= b[::2]
+            full[1::2] = (de + ae * full[:-1:2] + ce * full[2::2]) / be
             x = full[1:-1]
-    x = x[:n].copy()
+    x = x[:n]
     if not np.all(np.isfinite(x)):
         raise ConvergenceFailure(_no_solution(sub, diag, sup, rhs))
     return x
@@ -272,10 +251,8 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     F'_{i+1/2}) / h, cplus_i F'_{i+1/2}) at rows 0..n-1, F' clipped at |g| =
     _JAC_FLOOR: the rounding floor forms them anyway, and they are the flux
     part of the Jacobian's diagonal and, over -h, its off-diagonals
-    (_jac_bands).  Every temporary is formed in place, in the operation
-    order of the plain expressions (residual = div - rhs + theta L(u) +
-    khat (u - anchor) - mu u^{-gamma}, and so on); a nonzero khat needs its
-    anchor, which only the solve map passes.
+    (_jac_bands).  A nonzero khat needs its anchor, which only the solve map
+    passes.
     """
     p = op.params
     ui = u[:-1]
@@ -287,38 +264,32 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     # F' is the Jacobian's, clipped at _JAC_FLOOR: for p < 2 the unclipped
     # F'(0) is infinite and would hide every residual in a flat core
     Fp = lpq_derivative(g, op.params, floor=_JAC_FLOOR)
-    rnd, term = _faces(op, np.abs(F, out=F))
-    rnd += term
+    out, inner = _faces(op, np.abs(F))
     dout, dinner = _faces(op, Fp)
-    diag = np.add(dout, dinner, out=Fp)
-    diag /= op.h
-    rnd += np.multiply(diag, np.max(np.abs(u)), out=term)
-    rnd *= _RND_SLACK * np.finfo(float).eps
-    res -= rhs
-    scale = np.abs(rhs)
-    scale += 1.0
+    diag = (dout + dinner) / op.h
+    rnd = (out + inner + diag * np.max(np.abs(u))) * (_RND_SLACK * np.finfo(float).eps)
+    res = res - rhs
+    scale = 1.0 + np.abs(rhs)
     if theta != 0.0:
-        Lu = lpq_scalar(ui, p)
-        Lu *= theta
-        res += Lu
-        scale += np.abs(Lu, out=Lu)
+        Lu = theta * lpq_scalar(ui, p)
+        res = res + Lu
+        scale = scale + np.abs(Lu)
     if np.any(khat):
         # the solve map's anchored shift: khat (w - anchor) keeps its two
         # khat terms out of the scale -- they cancel at the solution, and a
         # large khat would otherwise declare victory at the initial iterate
         drift = ui - anchor
-        res += np.multiply(khat, drift, out=term)
-        scale += np.multiply(khat, np.abs(drift, out=term), out=term)
+        res = res + khat * drift
+        scale = scale + khat * np.abs(drift)
         # forming w - anchor loses eps * |w|; when khat times that noise
         # tops the other scales, steps below an ulp of the iterate are
         # unrepresentable and the anchor is the converged answer
-        noise = np.abs(anchor)
-        np.maximum(np.abs(ui, out=term), noise, out=noise)
-        rnd += np.multiply(_RND_SLACK * np.finfo(float).eps * khat, noise, out=noise)
+        noise = np.maximum(np.abs(ui), np.abs(anchor))
+        rnd = rnd + _RND_SLACK * np.finfo(float).eps * khat * noise
     if singular:
-        sing = np.power(ui, -p.gamma, out=term)
-        res -= np.multiply(mu, sing, out=term)
-        scale += np.abs(term, out=term)
+        sing = mu * ui ** (-p.gamma)
+        res = res - sing
+        scale = scale + np.abs(sing)
     return res, scale, rnd, (dinner, diag, dout)
 
 
@@ -920,8 +891,10 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
         solved = _scaled_err(*at_u[:3]) <= _SOLVE_TOL
         start = uv if solved else _load_solution(op, _reaction_values(reactions, uv[:-1]))
     w = _newton(op, 0.0, khat, lam_f0, rhs, start, anchor=uv[:-1])[0]
-    if float(np.min(w[:-1])) <= 2.0 * _POS_FLOOR:
-        raise PositivityLoss("solve map output collapsed onto the positivity floor")
+    low = int(np.argmin(w[:-1]))
+    if w[low] <= 2.0 * _POS_FLOOR:
+        raise PositivityLoss(
+            f"solve map output collapsed onto the positivity floor at node {low}")
     return GridFunction(op.grid, w)
 
 
@@ -1022,13 +995,14 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     shift K, raised only where the image fails the check; a global shift
     would move the 4e17 reference endpoint by an ulp) makes a sub-
     (ascending) or supersolution (descending) between the endpoint and the
-    limit.  _solve_unshifted, polished, solves the limit's equation from
-    there; the orbit's further maps would only approach it.  The finish
-    must lie on the leg's side of that iterate to 1e-9 * sup and off the
-    positivity floor, or ConvergenceFailure names the leg, `finish` and the
-    worst node, so a returned trace is always converged.  A map step
-    against the leg by more than 1e-9 * sup warns MonotonicityViolation
-    with the violation and its worst node.
+    limit, or its ConvergenceFailure or PositivityLoss is raised again with
+    the leg and `step 1` in front.  _solve_unshifted, polished, solves the
+    limit's equation from that iterate; the orbit's further maps would only
+    approach it.  The finish must lie on the leg's side of that iterate to
+    1e-9 * sup and off the positivity floor, or ConvergenceFailure names the
+    leg, `finish` and the worst node, so a returned trace is always
+    converged.  A map step against the leg by more than 1e-9 * sup warns
+    MonotonicityViolation with the violation and its worst node.
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
@@ -1040,8 +1014,8 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     sign, cur = (1.0, lower) if ascending else (-1.0, upper)
     try:
         first, K = _checked_step(reactions, cur, op, ascending)
-    except ConvergenceFailure as exc:
-        raise ConvergenceFailure(f"{start} step 1: {exc}") from exc
+    except (ConvergenceFailure, PositivityLoss) as exc:
+        raise type(exc)(f"{start} step 1: {exc}") from exc
     rise = sign * (first.values - cur.values)
     worst = int(np.argmin(rise))
     monotone = bool(rise[worst] >= -1e-9 * max(1.0, first.sup_norm()))

@@ -40,14 +40,6 @@ class AssumptionCheck:
     witness: dict
 
 
-def _distinct(*parts: np.ndarray) -> np.ndarray:
-    """The distinct values of the parts, ascending, as np.unique gives them:
-    a sort and a neighbour mask, without the numpy.ma import np.unique makes
-    on its first call."""
-    grid = np.sort(np.concatenate(parts))
-    return grid[np.concatenate(((True,), grid[1:] != grid[:-1]))]
-
-
 def _monotone_deficit(values: np.ndarray) -> float:
     """Largest decrease between consecutive samples (0 if nondecreasing,
     inf if a difference is not finite, as those next to a sample that is
@@ -214,8 +206,8 @@ def choose_khat(spec: NonlinearitySpec, params: Params, t_max: float | None = No
     if t_max <= 0.0:
         return 0.0
     fhat = build_fhat(spec, params)
-    grid = _distinct(np.linspace(0.0, t_max, 20001),
-                     np.geomspace(max(t_max * 1e-12, 1e-12), t_max, 20001))
+    grid = np.unique(np.concatenate((np.linspace(0.0, t_max, 20001),
+                                     np.geomspace(max(t_max * 1e-12, 1e-12), t_max, 20001))))
     v = fhat(grid)
     slopes = np.diff(v) / np.diff(grid)
     worst = float(np.min(slopes))

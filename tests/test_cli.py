@@ -5,6 +5,7 @@ see it and failures carry tracebacks instead of subprocess noise.
 """
 import json
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -921,8 +922,8 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
     # draws 0-79 of random.Random(1), every one, at 50 % of its window (the
     # midpoint where there is none, so the run itself refuses the draw) on
     # 64 cells: each exit code is one of the contract's, an exit 3 writes no
-    # report and says why, and an exit 0 passed every certificate with both
-    # legs converged
+    # report and says why, a positivity loss names its leg and its node, and
+    # an exit 0 passed every certificate with both legs converged
     rng = random.Random(1)
     codes = []
     for draw in range(80):
@@ -935,16 +936,33 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
         out = tmp_path / str(draw)
         code = run("solve", write_cfg(tmp_path, _as_cfg(spec, params)), out=str(out),
                    nodes=64, lam=lam)
-        err = capsys.readouterr().err
+        printed = capsys.readouterr()
         codes.append(code)
         assert code in (0, 1, 2, 3), draw
         if code == 3:
-            assert err.startswith("did not converge: ") and not (out / "solve.json").exists()
+            assert printed.err.startswith("did not converge: ")
+            assert not (out / "solve.json").exists()
+        if code == 1 and json.loads(printed.out).get("kind") == "positivity_loss":
+            error = json.loads(printed.out)["error"]
+            assert re.fullmatch(r"from_(lower|upper) step 1: .* at node \d+", error), (draw, error)
         if code == 0:
             rep = json.loads((out / "solve.json").read_text())
             assert rep["all_passed"], draw
             assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"], draw
     assert 0 in codes and 3 in codes
+
+
+def test_solve_names_the_leg_and_node_of_a_positivity_loss(tmp_path, capsys):
+    # draw 67 at 50 % on 64 cells: the ascending leg's first map collapses
+    # onto the positivity floor at the Dirichlet neighbour; the refusal keeps
+    # its kind and names the leg, the step and the node
+    cfg, win = _random_cfg(67)
+    lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=64, lam=lam) == 1
+    refused = json.loads(capsys.readouterr().out)
+    assert refused["kind"] == "positivity_loss"
+    assert refused["error"] == (
+        "from_lower step 1: solve map output collapsed onto the positivity floor at node 63")
 
 
 def test_solve_finish_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -288,9 +288,9 @@ def test_solve_banded_names_the_failing_row():
 
 @pytest.mark.parametrize("n", [5, 1024])
 def test_solve_banded_returns_a_new_array(n):
-    # the reduction runs in one workspace per call: two calls in a row leave
-    # their inputs as they were, and the second result does not write over
-    # the first (no view into a workspace escapes)
+    # two calls in a row leave their inputs as they were, and the second
+    # result does not write over the first (no result is a view shared
+    # between calls)
     rng = np.random.default_rng(n)
     systems = []
     for _ in range(2):
@@ -359,8 +359,8 @@ def test_psi_at_zero_shift_is_its_load_solve(cfg1, monkeypatch):
 
 def _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     """(residual, scale, rounding floor) of _residual_scale as plain
-    expressions, one new array per operation: the reference its in-place
-    form must match bit for bit."""
+    expressions, one new array per operation, written independently of the
+    kernel: the reference it must match bit for bit."""
     pr, floor = op.params, discrete_solver._JAC_FLOOR
     slack = discrete_solver._RND_SLACK * np.finfo(float).eps
     ui = u[:-1]
@@ -437,8 +437,9 @@ def test_jac_bands_from_kept_derivative_bitwise(pq):
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
 def test_residual_scale_matches_plain_expressions_bitwise(pq):
-    # the in-place residual, scale and rounding floor against the plain
-    # expressions, node-wise and scalar shift and load alike
+    # the kernel's residual, scale and rounding floor against the plain
+    # expressions, node-wise and scalar shift and load alike: the operation
+    # order is pinned, because the artifacts' bytes depend on it
     pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=64)
     rng = np.random.default_rng(7)

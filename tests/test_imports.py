@@ -195,8 +195,8 @@ def test_pipeline_runs_without_scipy(tmp_path):
 
 
 def test_pairs_loads_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call; validate's sample grid
-    # is sorted and deduplicated without it
+    # np.unique imports numpy.ma on its first call; no stage of pairs calls
+    # it, so the command never loads numpy.ma
     probe = ("import sys\nfrom pqsing import cli\n"
              "code = cli.run('pairs', sys.argv[1], out=sys.argv[2])\n"
              "print(code, 'numpy.ma' in sys.modules)\n")
