@@ -53,9 +53,9 @@ def _inverse_positive(s: np.ndarray, params: Params) -> np.ndarray:
         disc = np.hypot(1.0, 2.0 * np.sqrt(s))
         t = (s / (0.5 * (1.0 + disc))) ** (1.0 / p1)
     else:
-        # a bracket term can overflow (the smaller one stays finite), and a
-        # root that underflows to t = 0 makes t^{p-2} infinite for p < 2
-        # (its Newton step is then 0)
+        # a one-term inverse can overflow (the smaller one stays finite), and
+        # a root that underflows to t = 0 makes t^{p-2} infinite for p < 2
+        # (its Newton step in t is then 0)
         with np.errstate(over="ignore", divide="ignore"):
             t = _inverse_iterative(s, F, p1, q1)
     # relative to s itself: an absolute floor would pass any t with F(t)
@@ -66,52 +66,32 @@ def _inverse_positive(s: np.ndarray, params: Params) -> np.ndarray:
     resid = np.abs(F(t) - s) / s
     ok = (resid <= 1e-8) | ((t < tiny) & (F(tiny) >= s))
     if not np.all(ok):  # NaN from an overflow fails too
+        i = np.flatnonzero(~ok)[0]
         raise ConvergenceFailure(
-            f"scalar inverse stalled: worst relative residual {np.max(resid[~ok]):.3e}"
+            f"flux-map inverse failed at entry {i} (load s = {s[i]:.6e}): "
+            f"relative residual {resid[i]:.3e}"
         )
     return t
 
 
 def _inverse_iterative(s, F, p1, q1):
-    # bracket: the root lies above min(t1, t2), t1 = (s/2)^{1/(p-1)} and
-    # t2 = (s/2)^{1/(q-1)}, where one term alone contributes exactly s/2; and
-    # below each one-term inverse, where one term alone is already s.  The
-    # smaller one-term inverse is finite whenever either is, so the bracket
-    # does not overflow.
-    lo = np.minimum((s / 2.0) ** (1.0 / p1), (s / 2.0) ** (1.0 / q1))
-    hi = np.minimum(s ** (1.0 / p1), s ** (1.0 / q1))
-    # geometric bisection: the bracket ratio can be astronomically wide for
-    # extreme s, but its logarithm shrinks by half each step
-    for _ in range(90):
-        mid = np.sqrt(lo) * np.sqrt(hi)
-        high = F(mid) > s
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.max((hi - lo) / np.maximum(hi, 1e-300)) < 1e-3:
-            break
-    # safeguarded Newton polish inside the bracket
-    t = 0.5 * (lo + hi)
+    # Newton in y = log t on g(y) = log(t^{p-1} + t^{q-1}) = log s.  g is
+    # convex and increasing, its slope the softmax average of p-1 and q-1,
+    # so from y0, where one term alone already reaches s, the steps fall
+    # monotonically onto the root: no bracket, and log space cannot overflow
+    log_s = np.log(s)
+    y = np.maximum(log_s / p1, log_s / q1)
     for _ in range(60):
-        f = F(t) - s
-        high = f > 0
-        hi = np.where(high, t, hi)
-        lo = np.where(high, lo, t)
-        df = p1 * t ** (p1 - 1.0) + q1 * t ** (q1 - 1.0)
-        step = f / df
-        t_new = t - step
-        # a step onto the bracket end it came from is the converged root,
-        # not a reason to bisect
-        bad = (t_new < lo) | (t_new > hi)
-        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        # a short bisection step is no sign of convergence (the root can sit
-        # ulps below the analytic upper end, which Newton then overshoots)
-        # until the bracket itself is a few ulps wide
-        done = np.abs(t_new - t) < 1e-12 * np.maximum(t_new, 1e-300)
-        done &= ~bad | (hi - lo <= 4.0 * np.finfo(float).eps * hi)
-        t = t_new
-        if np.all(done):
+        g = np.logaddexp(p1 * y, q1 * y)
+        dy = (g - log_s) / (p1 + (q1 - p1) * np.exp(q1 * y - g))
+        y = y - dy
+        if np.all(np.abs(dy) <= 1e-9):
             break
-    return t
+    # exp(y) carries |y| eps of relative error; one Newton step in t removes it
+    t = np.exp(y)
+    t = t - (F(t) - s) / (p1 * t ** (p1 - 1.0) + q1 * t ** (q1 - 1.0))
+    # the root lies below both one-term inverses
+    return np.minimum(t, np.minimum(s ** (1.0 / p1), s ** (1.0 / q1)))
 
 
 def lpq_inverse(s, params: Params):
@@ -119,14 +99,17 @@ def lpq_inverse(s, params: Params):
 
     When q-1 = 2(p-1) (p=2, q=3 among them) x = t^{p-1} solves the quadratic
     x^2 + x = s, and the inverse is the closed form
-    t = (2s / (1 + sqrt(1 + 4s)))^{1/(p-1)}.  Other (p,q)
-    take a bracketed geometric bisection refined by safeguarded Newton (at
-    most 60 steps, until a step moves t by less than 1e-12 relative).
+    t = (2s / (1 + sqrt(1 + 4s)))^{1/(p-1)}.  Other (p,q) take Newton in
+    log t, which needs no bracket (at most 60 steps, until every step moves
+    log t by at most 1e-9), and then one Newton step in t.
     Either way the residual relative to s must end below 1e-8, or the root
     must underflow below the smallest normal float where the exact one lies
-    too, else ConvergenceFailure.  For s >= 0 the
-    result also satisfies lpq_inverse(s) <= s^{1/(q-1)} (the q-term
-    alone already overshoots s at that point).
+    too, else ConvergenceFailure naming the first failing load.  For s >= 0
+    the root lies below both one-term inverses s^{1/(p-1)} and s^{1/(q-1)}
+    (one term alone already reaches s there).  The iterative result keeps
+    that bound exactly; the closed form raises the rounding of x to the
+    power 1/(p-1) and can exceed s^{1/(q-1)} by that much: one ulp at
+    (2, 3) and (3, 5), two at (1.5, 2).
     """
     s_arr = np.asarray(s, dtype=float)
     scalar_in = s_arr.ndim == 0

@@ -841,6 +841,23 @@ def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
         "did not converge: second pair: no admissible m")
 
 
+def test_pairs_and_solve_off_the_closed_form(tmp_path, capsys):
+    # cfg_reference with (p, q) = (1.5, 4): q-1 != 2(p-1), so every flux
+    # inverse takes the iterative branch.  The pairs pass and both legs and
+    # u3 converge, but u1 leaves [u0, v_up] (ROADMAP item 14), so solve
+    # exits 1 on that one certificate
+    cfg = json.loads(REFERENCE.read_text())
+    cfg["params"].update(p=1.5, q=4.0)
+    path = write_cfg(tmp_path, cfg)
+    assert run("pairs", path, out=str(tmp_path), nodes=512) == 0
+    assert run("solve", path, out=str(tmp_path), nodes=512) == 1
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert _failed_certificates(rep) == ["order_u1_vup"]
+    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
+    assert rep["third_solution"]["status"] == "converged"
+    capsys.readouterr()
+
+
 def _as_cfg(spec, params):
     """A draw of _random_config as a config, at the window's midpoint load."""
     reaction = {"kind": spec.kind, "theta1": spec.theta1, "theta2": spec.theta2}

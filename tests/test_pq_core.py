@@ -1,4 +1,6 @@
 """Scalar operator algebra: L, its derivative, inverse, and the vector gaps."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,7 +97,7 @@ def test_lpq_round_trip_property(s, pq):
 
 
 def test_lpq_inverse_monotone_on_grid():
-    # q-1 != 2(p-1): the bracketed bisection + Newton branch
+    # q-1 != 2(p-1): the Newton-in-log-t branch
     pr = make_params(1.5, 4.0)
     s = np.geomspace(1e-10, 1e10, 401)
     t = lpq_inverse(s, pr)
@@ -144,8 +146,8 @@ def test_lpq_inverse_closed_form_branch(pq, ab):
 
 @pytest.mark.parametrize("ab", WEIGHTS)
 def test_lpq_inverse_iterative_branch_whole_float_range(ab):
-    # q-1 != 2(p-1): the bracket stays finite for every finite load, so the
-    # largest loads invert too
+    # q-1 != 2(p-1): Newton in log t cannot overflow for a finite load, so
+    # the largest loads invert too
     pr = make_params(1.5, 4.0)
     alpha, beta = ab
     s = np.geomspace(1e-300, 1e300, 2001)
@@ -199,6 +201,62 @@ def test_lpq_inverse_overflow_raises():
     for pq in ((1.5, 4.0), (2.0, 3.0)):
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceFailure):
             lpq_inverse(np.inf, make_params(*pq))
+    # the failure names the first entry that failed and its load
+    for pq in ((1.5, 4.0), (2.0, 3.0)):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ConvergenceFailure, match=r"at entry 1 \(load s = inf\)"):
+            lpq_inverse(np.array([1.0, np.inf, np.inf]), make_params(*pq))
+    # a finite load whose root overflows (about s^2 here) fails alike
+    for s in (1e250, 1e300):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ConvergenceFailure, match=re.escape(f"at entry 0 (load s = {s:.6e})")):
+            lpq_inverse(s, make_params(1.05, 1.5))
+
+
+@pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.0), (3.0, 5.0)])
+def test_lpq_inverse_iterative_branch_matches_the_closed_form(pq):
+    # the exact oracle: where q-1 = 2(p-1) the iterative branch, called
+    # directly, agrees with the closed form within 5 ulp wherever both roots
+    # are normal floats
+    pr = make_params(*pq)
+    p1, q1 = pr.p - 1.0, pr.q - 1.0
+    s = np.geomspace(1e-300, 1e300, 20001)
+    closed = lpq_inverse(s, pr)
+    with np.errstate(over="ignore", divide="ignore"):
+        t = pq_core._inverse_iterative(s, lambda t: t ** p1 + t ** q1, p1, q1)
+    tiny = np.finfo(float).tiny
+    normal = (closed >= tiny) & (t >= tiny)
+    assert np.count_nonzero(normal) >= 10000
+    assert np.all(np.abs(t[normal] - closed[normal]) <= 5.0 * np.spacing(closed[normal]))
+
+
+def test_lpq_inverse_iterative_branch_on_random_pq():
+    # 300 seeded (p, q) off the closed form, 4096 log-uniform loads each:
+    # Newton in log t lands within 1e-14 relative and keeps t increasing in s
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        p = rng.uniform(1.05, 4.0)
+        pr = make_params(p, p + rng.uniform(0.05, 3.0))
+        s = np.sort(np.exp(rng.uniform(np.log(1e-12), np.log(1e12), 4096)))
+        t = lpq_inverse(s, pr)
+        assert np.max(np.abs(lpq_scalar(t, pr) - s) / s) <= 1e-14, (pr.p, pr.q)
+        assert np.all(np.diff(t) > 0.0), (pr.p, pr.q)
+
+
+@pytest.mark.parametrize("pq, ulps", [((1.5, 4.0), 0), ((1.05, 1.5), 0), ((3.82, 6.19), 0),
+                                      ((2.0, 3.0), 1), ((3.0, 5.0), 1), ((1.5, 2.0), 2)])
+def test_lpq_inverse_below_the_one_term_inverses(pq, ulps):
+    # one term alone reaches s at s^{1/(p-1)} and at s^{1/(q-1)}, so the root
+    # lies below both: exactly on the iterative branch, and up to the
+    # rounding of x raised to 1/(p-1) on the closed form
+    pr = make_params(*pq)
+    s = np.geomspace(1e-300, 1e300, 20001)
+    with np.errstate(over="ignore"):
+        bound = np.minimum(s ** (1.0 / (pr.p - 1.0)), s ** (1.0 / (pr.q - 1.0)))
+        keep = np.isfinite(bound)
+        t = lpq_inverse(s[keep], pr)
+    slack = ulps * np.spacing(bound[keep])
+    assert np.all(t <= bound[keep] + slack)
 
 
 # ---------------------------------------------------------------- simon gaps
