@@ -521,9 +521,8 @@ def _cmd_sweep(env: _Env):
 
     count = env.sweep_count
     lams = np.linspace(env.window.lambda_star, env.window.lambda_upper, count)
-    names = ("lambda", "all_passed", "m_lambda", "alpha_star", "chi_low",
-             "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap",
-             "eta", "eps_growth", "eps_cap", "radial_min")
+    names = ("lambda", "all_passed", "v_up_level", "alpha_star", "chi_low",
+             "chi_high", "eps_low", "eps_high", "sup_u1_pair_gap", "eta", "radial_min")
     rows = []
     fired = []
     ok = True
@@ -536,10 +535,9 @@ def _cmd_sweep(env: _Env):
         first, second = pairs.first_margins, pairs.second_margins
         rows.append((
             float(lam), float(passed),
-            second["m_lambda"], first["alpha_star"], first["chi_low"], first["chi_high"],
-            second["eps_low"], second["eps_high"],
-            float(np.max(pairs.u_up.values - pairs.u0.values)),
-            first["eta"], second["eps_growth"], second["eps_cap"], rcert.min_margin,
+            second["v_up_level"], first["alpha_star"], first["chi_low"], first["chi_high"],
+            second["eps_low"], pairs.certificates["super_v_up"].min_margin,
+            float(np.max(pairs.u_up.values - pairs.u0.values)), first["eta"], rcert.min_margin,
         ))
     _write_csv(env.outdir / "sweep.csv", names, tuple(zip(*rows)))
     report = {"count": int(count), "lambda_star": env.window.lambda_star,

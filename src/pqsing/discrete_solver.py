@@ -9,12 +9,13 @@ operator and the load's DerivedReactions (its one copy of Params and
 reaction), and refuses a grid function that lives elsewhere or an operator
 of other exponents or geometry.  All nonlinear systems go through one damped-Newton core, whose
 tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
-The constant-load problems behind both pairs -- w_eta, u_up and v_up, each
-a plain solve of -L u = const -- need no Newton: the flux form gives their
-exact discrete solution by two cumulative sums (_load_solution, or
-_flux_solution from fluxes at hand, whose value at node 0 is the norm the m
-probes read), checked once per load where a reported margin relies on it.
-psi's Newton starts at the load solve of its right-hand side, which at
+The constant-load problems behind the outer pair -- w_eta and u_up, each a
+plain solve of -L u = const -- need no Newton: the flux form gives their
+exact discrete solution by two cumulative sums (_load_solution), checked
+once per load where a reported margin relies on it.  The inner
+supersolution v_up is one singular-load Newton solve, A(v) = lam f(s)
+v^{-gamma} at a level s, started at the load solve of lam f(s).  psi's
+Newton starts at the load solve of its right-hand side, which at
 Theta_lambda = 0 is psi itself.  The same telescoping with the load
 lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0) (march); u3
 is the root of u_n between u1(0) and u2(0), bracketed on a coarse grid and
@@ -74,7 +75,7 @@ _NEWTON_BUDGET = 60
 _SOLVE_TOL = 1e-12      # sup-norm scaled residual every Newton solve ends below
 _HALVINGS = 50
 _CR_DENSE = 32          # rows solve_banded leaves to numpy.linalg.solve
-_GEOM_BUDGET = 60       # eta halvings / alpha_* doublings
+_GEOM_BUDGET = 60       # eta halvings / alpha_* doublings / v_up levels
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -397,23 +398,17 @@ def _load_flux(op: DiscreteOperator, rhs) -> np.ndarray:
     return -np.cumsum(op.vol * rhs) / op.area
 
 
-def _flux_solution(op: DiscreteOperator, flux: np.ndarray) -> np.ndarray:
-    """The grid function, u_n = 0, whose fluxes at the n half nodes are
-    `flux`: lpq_inverse gives the gradients g = F^{-1}(flux), and u_i is -h
-    times their sum from node n-1 down to node i, a reverse cumulative sum
-    from the Dirichlet node."""
-    u = np.zeros(op.n + 1)
-    u[:-1] = -op.h * np.cumsum(lpq_inverse(flux, op.params)[::-1])[::-1]
-    return u
-
-
 def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
     """The scheme's exact solution of A(u) = rhs, u_n = 0 (no shift, singular
-    or theta term): the _flux_solution of _load_flux's fluxes.  This is the
+    or theta term): lpq_inverse turns _load_flux's fluxes into the gradients
+    g = F^{-1}(flux), and u_i is -h times their sum from node n-1 down to
+    node i, a reverse cumulative sum from the Dirichlet node.  This is the
     discrete analogue of the divergence theorem on the ball, exact up to
     rounding, so Newton accepts it without taking a step.
     """
-    return _flux_solution(op, _load_flux(op, rhs))
+    u = np.zeros(op.n + 1)
+    u[:-1] = -op.h * np.cumsum(lpq_inverse(_load_flux(op, rhs), op.params)[::-1])[::-1]
+    return u
 
 
 def _check_exact(op: DiscreteOperator, u: np.ndarray, rhs: float, what: str) -> None:
@@ -534,8 +529,7 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     eta, u_up of -L u = alpha_*^{q-1}.  The paper's u_alpha solves the
     weighted -L^{alpha,1} u = 1 with alpha = alpha_*^{p-q}; as L(s t) =
     s^{q-1} (s^{p-q} L_p(t) + L_q(t)) = s^{p-1} (L_p(t) + s^{q-p} L_q(t)),
-    alpha_* u_alpha is the plain solve at load alpha_*^{q-1}, and the second
-    pair's m u_{beta*} (beta* = m^{q-p}) the plain solve at m^{p-1}.
+    alpha_* u_alpha is the plain solve at load alpha_*^{q-1}.
 
     eta is halved until eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes
     w_eta a strict subsolution with margin chi_low; chi_low takes -L w_eta =
@@ -628,22 +622,8 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
 
 def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
                       op: DiscreteOperator):
-    """Inner pair: v_up = m u_{beta*} (capped by theta1) and v0 = psi >= phi.
-
-    v_up is the plain solve of -L v = m^{p-1} (the paper's m u_{beta*}, by
-    the scaling identity of build_first_pair).  Its fluxes are m^{p-1} times
-    the unit load's, which every probe of m shares; a probe reads only
-    v_m(0) = m C(m), C = ||u_{beta*}||, and the chosen m's v_up(0) is the
-    same bits.  m is located by two bisections: the growth condition
-    m^{p-1+gamma} >= lam f(m C) gives the lower edge m_min, the cap
-    m C <= theta1 gives the upper edge m_max; their geometric mean is used.
-    The supersolution margin eps_high is the slack in those two scalar
-    inequalities -- the paper's own certificate for v_up.  It takes v_up as
-    an exact solution of -L v = m^{p-1}, which is checked once, at the
-    chosen m.  The raw
-    pointwise singular margin is negative on the last boundary cells at any
-    admissible m (the cap forbids compensating the (R-r)^{-gamma} blow-up);
-    its worst value is recorded as collar_deficit, not asserted.
+    """Inner pair: v0 = psi >= phi and v_up = v_s, the scheme's solution of
+    A(v) = lam f(s) v^{-gamma} at a level s.
 
     v0 = psi solves -L psi + Theta L(psi) = lam h(zeta) + Theta L(zeta) with
     zeta = phi from the radial profile, which must live on op's grid, and
@@ -653,89 +633,27 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     no step.  eps_low is psi's pointwise subsolution margin against the
     original reaction.  The load is not checked against the window: the
     radial solve that made the profile warned already.
+
+    v_s is Newton's solution from the load solve of the constant lam f(s).
+    f is nondecreasing, so where sup v_s <= s, f(v_s) <= f(s) at every node
+    and v_s is a node supersolution; construct_pairs certifies it node by
+    node.  s = theta1 is tried first, and wherever sup v_s <= theta1 the
+    paper's cap sup v_up <= theta1 holds too.  Otherwise s climbs the
+    ladder theta1 2^{k/8}: the discrete theorem reads only node
+    certificates and orderings, so a level above theta1 serves it too.
+    v_s grows with s, so once v0 <= v_s at every node no larger level can
+    leave v0 above v_up, and SearchExhausted names that rung; so it does
+    when _GEOM_BUDGET rungs pass without sup v_s <= s.  A Newton failure
+    of v_s names its level.  The margins report the level (v_up_level) and
+    sup v_s (v_up_sup).
     """
     params, f = reactions.params, reactions.spec.f
-    lam, gamma = params.lam, params.gamma
-    p, q = params.p, params.q
+    lam = params.lam
     theta1 = reactions.spec.theta1
     _check_grid(op, reactions, profile.phi)
-    # psi's shift, the one reader of Theta_lambda: derived first, so a load
-    # with no finite shift is refused before the m search
+    # psi's shift, the one reader of Theta_lambda: a load with no finite
+    # shift is refused before any solve
     Theta = choose_Theta_lambda(reactions.spec, params, reactions.h)
-
-    flux = _load_flux(op, 1.0)
-    cache: dict[float, float] = {}
-
-    def top(m: float) -> float:
-        # the load is positive, so every flux is < 0 and v_m decreases: its
-        # max m C(m) is v_m(0)
-        if m not in cache:
-            cache[m] = float(_flux_solution(op, m ** (p - 1.0) * flux)[0])
-        return cache[m]
-
-    def cond_growth(m: float) -> bool:   # true from m_min upward
-        return m ** (p - 1.0 + gamma) >= lam * float(f(top(m)))
-
-    def cond_cap(m: float) -> bool:      # true up to m_max
-        return top(m) <= theta1
-
-    def bisect(cond, lo, hi, rising):
-        # cond flips once between lo and hi; returns the edge
-        for _ in range(40):
-            mid = float(np.sqrt(lo * hi))
-            if cond(mid) == rising:
-                hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1.0 + 1e-6:
-                break
-        return lo, hi
-
-    # bracket the growth edge from below and the cap edge from above
-    lo = 1.0
-    while cond_growth(lo) and lo > 1e-12:
-        lo *= 0.5
-    hi = 1.0
-    while not cond_growth(hi) and hi < 1e12:
-        hi *= 2.0
-    if not cond_growth(hi):
-        if not cond_cap(hi):  # growth needs m > hi, where the cap fails: none is admissible
-            raise SearchExhausted(
-                f"second pair: no admissible m: growth fails at every m <= {hi:.6g}, "
-                "and the cap already fails there")
-        raise SearchExhausted(
-            f"second pair: no admissible m: growth fails at every m <= {hi:.6g}")
-    m_min = bisect(cond_growth, lo, hi, rising=True)[1]
-
-    start = hi = max(1.0, m_min)
-    while cond_cap(hi) and hi < 1e12:
-        hi *= 2.0
-    if cond_cap(hi):
-        raise SearchExhausted("second pair: cap condition never fails; bracket not found")
-    # bisect the cap edge from a point where the cap holds: m_min/2 does if
-    # the cap held at start; otherwise halve down to one
-    lo = max(1e-12, m_min / 2.0)
-    if hi == start:
-        while not cond_cap(lo) and lo > 1e-12:
-            hi, lo = lo, lo * 0.5
-        if not cond_cap(lo):
-            raise SearchExhausted(
-                f"second pair: no admissible m: growth needs m >= {m_min:.6g}, and the cap "
-                f"fails at every m >= {lo:.6g}")
-    m_max = bisect(cond_cap, lo, hi, rising=False)[0]
-    if not (m_min <= m_max and cond_growth(m_max)):
-        raise SearchExhausted(
-            f"second pair: no admissible m: growth needs m >= {m_min:.6g}, "
-            f"cap needs m <= {m_max:.6g}")
-    m = float(np.sqrt(m_min * m_max))
-    if not (cond_growth(m) and cond_cap(m)):
-        raise SearchExhausted("second pair: bisection landed outside the admissible interval")
-
-    v_up = GridFunction(op.grid, _flux_solution(op, m ** (p - 1.0) * flux))
-    _check_exact(op, v_up.values, m ** (p - 1.0), "second pair: v_up misses -L v = m^(p-1)")
-    eps_cap = theta1 - top(m)
-    eps_growth = m ** (p - 1.0 + gamma) - lam * float(f(top(m)))
-    collar_deficit = float(np.min(_unshifted(reactions, op, v_up.values)[0]))
 
     # --- v0 = psi ------------------------------------------------------------
     zi = np.maximum(profile.phi.values[:-1], 0.0)
@@ -749,20 +667,32 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     v0 = GridFunction(op.grid, psi)
     eps_low = float(np.min(-_unshifted(reactions, op, psi)[0]))
 
+    # --- v_up = v_s ------------------------------------------------------------
+    for rung in range(_GEOM_BUDGET):
+        s = theta1 * 2.0 ** (rung / 8.0)
+        mu = lam * float(f(s))
+        try:
+            v = _newton(op, 0.0, 0.0, mu, 0.0, _load_solution(op, mu))[0]
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"second pair: v_up at level s = {s:.6g}: {exc}") from exc
+        top = float(np.max(v))
+        if top <= s:
+            break
+        if np.all(psi <= v):
+            raise SearchExhausted(
+                f"second pair: no v_up level: at s = {s:.6g}, sup v_s/s = {top / s:.4g} "
+                "and v0 <= v_s at every node, so no higher level leaves v0 above v_up")
+    else:
+        raise SearchExhausted(
+            f"second pair: no v_up level within {_GEOM_BUDGET} rungs: at s = {s:.6g}, "
+            f"sup v_s/s = {top / s:.4g}")
     margins = {
-        "m_lambda": m,
-        "m_min": float(m_min),
-        "m_max": float(m_max),
-        "beta_star": float(m ** (q - p)),
-        "u_beta_norm": top(m) / m,
         "eps_low": eps_low,
-        "eps_cap": float(eps_cap),
-        "eps_growth": float(eps_growth),
-        "eps_high": float(min(eps_cap, eps_growth)),
-        "collar_deficit": collar_deficit,
+        "v_up_level": s,
+        "v_up_sup": top,
         "Theta_lambda": float(Theta),
     }
-    return v0, v_up, margins
+    return v0, GridFunction(op.grid, v), margins
 
 
 @dataclasses.dataclass(frozen=True)
@@ -790,9 +720,10 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
     (f4) is checked first, at the reactions' load (FailedAssumptions if it
     fails): the pairs' one check of it, for every caller.  The inner pair is
     built first; the outer searches then take envelopes so that u0 fits
-    strictly under both inner functions and u_up dominates both.
-    v_up's supersolution certificate carries the paper's scalar slack as its
-    margins (see build_second_pair).
+    strictly under both inner functions and u_up dominates both.  All four
+    sub/supersolution certificates are pointwise at nodes 0..n-1; v_up's
+    level s may exceed theta1 (see build_second_pair), which the discrete
+    claim admits, as it reads only node certificates and orderings.
     """
     if not validate(reactions).passed:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
@@ -805,17 +736,7 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
         "sub_u0": certify(reactions, u0, "subsolution", op=op),
         "super_u_up": certify(reactions, u_up, "supersolution", op=op),
         "sub_v0": certify(reactions, v0, "subsolution", op=op),
-        "super_v_up": CertificateReport(
-            kind="supersolution",
-            margins=np.array([second["eps_cap"], second["eps_growth"]]),
-            passed=bool(second["eps_cap"] > 0.0 and second["eps_growth"] > 0.0),
-            tolerance=0.0,
-            detail={
-                "convention": "scalar slack of the cap and growth conditions for m",
-                "m_lambda": second["m_lambda"],
-                "collar_deficit": second["collar_deficit"],
-            },
-        ),
+        "super_v_up": certify(reactions, v_up, "supersolution", op=op),
         "order_u0_v0": certify(reactions, u0, "ordering", other=v0),
         "order_v0_uup": certify(reactions, v0, "ordering", other=u_up, strict=True),
         "order_u0_vup": certify(reactions, u0, "ordering", other=v_up, strict=True),
@@ -870,10 +791,9 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     with no residual comparison; and at the load solve of fhat(u) + lam
     f(0) for an input with a non-positive interior node.  `seed`, when
     given, is the start instead (_checked_step passes the image it
-    rejected).  The solved-input start is load-bearing: a strict
-    subsolution of sup 3.6e-8 reads scaled residual 1.2e-16 against the
-    scale floor of 1, and its image from P lies 4e-9 above the leg's
-    Newton finish, which the leg then refuses.
+    rejected).  The solved-input start returns a solved input, such as a
+    leg's Newton finish, bit for bit and without a step; from P its image
+    would land elsewhere within the tolerance.
     """
     _check_grid(op, reactions, *(g for g in (u, seed) if g is not None))
     uv = u.values

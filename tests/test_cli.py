@@ -3,6 +3,7 @@
 Everything runs in-process through pqsing.cli.run / main so coverage tools
 see it and failures carry tracebacks instead of subprocess noise.
 """
+import dataclasses
 import json
 import random
 import re
@@ -16,6 +17,7 @@ from pqsing import GridFunction, cli, compute_window, nonlinearity
 from pqsing import discrete_solver as ds
 from pqsing.cli import main, run
 from pqsing.errors import BridgeNotMonotone
+from test_discrete_solver import _v_s
 from test_parameter_window import _random_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -488,10 +490,11 @@ def test_sweep_rows_ascend(tmp_path, capsys):
     pairs_dir = tmp_path / "pairs"
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(pairs_dir), lam=row["lambda"]) == 0
     pairs = json.loads((pairs_dir / "pairs.json").read_text())
-    assert header[-4:] == ["eta", "eps_growth", "eps_cap", "radial_min"]
+    assert header == ["lambda", "all_passed", "v_up_level", "alpha_star", "chi_low", "chi_high",
+                      "eps_low", "eps_high", "sup_u1_pair_gap", "eta", "radial_min"]
+    assert row["v_up_level"] == pairs["second_margins"]["v_up_level"]
+    assert row["eps_high"] == pairs["certificates"]["super_v_up"]["min_margin"] > 0.0
     assert row["eta"] == pairs["first_margins"]["eta"]
-    assert row["eps_growth"] == pairs["second_margins"]["eps_growth"]
-    assert row["eps_cap"] == pairs["second_margins"]["eps_cap"]
     assert row["radial_min"] == pairs["radial_claim"]["min_margin"]
     capsys.readouterr()
 
@@ -797,40 +800,35 @@ def test_failed_f4_is_not_a_positivity_loss(tmp_path, capsys):
                    "kind": "failed_assumptions", "warnings": []}
 
 
-def _cap_holds(env, m):
-    # m C(m) = max v_m <= theta1, v_m the plain solve of -L v = m^(p-1): the
-    # inner pair's cap
-    op = ds.DiscreteOperator.from_params(env.params, n=env.n)
-    v = ds._load_solution(op, m ** (env.params.p - 1.0))
-    return float(np.max(v)) <= env.spec.theta1
-
-
 def test_second_pair_reports_the_cap_edge(tmp_path, capsys):
-    # (p, q) = (1.5, 4) with khat = 1e12: growth needs m >= 268.225 while the
-    # cap fails below m_min / 2; the message gives the cap's own edge
+    # (p, q) = (1.5, 4) with khat = 1e12: sup v_s <= s, the cap that makes
+    # v_s a supersolution, fails on every rung of the ladder theta1 2^(k/8),
+    # k < 60; the message names the last rung and its ratio
     cfg = small_cfg(params={"p": 1.5, "q": 4.0}, nonlinearity={"khat": 1e12})
     path = write_cfg(tmp_path, cfg)
     assert run("pairs", path, out=str(tmp_path)) == 3
     err = capsys.readouterr().err
-    head = ("did not converge: second pair: no admissible m: growth needs m >= 268.225, "
-            "cap needs m <= ")
+    head = ("did not converge: second pair: no v_up level within 60 rungs: at s = 165.995, "
+            "sup v_s/s = ")
     assert err.startswith(head)
-    m_max = float(err[len(head):])
     env = cli._build_env(cli._load_config(path))
-    assert _cap_holds(env, m_max * (1.0 - 1e-5))
-    assert not _cap_holds(env, m_max * (1.0 + 1e-5))
+    s = env.spec.theta1 * 2.0 ** (59 / 8)
+    op = ds.DiscreteOperator.from_params(env.params, n=env.n)
+    ratio = float(np.max(_v_s(op, env.params.lam * float(env.spec.f(s)))[0])) / s
+    assert ratio > 1.0 and f"{ratio:.4g}\n" == err[len(head):]
 
 
 def test_second_pair_names_an_empty_admissible_set(tmp_path, capsys):
-    # cfg_reference with (p, q) = (3, 5) at half its lambda^*: the growth
-    # condition fails up to the bracket's end, where the cap fails too
+    # cfg_reference with (p, q) = (3, 5) at half its lambda^*: sup v_s > s
+    # up to s = 128, where v0 <= v_s at every node; v_s grows with s, so
+    # no higher level would leave v0 above v_up, and the ladder stops there
     cfg = json.loads(REFERENCE.read_text())
     cfg["params"].update(p=3.0, q=5.0)
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128,
                lam=401.6) == 3
     assert capsys.readouterr().err == (
-        "did not converge: second pair: no admissible m: growth fails at every "
-        "m <= 1.09951e+12, and the cap already fails there\n")
+        "did not converge: second pair: no v_up level: at s = 128, sup v_s/s = 5742 and "
+        "v0 <= v_s at every node, so no higher level leaves v0 above v_up\n")
 
 
 def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
@@ -838,21 +836,23 @@ def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
     cfg["params"].update(p=3.0, q=5.0)
     assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=512) == 3
     assert capsys.readouterr().err.startswith(
-        "did not converge: second pair: no admissible m")
+        "did not converge: second pair: no v_up level")
 
 
 def test_pairs_and_solve_off_the_closed_form(tmp_path, capsys):
     # cfg_reference with (p, q) = (1.5, 4): q-1 != 2(p-1), so every flux
-    # inverse takes the iterative branch.  The pairs pass and both legs and
-    # u3 converge, but u1 leaves [u0, v_up] (ROADMAP item 14), so solve
-    # exits 1 on that one certificate
+    # inverse takes the iterative branch.  sup v_s > s at s = theta1, and
+    # the ladder takes a level above it; there u1 lies in [u0, v_up], both
+    # legs and u3 converge, and solve exits 0
     cfg = json.loads(REFERENCE.read_text())
     cfg["params"].update(p=1.5, q=4.0)
     path = write_cfg(tmp_path, cfg)
     assert run("pairs", path, out=str(tmp_path), nodes=512) == 0
-    assert run("solve", path, out=str(tmp_path), nodes=512) == 1
+    assert run("solve", path, out=str(tmp_path), nodes=512) == 0
     rep = json.loads((tmp_path / "solve.json").read_text())
-    assert _failed_certificates(rep) == ["order_u1_vup"]
+    assert _failed_certificates(rep) == []
+    second = rep["second_margins"]
+    assert second["v_up_sup"] <= second["v_up_level"] and second["v_up_level"] > 1.0
     assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
     assert rep["third_solution"]["status"] == "converged"
     capsys.readouterr()
@@ -883,11 +883,6 @@ def _failed_certificates(rep):
     return sorted(k for k, c in rep["certificates"].items() if not c["passed"])
 
 
-# loads whose u1 leaves [u0, v_up]: v_up is no supersolution at the nodes
-# there (ROADMAP item 14), and solve refuses them with exit 1
-_U1_ESCAPES = {(64, 0.3)}
-
-
 @pytest.mark.parametrize("draw, share", [
     (7, 0.3), (7, 0.5), (7, 0.7), (30, 0.3), (30, 0.5), (30, 0.7), (33, 0.7),
     (38, 0.3), (38, 0.5), (38, 0.7), (64, 0.3)])
@@ -897,22 +892,41 @@ def test_psi_converges_on_random_configs(draw, share, tmp_path, capsys):
     # 1e41) or stalled its line search on every one of these loads
     cfg, win = _random_cfg(draw)
     lam = win.lambda_star + share * (win.lambda_upper - win.lambda_star)
-    escape = (draw, share) in _U1_ESCAPES
-    code = run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam)
-    assert code == (1 if escape else 0)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
     rep = json.loads((tmp_path / "solve.json").read_text())
     assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
     assert rep["third_solution"]["status"] == "converged"
-    assert _failed_certificates(rep) == (["order_u1_vup"] if escape else [])
+    assert _failed_certificates(rep) == []
     capsys.readouterr()
 
 
-def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys):
-    # draw 16 at 50 %: both legs converge and u3 with them, but u1 lies
-    # above v_up at every node, so the theorem's interval [u0, v_up] fails
-    cfg, win = _random_cfg(16)
+@pytest.mark.parametrize("draw", [16, 64])
+def test_solve_takes_a_v_up_level_above_theta1(draw, tmp_path, capsys):
+    # draws 16 and 64 at 50 %: sup v_s > s at s = theta1, and the ladder's
+    # first level with sup v_s <= s lies above theta1; there v_up holds u1
+    # and solve exits 0
+    cfg, win = _random_cfg(draw)
     lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
-    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 1
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["second_margins"]["v_up_level"] > cfg["nonlinearity"]["theta1"]
+    assert rep["certificates"]["order_u1_vup"]["passed"]
+    capsys.readouterr()
+
+
+def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys, monkeypatch):
+    # v_up shrunk towards u0 after its certificates were taken: both legs
+    # converge and u3 with them, but u1 rises above the shrunken v_up, so
+    # the theorem's interval [u0, v_up] fails and solve exits 1
+    real = ds.construct_pairs
+
+    def shrunken(reactions, profile, op):
+        pairs = real(reactions, profile, op)
+        v_up = np.maximum(pairs.u0.values, 0.05 * pairs.v_up.values)
+        return dataclasses.replace(pairs, v_up=GridFunction(op.grid, v_up))
+
+    monkeypatch.setattr(ds, "construct_pairs", shrunken)
+    assert run("solve", str(SMALL), out=str(tmp_path), nodes=128) == 1
     rep = json.loads((tmp_path / "solve.json").read_text())
     assert rep["all_passed"] is False
     assert _failed_certificates(rep) == ["order_u1_vup"]
@@ -921,28 +935,15 @@ def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_starts_a_solved_input_at_itself(tmp_path, capsys):
-    # draw 55 at 50 %: u0 has sup 3.6e-8 and subsolution margin 1.3e-17,
-    # yet its scaled residual reads 1.2e-16 against the scale floor of 1,
-    # so the map starts at u0 and returns it.  Started at its load solve
-    # instead, the image lies 4e-9 above the Newton finish at node 0 and
-    # the ascending leg exits 3
-    cfg, win = _random_cfg(55)
-    lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
-    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128, lam=lam) == 0
-    rep = json.loads((tmp_path / "solve.json").read_text())
-    assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"]
-    capsys.readouterr()
-
-
 def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
     # draws 0-79 of random.Random(1), every one, at 50 % of its window (the
     # midpoint where there is none, so the run itself refuses the draw) on
     # 64 cells: each exit code is one of the contract's, an exit 3 writes no
     # report and says why, a positivity loss names its leg and its node, and
-    # an exit 0 passed every certificate with both legs converged
+    # an exit 0 passed every certificate with both legs converged.  The
+    # tally of exit codes, and of u3 converged on an exit 0, is printed
     rng = random.Random(1)
-    codes = []
+    codes, u3 = [], 0
     for draw in range(80):
         spec, params = _random_config(rng)
         try:
@@ -966,7 +967,12 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
             rep = json.loads((out / "solve.json").read_text())
             assert rep["all_passed"], draw
             assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"], draw
+            u3 += rep["third_solution"]["status"] == "converged"
     assert 0 in codes and 3 in codes
+    with capsys.disabled():
+        print("\nseeded survey, draws 0-79 at 50 %, n = 64: exit 0/1/2/3 = "
+              + "/".join(str(codes.count(code)) for code in range(4))
+              + f"; u3 converged on {u3} of the exit 0")
 
 
 def test_solve_names_the_leg_and_node_of_a_positivity_loss(tmp_path, capsys):

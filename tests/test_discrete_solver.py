@@ -168,39 +168,40 @@ def test_eta_problem_against_quadrature():
     assert errs[2] <= errs[0] / 8.0
 
 
+def _v_s(op, mu):
+    """(v_s, Newton steps): the second pair's solve of A(v) = mu v^{-gamma}
+    from the load solve of mu."""
+    return discrete_solver._newton(op, 0.0, 0.0, mu, 0.0, discrete_solver._load_solution(op, mu))
+
+
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_probe_norm_is_the_profile_max_bitwise(pq, dim):
-    # the m probes of the second pair read v_m(0) = m C(m) off the plain
-    # solve of -L v = m^(p-1) from the load's shared unit fluxes, while the
-    # cap bounds the profile's max: the same bits
+    # each rung of the second pair's ladder probes sup v_s at its level: the
+    # singular load is positive, so v_s falls from the axis and its value
+    # at node 0 is the max, bit for bit.  v_s grows with the load (the
+    # comparison the ladder's v0 <= v_s stop rests on).  Newton reaches it
+    # from the load solve in 4-6 steps at p = 2 and 4-11 at p = 1.5, the
+    # most at the smallest loads
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=256)
-    flux = discrete_solver._load_flux(op, 1.0)
-    for m in np.geomspace(1e-3, 1e3, 37):
-        v = discrete_solver._flux_solution(op, m ** (pr.p - 1.0) * flux)
-        assert float(v[0]) == float(np.max(v))
+    below = np.zeros(op.n + 1)
+    for mu in np.geomspace(1e-2, 1e2, 13):
+        v, steps = _v_s(op, mu)
+        assert float(v[0]) == float(np.max(v)) and steps <= 12
+        assert np.all(v[:-1] > below[:-1])
+        below = v
 
 
-def test_shipped_v_up_is_the_accepted_probe(gentle, monkeypatch):
-    # the second pair ships the profile of the accepted probe: its v_up(0)
-    # is the probe value the cap and growth margins were read from
-    env, probes = gentle, {}
-    real = discrete_solver._flux_solution
-
-    def recorded(op, flux):
-        v = real(op, flux)
-        probes.setdefault(float(flux[0]), float(v[0]))  # the probe's, before v_up's
-        return v
-
-    monkeypatch.setattr(discrete_solver, "_flux_solution", recorded)
-    _v0, v_up, second = discrete_solver.build_second_pair(env.reactions, env.profile, env.op)
-    m, theta1 = second["m_lambda"], env.spec.theta1
-    probe = probes[float(m ** (env.params.p - 1.0) * discrete_solver._load_flux(env.op, 1.0)[0])]
-    assert float(v_up.values[0]) == probe == float(np.max(v_up.values))
-    assert second["eps_cap"] == theta1 - probe
-    assert second["u_beta_norm"] == probe / m
-    assert np.array_equal(v_up.values, env.pairs.v_up.values)
+def test_shipped_v_up_is_the_accepted_probe(gentle, cfg1):
+    # both shipped configs take the ladder's first rung, s = theta1: v_up is
+    # that rung's v_s, bit for bit, and its sup is the reported v_up_sup <= s
+    for env in (gentle, cfg1):
+        second, theta1 = env.pairs.second_margins, env.spec.theta1
+        assert second["v_up_level"] == theta1
+        mu = env.params.lam * float(env.spec.f(theta1))
+        assert np.array_equal(env.pairs.v_up.values, _v_s(env.op, mu)[0])
+        assert second["v_up_sup"] == float(np.max(env.pairs.v_up.values)) <= theta1
 
 
 def _count_banded(monkeypatch):
@@ -315,46 +316,52 @@ def test_solve_banded_returns_a_new_array(n):
 def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     # the flux-integrated seed solves the scheme itself, not the continuum
     # problem: Newton's 1e-12 rounding-aware check passes at once, for the
-    # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike.
-    # So does the solve from a load's fluxes scaled by c, at the load c rhs,
-    # as v_up from the unit load's fluxes does in the second pair
+    # closed-form lpq_inverse (q = 2p - 1) and its iterative branch alike
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=256)
-    c = 7.3
     calls = _count_banded(monkeypatch)
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
-        seed = discrete_solver._load_solution(op, rhs)
-        scaled = discrete_solver._flux_solution(op, c * discrete_solver._load_flux(op, rhs))
-        for u0, load in ((seed, rhs), (scaled, c * rhs)):
-            assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
-            u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), load, u0)
-            assert np.array_equal(u, u0) and steps == 0
+        u0 = discrete_solver._load_solution(op, rhs)
+        assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
+        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, u0)
+        assert np.array_equal(u, u0) and steps == 0
     assert calls == []
 
 
 def test_construct_pairs_banded_solves(gentle, monkeypatch):
-    # the constant-load auxiliaries behind both pairs start at their answer;
-    # only v0 (a Theta-shifted solve) still takes Newton steps, from the load
-    # solve of its right-hand side
+    # the constant-load auxiliaries behind the outer pair start at their
+    # answer; v0 (a Theta-shifted solve) takes Newton steps from the load
+    # solve of its right-hand side, and v_up (the singular-load solve at
+    # s = theta1) from the load solve of lam f(s): 4 steps each
     env = gentle
     assert env.pairs.second_margins["Theta_lambda"] > 0.0
     calls = _count_banded(monkeypatch)
     pairs = construct_pairs(env.reactions, env.profile, op=env.op)
-    assert len(calls) <= 4
+    assert len(calls) <= 9
     assert pairs.all_passed
 
 
 def test_psi_at_zero_shift_is_its_load_solve(cfg1, monkeypatch):
     # at Theta_lambda = 0 psi solves -L psi = lam h(phi), a given load: its
-    # Newton starts at the load solve, which it accepts without a step
+    # Newton starts at the load solve, which it accepts without a step.  The
+    # pairs' only Newton steps are v_up's singular-load solve (4 of them)
     env = cfg1
     assert env.pairs.second_margins["Theta_lambda"] == 0.0
     zi = np.maximum(env.profile.phi.values[:-1], 0.0)
     rhs = env.params.lam * np.asarray(env.reactions.h(zi), dtype=float)
     assert np.array_equal(env.pairs.v0.values, discrete_solver._load_solution(env.op, rhs))
+    steps, real = [], discrete_solver._newton
+
+    def counted(*args, **kwargs):
+        u, taken = real(*args, **kwargs)
+        steps.append(taken)
+        return u, taken
+
+    monkeypatch.setattr(discrete_solver, "_newton", counted)
     calls = _count_banded(monkeypatch)
     construct_pairs(env.reactions, env.profile, op=env.op)
-    assert calls == []
+    assert len(steps) == 2 and steps[0] == 0 and 3 <= steps[1] <= 5
+    assert len(calls) == steps[1]
 
 
 def _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
@@ -539,7 +546,7 @@ def test_scaling_identities_through_the_closed_form(pq):
     # L(s t) = s^{q-1} (s^{p-q} L_p(t) + L_q(t)) = s^{p-1} (L_p(t) + s^{q-p} L_q(t)):
     # the plain load solves at m^{p-1} and alpha_*^{q-1} are m u_beta
     # (beta = m^{q-p}) and alpha_* u_alpha (alpha = alpha_*^{p-q}), the
-    # paper's weighted solves, which the two upper functions rely on
+    # paper's weighted solves; u_up relies on the second
     pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=256)
     load = discrete_solver._load_solution
@@ -553,40 +560,47 @@ def test_scaling_identities_through_the_closed_form(pq):
 
 
 def test_shipped_upper_functions_are_the_papers_scaled_solutions(gentle, cfg1):
-    # the plain solves that ship as u_up and v_up are the paper's
-    # alpha_* u_alpha (alpha = alpha_*^{p-q}) and m u_beta* (beta* = m^{q-p})
+    # the plain solve that ships as u_up is the paper's alpha_* u_alpha
+    # (alpha = alpha_*^{p-q}); v_up is v_s, the scheme's solution of
+    # A(v) = lam f(s) v^{-gamma} at its level s, to Newton's tolerance
     for env in (gentle, cfg1):
         pr, op = env.params, env.op
         assert (pr.p, pr.q) == (2.0, 3.0)
-        a_star, m = env.pairs.first_margins["alpha_star"], env.pairs.second_margins["m_lambda"]
-        for shipped, paper in (
-                (env.pairs.u_up.values, a_star * _weighted_unit_solve(op, a_star ** -1.0, 1.0)),
-                (env.pairs.v_up.values, m * _weighted_unit_solve(op, 1.0, m))):
-            assert np.max(np.abs(shipped - paper)) <= 1e-12 * np.max(np.abs(paper))
+        a_star = env.pairs.first_margins["alpha_star"]
+        paper = a_star * _weighted_unit_solve(op, a_star ** -1.0, 1.0)
+        assert np.max(np.abs(env.pairs.u_up.values - paper)) <= 1e-12 * np.max(np.abs(paper))
+        mu = np.full(op.n, pr.lam * float(env.spec.f(env.pairs.second_margins["v_up_level"])))
+        res, scale, rnd, _ = discrete_solver._residual_scale(
+            op, env.pairs.v_up.values, 0.0, 0.0, mu, 0.0, True)
+        assert discrete_solver._scaled_err(res, scale, rnd) <= discrete_solver._SOLVE_TOL
 
 
-@pytest.mark.parametrize("pair, solve, message", [
-    ("second", "_flux_solution", "second pair: v_up misses -L v = m\\^\\(p-1\\)"),
-    ("first", "_load_solution", "first pair: w_eta misses -L w = eta"),
-], ids=["second", "first"])
-def test_pairs_check_the_auxiliary_solutions(gentle, monkeypatch, pair, solve, message):
-    # one node of v_up (from the unit load's fluxes), or of w_eta (the first
-    # load solve), off by 1e-6 relative: the searches still run (the m
-    # probes read node 0 alone), and the check at the chosen m or eta names
-    # the pair and that node
-    env = gentle
-    k = env.op.n // 2
-    real = getattr(discrete_solver, solve)
+@pytest.mark.parametrize("pair", ["second", "first"])
+def test_pairs_check_the_auxiliary_solutions(gentle, cfg1, monkeypatch, pair):
+    # second: with one Newton step allowed, psi on cfg_reference (Theta = 0,
+    # no step) passes and v_up's singular-load solve runs out, naming its
+    # level and worst node.  first: one node of w_eta (the first load solve)
+    # off by 1e-6 relative: the eta search still runs, and the check at the
+    # chosen eta names the pair and that node
+    if pair == "second":
+        monkeypatch.setattr(discrete_solver, "_NEWTON_BUDGET", 1)
+        with pytest.raises(ConvergenceFailure, match=(
+                r"^second pair: v_up at level s = 1: Newton budget exhausted "
+                r"\(scaled residual .*, worst node \d+\)$")):
+            construct_pairs(cfg1.reactions, cfg1.profile, cfg1.op)
+        return
+    k = gentle.op.n // 2
+    real = discrete_solver._load_solution
 
     def corrupted(op, arg):
         u = real(op, arg)
         u[k] *= 1.0 + 1e-6
         return u
 
-    monkeypatch.setattr(discrete_solver, solve, corrupted)
-    with pytest.raises(ConvergenceFailure, match=f"^{message} by scaled residual "
-                                                 f".* \\(worst node {k}\\)$"):
-        construct_pairs(env.reactions, env.profile, env.op)
+    monkeypatch.setattr(discrete_solver, "_load_solution", corrupted)
+    with pytest.raises(ConvergenceFailure, match=(
+            f"^first pair: w_eta misses -L w = eta by scaled residual .* \\(worst node {k}\\)$")):
+        construct_pairs(gentle.reactions, gentle.profile, gentle.op)
 
 
 # ---------------------------------------------------------------- certify
@@ -685,12 +699,15 @@ def test_pairs_reference_geometry(cfg1):
     # bracketing push the outer amplitude into the huge-scale window
     assert f["alpha_star"] == pytest.approx(8.733470924749859e17, rel=1e-6)
     assert f["chi_low"] == pytest.approx(0.5743497854260626, rel=1e-9)
-    assert s["m_lambda"] == pytest.approx(2.1011343036922674, rel=1e-9)
-    assert s["eps_cap"] == pytest.approx(0.6381175116285569, rel=1e-9)
-    assert s["eps_growth"] == pytest.approx(2.588662929880237, rel=1e-9)
-    assert s["collar_deficit"] < 0.0     # recorded, not asserted, by design
+    # v_up at the paper's cap s = theta1, a supersolution at every node,
+    # least so at the axis
+    assert s["v_up_level"] == cfg1.spec.theta1 == 1.0
+    assert s["v_up_sup"] == pytest.approx(0.32165812583239833, rel=1e-9)
+    super_v_up = pairs.certificates["super_v_up"]
+    assert super_v_up.min_margin == pytest.approx(0.7379856359136469, rel=1e-9)
+    assert super_v_up.detail["min_margin_node"] == 0
     assert float(pairs.v0.sup_norm()) == pytest.approx(3067402300.331083, rel=1e-6)
-    assert float(pairs.v_up.sup_norm()) == pytest.approx(0.3618824883714431, rel=1e-9)
+    assert float(pairs.v_up.sup_norm()) == s["v_up_sup"]
     assert float(pairs.u_up.sup_norm()) == pytest.approx(4.117001702515248e17, rel=1e-6)
 
 
@@ -702,6 +719,24 @@ def test_pairs_gentle_all_green(gentle):
                  "order_vup_uup", "nonorder_v0_vup", "order_zeta_v0"):
         assert pairs.certificates[name].passed, name
     assert float(pairs.v_up.sup_norm()) <= gentle.spec.theta1
+
+
+@pytest.mark.parametrize("share", [0.001, 0.5, 0.999])
+@pytest.mark.parametrize("config", ["cfg_small.json", "cfg_reference.json"])
+def test_v_up_is_a_node_supersolution_across_the_window(config, share):
+    # from either end of the window to its middle, on a coarse and a fine
+    # grid: v_up's supersolution margin is positive at every node, sup v_up
+    # <= its level s, and v0 rises above v_up somewhere
+    env = _build_env(config, share)
+    for n in (256, 4096):
+        op = DiscreteOperator.from_params(env.params, n)
+        pairs = construct_pairs(env.reactions, solve_radial(env.reactions, env.window, op.grid),
+                                op=op)
+        cert = pairs.certificates["super_v_up"]
+        assert cert.passed and np.all(cert.margins > 0.0) and cert.margins.size == n
+        assert float(np.max(pairs.v_up.values)) <= pairs.second_margins["v_up_level"]
+        assert np.any(pairs.v0.values > pairs.v_up.values)
+        assert pairs.certificates["nonorder_v0_vup"].passed
 
 
 # ---------------------------------------------------------------- solve map
@@ -720,6 +755,20 @@ def test_that_map_fixed_point_residual(gentle):
     u = tr.limit
     w = that_map(env.reactions, u, op=env.op, khat=env.spec.khat)
     assert float(np.max(np.abs(w.values - u.values))) <= 1e-7 * env.spec.theta2
+
+
+def test_that_map_starts_a_solved_input_at_itself(gentle, monkeypatch):
+    # u1, the ascending leg's Newton finish, is solved to the tolerance: the
+    # map judges it on the shifted system at w = u (where the shift terms
+    # cancel), starts Newton there and returns it, bit for bit, without a
+    # step, at K = 0 and at the config's khat alike
+    env = gentle
+    u1 = _legs(env)[0].limit
+    calls = _count_banded(monkeypatch)
+    for khat in (0.0, env.spec.khat):
+        w = that_map(env.reactions, u1, op=env.op, khat=khat)
+        assert np.array_equal(w.values, u1.values)
+    assert calls == []
 
 
 def test_that_map_seeds_at_supersolution_input(cfg1, monkeypatch):

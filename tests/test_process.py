@@ -49,14 +49,15 @@ def _invalid_config(tmp_path):
 
 
 def _search_exhausted(tmp_path, command="pairs"):
-    # no admissible m for the second pair, at a load above the window: the
-    # error line, then the radial profile's WindowViolation fired before it
+    # no v_up level for the second pair within its ladder, at a load above
+    # the window: the error line, then the radial profile's WindowViolation
+    # fired before it
     path = _config(tmp_path, REFERENCE, params={"p": 3.0, "q": 5.0})
     warning = ("warning: WindowViolation: lambda=2000.0 outside "
                "[6.889266243722097, 803.2112770580061]\n")
     return ((command, "--config", str(path), "--nodes", "128", "--lambda", "2000"), 3,
-            "did not converge: second pair: no admissible m: growth fails at every "
-            "m <= 1.09951e+12, and the cap already fails there\n" + warning)
+            "did not converge: second pair: no v_up level within 60 rungs: at s = 165.995, "
+            "sup v_s/s = 2.545e+04\n" + warning)
 
 
 def _solve_search_exhausted(tmp_path):
