@@ -449,10 +449,13 @@ def _cmd_pairs(env: _Env):
     return report, 0 if report["all_passed"] else 1
 
 
-def _leg_report(leg: ds.IterationTrace) -> dict:
-    return {"converged": leg.converged, "steps": leg.n_steps, "newton_steps": leg.newton_steps,
-            "residual": leg.residual, "scaled_residual": leg.scaled_residual,
-            "sup": leg.limit.sup_norm(), "monotone": bool(all(leg.monotone)), "khat": leg.khat}
+def _leg_report(env: _Env, op: ds.DiscreteOperator, leg: ds.IterationTrace) -> dict:
+    """The leg limit's solution record, with the leg's checked map step."""
+    from . import discrete_solver as ds
+
+    return {**ds._solution_record(env.reactions, op, leg.limit, leg.newton_steps,
+                                  leg.scaled_residual),
+            "converged": leg.converged, "monotone": bool(all(leg.monotone)), "khat": leg.khat}
 
 
 def _cmd_solve(env: _Env):
@@ -486,8 +489,8 @@ def _cmd_solve(env: _Env):
     report["certificates"].update({k: c.summary() for k, c in intervals.items()})
     report.update({
         "all_passed": report["all_passed"] and all(c.passed for c in intervals.values()),
-        "from_lower": _leg_report(lo),
-        "from_upper": _leg_report(up),
+        "from_lower": _leg_report(env, op, lo),
+        "from_upper": _leg_report(env, op, up),
         "gap": gap,
         "distinctness": distinct,
         "third_solution": third,

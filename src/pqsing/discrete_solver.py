@@ -337,7 +337,8 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, load=None, polish=False
     and the derivative of a u-dependent load.  `polish` takes one full step
     more once the tolerance is met, kept if it meets it too: the rounding
     floor passes smooth errors of 1e-10 of the sup.  Returns (u, the Newton
-    steps)."""
+    steps, the rounding-aware scaled residual at u that the stopping rule
+    accepted); a rejected polish step leaves all three at the solved u."""
     n = op.n
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
@@ -358,7 +359,7 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, load=None, polish=False
     for steps in range(_NEWTON_BUDGET):
         if err <= _SOLVE_TOL:
             if not polish:
-                return u, steps
+                return u, steps, err
             polish = False
         sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
         d = solve_banded(sub, diag if slope is None else diag - slope, sup, -res)
@@ -375,14 +376,14 @@ def _newton(op, theta, khat, mu, rhs, init, anchor=None, load=None, polish=False
                                                         tkept, tslope)
                 break
             if err <= _SOLVE_TOL:  # the polish step missed: keep the solved u
-                return u, steps + 1
+                return u, steps + 1, err
             step *= 0.5
         else:
             raise ConvergenceFailure(
                 f"Newton line search stalled at scaled residual {err:.3e} "
                 f"(worst node {_worst_node(res, scale, rnd)})")
     if err <= _SOLVE_TOL:
-        return u, _NEWTON_BUDGET
+        return u, _NEWTON_BUDGET, err
     raise ConvergenceFailure(f"Newton budget exhausted (scaled residual {err:.3e}, "
                              f"worst node {_worst_node(res, scale, rnd)})")
 
@@ -752,27 +753,6 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
 # the solve map and the monotone iteration
 # ---------------------------------------------------------------------------
 
-def _map_terms(reactions: DerivedReactions, uv: np.ndarray):
-    """(lam f(0), fhat(u), singular): the solve map's singular weight and
-    load at u, and whether the singular term is on."""
-    lam_f0 = reactions.params.lam * reactions.spec.f0
-    return lam_f0, np.asarray(reactions.fhat(uv[:-1]), dtype=float), lam_f0 > 0.0
-
-
-def _fixed_point_residual(op, reactions, uv):
-    """Rounding-aware scaled residual of the map at u.
-
-    At w = u the shift terms of the solve map cancel exactly, so this is the
-    residual of the unshifted equation A(u) - lam f(u) u^{-gamma}, whatever
-    the shift: within the solve tolerance when u is a fixed point, and at
-    most 0 when every node's residual is within its rounding floor.
-    """
-    if float(np.min(uv[:-1])) <= 0.0:
-        return float("inf")
-    lam_f0, rhs, singular = _map_terms(reactions, uv)
-    return _scaled_err(*_residual_scale(op, uv, 0.0, 0.0, lam_f0, rhs, singular)[:3])
-
-
 def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
              khat: float | np.ndarray, *, seed: GridFunction | None = None) -> GridFunction:
     """One application of the shifted solve map.
@@ -800,7 +780,9 @@ def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
-    lam_f0, rhs, singular = _map_terms(reactions, uv)
+    lam_f0 = reactions.params.lam * reactions.spec.f0
+    rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
+    singular = lam_f0 > 0.0
     if seed is not None:
         start = seed.values
     elif float(np.min(uv[:-1])) <= 0.0:
@@ -855,10 +837,11 @@ def _checked_step(reactions, u, op, ascending):
 
 
 def _solve_unshifted(reactions, op, init, polish=False):
-    """(u, Newton steps): damped Newton (_newton, with its `polish`) from
-    init on the unshifted system A(u) - lam f(0) u^{-gamma} = fhat(u),
-    whose load fhat and its derivative are evaluated at each iterate.
-    PositivityLoss names the node of a result on the positivity floor."""
+    """(u, Newton steps, scaled residual): damped Newton (_newton, with its
+    `polish`) from init on the unshifted system A(u) - lam f(0) u^{-gamma}
+    = fhat(u), whose load fhat and its derivative are evaluated at each
+    iterate.  PositivityLoss names the node of a result on the positivity
+    floor."""
     lam, gamma = reactions.params.lam, reactions.params.gamma
 
     def fhat_load(ui):
@@ -866,12 +849,27 @@ def _solve_unshifted(reactions, op, init, polish=False):
         fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
         return value, lam * fp * ui ** (-gamma) - gamma * value / ui
 
-    w, steps = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init, load=fhat_load,
-                       polish=polish)
+    w, steps, err = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init, load=fhat_load,
+                            polish=polish)
     low = int(np.argmin(w[:-1]))
     if w[low] <= 2.0 * _POS_FLOOR:
         raise PositivityLoss(f"collapsed onto the positivity floor at node {low}")
-    return w, steps
+    return w, steps, err
+
+
+def _solution_record(reactions: DerivedReactions, op: DiscreteOperator, u: GridFunction,
+                     newton_steps: int, scaled_residual: float) -> dict:
+    """The keys solve.json reports for each of u1, u2 and u3: u(0), the sup
+    norm, the plain original_residual (which counts flux-cancellation
+    rounding), and the Newton solve's steps and rounding-aware scaled
+    residual, which it measured at u when it stopped."""
+    return {
+        "u_at_0": float(u.values[0]),
+        "sup": u.sup_norm(),
+        "residual": original_residual(reactions, u, op=op),
+        "scaled_residual": scaled_residual,
+        "newton_steps": newton_steps,
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -880,15 +878,13 @@ class IterationTrace:
     the Newton finish) plus per-step diagnostics.
 
     khat is the largest node-wise shift K_i of the map step; newton_steps
-    counts the finish's Newton steps.  residual is the plain
-    original_residual of the limit, which counts flux-cancellation
-    rounding; scaled_residual is the rounding-aware residual of the
-    unshifted equation there (what Newton judges by).  converged is always
-    true (a leg that does not finish raises); solve.json reports it.
+    counts the finish's Newton steps, and scaled_residual is the
+    rounding-aware residual of the unshifted equation at the limit, as the
+    finish measured it when it stopped.  converged is always true (a leg
+    that does not finish raises); solve.json reports it.
     """
 
     iterates: tuple
-    residual: float
     monotone: tuple
     converged: bool
     start: str
@@ -917,12 +913,13 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     (ascending) or supersolution (descending) between the endpoint and the
     limit, or its ConvergenceFailure or PositivityLoss is raised again with
     the leg and `step 1` in front.  _solve_unshifted, polished, solves the
-    limit's equation from that iterate; the orbit's further maps would only
-    approach it.  The finish must lie on the leg's side of that iterate to
-    1e-9 * sup and off the positivity floor, or ConvergenceFailure names the
-    leg, `finish` and the worst node, so a returned trace is always
-    converged.  A map step against the leg by more than 1e-9 * sup warns
-    MonotonicityViolation with the violation and its worst node.
+    limit's equation from that iterate, and its steps and scaled residual
+    are the trace's; the orbit's further maps would only approach it.  The
+    finish must lie on the leg's side of that iterate to 1e-9 * sup and off
+    the positivity floor, or ConvergenceFailure names the leg, `finish` and
+    the worst node, so a returned trace is always converged.  A map step
+    against the leg by more than 1e-9 * sup warns MonotonicityViolation
+    with the violation and its worst node.
     """
     if start not in ("from_lower", "from_upper"):
         raise ConfigurationError("start must be 'from_lower' or 'from_upper'")
@@ -943,7 +940,7 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
         warnings.warn(f"{start} step 1 moved against the leg by {-rise[worst]:.3e} "
                       f"(worst node {worst})", MonotonicityViolation)
     try:
-        w, steps = _solve_unshifted(reactions, op, first.values, polish=True)
+        w, steps, err = _solve_unshifted(reactions, op, first.values, polish=True)
     except (ConvergenceFailure, PositivityLoss) as exc:
         raise ConvergenceFailure(f"{start} finish: {exc}") from exc
     rise = sign * (w - first.values)
@@ -957,14 +954,13 @@ def amann_iterate(reactions: DerivedReactions, op: DiscreteOperator,
     iterates = (cur, first, limit)
     return IterationTrace(
         iterates=iterates,
-        residual=original_residual(reactions, limit, op=op),
         monotone=(monotone, True),
         converged=True,
         start=start,
         khat=float(np.max(K)),
         increments=tuple(float(np.max(np.abs(b.values - a.values)))
                          for a, b in zip(iterates, iterates[1:])),
-        scaled_residual=_fixed_point_residual(op, reactions, w),
+        scaled_residual=err,
         newton_steps=steps,
     )
 
@@ -1043,12 +1039,12 @@ def search_third_solution(reactions: DerivedReactions, u1: GridFunction, u2: Gri
     Newton on the unshifted system A(u) - lam f(0) u^{-gamma} = fhat(u).
     u3 is an unstable solution, so no monotone iteration reaches it.
 
-    Returns (report, u3).  The report carries status "converged", u(0),
-    the sup norm, the plain and rounding-aware residuals (as each Amann leg
-    reports them), the Newton steps, the distances to u1 and u2 and four
-    certificates: u0 <= u3, u3 <= u_up, u3 not below v_up and v0 not below
-    u3.  A stage that fails gives status "bracket_failed" or
-    "polish_failed", a message naming the stage and the node, and u3 None.
+    Returns (report, u3).  The report is u3's _solution_record, as each
+    Amann leg's report is its limit's, with status "converged", the
+    distances to u1 and u2 and four certificates: u0 <= u3, u3 <= u_up, u3
+    not below v_up and v0 not below u3.  A stage that fails gives status
+    "bracket_failed" or "polish_failed", a message naming the stage and the
+    node, and u3 None.
     """
     _check_grid(op, reactions, u1, u2)
     a1, a2 = float(u1.values[0]), float(u2.values[0])
@@ -1058,7 +1054,7 @@ def search_third_solution(reactions: DerivedReactions, u1: GridFunction, u2: Gri
         return {"status": "bracket_failed", "message": f"shooting bracket: {exc}"}, None
     init = np.interp(op.grid, coarse.grid, seed)
     try:
-        w, steps = _solve_unshifted(reactions, op, init)
+        w, steps, err = _solve_unshifted(reactions, op, init)
     except (ConvergenceFailure, PositivityLoss) as exc:
         return {"status": "polish_failed",
                 "message": f"shooting polish from u(0) = {seed[0]:.6g}: {exc}"}, None
@@ -1071,11 +1067,7 @@ def search_third_solution(reactions: DerivedReactions, u1: GridFunction, u2: Gri
     }
     report = {
         "status": "converged",
-        "u_at_0": float(w[0]),
-        "sup": u3.sup_norm(),
-        "residual": original_residual(reactions, u3, op=op),
-        "scaled_residual": _fixed_point_residual(op, reactions, w),
-        "newton_steps": steps,
+        **_solution_record(reactions, op, u3, steps, err),
         "dist_to_u1": float(np.max(np.abs(w - u1.values))),
         "dist_to_u2": float(np.max(np.abs(w - u2.values))),
         "certificates": {k: c.summary() for k, c in certs.items()},

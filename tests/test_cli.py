@@ -23,6 +23,8 @@ from test_parameter_window import _random_config
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ROOT / "scripts" / "cfg_small.json"
 REFERENCE = ROOT / "scripts" / "cfg_reference.json"
+# the keys solve.json reports for each of u1, u2 and u3
+_RECORD = ("u_at_0", "sup", "residual", "scaled_residual", "newton_steps")
 
 
 def small_cfg(**sections):
@@ -332,16 +334,18 @@ def test_solve_small_all_green(tmp_path, capsys):
     # descending leg needed a positive shift, ascending leg did not
     assert rep["from_upper"]["khat"] > 0.0
     assert rep["from_lower"]["khat"] == 0.0
-    # each leg: one checked map step, then a Newton finish of a few steps
+    # each leg: its limit's solution record, as u3's, with its checked map
+    # step; the Newton finish takes a few steps
     for leg in ("from_lower", "from_upper"):
-        assert rep[leg]["steps"] == 2 and 1 <= rep[leg]["newton_steps"] <= 6
+        assert set(rep[leg]) == set(_RECORD) | {"converged", "monotone", "khat"}
+        assert 1 <= rep[leg]["newton_steps"] <= 6
+        assert rep[leg]["u_at_0"] == rep[leg]["sup"]
     # u1 and u2 are certified in the theorem's intervals
     for name in ("order_u0_u1", "order_u1_vup", "order_v0_u2", "order_u2_uup"):
         assert rep["certificates"][name]["passed"] is True
     third = rep["third_solution"]
-    assert set(third) == {"status", "u_at_0", "sup", "residual", "scaled_residual",
-                          "newton_steps", "dist_to_u1", "dist_to_u2", "certificates",
-                          "all_passed"}
+    assert set(third) == set(_RECORD) | {"status", "dist_to_u1", "dist_to_u2",
+                                          "certificates", "all_passed"}
     assert third["status"] == "converged" and third["all_passed"] is True
     assert set(third["certificates"]) == {"order_u0_u3", "order_u3_uup",
                                           "nonorder_u3_vup", "nonorder_v0_u3"}
@@ -936,43 +940,57 @@ def test_solve_refuses_a_u1_outside_its_interval(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
-    # draws 0-79 of random.Random(1), every one, at 50 % of its window (the
-    # midpoint where there is none, so the run itself refuses the draw) on
-    # 64 cells: each exit code is one of the contract's, an exit 3 writes no
-    # report and says why, a positivity loss names its leg and its node, and
-    # an exit 0 passed every certificate with both legs converged.  The
-    # tally of exit codes, and of u3 converged on an exit 0, is printed
+    # draws 0-79 of random.Random(1), every one, at 30, 50 and 70 % of its
+    # window (the midpoint where there is none, so the run itself refuses
+    # the draw) on 64 cells: each exit code is one of the contract's, an
+    # exit 3 writes no report and says why, a positivity loss names its leg
+    # and its node, and an exit 0 passed every certificate with both legs
+    # converged, and reports u1, u2 and a converged u3 by one record.  The
+    # tally of exit codes, and of u3 converged on an exit 0, is printed for
+    # each load
+    shares = (0.3, 0.5, 0.7)
     rng = random.Random(1)
-    codes, u3 = [], 0
+    codes, u3 = {share: [] for share in shares}, dict.fromkeys(shares, 0)
     for draw in range(80):
         spec, params = _random_config(rng)
+        path = write_cfg(tmp_path, _as_cfg(spec, params))
         try:
             win = compute_window(spec, params)
-            lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
         except (ValueError, BridgeNotMonotone):
-            lam = None
-        out = tmp_path / str(draw)
-        code = run("solve", write_cfg(tmp_path, _as_cfg(spec, params)), out=str(out),
-                   nodes=64, lam=lam)
-        printed = capsys.readouterr()
-        codes.append(code)
-        assert code in (0, 1, 2, 3), draw
-        if code == 3:
-            assert printed.err.startswith("did not converge: ")
-            assert not (out / "solve.json").exists()
-        if code == 1 and json.loads(printed.out).get("kind") == "positivity_loss":
-            error = json.loads(printed.out)["error"]
-            assert re.fullmatch(r"from_(lower|upper) step 1: .* at node \d+", error), (draw, error)
-        if code == 0:
-            rep = json.loads((out / "solve.json").read_text())
-            assert rep["all_passed"], draw
-            assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"], draw
-            u3 += rep["third_solution"]["status"] == "converged"
-    assert 0 in codes and 3 in codes
+            win = None
+        for share in shares:
+            lam = None if win is None else (
+                win.lambda_star + share * (win.lambda_upper - win.lambda_star))
+            out = tmp_path / f"{draw}_{share}"
+            code = run("solve", path, out=str(out), nodes=64, lam=lam)
+            printed = capsys.readouterr()
+            codes[share].append(code)
+            assert code in (0, 1, 2, 3), (draw, share)
+            if code == 3:
+                assert printed.err.startswith("did not converge: ")
+                assert not (out / "solve.json").exists()
+            if code == 1 and json.loads(printed.out).get("kind") == "positivity_loss":
+                error = json.loads(printed.out)["error"]
+                assert re.fullmatch(r"from_(lower|upper) step 1: .* at node \d+", error), \
+                    (draw, share, error)
+            if code == 0:
+                rep = json.loads((out / "solve.json").read_text())
+                assert rep["all_passed"], (draw, share)
+                assert rep["from_lower"]["converged"] and rep["from_upper"]["converged"], \
+                    (draw, share)
+                solved = [rep["from_lower"], rep["from_upper"]]
+                if rep["third_solution"]["status"] == "converged":
+                    u3[share] += 1
+                    solved.append(rep["third_solution"])
+                assert all(set(_RECORD) <= set(record) for record in solved), (draw, share)
+    every = [code for share in shares for code in codes[share]]
+    assert 0 in every and 3 in every
     with capsys.disabled():
-        print("\nseeded survey, draws 0-79 at 50 %, n = 64: exit 0/1/2/3 = "
-              + "/".join(str(codes.count(code)) for code in range(4))
-              + f"; u3 converged on {u3} of the exit 0")
+        for share in shares:
+            print(f"\nseeded survey, draws 0-79 at {share * 100:.0f} %, n = 64: exit 0/1/2/3 = "
+                  + "/".join(str(codes[share].count(code)) for code in range(4))
+                  + f"; u3 converged on {u3[share]} of the exit 0", end="")
+        print()
 
 
 def test_solve_names_the_leg_and_node_of_a_positivity_loss(tmp_path, capsys):

@@ -41,6 +41,15 @@ def make_params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3):
     return Params(p=p, q=q, gamma=gamma, dim=dim, radius=radius, lam=lam)
 
 
+def _unshifted_scaled_residual(env, uv):
+    """Newton's rounding-aware scaled residual of the unshifted system
+    A(u) - lam f(0) u^{-gamma} = fhat(u) at u."""
+    lam_f0 = env.params.lam * env.spec.f0
+    fhat = np.asarray(env.reactions.fhat(uv[:-1]), dtype=float)
+    return discrete_solver._scaled_err(*discrete_solver._residual_scale(
+        env.op, uv, 0.0, 0.0, lam_f0, fhat, lam_f0 > 0.0)[:3])
+
+
 # ---------------------------------------------------------------- operator
 
 def apply(op, values):
@@ -171,7 +180,8 @@ def test_eta_problem_against_quadrature():
 def _v_s(op, mu):
     """(v_s, Newton steps): the second pair's solve of A(v) = mu v^{-gamma}
     from the load solve of mu."""
-    return discrete_solver._newton(op, 0.0, 0.0, mu, 0.0, discrete_solver._load_solution(op, mu))
+    return discrete_solver._newton(op, 0.0, 0.0, mu, 0.0,
+                                   discrete_solver._load_solution(op, mu))[:2]
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 4.0)], ids=["closed_form", "iterative"])
@@ -323,8 +333,8 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         u0 = discrete_solver._load_solution(op, rhs)
         assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
-        u, steps = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, u0)
-        assert np.array_equal(u, u0) and steps == 0
+        u, steps, err = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, u0)
+        assert np.array_equal(u, u0) and steps == 0 and err <= 1e-12
     assert calls == []
 
 
@@ -353,9 +363,9 @@ def test_psi_at_zero_shift_is_its_load_solve(cfg1, monkeypatch):
     steps, real = [], discrete_solver._newton
 
     def counted(*args, **kwargs):
-        u, taken = real(*args, **kwargs)
+        u, taken, err = real(*args, **kwargs)
         steps.append(taken)
-        return u, taken
+        return u, taken, err
 
     monkeypatch.setattr(discrete_solver, "_newton", counted)
     calls = _count_banded(monkeypatch)
@@ -882,7 +892,7 @@ def test_that_map_starts_a_far_supersolution_at_its_load_solve(name, descents, r
         u, K = discrete_solver._checked_step(env.reactions, u, env.op, False)
     if descents:
         assert certify(env.reactions, u, "supersolution", op=env.op).passed
-        assert discrete_solver._fixed_point_residual(env.op, env.reactions, u.values) <= 1.0
+        assert _unshifted_scaled_residual(env, u.values) <= 1.0
     from_u = that_map(env.reactions, u, op=env.op, khat=K, seed=u)
     load = discrete_solver._load_solution(
         env.op, discrete_solver._reaction_values(env.reactions, u.values[:-1]))
@@ -1000,9 +1010,9 @@ def test_amann_finish_failure_names_the_leg_and_node(gentle, monkeypatch, start)
     real = discrete_solver._solve_unshifted
 
     def off_side(reactions, op, init, polish=False):
-        w, steps = real(reactions, op, init, polish)
+        w, steps, err = real(reactions, op, init, polish)
         w[17] = init[17] - 1e-3 if start == "from_lower" else init[17] + 1e-3
-        return w, steps
+        return w, steps, err
 
     monkeypatch.setattr(discrete_solver, "_solve_unshifted", off_side)
     lower, upper = ((env.pairs.u0, env.pairs.v_up) if start == "from_lower"
@@ -1078,6 +1088,22 @@ def _legs(env):
         lo = amann_iterate(env.reactions, env.op, env.pairs.u0, env.pairs.v_up, "from_lower")
         up = amann_iterate(env.reactions, env.op, env.pairs.v0, env.pairs.u_up, "from_upper")
     return lo, up
+
+
+@pytest.mark.parametrize("name", ["gentle", "cfg1"])
+def test_each_solution_reports_the_residual_its_newton_solve_accepted(name, request):
+    # u1, u2 and u3 report the rounding-aware scaled residual their Newton
+    # solve measured when it stopped, not a recomputation: it is, bit for
+    # bit, the unshifted system's residual at the returned iterate, within
+    # the solve tolerance (the legs' finish is polished, u3's is not)
+    env = request.getfixturevalue(name)
+    lo, up = _legs(env)
+    third, u3 = search_third_solution(env.reactions, lo.limit, up.limit, env.pairs, op=env.op)
+    assert third["status"] == "converged"
+    for u, reported in ((lo.limit, lo.scaled_residual), (up.limit, up.scaled_residual),
+                        (u3, third["scaled_residual"])):
+        err = _unshifted_scaled_residual(env, u.values)
+        assert err == reported and err <= 1e-12
 
 
 def test_probe_and_ascending_leg_banded_solves(gentle, monkeypatch):
