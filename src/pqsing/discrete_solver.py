@@ -11,8 +11,7 @@ of other exponents or geometry.  All nonlinear systems go through one damped-New
 tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
 The constant-load problems behind the outer pair -- w_eta and u_up, each a
 plain solve of -L u = const -- need no Newton: the flux form gives their
-exact discrete solution by two cumulative sums (_load_solution), checked
-once per load where a reported margin relies on it.  The inner
+exact discrete solution by two cumulative sums (_load_solution).  The inner
 supersolution v_up is one singular-load Newton solve, A(v) = lam f(s)
 v^{-gamma} at a level s, started at the load solve of lam f(s).  psi's
 Newton starts at the load solve of its right-hand side, which at
@@ -45,6 +44,7 @@ R - r, the discrete stand-in for distance-weighted positivity near r = R.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import warnings
 
@@ -412,16 +412,6 @@ def _load_solution(op: DiscreteOperator, rhs) -> np.ndarray:
     return u
 
 
-def _check_exact(op: DiscreteOperator, u: np.ndarray, rhs: float, what: str) -> None:
-    """ConvergenceFailure unless u solves A(u) = rhs within Newton's
-    rounding-aware tolerance: the check Newton makes before its first step."""
-    res, scale, rnd, _ = _residual_scale(op, u, 0.0, 0.0, 0.0, rhs, False)
-    err = _scaled_err(res, scale, rnd)
-    if err > _SOLVE_TOL:
-        raise ConvergenceFailure(f"{what} by scaled residual {err:.3e} "
-                                 f"(worst node {_worst_node(res, scale, rnd)})")
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -533,19 +523,18 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     alpha_* u_alpha is the plain solve at load alpha_*^{q-1}.
 
     eta is halved until eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes
-    w_eta a strict subsolution with margin chi_low; chi_low takes -L w_eta =
-    eta as exact, which is checked once, at the accepted eta.  alpha_* is
-    doubled until the smallness condition lam f(alpha_*||u_alpha||) <=
-    alpha_*^{q+gamma-1} holds AND the pointwise supersolution certificate
-    has a positive margin chi_high (the scalar condition alone controls only
-    the sup norm; the grid's near-boundary nodes need the extra doublings).
+    w_eta a strict subsolution.  alpha_* is doubled until the smallness
+    condition lam f(alpha_*||u_alpha||) <= alpha_*^{q+gamma-1} holds AND
+    u_up's pointwise supersolution margin is positive (the scalar condition
+    alone controls only the sup norm; the grid's near-boundary nodes need
+    the extra doublings).
     `fit_under` / `dominate` tighten the searches so the pair brackets a
     given inner pair.  Out of halvings, SearchExhausted names the condition
     the last eta failed and its deciding node (the minimizer of the
     smallness bound, or the node where w_eta comes closest to the inner
     pair); out of doublings, the conditions the last alpha_* failed (and
-    u_up's worst node, if pointwise).  u_up needs no exactness check: its
-    certificate is pointwise.
+    u_up's worst node, if pointwise).  The margins report eta, alpha_* and
+    u_alpha_norm.
     """
     params, f = reactions.params, reactions.spec.f
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
@@ -568,8 +557,6 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     else:
         raise SearchExhausted("first pair: no admissible eta within the halving budget; "
                               f"last failed: {failed}")
-    _check_exact(op, w, eta, "first pair: w_eta misses -L w = eta")
-    chi_low = float(np.min(_reaction_values(reactions, wi))) - eta
 
     # --- upper: alpha_* u_alpha --------------------------------------------
     # The smallness condition lam f(alpha_* C) <= alpha_*^{q+gamma-1} is not
@@ -598,7 +585,6 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
         dom_ok = dominate is None or bool(np.all(U[:-1] >= dominate.values[:-1] * (1.0 + 1e-9)))
         if scalar_ok and point_ok and dom_ok:
             u_up = GridFunction(op.grid, U)
-            chi_high = float(np.min(margins))
             break
         alpha_star *= 2.0
     else:
@@ -614,8 +600,6 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     margins = {
         "eta": float(eta),
         "alpha_star": float(alpha_star),
-        "chi_low": chi_low,
-        "chi_high": chi_high,
         "u_alpha_norm": top / alpha_star,
     }
     return u0, u_up, margins
@@ -631,22 +615,24 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     Theta = Theta_lambda, derived here at the load (choose_Theta_lambda;
     reported as the margin Theta_lambda).  Newton starts at the load solve
     of that right-hand side (_load_solution), which at Theta = 0 is psi:
-    no step.  eps_low is psi's pointwise subsolution margin against the
-    original reaction.  The load is not checked against the window: the
-    radial solve that made the profile warned already.
+    no step.  The load is not checked against the window: the radial solve
+    that made the profile warned already.
 
     v_s is Newton's solution from the load solve of the constant lam f(s).
     f is nondecreasing, so where sup v_s <= s, f(v_s) <= f(s) at every node
     and v_s is a node supersolution; construct_pairs certifies it node by
     node.  s = theta1 is tried first, and wherever sup v_s <= theta1 the
     paper's cap sup v_up <= theta1 holds too.  Otherwise s climbs the
-    ladder theta1 2^{k/8}: the discrete theorem reads only node
-    certificates and orderings, so a level above theta1 serves it too.
-    v_s grows with s, so once v0 <= v_s at every node no larger level can
-    leave v0 above v_up, and SearchExhausted names that rung; so it does
-    when _GEOM_BUDGET rungs pass without sup v_s <= s.  A Newton failure
-    of v_s names its level.  The margins report the level (v_up_level) and
-    sup v_s (v_up_sup).
+    ladder theta1 2^{k/8}, k < _GEOM_BUDGET: the discrete theorem reads
+    only node certificates and orderings, so a level above theta1 serves
+    it too.  v_s grows with s, so every rung below a failed rung's sup v_s
+    fails the cap as well, and the ladder goes straight to the first rung
+    whose level reaches sup v_s, never past the last one.  Once v0 <= v_s
+    at every node of a visited rung, no larger level can leave v0 above
+    v_up, and SearchExhausted names that rung; so it does when the last
+    rung fails the cap.  A Newton failure of v_s names its level.  The
+    margins report the level (v_up_level), sup v_s (v_up_sup) and
+    Theta_lambda.
     """
     params, f = reactions.params, reactions.spec.f
     lam = params.lam
@@ -666,11 +652,12 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"second pair: v0 = psi: {exc}") from exc
     v0 = GridFunction(op.grid, psi)
-    eps_low = float(np.min(-_unshifted(reactions, op, psi)[0]))
 
     # --- v_up = v_s ------------------------------------------------------------
-    for rung in range(_GEOM_BUDGET):
-        s = theta1 * 2.0 ** (rung / 8.0)
+    levels = [theta1 * 2.0 ** (k / 8.0) for k in range(_GEOM_BUDGET)]
+    rung = 0
+    while True:
+        s = levels[rung]
         mu = lam * float(f(s))
         try:
             v = _newton(op, 0.0, 0.0, mu, 0.0, _load_solution(op, mu))[0]
@@ -683,12 +670,13 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
             raise SearchExhausted(
                 f"second pair: no v_up level: at s = {s:.6g}, sup v_s/s = {top / s:.4g} "
                 "and v0 <= v_s at every node, so no higher level leaves v0 above v_up")
-    else:
-        raise SearchExhausted(
-            f"second pair: no v_up level within {_GEOM_BUDGET} rungs: at s = {s:.6g}, "
-            f"sup v_s/s = {top / s:.4g}")
+        if rung == _GEOM_BUDGET - 1:
+            raise SearchExhausted(
+                f"second pair: no v_up level within {_GEOM_BUDGET} rungs: at s = {s:.6g}, "
+                f"sup v_s/s = {top / s:.4g}")
+        # v_s grows with s, so every rung below sup v_s fails the cap too
+        rung = min(bisect.bisect_left(levels, top), _GEOM_BUDGET - 1)
     margins = {
-        "eps_low": eps_low,
         "v_up_level": s,
         "v_up_sup": top,
         "Theta_lambda": float(Theta),
@@ -724,7 +712,9 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
     strictly under both inner functions and u_up dominates both.  All four
     sub/supersolution certificates are pointwise at nodes 0..n-1; v_up's
     level s may exceed theta1 (see build_second_pair), which the discrete
-    claim admits, as it reads only node certificates and orderings.
+    claim admits, as it reads only node certificates and orderings.  The
+    margins chi_low, chi_high and eps_low are the smallest node margins of
+    the certificates of u0, u_up and v0.
     """
     if not validate(reactions).passed:
         raise FailedAssumptions("nonlinearity assumptions (f0)-(f4) failed validation: f4")
@@ -745,6 +735,9 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
         "nonorder_v0_vup": certify(reactions, v0, "nonordering", other=v_up),
         "order_zeta_v0": certify(reactions, profile.phi, "ordering", other=v0),
     }
+    first = {**first, "chi_low": certs["sub_u0"].min_margin,
+             "chi_high": certs["super_u_up"].min_margin}
+    second = {"eps_low": certs["sub_v0"].min_margin, **second}
     return PairsResult(u0=u0, u_up=u_up, v0=v0, v_up=v_up,
                        first_margins=first, second_margins=second, certificates=certs)
 

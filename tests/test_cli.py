@@ -3,6 +3,7 @@
 Everything runs in-process through pqsing.cli.run / main so coverage tools
 see it and failures carry tracebacks instead of subprocess noise.
 """
+import collections
 import dataclasses
 import json
 import random
@@ -824,15 +825,68 @@ def test_second_pair_reports_the_cap_edge(tmp_path, capsys):
 
 def test_second_pair_names_an_empty_admissible_set(tmp_path, capsys):
     # cfg_reference with (p, q) = (3, 5) at half its lambda^*: sup v_s > s
-    # up to s = 128, where v0 <= v_s at every node; v_s grows with s, so
-    # no higher level would leave v0 above v_up, and the ladder stops there
+    # on every rung the ladder visits, and each failed rung sends it to the
+    # first rung whose level reaches that sup v_s, capped at the last rung,
+    # s = 165.995, where v0 <= v_s at every node; v_s grows with s, so no
+    # higher level would leave v0 above v_up, and the ladder stops there
     cfg = json.loads(REFERENCE.read_text())
     cfg["params"].update(p=3.0, q=5.0)
     assert run("pairs", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=128,
                lam=401.6) == 3
     assert capsys.readouterr().err == (
-        "did not converge: second pair: no v_up level: at s = 128, sup v_s/s = 5742 and "
-        "v0 <= v_s at every node, so no higher level leaves v0 above v_up\n")
+        "did not converge: second pair: no v_up level: at s = 165.995, sup v_s/s = 1.781e+04 "
+        "and v0 <= v_s at every node, so no higher level leaves v0 above v_up\n")
+
+
+@pytest.mark.parametrize("draw, solves, err", [
+    pytest.param(0, 8, "did not converge: second pair: no v_up level within 60 rungs: "
+                       "at s = 125.888, sup v_s/s = 2369\n", id="draw0"),
+    pytest.param(45, 4, None, id="draw45")])
+def test_v_up_ladder_skips_the_rungs_below_sup_v_s(draw, solves, err, tmp_path, capsys,
+                                                    monkeypatch):
+    # draws 0 and 45 at 50 % on 64 cells have no v_up level.  v_s grows with
+    # s, so a rung below a failed rung's sup v_s fails the cap too, and the
+    # ladder skips it: draw 0 runs out at the last rung after 8 Newton solves
+    # (61 when every rung was solved), with the same message, and draw 45
+    # stops on v0 <= v_s after 4 (31)
+    inside, newtons = [], []
+    real_newton, real_pair = ds._newton, ds.build_second_pair
+
+    def counted(*args, **kwargs):
+        newtons.extend(inside)
+        return real_newton(*args, **kwargs)
+
+    def tracked(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real_pair(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(ds, "_newton", counted)
+    monkeypatch.setattr(ds, "build_second_pair", tracked)
+    cfg, win = _random_cfg(draw)
+    lam = win.lambda_star + 0.5 * (win.lambda_upper - win.lambda_star)
+    assert run("solve", write_cfg(tmp_path, cfg), out=str(tmp_path), nodes=64, lam=lam) == 3
+    stderr = capsys.readouterr().err
+    assert (stderr == err) if err else stderr.startswith(
+        "did not converge: second pair: no v_up level: at s = ")
+    assert 0 < len(newtons) <= solves
+
+
+@pytest.mark.parametrize("nodes", [None, 4096], ids=["shipped_n", "n4096"])
+@pytest.mark.parametrize("config", [SMALL, REFERENCE], ids=["small", "reference"])
+def test_pair_margins_are_their_certificates_margins(config, nodes, tmp_path, capsys):
+    # chi_low, chi_high and eps_low are the smallest node margins of the
+    # certificates of u0, u_up and v0, bit for bit: one source per number
+    assert run("pairs", str(config), out=str(tmp_path), nodes=nodes) == 0
+    rep = json.loads((tmp_path / "pairs.json").read_text())
+    assert rep["n"] == (nodes or json.loads(config.read_text())["grid"]["n"])
+    certs = rep["certificates"]
+    assert rep["first_margins"]["chi_low"] == certs["sub_u0"]["min_margin"]
+    assert rep["first_margins"]["chi_high"] == certs["super_u_up"]["min_margin"]
+    assert rep["second_margins"]["eps_low"] == certs["sub_v0"]["min_margin"]
+    capsys.readouterr()
 
 
 def test_second_pair_names_its_stage_in_a_solve(tmp_path, capsys):
@@ -947,10 +1001,13 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
     # and its node, and an exit 0 passed every certificate with both legs
     # converged, and reports u1, u2 and a converged u3 by one record.  The
     # tally of exit codes, and of u3 converged on an exit 0, is printed for
-    # each load
+    # each load share, with the exit-3 loads by the stage their message
+    # names and the exit-1 loads by their report's kind
     shares = (0.3, 0.5, 0.7)
     rng = random.Random(1)
     codes, u3 = {share: [] for share in shares}, dict.fromkeys(shares, 0)
+    stages = {share: collections.Counter() for share in shares}
+    kinds = {share: collections.Counter() for share in shares}
     for draw in range(80):
         spec, params = _random_config(rng)
         path = write_cfg(tmp_path, _as_cfg(spec, params))
@@ -969,10 +1026,15 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
             if code == 3:
                 assert printed.err.startswith("did not converge: ")
                 assert not (out / "solve.json").exists()
-            if code == 1 and json.loads(printed.out).get("kind") == "positivity_loss":
-                error = json.loads(printed.out)["error"]
-                assert re.fullmatch(r"from_(lower|upper) step 1: .* at node \d+", error), \
-                    (draw, share, error)
+                stages[share][printed.err.removeprefix("did not converge: ").split(":")[0]] += 1
+            if code == 1:
+                refused = json.loads(printed.out)
+                kinds[share][refused.get("kind") or
+                             "failed " + ", ".join(_failed_certificates(refused))] += 1
+                if refused.get("kind") == "positivity_loss":
+                    error = refused["error"]
+                    assert re.fullmatch(r"from_(lower|upper) step 1: .* at node \d+", error), \
+                        (draw, share, error)
             if code == 0:
                 rep = json.loads((out / "solve.json").read_text())
                 assert rep["all_passed"], (draw, share)
@@ -990,6 +1052,11 @@ def test_solve_exit_codes_on_the_seeded_survey(tmp_path, capsys):
             print(f"\nseeded survey, draws 0-79 at {share * 100:.0f} %, n = 64: exit 0/1/2/3 = "
                   + "/".join(str(codes[share].count(code)) for code in range(4))
                   + f"; u3 converged on {u3[share]} of the exit 0", end="")
+            for label, tally in (("exit 3 by stage", stages[share]),
+                                 ("exit 1 by kind", kinds[share])):
+                print(f"\n  {label}: "
+                      + (", ".join(f"{k} {v}" for k, v in sorted(tally.items())) or "none"),
+                      end="")
         print()
 
 
