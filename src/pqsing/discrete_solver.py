@@ -7,22 +7,20 @@ legs to u1 and u2 (one checked map step, then Newton on the unshifted
 system), and shooting for the third solution u3.  Every stage takes that
 operator and the load's DerivedReactions (its one copy of Params and
 reaction), and refuses a grid function that lives elsewhere or an operator
-of other exponents or geometry.  All nonlinear systems go through one damped-Newton core, whose
-tridiagonal steps solve_banded solves by odd-even cyclic reduction in numpy.
-The constant-load problems behind the outer pair -- w_eta and u_up, each a
-plain solve of -L u = const -- need no Newton: the flux form gives their
-exact discrete solution by two cumulative sums (_load_solution).  The inner
-supersolution v_up is one singular-load Newton solve, A(v) = lam f(s)
-v^{-gamma} at a level s, started at the load solve of lam f(s).  psi's
-Newton starts at the load solve of its right-hand side, which at
-Theta_lambda = 0 is psi itself.  The same telescoping with the load
-lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0) (march); u3
-is the root of u_n between u1(0) and u2(0), bracketed on a coarse grid and
-polished by Newton on the unshifted system (search_third_solution).  The
-image of the solve map lies between its input u and the load solve of
-lam f(u) u^{-gamma}, so Newton starts at a solved input and at that load
-solve otherwise, or after a shift raise at the image it rejected
-(that_map).
+of other exponents or geometry.  Every nonlinear system is A(u) = load(u),
+the load a list of terms, and one damped Newton solves them all, its
+tridiagonal steps by odd-even cyclic reduction in numpy (solve_banded):
+psi's load is a given right-hand side and the shift -Theta L(u), v_up's the
+singular lam f(s) u^{-gamma} at a level s, the solve map's a given fhat,
+the shift khat (anchor - u) and lam f(0) u^{-gamma}, and the unshifted
+system's fhat(u) and lam f(0) u^{-gamma}.  The constant-load problems
+behind the outer pair -- w_eta and u_up, each a plain solve of -L u =
+const -- need no Newton: the flux form gives their exact discrete solution
+by two cumulative sums (_load_solution).  The same telescoping with the
+load lam f(u_i) u_i^{-gamma} marches the rows node by node from u(0)
+(march); u3 is the root of u_n between u1(0) and u2(0), bracketed on a
+coarse grid and polished by Newton on the unshifted system
+(search_third_solution).
 
 Scheme: row i (i = 0..n-1) is a finite volume, the flux balance over the
 cell around node i with faces at the half nodes r_{i+1/2} = r_i + h/2:
@@ -239,23 +237,77 @@ def _no_solution(sub, diag, sup, rhs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# inner nonlinear solves:  A(u) + theta L(u) + khat u - mu u^{-gamma} = rhs
+# inner nonlinear solves:  A(u) = load(u), the load a list of terms
 # ---------------------------------------------------------------------------
 
 _RND_SLACK = 8.0  # multiples of the flux-cancellation rounding floor
 
 
-def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
-    """(residual, scale, rounding floor, flux bands) of the system at u.
+def _given(rhs):
+    """A load given at nodes 0..n-1, or one value for all."""
+    magnitude = np.abs(rhs)
+    return lambda ui: (rhs, magnitude, 0.0, lambda: 0.0)
 
-    The flux bands are (cminus_i F'_{i-1/2}, (cminus_i F'_{i-1/2} + cplus_i
-    F'_{i+1/2}) / h, cplus_i F'_{i+1/2}) at rows 0..n-1, F' clipped at |g| =
-    _JAC_FLOOR: the rounding floor forms them anyway, and they are the flux
-    part of the Jacobian's diagonal and, over -h, its off-diagonals
-    (_jac_bands).  A nonzero khat needs its anchor, which only the solve map
-    passes.
+
+def _theta_shift(theta, params):
+    """psi's shift -theta L(u); its slope clips L' at _JAC_FLOOR."""
+    def term(ui):
+        Lu = theta * lpq_scalar(ui, params)
+        return -Lu, np.abs(Lu), 0.0, lambda: -theta * lpq_derivative(ui, params, floor=_JAC_FLOOR)
+    return term
+
+
+def _anchored_shift(khat, anchor):
+    """The solve map's shift khat (anchor - u), khat a scalar or one per node.
+
+    Its magnitude is khat |u - anchor|, not its two khat terms, which cancel
+    at the solution: a large khat would declare victory at the first iterate.
+    Forming u - anchor loses eps |u|; when khat times that noise tops the
+    other scales, steps below an ulp of u are unrepresentable and the anchor
+    is the converged answer, so that noise joins the rounding floor.  A zero
+    khat, the legs' first try, is the zero term, at no cost per evaluation.
     """
-    p = op.params
+    if not np.any(khat):
+        return _given(0.0)
+    floor, anchor_size = _RND_SLACK * np.finfo(float).eps * khat, np.abs(anchor)
+
+    def term(ui):
+        drift = anchor - ui
+        return (khat * drift, khat * np.abs(drift), floor * np.maximum(np.abs(ui), anchor_size),
+                lambda: -khat)
+    return term
+
+
+def _singular(mu, gamma):
+    """The singular load mu u^{-gamma}: lam f(s) at v_up's level s, or lam f(0)."""
+    def term(ui):
+        sing = mu * ui ** (-gamma)
+        return sing, sing, 0.0, lambda: -gamma * mu * ui ** (-gamma - 1.0)
+    return term
+
+
+def _fhat_term(reactions):
+    """fhat(u), with slope lam f'(u) u^{-gamma} - gamma fhat(u) / u."""
+    lam, gamma, f_prime = reactions.params.lam, reactions.params.gamma, reactions.spec.f_prime
+
+    def term(ui):
+        value = np.asarray(reactions.fhat(ui), dtype=float)
+        return value, np.abs(value), 0.0, lambda: (
+            lam * np.asarray(f_prime(ui), dtype=float) * ui ** (-gamma) - gamma * value / ui)
+    return term
+
+
+def _residual_scale(op, u, load):
+    """(residual, scale, rounding floor, Jacobian) of A(u) = load(u) at u.
+
+    A term of the load maps u at nodes 0..n-1 to (value, magnitude, noise,
+    slope).  In the load's order the residual subtracts each value, the
+    scale (from 1) adds each magnitude and the floor each noise.  The
+    Jacobian is a thunk for the bands (sub, diag, sup) at u, called only
+    where Newton steps from: the flux bands cminus_i F'_{i-1/2} and cplus_i
+    F'_{i+1/2} over -h, their sum over h on the diagonal less each term's
+    slope (a thunk too), F' clipped at |g| = _JAC_FLOOR.
+    """
     ui = u[:-1]
     g, F = _fluxes(op, u)
     res = _divergence(op, F)
@@ -269,29 +321,21 @@ def _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor=None):
     dout, dinner = _faces(op, Fp)
     diag = (dout + dinner) / op.h
     rnd = (out + inner + diag * np.max(np.abs(u))) * (_RND_SLACK * np.finfo(float).eps)
-    res = res - rhs
-    scale = 1.0 + np.abs(rhs)
-    if theta != 0.0:
-        Lu = theta * lpq_scalar(ui, p)
-        res = res + Lu
-        scale = scale + np.abs(Lu)
-    if np.any(khat):
-        # the solve map's anchored shift: khat (w - anchor) keeps its two
-        # khat terms out of the scale -- they cancel at the solution, and a
-        # large khat would otherwise declare victory at the initial iterate
-        drift = ui - anchor
-        res = res + khat * drift
-        scale = scale + khat * np.abs(drift)
-        # forming w - anchor loses eps * |w|; when khat times that noise
-        # tops the other scales, steps below an ulp of the iterate are
-        # unrepresentable and the anchor is the converged answer
-        noise = np.maximum(np.abs(ui), np.abs(anchor))
-        rnd = rnd + _RND_SLACK * np.finfo(float).eps * khat * noise
-    if singular:
-        sing = mu * ui ** (-p.gamma)
-        res = res - sing
-        scale = scale + np.abs(sing)
-    return res, scale, rnd, (dinner, diag, dout)
+    scale, slopes = 1.0, []
+    for term in load:
+        value, magnitude, noise, slope = term(ui)
+        res = res - value
+        scale = scale + magnitude
+        rnd = rnd + noise
+        slopes.append(slope)
+
+    def jacobian():
+        sub, sup, d = dinner / -op.h, dout / -op.h, diag
+        sup[-1] = 0.0  # the upper neighbor of node n-1 is the fixed boundary
+        for slope in slopes:
+            d = d - slope()
+        return sub, d, sup
+    return res, scale, rnd, jacobian
 
 
 def _scaled_err(res, scale, rnd):
@@ -302,78 +346,37 @@ def _worst_node(res, scale, rnd) -> int:
     return int(np.argmax((np.abs(res) - rnd) / scale))
 
 
-def _jac_bands(op, u, theta, khat, mu, singular, kept):
-    """Tridiagonal Jacobian at u: the flux bands _residual_scale kept (F'
-    clipped at |g| = _JAC_FLOOR), plus the diagonal's theta, shift and
-    singular terms."""
-    p = op.params
-    inner, diag, out = kept
-    sub = inner / -op.h
-    sup = out / -op.h
-    sup[-1] = 0.0  # the upper neighbor of node n-1 is the fixed boundary
-    if theta != 0.0:
-        diag = diag + theta * lpq_derivative(u[:-1], p, floor=_JAC_FLOOR)
-    if np.any(khat):
-        diag = diag + khat
-    if singular:
-        diag = diag + p.gamma * mu * u[:-1] ** (-p.gamma - 1.0)
-    return sub, diag, sup
-
-
-def _newton_start(init, singular):
-    """The iterate Newton starts from: Dirichlet slot 0, and positive where
-    the singular term needs it."""
+def _newton_start(init):
+    """init with Dirichlet slot 0 and nodes 0..n-1 at least _POS_FLOOR."""
     u = np.asarray(init, dtype=float).copy()
     u[-1] = 0.0
-    if singular:
-        u[:-1] = np.maximum(u[:-1], _POS_FLOOR)
+    u[:-1] = np.maximum(u[:-1], _POS_FLOOR)
     return u
 
 
-def _newton(op, theta, khat, mu, rhs, init, anchor=None, load=None, polish=False):
-    """Damped Newton from init for A(u) + theta L(u) + khat (u - anchor) -
-    mu u^{-gamma} = rhs + load(u); mu and rhs are scalars or one value per
-    node 0..n-1.  `load`, when given, maps u at nodes 0..n-1 to the values
-    and the derivative of a u-dependent load.  `polish` takes one full step
-    more once the tolerance is met, kept if it meets it too: the rounding
-    floor passes smooth errors of 1e-10 of the sup.  Returns (u, the Newton
-    steps, the rounding-aware scaled residual at u that the stopping rule
-    accepted); a rejected polish step leaves all three at the solved u."""
-    n = op.n
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).astype(float)
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)).astype(float)
-    if np.any(mu < 0.0):
-        raise ConfigurationError("singular weights must be nonnegative")
-    singular = bool(np.any(mu > 0.0))
-
-    def evaluate(u):
-        """(_residual_scale at u, the load's derivative there or None)."""
-        if load is None:
-            return _residual_scale(op, u, theta, khat, mu, rhs, singular, anchor), None
-        value, slope = load(u[:-1])
-        return _residual_scale(op, u, theta, khat, mu, rhs + value, singular, anchor), slope
-
-    u = _newton_start(init, singular)
-    (res, scale, rnd, kept), slope = evaluate(u)
+def _newton(op, load, init, polish=False):
+    """Damped Newton from init for A(u) = load(u), every iterate clamped as
+    _newton_start clamps init.  `polish` takes one full step more once the
+    tolerance is met, kept if it meets it too: the rounding floor passes
+    smooth errors of 1e-10 of the sup.  Returns (u, the Newton steps, the
+    rounding-aware scaled residual at u that the stopping rule accepted); a
+    rejected polish step leaves all three at the solved u."""
+    u = _newton_start(init)
+    res, scale, rnd, jacobian = _residual_scale(op, u, load)
     err = _scaled_err(res, scale, rnd)
     for steps in range(_NEWTON_BUDGET):
         if err <= _SOLVE_TOL:
             if not polish:
                 return u, steps, err
             polish = False
-        sub, diag, sup = _jac_bands(op, u, theta, khat, mu, singular, kept)
-        d = solve_banded(sub, diag if slope is None else diag - slope, sup, -res)
+        d = solve_banded(*jacobian(), -res)
         step = 1.0
         for _h_ in range(_HALVINGS + 1):
-            trial = u.copy()
-            trial[:-1] = u[:-1] + step * d
-            if singular:
-                trial[:-1] = np.maximum(trial[:-1], _POS_FLOOR)
-            (tres, tscale, trnd, tkept), tslope = evaluate(trial)
+            trial = _newton_start(np.append(u[:-1] + step * d, 0.0))
+            tres, tscale, trnd, tjacobian = _residual_scale(op, trial, load)
             terr = _scaled_err(tres, tscale, trnd)
             if np.isfinite(terr) and (terr < err or terr <= _SOLVE_TOL):
-                u, res, scale, rnd, err, kept, slope = (trial, tres, tscale, trnd, terr,
-                                                        tkept, tslope)
+                u, res, scale, rnd, err, jacobian = trial, tres, tscale, trnd, terr, tjacobian
                 break
             if err <= _SOLVE_TOL:  # the polish step missed: keep the solved u
                 return u, steps + 1, err
@@ -525,16 +528,17 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
     eta is halved until eta <= (lam/2) min f(w_eta)/w_eta^gamma, which makes
     w_eta a strict subsolution.  alpha_* is doubled until the smallness
     condition lam f(alpha_*||u_alpha||) <= alpha_*^{q+gamma-1} holds AND
-    u_up's pointwise supersolution margin is positive (the scalar condition
-    alone controls only the sup norm; the grid's near-boundary nodes need
-    the extra doublings).
+    u_up's supersolution certificate has a positive smallest margin (the
+    scalar condition alone controls only the sup norm; the grid's
+    near-boundary nodes need the extra doublings).
     `fit_under` / `dominate` tighten the searches so the pair brackets a
     given inner pair.  Out of halvings, SearchExhausted names the condition
     the last eta failed and its deciding node (the minimizer of the
     smallness bound, or the node where w_eta comes closest to the inner
     pair); out of doublings, the conditions the last alpha_* failed (and
-    u_up's worst node, if pointwise).  The margins report eta, alpha_* and
-    u_alpha_norm.
+    u_up's worst node, if pointwise).  Returns (u0, u_up, margins, the
+    accepted u_up's supersolution certificate); the margins report eta,
+    alpha_* and u_alpha_norm.
     """
     params, f = reactions.params, reactions.spec.f
     _check_grid(op, reactions, *(g for g in (fit_under, dominate) if g is not None))
@@ -580,17 +584,18 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
         U = _load_solution(op, alpha_star ** (params.q - 1.0))
         top = float(np.max(U))
         scalar_ok = lam * float(f(top)) <= alpha_star ** (params.q + gamma - 1.0)
-        margins = _unshifted(reactions, op, U)[0]
-        point_ok = bool(np.min(margins) > 0.0)
+        u_up = GridFunction(op.grid, U)
+        super_u_up = certify(reactions, u_up, "supersolution", op=op)
+        point_ok = super_u_up.min_margin > 0.0
         dom_ok = dominate is None or bool(np.all(U[:-1] >= dominate.values[:-1] * (1.0 + 1e-9)))
         if scalar_ok and point_ok and dom_ok:
-            u_up = GridFunction(op.grid, U)
             break
         alpha_star *= 2.0
     else:
         failed = [name for name, ok in (("scalar", scalar_ok), ("pointwise", point_ok),
                                         ("domination", dom_ok)) if not ok]
-        worst = "" if point_ok else f" (u_up's worst margin at node {int(np.argmin(margins))})"
+        worst = "" if point_ok else (
+            f" (u_up's worst margin at node {super_u_up.detail['min_margin_node']})")
         raise SearchExhausted("first pair: no admissible alpha_* within the doubling budget; "
                               f"last failed: {', '.join(failed)}{worst}")
 
@@ -602,7 +607,7 @@ def build_first_pair(reactions: DerivedReactions, op: DiscreteOperator,
         "alpha_star": float(alpha_star),
         "u_alpha_norm": top / alpha_star,
     }
-    return u0, u_up, margins
+    return u0, u_up, margins, super_u_up
 
 
 def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
@@ -610,15 +615,16 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     """Inner pair: v0 = psi >= phi and v_up = v_s, the scheme's solution of
     A(v) = lam f(s) v^{-gamma} at a level s.
 
-    v0 = psi solves -L psi + Theta L(psi) = lam h(zeta) + Theta L(zeta) with
-    zeta = phi from the radial profile, which must live on op's grid, and
-    Theta = Theta_lambda, derived here at the load (choose_Theta_lambda;
-    reported as the margin Theta_lambda).  Newton starts at the load solve
-    of that right-hand side (_load_solution), which at Theta = 0 is psi:
-    no step.  The load is not checked against the window: the radial solve
-    that made the profile warned already.
+    The load of v0 = psi is the given lam h(zeta) + Theta L(zeta) and the
+    shift -Theta L(psi), with zeta = phi from the radial profile, which must
+    live on op's grid, and Theta = Theta_lambda, derived here at the load
+    (choose_Theta_lambda; reported as the margin Theta_lambda).  Newton
+    starts at the given term's load solve (_load_solution), which at Theta
+    = 0 is psi: no step.  The load is not checked against the window: the
+    radial solve that made the profile warned already.
 
-    v_s is Newton's solution from the load solve of the constant lam f(s).
+    v_s's load is the singular lam f(s) v^{-gamma}, and Newton starts at
+    the load solve of lam f(s).
     f is nondecreasing, so where sup v_s <= s, f(v_s) <= f(s) at every node
     and v_s is a node supersolution; construct_pairs certifies it node by
     node.  s = theta1 is tried first, and wherever sup v_s <= theta1 the
@@ -645,10 +651,12 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
     # --- v0 = psi ------------------------------------------------------------
     zi = np.maximum(profile.phi.values[:-1], 0.0)
     rhs = lam * np.asarray(reactions.h(zi), dtype=float)
+    shift = []
     if Theta != 0.0:
         rhs = rhs + Theta * lpq_scalar(zi, params)
+        shift = [_theta_shift(Theta, params)]
     try:
-        psi = _newton(op, Theta, 0.0, 0.0, rhs, _load_solution(op, rhs))[0]
+        psi = _newton(op, [_given(rhs), *shift], _load_solution(op, rhs))[0]
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"second pair: v0 = psi: {exc}") from exc
     v0 = GridFunction(op.grid, psi)
@@ -660,7 +668,7 @@ def build_second_pair(reactions: DerivedReactions, profile: RadialProfile,
         s = levels[rung]
         mu = lam * float(f(s))
         try:
-            v = _newton(op, 0.0, 0.0, mu, 0.0, _load_solution(op, mu))[0]
+            v = _newton(op, [_singular(mu, params.gamma)], _load_solution(op, mu))[0]
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(f"second pair: v_up at level s = {s:.6g}: {exc}") from exc
         top = float(np.max(v))
@@ -721,11 +729,11 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
     v0, v_up, second = build_second_pair(reactions, profile, op=op)
     inner_min = GridFunction(op.grid, np.minimum(v0.values, v_up.values))
     inner_max = GridFunction(op.grid, np.maximum(v0.values, v_up.values))
-    u0, u_up, first = build_first_pair(reactions, op=op,
-                                       fit_under=inner_min, dominate=inner_max)
+    u0, u_up, first, super_u_up = build_first_pair(reactions, op=op,
+                                                   fit_under=inner_min, dominate=inner_max)
     certs = {
         "sub_u0": certify(reactions, u0, "subsolution", op=op),
-        "super_u_up": certify(reactions, u_up, "supersolution", op=op),
+        "super_u_up": super_u_up,
         "sub_v0": certify(reactions, v0, "subsolution", op=op),
         "super_v_up": certify(reactions, v_up, "supersolution", op=op),
         "order_u0_v0": certify(reactions, u0, "ordering", other=v0),
@@ -748,44 +756,40 @@ def construct_pairs(reactions: DerivedReactions, profile: RadialProfile,
 
 def that_map(reactions: DerivedReactions, u: GridFunction, op: DiscreteOperator,
              khat: float | np.ndarray, *, seed: GridFunction | None = None) -> GridFunction:
-    """One application of the shifted solve map.
-
-    w solves  -L w + khat w - lam f(0) w^{-gamma} = fhat(u) + khat u;  khat
-    is a scalar or one shift per node 0..n-1 (the Amann legs pass their
-    node-wise K).  Increasing in u where fhat + khat t is; fixed points
-    solve the original equation.
+    """One application of the shifted solve map: w solves A(w) = load(w)
+    with the terms fhat(u), the shift khat (u - w) anchored at u, and lam
+    f(0) w^{-gamma}.  khat is a scalar or one shift per node 0..n-1 (the
+    Amann legs pass their node-wise K).  Increasing in u where fhat + khat t
+    is; fixed points solve the original equation.
 
     For a sub- or supersolution u the comparison principle puts the image
     between u and P, the load solve of A(P) = lam f(u) u^{-gamma}
-    (_load_solution: the map's system without its singular and shift
-    terms).  So Newton starts at u when u is solved already (the image is
-    u, bit for bit), judged on the shifted system at w = u, whose rounding
-    floor carries the anchor's noise; at P for every other positive input,
-    with no residual comparison; and at the load solve of fhat(u) + lam
-    f(0) for an input with a non-positive interior node.  `seed`, when
-    given, is the start instead (_checked_step passes the image it
-    rejected).  The solved-input start returns a solved input, such as a
-    leg's Newton finish, bit for bit and without a step; from P its image
-    would land elsewhere within the tolerance.
+    (_load_solution).  So Newton starts at u when the map's load is solved
+    at u already, its rounding floor carrying the anchor's noise: a solved
+    input, such as a leg's Newton finish, is its own image bit for bit and
+    without a step, where from P the image would land elsewhere within the
+    tolerance.  Every other positive input starts at P, with no residual
+    comparison, an input with a non-positive interior node at the load
+    solve of fhat(u) + lam f(0), and Newton at `seed` when it is given
+    (_checked_step passes the image it rejected).
     """
     _check_grid(op, reactions, *(g for g in (u, seed) if g is not None))
     uv = u.values
     if np.any(uv < -1e-12 * max(1.0, float(np.max(np.abs(uv))))):
         raise ConfigurationError("that_map needs a nonnegative input")
     uv = np.maximum(uv, 0.0)
+    ui = uv[:-1]
+    rhs = np.asarray(reactions.fhat(ui), dtype=float)
     lam_f0 = reactions.params.lam * reactions.spec.f0
-    rhs = np.asarray(reactions.fhat(uv[:-1]), dtype=float)
-    singular = lam_f0 > 0.0
+    load = [_given(rhs), _anchored_shift(khat, ui), _singular(lam_f0, reactions.params.gamma)]
     if seed is not None:
         start = seed.values
-    elif float(np.min(uv[:-1])) <= 0.0:
+    elif float(np.min(ui)) <= 0.0:
         start = _load_solution(op, rhs + lam_f0)
     else:
-        at_u = _residual_scale(op, _newton_start(uv, singular), 0.0, khat, lam_f0, rhs,
-                               singular, uv[:-1])
-        solved = _scaled_err(*at_u[:3]) <= _SOLVE_TOL
-        start = uv if solved else _load_solution(op, _reaction_values(reactions, uv[:-1]))
-    w = _newton(op, 0.0, khat, lam_f0, rhs, start, anchor=uv[:-1])[0]
+        solved = _scaled_err(*_residual_scale(op, _newton_start(uv), load)[:3]) <= _SOLVE_TOL
+        start = uv if solved else _load_solution(op, _reaction_values(reactions, ui))
+    w = _newton(op, load, start)[0]
     low = int(np.argmin(w[:-1]))
     if w[low] <= 2.0 * _POS_FLOOR:
         raise PositivityLoss(
@@ -831,19 +835,13 @@ def _checked_step(reactions, u, op, ascending):
 
 def _solve_unshifted(reactions, op, init, polish=False):
     """(u, Newton steps, scaled residual): damped Newton (_newton, with its
-    `polish`) from init on the unshifted system A(u) - lam f(0) u^{-gamma}
-    = fhat(u), whose load fhat and its derivative are evaluated at each
-    iterate.  PositivityLoss names the node of a result on the positivity
-    floor."""
-    lam, gamma = reactions.params.lam, reactions.params.gamma
-
-    def fhat_load(ui):
-        value = np.asarray(reactions.fhat(ui), dtype=float)
-        fp = np.asarray(reactions.spec.f_prime(ui), dtype=float)
-        return value, lam * fp * ui ** (-gamma) - gamma * value / ui
-
-    w, steps, err = _newton(op, 0.0, 0.0, lam * reactions.spec.f0, 0.0, init, load=fhat_load,
-                            polish=polish)
+    `polish`) from init on the unshifted system A(u) = load(u), whose two
+    terms fhat(u) and lam f(0) u^{-gamma} make up the reaction lam f(u)
+    u^{-gamma}.  PositivityLoss names the node of a result on the
+    positivity floor."""
+    params = reactions.params
+    load = [_fhat_term(reactions), _singular(params.lam * reactions.spec.f0, params.gamma)]
+    w, steps, err = _newton(op, load, init, polish=polish)
     low = int(np.argmin(w[:-1]))
     if w[low] <= 2.0 * _POS_FLOOR:
         raise PositivityLoss(f"collapsed onto the positivity floor at node {low}")

@@ -714,44 +714,43 @@ def test_pairs_records_its_warnings(tmp_path, capsys):
     ("zero_column", "Newton system singular: smallest pivot 0.000e+00 at row 17\n"),
 ], ids=["nan_residual", "zero_column"])
 def test_unsolvable_newton_system_exit_3(tmp_path, capsys, monkeypatch, fault, message):
-    # a NaN residual at node 17, or a zero Jacobian column at node 17: the
-    # run's first Newton system is the second pair's psi solve, which the
-    # message names
-    if fault == "nan_residual":
-        real = ds._residual_scale
+    # a NaN residual at node 17, or a zero Jacobian column at node 17 in the
+    # bands the residual's evaluation returns: the run's first Newton system
+    # is the second pair's psi solve, which the message names
+    real = ds._residual_scale
 
-        def faulty(*args, **kwargs):
-            res, scale, rnd, kept = real(*args, **kwargs)
+    def faulty(*args, **kwargs):
+        res, scale, rnd, jacobian = real(*args, **kwargs)
+        if fault == "nan_residual":
             res = res.copy()
             res[17] = np.nan
-            return res, scale, rnd, kept
+            return res, scale, rnd, jacobian
 
-        monkeypatch.setattr(ds, "_residual_scale", faulty)
-    else:
-        real = ds._jac_bands
-
-        def faulty(*args, **kwargs):
-            sub, diag, sup = real(*args, **kwargs)
+        def zero_column():
+            sub, diag, sup = jacobian()
             sup[16] = diag[17] = sub[18] = 0.0
             return sub, diag, sup
+        return res, scale, rnd, zero_column
 
-        monkeypatch.setattr(ds, "_jac_bands", faulty)
+    monkeypatch.setattr(ds, "_residual_scale", faulty)
     assert run("solve", str(SMALL), out=str(tmp_path)) == 3
     assert capsys.readouterr().err == "did not converge: second pair: v0 = psi: " + message
 
 
 def test_newton_failure_in_a_leg_names_the_leg_and_step(tmp_path, capsys, monkeypatch):
     # a NaN residual at node 17 in the solve map's systems only (the ones
-    # with an anchor): the pairs stage passes, and the ascending leg's first
-    # step fails
-    real = ds._residual_scale
+    # whose load has the anchored shift term): the pairs stage passes, and
+    # the ascending leg's first step fails
+    real_scale, real_shift, shifts = ds._residual_scale, ds._anchored_shift, []
+    monkeypatch.setattr(ds, "_anchored_shift",
+                        lambda *a: shifts.append(real_shift(*a)) or shifts[-1])
 
-    def faulty(op, u, theta, khat, mu, rhs, singular, anchor=None):
-        res, scale, rnd, kept = real(op, u, theta, khat, mu, rhs, singular, anchor)
-        if anchor is not None:
+    def faulty(op, u, load):
+        res, scale, rnd, jacobian = real_scale(op, u, load)
+        if any(term in shifts for term in load):
             res = res.copy()
             res[17] = np.nan
-        return res, scale, rnd, kept
+        return res, scale, rnd, jacobian
 
     monkeypatch.setattr(ds, "_residual_scale", faulty)
     assert run("solve", str(SMALL), out=str(tmp_path)) == 3

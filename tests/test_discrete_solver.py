@@ -41,13 +41,17 @@ def make_params(p=2.0, q=3.0, gamma=0.5, dim=2, radius=1.0, lam=0.3):
     return Params(p=p, q=q, gamma=gamma, dim=dim, radius=radius, lam=lam)
 
 
+def _unshifted_load(reactions):
+    """The term list of the unshifted system A(u) = fhat(u) + lam f(0) u^{-gamma}."""
+    pr = reactions.params
+    return [discrete_solver._fhat_term(reactions),
+            discrete_solver._singular(pr.lam * reactions.spec.f0, pr.gamma)]
+
+
 def _unshifted_scaled_residual(env, uv):
-    """Newton's rounding-aware scaled residual of the unshifted system
-    A(u) - lam f(0) u^{-gamma} = fhat(u) at u."""
-    lam_f0 = env.params.lam * env.spec.f0
-    fhat = np.asarray(env.reactions.fhat(uv[:-1]), dtype=float)
+    """Newton's rounding-aware scaled residual of the unshifted system at u."""
     return discrete_solver._scaled_err(*discrete_solver._residual_scale(
-        env.op, uv, 0.0, 0.0, lam_f0, fhat, lam_f0 > 0.0)[:3])
+        env.op, uv, _unshifted_load(env.reactions))[:3])
 
 
 # ---------------------------------------------------------------- operator
@@ -180,7 +184,7 @@ def test_eta_problem_against_quadrature():
 def _v_s(op, mu):
     """(v_s, Newton steps): the second pair's solve of A(v) = mu v^{-gamma}
     from the load solve of mu."""
-    return discrete_solver._newton(op, 0.0, 0.0, mu, 0.0,
+    return discrete_solver._newton(op, [discrete_solver._singular(mu, op.params.gamma)],
                                    discrete_solver._load_solution(op, mu))[:2]
 
 
@@ -333,7 +337,7 @@ def test_load_solution_is_accepted_without_a_step(dim, pq, monkeypatch):
     for rhs in (np.full(op.n, 1.7), 1.0 + np.linspace(0.0, 2.0, op.n) ** 2):
         u0 = discrete_solver._load_solution(op, rhs)
         assert u0[-1] == 0.0 and np.all(np.diff(u0) < 0.0)
-        u, steps, err = discrete_solver._newton(op, 0.0, 0.0, np.zeros(op.n), rhs, u0)
+        u, steps, err = discrete_solver._newton(op, [discrete_solver._given(rhs)], u0)
         assert np.array_equal(u, u0) and steps == 0 and err <= 1e-12
     assert calls == []
 
@@ -344,7 +348,8 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
     # solve of its right-hand side, and v_up (the singular-load solve at
     # s = theta1) from the load solve of lam f(s): 4 steps each.  The flux
     # evaluations are the solves', the searches' and the certificates':
-    # every reported margin is read from a certificate, none recomputed
+    # every reported margin is read from a certificate, none recomputed, and
+    # the alpha_* search's accepted certificate of u_up is the pairs' own
     env = gentle
     assert env.pairs.second_margins["Theta_lambda"] > 0.0
     calls = _count_banded(monkeypatch)
@@ -355,7 +360,7 @@ def test_construct_pairs_banded_solves(gentle, monkeypatch):
                             lambda *a, real=real, **k: fluxes.append(1) or real(*a, **k))
     pairs = construct_pairs(env.reactions, env.profile, op=env.op)
     assert len(calls) <= 9
-    assert len(fluxes) == 36
+    assert len(fluxes) == 35
     assert pairs.all_passed
 
 
@@ -436,12 +441,36 @@ _TERMS = [(0.0, 0.0, False, False), (0.3, 0.0, False, False), (0.0, 2.0, False, 
           (0.0, 2.0, True, True), (0.3, 2.0, True, True)]  # theta, khat, singular, anchor
 
 
+def _term_list(op, theta, khat, mu, rhs, singular, anchor=None):
+    """The load of the system that _plain_residual_scale and _fresh_bands
+    spell out, A(u) + theta L(u) + khat (u - anchor) - mu u^{-gamma} = rhs,
+    as the kernel's term list: the given rhs, then psi's shift, the map's
+    anchored shift and the singular load, each where the case has it."""
+    load = [discrete_solver._given(rhs)]
+    if theta != 0.0:
+        load.append(discrete_solver._theta_shift(theta, op.params))
+    if np.any(khat):
+        load.append(discrete_solver._anchored_shift(khat, anchor))
+    if singular:
+        load.append(discrete_solver._singular(mu, op.params.gamma))
+    return load
+
+
+def _reactions(pr):
+    """The reference config's reaction at pr: a positive f(0), so the
+    unshifted system carries the singular term next to fhat."""
+    spec = NonlinearitySpec(kind="exp_saturating", theta1=1.0, theta2=176.0, k=100.0)
+    return build_h(spec, pr)
+
+
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
 def test_jac_bands_from_kept_derivative_bitwise(pq):
-    # the bands built from the flux terms the residual kept equal, bit for
-    # bit, the bands formed from a fresh lpq_derivative at the same u: on a
-    # flat core and on gradients below the clip, with theta, the shift and
-    # the singular term each on and off
+    # the bands built from the flux terms the residual kept, less each
+    # term's slope, equal bit for bit the bands formed from a fresh
+    # lpq_derivative at the same u: on a flat core and on gradients below the
+    # clip, with theta, the shift and the singular term each on and off.  The
+    # unshifted system's diagonal takes its terms in its load's order: flux
+    # - fhat' + singular'
     pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=64)
     u = 1.0 - op.grid ** 2
@@ -452,19 +481,29 @@ def test_jac_bands_from_kept_derivative_bitwise(pq):
     mu = np.full(op.n, 0.7)
     for theta, khat, singular, anchored in _TERMS:
         anchor = 0.9 * u[:-1] if anchored else None
-        kept = discrete_solver._residual_scale(op, u, theta, khat, mu, np.ones(op.n),
-                                               singular, anchor)[3]
-        got = discrete_solver._jac_bands(op, u, theta, khat, mu, singular, kept)
+        load = _term_list(op, theta, khat, mu, np.ones(op.n), singular, anchor)
+        got = discrete_solver._residual_scale(op, u, load)[3]()
         want = _fresh_bands(op, u, theta, khat, mu, singular)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+    rx, ui = _reactions(pr), u[:-1]
+    fhat = np.asarray(rx.fhat(ui), dtype=float)
+    fhat_slope = (pr.lam * np.asarray(rx.spec.f_prime(ui), dtype=float) * ui ** (-pr.gamma)
+                  - pr.gamma * fhat / ui)
+    sub, flux, sup = _fresh_bands(op, u, 0.0, 0.0, 0.0, False)
+    lam_f0 = pr.lam * rx.spec.f0
+    want = (sub, flux - fhat_slope + pr.gamma * lam_f0 * ui ** (-pr.gamma - 1.0), sup)
+    got = discrete_solver._residual_scale(op, u, _unshifted_load(rx))[3]()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
 def test_residual_scale_matches_plain_expressions_bitwise(pq):
     # the kernel's residual, scale and rounding floor against the plain
-    # expressions, node-wise and scalar shift and load alike: the operation
-    # order is pinned, because the artifacts' bytes depend on it
+    # expressions, node-wise and scalar shift and load alike, and the
+    # unshifted system's fhat against the same load given as its values:
+    # the operation order is pinned, because the artifacts' bytes depend on it
     pr = make_params(p=pq[0], q=pq[1])
     op = DiscreteOperator.from_params(pr, n=64)
     rng = np.random.default_rng(7)
@@ -476,11 +515,18 @@ def test_residual_scale_matches_plain_expressions_bitwise(pq):
         for theta, khat, singular, anchored in _TERMS + [(0.3, rng.uniform(0, 3, op.n),
                                                           True, True)]:
             anchor = 0.9 * u[:-1] if anchored else None
-            got = discrete_solver._residual_scale(op, u, theta, khat, mu, rhs, singular,
-                                                  anchor)[:3]
+            load = _term_list(op, theta, khat, mu, rhs, singular, anchor)
+            got = discrete_solver._residual_scale(op, u, load)[:3]
             want = _plain_residual_scale(op, u, theta, khat, mu, rhs, singular, anchor)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+    rx = _reactions(pr)
+    lam_f0 = pr.lam * rx.spec.f0
+    got = discrete_solver._residual_scale(op, u, _unshifted_load(rx))[:3]
+    want = _plain_residual_scale(op, u, 0.0, 0.0, lam_f0,
+                                 np.asarray(rx.fhat(u[:-1]), dtype=float), lam_f0 > 0.0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("pq", [(2.0, 3.0), (1.5, 2.5)])
@@ -488,19 +534,21 @@ def test_residual_scale_matches_plain_expressions_bitwise(pq):
 def test_jac_bands_are_the_residual_derivative(dim, pq):
     # central differences of the residual, column by column, against the
     # bands: every row, the axis row 0 and the row next to the Dirichlet node
-    # included, with and without the theta, shift and singular terms
+    # included, with and without the theta, shift and singular terms, and
+    # for the unshifted system's fhat(u) and lam f(0) u^{-gamma}
     pr = make_params(p=pq[0], q=pq[1], dim=dim)
     op = DiscreteOperator.from_params(pr, n=32)
     u = (1.0 - op.grid) * (1.5 + op.grid)   # |u'| >= 0.5: F is smooth at every half node
     rhs = np.linspace(1.0, 2.0, op.n)
     anchor = 0.9 * u[:-1]
-    for theta, khat, mu in ((0.0, 0.0, 0.0), (0.3, 2.0, 0.7)):
-        args = (theta, khat, np.full(op.n, mu))
+    for load in (_term_list(op, 0.0, 0.0, 0.0, rhs, False),
+                 _term_list(op, 0.3, 2.0, 0.7, rhs, True, anchor),
+                 _unshifted_load(_reactions(pr))):
 
         def residual(v):
-            return discrete_solver._residual_scale(op, v, *args, rhs, mu > 0.0, anchor)
+            return discrete_solver._residual_scale(op, v, load)
 
-        sub, diag, sup = discrete_solver._jac_bands(op, u, *args, mu > 0.0, residual(u)[3])
+        sub, diag, sup = residual(u)[3]()
         J = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         fd = np.empty_like(J)
         for j in range(op.n):
@@ -523,8 +571,8 @@ def test_rounding_floor_finite_on_a_flat_core():
     core = np.arange(op.n) < 8
     u = discrete_solver._load_solution(op, np.where(core, 0.0, 1e6))
     assert np.all(np.diff(u)[:8] == 0.0)
-    res, scale, rnd, _ = discrete_solver._residual_scale(op, u, 0.0, 0.0, np.zeros(op.n),
-                                                         np.full(op.n, 1e6), False)
+    res, scale, rnd, _ = discrete_solver._residual_scale(
+        op, u, [discrete_solver._given(np.full(op.n, 1e6))])
     assert np.all(np.isfinite(rnd))
     assert np.all(res[core] == -1e6)
     scaled = (np.abs(res) - rnd) / scale
@@ -587,9 +635,9 @@ def test_shipped_upper_functions_are_the_papers_scaled_solutions(gentle, cfg1):
         a_star = env.pairs.first_margins["alpha_star"]
         paper = a_star * _weighted_unit_solve(op, a_star ** -1.0, 1.0)
         assert np.max(np.abs(env.pairs.u_up.values - paper)) <= 1e-12 * np.max(np.abs(paper))
-        mu = np.full(op.n, pr.lam * float(env.spec.f(env.pairs.second_margins["v_up_level"])))
+        mu = pr.lam * float(env.spec.f(env.pairs.second_margins["v_up_level"]))
         res, scale, rnd, _ = discrete_solver._residual_scale(
-            op, env.pairs.v_up.values, 0.0, 0.0, mu, 0.0, True)
+            op, env.pairs.v_up.values, [discrete_solver._singular(mu, pr.gamma)])
         assert discrete_solver._scaled_err(res, scale, rnd) <= discrete_solver._SOLVE_TOL
 
 
@@ -666,15 +714,18 @@ def test_certify_nonordering(gentle):
 # ---------------------------------------------------------------- pairs
 
 def test_first_pair_standalone(cfg1):
-    u0, u_up, marg = build_first_pair(cfg1.reactions, op=cfg1.op)
+    u0, u_up, marg, super_u_up = build_first_pair(cfg1.reactions, op=cfg1.op)
     # without bracketing constraints the smallness condition admits a small
-    # amplitude; the builder reports what it decides, and the certified
+    # amplitude; the builder reports what it decides and the certificate of
+    # u_up its search accepted, which is certify's, and the certified
     # margins stay positive
     assert list(marg) == ["eta", "alpha_star", "u_alpha_norm"]
     assert marg["alpha_star"] == pytest.approx(4.0)
     assert marg["eta"] == pytest.approx(0.5)
     assert certify(cfg1.reactions, u0, "subsolution", op=cfg1.op).min_margin > 0.0
-    assert certify(cfg1.reactions, u_up, "supersolution", op=cfg1.op).min_margin > 0.0
+    again = certify(cfg1.reactions, u_up, "supersolution", op=cfg1.op)
+    assert super_u_up.summary() == again.summary() and super_u_up.min_margin > 0.0
+    assert np.array_equal(super_u_up.margins, again.margins)
     assert float(u0.sup_norm()) == pytest.approx(0.10947570897613822, rel=1e-8)
     assert float(u_up.sup_norm()) == pytest.approx(1.4642768087202704, rel=1e-8)
     assert np.all(u0.values <= u_up.values)
@@ -823,7 +874,7 @@ def test_that_map_starts_an_ascending_iterate_at_its_load_solve(gentle, monkeypa
     monkeypatch.setattr(discrete_solver, "_residual_scale",
                         lambda op, w, *a: starts.append(w.copy()) or real_scale(op, w, *a))
     monkeypatch.setattr(discrete_solver, "_newton",
-                        lambda *a, **k: inits.append(a[5].copy()) or real_newton(*a, **k))
+                        lambda *a, **k: inits.append(a[2].copy()) or real_newton(*a, **k))
     before = env.pairs.u0
     for step in range(3):
         starts.clear()

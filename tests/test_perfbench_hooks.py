@@ -38,4 +38,9 @@ def test_benchmark_instrumentation_finds_every_name(monkeypatch, tmp_path, capsy
     assert calls["discrete_solver.search_third_solution"] == 1
     assert calls["discrete_solver.that_map"] > 0
     assert calls["nonlinearity.choose_khat"] == 0
+    # every load term and the residual kernel reach the flux map through
+    # discrete_solver's own names, which are the ones the tracer wraps: each
+    # Newton step's bands come from the F' of a residual evaluation
+    assert trace.counts["discrete_solver.flux_evals"] > 0
+    assert calls["pq_core.lpq_derivative"] >= calls["discrete_solver.solve_banded"] > 0
     capsys.readouterr()
